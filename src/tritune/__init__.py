@@ -62,6 +62,7 @@ from .pythagorean import (
 )
 from .ratio import (
     EXPONENT_BOUND,
+    MAX_DIGITS,
     Monzo,
     cents,
     is_five_smooth,
@@ -86,7 +87,7 @@ from .scalefile import (
     render_scl,
     write_scl,
 )
-from .weber import perception_increments, uniform_stimuli
+from .weber import MAX_STIMULI, perception_increments, uniform_stimuli
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -86,8 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_et(args) -> None:
     scale = generate_et(args.n, args.base_hz)
-    for p in scale.pitches:
-        print(f"{p.k} {p.exact_form()} {et_value(p, args.digits)}")
+    # every line is built before any is printed: all of the table or none
+    lines = [f"{p.k} {p.exact_form()} {et_value(p, args.digits)}" for p in scale.pitches]
+    print("\n".join(lines))
 
 
 def _run_pyth(args) -> None:

@@ -9,6 +9,15 @@ Pitch ratios live in three exact representations:
 * decimal strings produced by :func:`to_decimal`, which truncate (never
   round) so that printed digits are always exact.
 
+Irrational values such as 2**(k/n) are printed through
+:func:`integer_nth_root`, the exact floor of an n-th root.  It runs Newton's
+iteration on integers (Brent & Zimmermann, *Modern Computer Arithmetic*,
+section 1.5) from a float seed.  The seed only decides how many steps are
+needed: the start lies above the root (by construction, or checked in
+integers for the float seed), each step from above descends and stays at or
+above the floor root, and the result is returned only after the closing
+certificate ``a**n <= x < (a+1)**n`` has been checked in integers.
+
 Everything here is immutable and pure.
 """
 
@@ -19,12 +28,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ExponentBoundError
+from .errors import ExponentBoundError, TuningError
 
 #: Safety bound on prime exponents.  3**64 is astronomically larger than any
 #: value a scale construction reaches; exceeding the bound means a caller is
 #: iterating out of control, so it becomes a typed error instead of silence.
 EXPONENT_BOUND = 64
+
+#: Most fraction digits :func:`to_decimal` and ``equal.et_value`` print.  For
+#: values under 10**300 (every pitch of a scale) it keeps the digit string
+#: within the interpreter's 4300-digit limit on int-to-str conversion, and it
+#: bounds the work of one call (see ``equal.et_value``).
+MAX_DIGITS = 4000
+
+#: Root sizes, in bits, that the float seed of :func:`integer_nth_root` gets
+#: nearly right; longer roots are first taken at half their length.
+_SEED_BITS = 48
 
 RationalLike = Union[int, Fraction]
 
@@ -114,23 +133,70 @@ def reduce_to_octave(r: RationalLike) -> Fraction:
 
 
 def integer_nth_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) computed purely with integers."""
+    """floor(x ** (1/n)), certified by ``a**n <= x < (a+1)**n`` in integers.
+
+    Newton's iteration ``a <- ((n-1)*a + x // a**(n-1)) // n`` runs from a
+    start above the root and stops at the first ``a`` with ``a**n <= x``,
+    where the value would stop decreasing.  By the mean inequality a step
+    from any positive ``a`` lands at or above the floor root, and from
+    ``a**n > x`` it strictly descends, so from any start above the root the
+    stop is the floor root.  The start only sets the step count.  A root of
+    up to ``_SEED_BITS`` bits starts from ``math.log2`` of the top 64 bits of
+    ``x`` plus the dropped bit count, divided by n and lifted by a relative
+    2**-30; the lift is checked in integers and doubled should it fall
+    short.  A longer root starts from the root of ``x`` with a little under
+    half of the root's low bits dropped, plus one, shifted back: above the
+    root by construction and close enough that one step at each level of
+    this recursion lands within a unit of the root.  For n = 2
+    ``math.isqrt`` does the same job.
+
+    The closing certificate is checked before returning; if it ever failed,
+    ``ArithmeticError`` is raised instead of returning an inexact root.
+    """
     if x < 0 or n < 1:
         raise ValueError("integer_nth_root requires x >= 0, n >= 1")
-    if x == 0:
-        return 0
     if n == 1:
+        a = x
+    elif n == 2:
+        a = math.isqrt(x)
+    else:
+        a = _newton_root(x, n)
+    if not a ** n <= x < (a + 1) ** n:
+        raise ArithmeticError(
+            f"root certificate failed: {n}-th root of a {x.bit_length()}-bit integer"
+        )
+    return a
+
+
+def _newton_root(x: int, n: int) -> int:
+    """floor(x ** (1/n)) for n >= 3 by integer Newton steps (uncertified)."""
+    if x < 2:
         return x
-    # bisection on a bracket derived from the bit length
-    hi = 1 << (x.bit_length() // n + 1)
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid ** n <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    half = (x.bit_length() // n - n.bit_length()) // 2
+    # drop a little under half of the root's bits: a start right in the top
+    # half plus log2(n) bits is within a unit after one step, which squares
+    # the relative error and scales it by about n/2
+    if half > _SEED_BITS // 2:
+        # x < ((x >> n*half) + 1) << n*half puts the start above root(x)
+        a = (_newton_root(x >> (n * half), n) + 1) << half
+    else:
+        a = _float_root_above(x, n)
+    m = n - 1
+    p = a ** m
+    while p * a > x:
+        a = (m * a + x // p) // n
+        p = a ** m
+    return a
+
+
+def _float_root_above(x: int, n: int) -> int:
+    """An integer above x ** (1/n), from the float log of the top 64 bits of x."""
+    drop = max(x.bit_length() - 64, 0)
+    log_root = (math.log2(x >> drop) + drop) / n
+    a = int(2.0 ** (log_root + 2.0 ** -30)) + 1
+    while a ** n <= x:  # only if the float estimate fell short
+        a <<= 1
+    return a
 
 
 def is_perfect_nth_power(m: int, n: int) -> tuple[bool, Optional[int]]:
@@ -164,6 +230,14 @@ def _terminating_digits(den: int) -> Optional[int]:
     return max(twos, fives) if den == 1 else None
 
 
+def check_digits(digits: int) -> None:
+    """Require 1 <= digits <= MAX_DIGITS; beyond the cap a TuningError."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if digits > MAX_DIGITS:
+        raise TuningError(f"at most {MAX_DIGITS} digits can be printed, got {digits}")
+
+
 def to_decimal(r: RationalLike, digits: int) -> str:
     """Truncated decimal expansion of ``r`` with ``digits`` fraction digits.
 
@@ -171,8 +245,7 @@ def to_decimal(r: RationalLike, digits: int) -> str:
     with no zero padding ("1.5", "1"); all other values get exactly ``digits``
     truncated digits ("1.33333", "1.60180").
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    check_digits(digits)
     r = Fraction(r)
     if r < 0:
         raise ValueError("negative ratios are not printable pitches")

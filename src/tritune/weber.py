@@ -9,7 +9,14 @@ relation over real-valued stimuli, not lattice arithmetic.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
+
+from .errors import TuningError
+
+#: Most stimuli :func:`uniform_stimuli` produces; beyond it a TuningError, so
+#: one call builds at most this many floats.
+MAX_STIMULI = 10_000
 
 
 def perception_increments(stimuli: Sequence[float], k: float) -> list[float]:
@@ -28,14 +35,26 @@ def uniform_stimuli(s1: float, c: float, k: float, n: int) -> list[float]:
     """The stimulus series whose perceived increments are constantly ``c``.
 
     Geometric with ratio 1 + c/k: S_j = s1 * (1 + c/k)**(j-1), j = 1..n.
+    ``s1``, ``c`` and ``k`` must be finite, 2 <= n <= MAX_STIMULI, and every
+    stimulus must stay a positive finite float; otherwise a TuningError.
     """
+    if not all(math.isfinite(v) for v in (s1, c, k)):
+        raise TuningError("s1, c and k must be finite numbers")
     if k <= 0:
-        raise ValueError("the context constant k must be positive")
+        raise TuningError("the context constant k must be positive")
     if s1 <= 0:
-        raise ValueError("the starting stimulus must be positive")
-    if n < 2:
-        raise ValueError("a stimulus series needs at least two values")
+        raise TuningError("the starting stimulus must be positive")
+    if not 2 <= n <= MAX_STIMULI:
+        raise TuningError(f"a stimulus series needs 2 to {MAX_STIMULI} values, got {n}")
     ratio = 1.0 + c / k
-    if ratio <= 0:
-        raise ValueError(f"progression ratio 1 + C/k must be positive, got {ratio}")
-    return [s1 * ratio ** j for j in range(n)]
+    if not 0 < ratio < math.inf:
+        raise TuningError(
+            f"progression ratio 1 + C/k must be positive and finite, got {ratio}"
+        )
+    try:
+        series = [s1 * ratio ** j for j in range(n)]
+    except OverflowError:
+        series = None
+    if series is None or not all(0 < v < math.inf for v in series):
+        raise TuningError(f"the series of {n} stimuli leaves the positive float range")
+    return series

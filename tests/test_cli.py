@@ -1,6 +1,8 @@
 import json
 
+from tritune import cli
 from tritune.cli import main
+from tritune.errors import TuningError
 
 
 def run(capsys, *argv):
@@ -77,6 +79,21 @@ class TestEt:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_digit_cap_prints_nothing(self, capsys):
+        code, out, err = run(capsys, "et", "--n", "12", "--digits", "5000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_error_on_a_later_line_prints_nothing(self, capsys, monkeypatch):
+        def fail_at_five(p, digits):
+            if p.k == 5:
+                raise TuningError("no value")
+            return "1"
+
+        monkeypatch.setattr(cli, "et_value", fail_at_five)
+        code, out, err = run(capsys, "et", "--n", "12")
+        assert (code, out, err) == (1, "", "error: no value\n")
+
 
 class TestWeberAndChord:
     def test_weber_doubling(self, capsys):
@@ -87,6 +104,17 @@ class TestWeberAndChord:
     def test_weber_domain_error(self, capsys):
         code, _, err = run(capsys, "weber", "--s1", "1", "--c", "-3", "--k", "1", "--n", "4")
         assert code == 1 and "ratio" in err
+
+    def test_weber_bad_input_is_one_error_line(self, capsys):
+        for argv in (
+            ("--s1", "1", "--c", "1", "--k", "1", "--n", "100000000"),
+            ("--s1", "1", "--c", "0", "--k", "1", "--n", "100000000"),
+            ("--s1", "nan", "--c", "1", "--k", "1", "--n", "3"),
+            ("--s1", "1", "--c", "1", "--k", "1", "--n", "2000"),
+        ):
+            code, out, err = run(capsys, "weber", *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_chords(self, capsys):
         assert run(capsys, "chord", "0,4,7")[1].strip() == "DO major"

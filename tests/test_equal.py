@@ -16,8 +16,9 @@ from tritune.equal import (
     generate_et,
     nearest_degree,
 )
-from tritune.errors import UnsupportedDivisionError
+from tritune.errors import TuningError, UnsupportedDivisionError
 from tritune.intervals import Interval, compose
+from tritune.ratio import MAX_DIGITS, integer_nth_root
 
 
 def decimal_power_of_two(k: int, n: int, digits: int) -> str:
@@ -86,6 +87,19 @@ class TestEtValue:
     def test_domain(self):
         with pytest.raises(ValueError):
             et_value(EtPitch(1, 12), 0)
+
+    def test_digit_cap(self):
+        assert len(et_value(EtPitch(1, 12), MAX_DIGITS)) == MAX_DIGITS + 2
+        for k in (0, 1):
+            with pytest.raises(TuningError):
+                et_value(EtPitch(k, 12), MAX_DIGITS + 1)
+
+    def test_53_divisions_at_200_digits_is_certified(self):
+        text = et_value(EtPitch(7, 53), 200)
+        whole, _, frac = text.partition(".")
+        assert whole == "1" and len(frac) == 200
+        a = int(whole + frac)
+        assert a ** 53 <= 2 ** 7 * 10 ** (200 * 53) < (a + 1) ** 53
 
 
 class TestGeneration:
@@ -185,3 +199,38 @@ class TestExactComparison:
                 if abs(x - round(x) + 0.5) < 1e-9:
                     continue  # too close to a boundary for the float oracle
                 assert nearest_degree(r, 12) == math.floor(x + 0.5)
+
+    @pytest.mark.parametrize("n", [12, 31, 53, 311])
+    @given(r=st.fractions(min_value=Fraction(1, 8), max_value=8))
+    def test_nearest_degree_bracket(self, n, r):
+        d = nearest_degree(r, n)
+        p, q = r.numerator ** (2 * n), r.denominator ** (2 * n)
+        assert q * Fraction(2) ** (2 * d - 1) <= p < q * Fraction(2) ** (2 * d + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 31, 53, 311])
+    def test_nearest_degree_of_octaves(self, n):
+        for j in range(-3, 4):
+            assert nearest_degree(Fraction(2) ** j, n) == j * n
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nearest_degree_beside_half_way(self, n):
+        # a/M and (a+1)/M straddle the irrational half-way point 2**((2d+1)/(2n))
+        m = 10 ** 12
+        for d in range(-2, 2 * n + 1):
+            e = 2 * d + 1
+            x = m ** (2 * n) << e if e > 0 else m ** (2 * n) >> -e
+            a = integer_nth_root(x, 2 * n)
+            assert nearest_degree(Fraction(a, m), n) == d
+            assert nearest_degree(Fraction(a + 1, m), n) == d + 1
+
+    @given(
+        st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6),
+        st.sampled_from([12, 31, 53, 311]),
+        st.integers(min_value=1, max_value=3 * 311),
+    )
+    def test_compare_below_the_base(self, r, n, minus_k):
+        # r <=> 2**(-minus_k/n)  iff  p**n * 2**minus_k <=> q**n
+        lhs = r.numerator ** n << minus_k
+        rhs = r.denominator ** n
+        expected = (lhs > rhs) - (lhs < rhs)
+        assert compare_fraction_to_et(r, EtPitch(-minus_k, n)) == expected

@@ -1,15 +1,20 @@
 from decimal import Decimal, ROUND_DOWN, localcontext
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tritune.errors import ExponentBoundError
+from tritune import ratio
+from tritune.errors import ExponentBoundError, TuningError
 from tritune.ratio import (
     EXPONENT_BOUND,
+    MAX_DIGITS,
     Monzo,
     cents,
+    integer_nth_root,
     is_five_smooth,
     is_nth_root_irrational,
     is_perfect_nth_power,
@@ -126,6 +131,58 @@ class TestPerfectPowers:
             is_nth_root_irrational(1, 2)
 
 
+def certified(a: int, x: int, n: int) -> bool:
+    return a ** n <= x < (a + 1) ** n
+
+
+class TestIntegerRoot:
+    @given(
+        st.integers(min_value=0, max_value=20_000).flatmap(
+            lambda bits: st.integers(min_value=0, max_value=(1 << bits) - 1)
+        ),
+        st.integers(min_value=1, max_value=311),
+    )
+    def test_certificate_holds(self, x, n):
+        assert certified(integer_nth_root(x, n), x, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 53, 311])
+    @pytest.mark.parametrize("a", [1, 2, 3, 7, 10 ** 5, 2 ** 100 + 1, 3 ** 200])
+    def test_boundaries_of_exact_powers(self, a, n):
+        x = a ** n
+        assert integer_nth_root(x - 1, n) == a - 1
+        assert integer_nth_root(x, n) == a
+        assert integer_nth_root(x + 1, n) == a
+
+    def test_small_values(self):
+        assert [integer_nth_root(x, 3) for x in range(10)] == [0, 1, 1, 1, 1, 1, 1, 1, 2, 2]
+        assert integer_nth_root(2 ** 258, 311) == 1
+        assert integer_nth_root(12345, 1) == 12345
+
+    @pytest.mark.parametrize("offset", [-40.0, -1.0, 1.0, 40.0])
+    def test_result_does_not_rest_on_the_float_seed(self, monkeypatch, offset):
+        class SkewedMath:
+            isqrt = staticmethod(math.isqrt)
+
+            @staticmethod
+            def log2(v):
+                return math.log2(v) + offset
+
+        monkeypatch.setattr(ratio, "math", SkewedMath)
+        for x, n in [(10 ** 30 + 7, 3), (2 ** 7 * 10 ** 100, 12), (3 ** 500, 53)]:
+            assert certified(integer_nth_root(x, n), x, n)
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(ratio, "_newton_root", lambda x, n: 1)
+        with pytest.raises(ArithmeticError):
+            integer_nth_root(10 ** 9, 3)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            integer_nth_root(-1, 3)
+        with pytest.raises(ValueError):
+            integer_nth_root(8, 0)
+
+
 class TestDecimalRendering:
     def test_examples(self):
         assert to_decimal(Fraction(256, 243), 5) == "1.05349"
@@ -155,6 +212,11 @@ class TestDecimalRendering:
     def test_domain(self):
         with pytest.raises(ValueError):
             to_decimal(Fraction(1), 0)
+
+    def test_digit_cap(self):
+        assert to_decimal(Fraction(1, 3), MAX_DIGITS) == "0." + "3" * MAX_DIGITS
+        with pytest.raises(TuningError):
+            to_decimal(Fraction(1, 3), MAX_DIGITS + 1)
 
 
 class TestCents:

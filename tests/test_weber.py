@@ -3,7 +3,8 @@ import random
 import pytest
 
 from tritune.equal import generate_et
-from tritune.weber import perception_increments, uniform_stimuli
+from tritune.errors import TuningError
+from tritune.weber import MAX_STIMULI, perception_increments, uniform_stimuli
 
 
 class TestPerceptionIncrements:
@@ -38,6 +39,24 @@ class TestUniformStimuli:
             uniform_stimuli(1, c=-2, k=1, n=3)
         with pytest.raises(ValueError):
             uniform_stimuli(0, c=1, k=1, n=3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, bad):
+        for s1, c, k in [(bad, 1, 1), (1, bad, 1), (1, 1, bad)]:
+            with pytest.raises(TuningError):
+                uniform_stimuli(s1, c=c, k=k, n=3)
+
+    def test_length_is_capped(self):
+        assert len(uniform_stimuli(1, c=0, k=1, n=MAX_STIMULI)) == MAX_STIMULI
+        with pytest.raises(TuningError):
+            uniform_stimuli(1, c=0, k=1, n=MAX_STIMULI + 1)
+
+    def test_series_leaving_the_float_range_rejected(self):
+        for c in (1.0, -0.9):  # ratio**j overflows, or underflows to zero
+            with pytest.raises(TuningError):
+                uniform_stimuli(1, c=c, k=1, n=2000)
+        with pytest.raises(TuningError):  # each factor finite, the product not
+            uniform_stimuli(1e300, c=1e10, k=1, n=2)
 
     def test_increments_recover_the_constant(self):
         for c, k in [(0.3, 1.0), (2.0, 5.0), (-0.1, 0.4)]:
