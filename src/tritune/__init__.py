@@ -2,7 +2,6 @@
 equal division, Pythagorean (3-limit) and natural/just (5-limit)."""
 
 from .equal import (
-    DEFAULT_BASE_HZ,
     EtPitch,
     EtScale,
     diatonic_subset,

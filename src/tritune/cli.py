@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .equal import DEFAULT_BASE_HZ, generate_et, et_value
+from .equal import generate_et, et_value
 from .errors import TuningError
 from .intervals import classify_chord
 from .natural import assemble_diatonic, build_core, find_si, solve_fa_la
@@ -33,12 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tritune",
         description="Build and compare the equal, Pythagorean and just scales.",
-    )
-    parser.add_argument(
-        "--base-hz",
-        type=float,
-        default=DEFAULT_BASE_HZ,
-        help="base frequency of the scale (metadata for exports)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -85,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_et(args) -> None:
-    scale = generate_et(args.n, args.base_hz)
+    scale = generate_et(args.n)
     # every line is built before any is printed: all of the table or none
     lines = [f"{p.k} {p.exact_form()} {et_value(p, args.digits)}" for p in scale.pitches]
     print("\n".join(lines))
@@ -135,11 +129,11 @@ def _run_export(args) -> None:
     path = Path(args.out)
     if args.format == "scl":
         if args.scale == "et":
-            doc = et_scale_document(args.n, args.base_hz)
+            doc = et_scale_document(args.n)
         elif args.scale == "pyth":
-            doc = pythagorean_chromatic_document(generate_fifths(12, 12), args.base_hz)
+            doc = pythagorean_chromatic_document(generate_fifths(12, 12))
         else:
-            doc = natural_scale_document(args.base_hz)
+            doc = natural_scale_document()
         text = render_scl(doc, path.name)
     else:
         text = export_table(comparison_table(), args.format)

@@ -8,14 +8,14 @@ demand by integer root extraction so that every printed digit is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .errors import UnsupportedDivisionError
-from .ratio import check_digits, integer_nth_root, is_nth_root_irrational, to_decimal
+from typing import Optional, Union
 
-#: Orchestral reference: index 9 of the 12-division octave (LA) at 440 Hz,
-#: so the DO base sits at 440 / 2**(9/12) Hz.
-DEFAULT_BASE_HZ = 440.0 / 2 ** (9 / 12)
+from .errors import UnsupportedDivisionError
+from .ratio import Monzo, _fixed_point, _floor_log2, check_digits, integer_nth_root
+from .ratio import is_nth_root_irrational, to_decimal
 
 #: Chromatic indices of the major diatonic subset of the 12-division scale.
 DIATONIC_INDICES = (0, 2, 4, 5, 7, 9, 11, 12)
@@ -79,8 +79,7 @@ class EtPitch:
 
     def exact_form(self) -> str:
         if self.is_rational():
-            f = self.as_fraction()
-            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+            return str(self.as_fraction())
         return f"2^({self.k}/{self.n})"
 
 
@@ -108,9 +107,7 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     else:
         # floor(root(x)) == floor(root(floor(x))) for x >= 0
         radicand = 10 ** (d * e.denominator) // 2 ** (-e.numerator)
-    scaled = integer_nth_root(radicand, e.denominator)
-    s = str(scaled).rjust(d + 1, "0")
-    return f"{s[:-d]}.{s[-d:]}"
+    return _fixed_point(integer_nth_root(radicand, e.denominator), d)
 
 
 @dataclass(frozen=True)
@@ -118,14 +115,11 @@ class EtScale:
     """n+1 pitches 2**(k/n), k = 0..n, over one octave."""
 
     n: int
-    base_frequency_hz: float = DEFAULT_BASE_HZ
     pitches: tuple[EtPitch, ...] = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("an equal scale needs at least one step per octave")
-        if self.base_frequency_hz <= 0:
-            raise ValueError("base frequency must be positive")
         object.__setattr__(
             self, "pitches", tuple(EtPitch(k, self.n) for k in range(self.n + 1))
         )
@@ -134,13 +128,10 @@ class EtScale:
         """Pitch at any index, octaves included (k may lie outside 0..n)."""
         return EtPitch(k, self.n)
 
-    def frequency(self, k: int) -> float:
-        return self.base_frequency_hz * float(self.pitch(k))
 
-
-def generate_et(n: int, base_frequency_hz: float = DEFAULT_BASE_HZ) -> EtScale:
+def generate_et(n: int) -> EtScale:
     """Equal scale with n steps: the unique geometric ladder closing at 2."""
-    return EtScale(n=n, base_frequency_hz=base_frequency_hz)
+    return EtScale(n=n)
 
 
 def et_semitone_count(i1: int, i2: int) -> int:
@@ -182,21 +173,50 @@ def nearest_degree(r: Fraction, n: int) -> int:
 
     The answer is the d with b**(2n) * 2**(2d-1) <= a**(2n) < b**(2n) * 2**(2d+1),
     found in integers: m = floor(log2 r**(2n)) is the bit-length difference
-    of a**(2n) and b**(2n), less one when a single shift comparison says so,
-    and d = (m + 1) // 2.  Half-way ties are impossible unless r is itself a
-    power of 2**(1/2n); the half-up rule makes the function total anyway.
+    of a**(2n) and b**(2n), less one when a single shift comparison says so
+    (``ratio._floor_log2``), and d = (m + 1) // 2.  Half-way ties are
+    impossible unless r is itself a power of 2**(1/2n); the half-up rule
+    makes the function total anyway.
     """
     r = Fraction(r)
     if r <= 0:
         raise ValueError("pitch ratios must be positive")
-    num = r.numerator ** (2 * n)
-    den = r.denominator ** (2 * n)
-    # 2**(m-1) < num/den < 2**(m+1) for m the bit-length difference
-    m = num.bit_length() - den.bit_length()
-    if m >= 0:
-        den <<= m
-    else:
-        num <<= -m
-    if num < den:
-        m -= 1
+    m = _floor_log2(r.numerator ** (2 * n), r.denominator ** (2 * n))
     return (m + 1) // 2
+
+
+def compare_pitches(
+    x: Union[int, Fraction, Monzo, EtPitch], y: Union[int, Fraction, Monzo, EtPitch]
+) -> int:
+    """Exact three-way comparison of two pitches: -1, 0 or +1.
+
+    Two equal-division pitches compare k1*n2 with k2*n1, a rational against
+    one goes through :func:`compare_fraction_to_et`, and two rationals
+    compare as fractions.
+    """
+    x, y = (p.as_fraction() if isinstance(p, Monzo) else p for p in (x, y))
+    if isinstance(x, EtPitch):
+        if not isinstance(y, EtPitch):
+            return -compare_fraction_to_et(y, x)
+        x, y = x.k * y.n, y.k * x.n
+    elif isinstance(y, EtPitch):
+        return compare_fraction_to_et(x, y)
+    return (x > y) - (x < y)
+
+
+def pitch_parts(p) -> Optional[tuple[Fraction, Fraction]]:
+    """(r, e) with p = r * 2**e, both rational; None for a float.
+
+    Splits off the octave exponent of an equal-division pitch so that pitch
+    products and quotients stay exact.  Anything that is not a positive,
+    finite pitch raises ValueError.
+    """
+    if isinstance(p, EtPitch):
+        return Fraction(1), p.exponent
+    if isinstance(p, Monzo):
+        return p.as_fraction(), Fraction(0)
+    if isinstance(p, (int, Fraction)) and not isinstance(p, bool) and p > 0:
+        return Fraction(p), Fraction(0)
+    if isinstance(p, float) and 0 < p < math.inf:
+        return None
+    raise ValueError(f"pitches must be positive, got {p!r}")

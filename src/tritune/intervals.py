@@ -3,10 +3,9 @@
 The distance between two pitches is the ratio of their frequencies, so equal
 musical distances are equal ratios, adjacent intervals compose by
 multiplication, and two ordered sound sets are congruent when their
-consecutive ratios agree.  Exact pitches (rationals, monzos) are compared
-exactly; as soon as an equal-division pitch or a float is involved the
-comparison drops to cents with a 1e-6 tolerance, since exact equality across
-the rational/irrational divide cannot occur.
+consecutive ratios agree.  Rationals, monzos and equal-division pitches are
+compared exactly, each as r * 2**e; only a float drops the comparison to
+cents with a 1e-6 tolerance.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .equal import EtPitch
-from .ratio import Monzo, cents, monzo_to_rational
+from .equal import DIATONIC_INDICES, EtPitch, compare_pitches, pitch_parts
+from .ratio import Monzo, cents, octave_shift
 
 Pitch = Union[int, Fraction, float, Monzo, EtPitch]
 
@@ -25,7 +24,7 @@ CENTS_TOLERANCE = 1e-6
 LETTERS = ("DO", "RE", "MI", "FA", "SOL", "LA", "SI")
 
 #: chromatic index -> diatonic letter, for the 12-division octave
-_DIATONIC_LETTER = {0: "DO", 2: "RE", 4: "MI", 5: "FA", 7: "SOL", 9: "LA", 11: "SI"}
+_DIATONIC_LETTER = dict(zip(DIATONIC_INDICES, LETTERS))
 
 _ACCIDENTAL_MARK = {"natural": "", "sharp": "♯", "flat": "♭"}
 
@@ -80,27 +79,6 @@ def note_name(chromatic_index: int, preference: str = "sharp") -> NoteName:
     return NoteName(_DIATONIC_LETTER[(i + 1) % 12], "flat")
 
 
-def _as_fraction(p: Pitch) -> Optional[Fraction]:
-    """Exact rational value of a pitch, or None when it has none."""
-    if isinstance(p, bool):
-        return None
-    if isinstance(p, (int, Fraction)):
-        return Fraction(p)
-    if isinstance(p, Monzo):
-        return monzo_to_rational(p)
-    if isinstance(p, EtPitch) and p.is_rational():
-        return p.as_fraction()
-    return None
-
-
-def _check_positive(p: Pitch) -> None:
-    if isinstance(p, (EtPitch, Monzo)):
-        return  # positive by construction
-    if isinstance(p, (int, Fraction, float)) and p > 0:
-        return
-    raise ValueError(f"pitches must be positive, got {p!r}")
-
-
 @dataclass(frozen=True)
 class Interval:
     """A ratio >= 1 between two pitches; unison is 1, the octave is 2."""
@@ -108,10 +86,7 @@ class Interval:
     ratio: Union[Fraction, EtPitch]
 
     def __post_init__(self):
-        if isinstance(self.ratio, EtPitch):
-            if self.ratio.exponent < 0:
-                raise ValueError("interval ratios are >= 1")
-        elif self.ratio < 1:
+        if compare_pitches(self.ratio, 1) < 0:
             raise ValueError("interval ratios are >= 1")
 
     def cents(self) -> float:
@@ -121,8 +96,6 @@ class Interval:
         return float(self.ratio)
 
     def __str__(self) -> str:
-        if isinstance(self.ratio, EtPitch):
-            return self.ratio.exact_form()
         return str(self.ratio)
 
 
@@ -134,10 +107,9 @@ def interval_between(f1: Pitch, f2: Pitch) -> Interval:
     equal-division); the ratio between a rational and an irrational
     equal-division pitch is not representable exactly.
     """
-    _check_positive(f1)
-    _check_positive(f2)
-    a, b = _as_fraction(f1), _as_fraction(f2)
-    if a is not None and b is not None:
+    parts = (pitch_parts(f1), pitch_parts(f2))
+    if None not in parts and all(e.denominator == 1 for _, e in parts):
+        a, b = (r * 2 ** e for r, e in parts)
         return Interval(max(a, b) / min(a, b))
     if isinstance(f1, EtPitch) and isinstance(f2, EtPitch):
         diff = abs(f2.exponent - f1.exponent)
@@ -148,30 +120,17 @@ def interval_between(f1: Pitch, f2: Pitch) -> Interval:
     )
 
 
-def _power_of_two_exponent(f: Fraction) -> Optional[int]:
-    if f.numerator == 1 and f.denominator & (f.denominator - 1) == 0:
-        return -(f.denominator.bit_length() - 1)
-    if f.denominator == 1 and f.numerator & (f.numerator - 1) == 0:
-        return f.numerator.bit_length() - 1
-    return None
-
-
 def compose(i1: Interval, i2: Interval) -> Interval:
     """Chain two intervals: distances compose by multiplying ratios."""
-    r1, r2 = i1.ratio, i2.ratio
-    if isinstance(r1, Fraction) and isinstance(r2, Fraction):
-        return Interval(r1 * r2)
-    # promote octave-power rationals so ET steps can absorb them
-    def as_exponent(r) -> Optional[Fraction]:
-        if isinstance(r, EtPitch):
-            return r.exponent
-        e = _power_of_two_exponent(r)
-        return None if e is None else Fraction(e)
-
-    e1, e2 = as_exponent(r1), as_exponent(r2)
-    if e1 is None or e2 is None:
+    if isinstance(i1.ratio, Fraction) and isinstance(i2.ratio, Fraction):
+        return Interval(i1.ratio * i2.ratio)
+    # with an equal-division step the product is an equal-division step,
+    # provided the rational parts multiply to a power of two
+    (r1, e1), (r2, e2) = pitch_parts(i1.ratio), pitch_parts(i2.ratio)
+    h = octave_shift(r1 * r2)
+    if r1 * r2 * Fraction(2) ** h != 1:
         raise TypeError("cannot compose a non-octave rational with an irrational step")
-    e = e1 + e2
+    e = e1 + e2 - h
     return Interval(EtPitch(e.numerator, e.denominator))
 
 
@@ -186,7 +145,7 @@ class PitchSequence:
         if not items:
             raise ValueError("a pitch sequence cannot be empty")
         for p in items:
-            _check_positive(p)
+            pitch_parts(p)  # raises unless p is a positive pitch
         object.__setattr__(self, "pitches", items)
 
     def __len__(self):
@@ -197,18 +156,14 @@ class PitchSequence:
 
 
 def _steps_equal(lo1: Pitch, hi1: Pitch, lo2: Pitch, hi2: Pitch) -> bool:
-    """Whether hi1/lo1 == hi2/lo2, exactly where possible."""
-    a_lo, a_hi = _as_fraction(lo1), _as_fraction(hi1)
-    b_lo, b_hi = _as_fraction(lo2), _as_fraction(hi2)
-    if None not in (a_lo, a_hi, b_lo, b_hi):
-        return a_hi * b_lo == b_hi * a_lo
-    if (
-        isinstance(lo1, EtPitch)
-        and isinstance(hi1, EtPitch)
-        and isinstance(lo2, EtPitch)
-        and isinstance(hi2, EtPitch)
-    ):
-        return hi1.exponent - lo1.exponent == hi2.exponent - lo2.exponent
+    """Whether hi1/lo1 == hi2/lo2: exactly unless a float is involved."""
+    parts = [pitch_parts(p) for p in (lo1, hi1, lo2, hi2)]
+    if None not in parts:
+        # r2 * 2**e2 / (r1 * 2**e1) == r4 * 2**e4 / (r3 * 2**e3) iff
+        # r2 * r3 == r1 * r4 * 2**e; an irrational 2**e equals no rational
+        (r1, e1), (r2, e2), (r3, e3), (r4, e4) = parts
+        e = e1 + e4 - e2 - e3
+        return e.denominator == 1 and r2 * r3 == r1 * r4 * 2 ** e
     step_a = cents(hi1) - cents(lo1)
     step_b = cents(hi2) - cents(lo2)
     return abs(step_a - step_b) <= CENTS_TOLERANCE
@@ -218,8 +173,7 @@ def are_congruent(a, b) -> bool:
     """Whether two ordered sound sets develop along identical ratios.
 
     Sequences of different length are simply not congruent.  Comparison is
-    exact whenever both consecutive ratios are exact, and in cents within
-    1e-6 otherwise.
+    exact unless a float is involved, and then in cents within 1e-6.
     """
     seq_a = a if isinstance(a, PitchSequence) else PitchSequence(a)
     seq_b = b if isinstance(b, PitchSequence) else PitchSequence(b)

@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional, Union
 
-from .equal import EtPitch, compare_fraction_to_et
+from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import PropositionViolationError, TuningError
 from .intervals import NoteName
-from .ratio import is_five_smooth, is_perfect_nth_power
-
-RationalLike = Union[int, Fraction]
+from .ratio import RationalLike, is_five_smooth, is_perfect_nth_power
 
 #: the just diatonic degrees, ascending, with their names
 DIATONIC_DEGREES = (
@@ -235,15 +234,7 @@ def find_si() -> SiSearch:
     f3).  Exactly one candidate survives the range and lattice tests; any
     other outcome raises, because uniqueness is the whole point.
     """
-    known = [
-        Fraction(1),
-        Fraction(9, 8),
-        Fraction(5, 4),
-        Fraction(4, 3),
-        Fraction(3, 2),
-        Fraction(5, 3),
-        Fraction(2),
-    ]
+    known = [ratio for name, ratio in DIATONIC_DEGREES if name != "SI"]
     lo, hi = Fraction(5, 3), Fraction(2)
     accepted = []
     rejected = []
@@ -313,28 +304,13 @@ def _ordering(row: ComparisonRow) -> str:
     """Ascending order of the three values, decided exactly.
 
     Rational-vs-equal comparisons go through integer powers, never floats.
-    Ties list N first, then E, then P.
+    The sort is stable, so ties list N first, then E, then P.
     """
     labelled = [("N", row.natural), ("E", row.equal), ("P", row.pythagorean)]
-
-    def less(x, y) -> bool:
-        if isinstance(x, Fraction) and isinstance(y, Fraction):
-            return x < y
-        if isinstance(x, Fraction):
-            return compare_fraction_to_et(x, y) < 0
-        if isinstance(y, Fraction):
-            return compare_fraction_to_et(y, x) > 0
-        return x.exponent < y.exponent
-
-    ordered = [labelled[0]]
-    for item in labelled[1:]:
-        pos = 0
-        while pos < len(ordered) and not less(item[1], ordered[pos][1]):
-            pos += 1
-        ordered.insert(pos, item)
+    ordered = sorted(labelled, key=cmp_to_key(lambda a, b: compare_pitches(a[1], b[1])))
     parts = [ordered[0][0]]
     for (_, prev), (label, value) in zip(ordered, ordered[1:]):
-        parts.append("<" if less(prev, value) else "=")
+        parts.append("<" if compare_pitches(prev, value) < 0 else "=")
         parts.append(label)
     return " ".join(parts)
 
@@ -346,7 +322,6 @@ def compare_three_scales() -> ScaleComparison:
     chromatic = select_chromatic(generate_fifths(12, 12))
     pyth = [p.ratio for p in chromatic if p.name.accidental == "natural"]
     natural = assemble_diatonic()
-    et_indices = (0, 2, 4, 5, 7, 9, 11, 12)
     rows = tuple(
         ComparisonRow(
             degree=str(name),
@@ -354,7 +329,7 @@ def compare_three_scales() -> ScaleComparison:
             pythagorean=p,
             natural=n,
         )
-        for (name, n), p, k in zip(natural.degrees, pyth, et_indices)
+        for (name, n), p, k in zip(natural.degrees, pyth, DIATONIC_INDICES)
     )
     orderings = {row.degree: _ordering(row) for row in rows}
     return ScaleComparison(rows=rows, orderings=orderings)

@@ -13,13 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .equal import EtPitch, compare_fraction_to_et, nearest_degree
+from .equal import DIATONIC_INDICES, EtPitch, compare_fraction_to_et, nearest_degree
 from .errors import CoverageError, PropositionViolationError, TuningError
 from .intervals import NoteName, note_name
-from .ratio import Monzo, cents, monzo_to_rational, rational_to_monzo, reduce_to_octave
-
-#: degrees of the 12-division octave carrying plain letter names
-DIATONIC_DEGREES = frozenset({0, 2, 4, 5, 7, 9, 11, 12})
+from .ratio import Monzo, cents, octave_shift, rational_to_monzo, reduce_to_octave
 
 PYTHAGOREAN_COMMA = Fraction(531441, 524288)  # (3/2)**12 / 2**7
 LIMMA = Fraction(256, 243)  # the diatonic semitone, 2**8 / 3**5
@@ -101,32 +98,22 @@ class PythTable:
         return [e.ratio for e in self.entries()]
 
 
-def _fold_into_octave(raw: Fraction) -> tuple[int, Fraction]:
-    """The unique h with 1 < 2**h * raw < 2, by repeated octave moves."""
-    h = 0
-    r = raw
-    while r <= 1:
-        r *= 2
-        h += 1
-    while r >= 2:
-        r /= 2
-        h -= 1
-    return h, r
-
-
 def generate_fifths(m1: int, m2: int) -> PythTable:
-    """Walk m1 fifths down and m2 fifths up, folding into the base octave."""
+    """Walk m1 fifths down and m2 fifths up, folding into the base octave.
+
+    (3/2)**(+/-k) is never a power of two, so it folds strictly inside (1, 2).
+    """
     if m1 < 0 or m2 < 0:
         raise ValueError("iteration counts cannot be negative")
-    down = []
-    for k1 in range(1, m1 + 1):
-        h1, r = _fold_into_octave(Fraction(2, 3) ** k1)
-        down.append(FifthStep("down", k1, h1, r))
-    up = []
-    for k2 in range(1, m2 + 1):
-        h2, r = _fold_into_octave(Fraction(3, 2) ** k2)
-        up.append(FifthStep("up", k2, h2, r))
-    return PythTable(tuple(down), tuple(up))
+
+    def step(direction: str, k: int) -> FifthStep:
+        raw = Fraction(3, 2) ** (k if direction == "up" else -k)
+        h = octave_shift(raw)
+        return FifthStep(direction, k, h, raw * Fraction(2) ** h)
+
+    down = tuple(step("down", k1) for k1 in range(1, m1 + 1))
+    up = tuple(step("up", k2) for k2 in range(1, m2 + 1))
+    return PythTable(down, up)
 
 
 def classify_to_et(r: Fraction, n: int = 12) -> tuple[int, float]:
@@ -196,7 +183,7 @@ def select_chromatic(t: PythTable) -> list[NamedPitch]:
     pairs = pairing_table(t, 12)
     named: list[NamedPitch] = []
     for degree, (low, high) in pairs.items():
-        if degree in DIATONIC_DEGREES:
+        if degree in DIATONIC_INDICES:
             if low.k == high.k:
                 raise PropositionViolationError(
                     f"degree {degree}: iteration counts tie, selection undefined"
@@ -283,8 +270,8 @@ def base_dependence_demo(t: PythTable) -> BaseDependenceDemo:
     mi = Monzo(-6, 4)
     shift = Monzo(-5 - 9, 9)  # 2**-5 * (3/2)**9
     product = mi + shift
-    product_ratio = reduce_to_octave(monzo_to_rational(product))
-    control_ratio = reduce_to_octave(monzo_to_rational(shift))
+    product_ratio = reduce_to_octave(product.as_fraction())
+    control_ratio = reduce_to_octave(shift.as_fraction())
     ratios = set(t.ratios())
     demo = BaseDependenceDemo(
         base_monzo=mi,

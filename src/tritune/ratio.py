@@ -37,8 +37,9 @@ EXPONENT_BOUND = 64
 
 #: Most fraction digits :func:`to_decimal` and ``equal.et_value`` print.  For
 #: values under 10**300 (every pitch of a scale) it keeps the digit string
-#: within the interpreter's 4300-digit limit on int-to-str conversion, and it
-#: bounds the work of one call (see ``equal.et_value``).
+#: within the interpreter's 4300-digit limit on int-to-str conversion (larger
+#: values raise TuningError), and it bounds the work of one call (see
+#: ``equal.et_value``).
 MAX_DIGITS = 4000
 
 #: Root sizes, in bits, that the float seed of :func:`integer_nth_root` gets
@@ -120,16 +121,25 @@ def is_five_smooth(r: RationalLike) -> bool:
     return rational_to_monzo(r) is not None
 
 
-def reduce_to_octave(r: RationalLike) -> Fraction:
-    """Multiply by the unique power of two that lands ``r`` in [1, 2)."""
+def _floor_log2(a: int, b: int) -> int:
+    """floor(log2(a/b)) for positive integers: m or m - 1, for m the bit-length
+    difference of a and b, since 2**(m-1) < a/b < 2**(m+1)."""
+    m = a.bit_length() - b.bit_length()
+    return m - (a < b << m if m >= 0 else a << -m < b)
+
+
+def octave_shift(r: RationalLike) -> int:
+    """The unique h with 1 <= r * 2**h < 2."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("pitch ratios must be positive")
-    while r < 1:
-        r *= 2
-    while r >= 2:
-        r /= 2
-    return r
+    return -_floor_log2(r.numerator, r.denominator)
+
+
+def reduce_to_octave(r: RationalLike) -> Fraction:
+    """Multiply by the unique power of two that lands ``r`` in [1, 2)."""
+    r = Fraction(r)
+    return r * Fraction(2) ** octave_shift(r)
 
 
 def integer_nth_root(x: int, n: int) -> int:
@@ -251,10 +261,21 @@ def to_decimal(r: RationalLike, digits: int) -> str:
         raise ValueError("negative ratios are not printable pitches")
     exact_len = _terminating_digits(r.denominator)
     width = exact_len if exact_len is not None and exact_len <= digits else digits
-    scaled = r.numerator * 10 ** width // r.denominator
+    return _fixed_point(r.numerator * 10 ** width // r.denominator, width)
+
+
+def _fixed_point(scaled: int, width: int) -> str:
+    """``scaled / 10**width`` as a decimal with ``width`` fraction digits;
+    TuningError past the interpreter's int-to-str digit limit."""
+    try:
+        s = str(scaled)
+    except ValueError:
+        raise TuningError(
+            f"a {scaled.bit_length()}-bit value has too many digits to print"
+        ) from None
     if width == 0:
-        return str(scaled)
-    s = str(scaled).rjust(width + 1, "0")
+        return s
+    s = s.rjust(width + 1, "0")
     return f"{s[:-width]}.{s[-width:]}"
 
 

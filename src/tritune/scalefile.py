@@ -1,24 +1,27 @@
 """Scale documents and their interchange renderings.
 
 A scale document is the base-normalized pitch list of one octave, without
-the implicit unison.  It can be written as a tuning file (rationals as p/q,
-equal-division pitches as cents with five fraction digits), and the
+the implicit unison.  It can be written as a Scala tuning file (rationals as
+p/q, equal-division pitches as cents with five fraction digits), and the
 three-system comparison can be written as CSV or JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .equal import DEFAULT_BASE_HZ, EtPitch, EtScale, et_value
+from .equal import EtPitch, EtScale, compare_pitches, et_value
+from .errors import TuningError
 from .intervals import NoteName
 from .natural import ScaleComparison, assemble_diatonic, compare_three_scales
 from .pythagorean import PythTable, select_chromatic
-from .ratio import cents, monzo_form, to_decimal
+from .ratio import _fixed_point, monzo_form, to_decimal
 
 PitchValue = Union[Fraction, EtPitch]
 
@@ -33,29 +36,23 @@ class ScaleEntry:
         """Tuning-file rendering: p/q for rationals, 5-digit cents otherwise."""
         if isinstance(self.value, Fraction):
             return f"{self.value.numerator}/{self.value.denominator}"
-        c = Fraction(1200 * self.value.k, self.value.n)
-        scaled = c.numerator * 10 ** 5 // c.denominator
-        s = str(scaled).rjust(6, "0")
-        return f"{s[:-5]}.{s[-5:]}"
+        return _fixed_point(1200 * self.value.k * 10 ** 5 // self.value.n, 5)
 
 
 @dataclass(frozen=True)
 class ScaleDocument:
     description: str
-    base_frequency_hz: float
     entries: tuple[ScaleEntry, ...]
 
     def __post_init__(self):
-        if self.base_frequency_hz <= 0:
-            raise ValueError("base frequency must be positive")
         if not self.entries:
             raise ValueError("a scale document needs at least one entry")
-        values = [cents(e.value) for e in self.entries]
-        if any(b <= a for a, b in zip(values, values[1:])):
+        values = [e.value for e in self.entries]
+        if any(compare_pitches(a, b) >= 0 for a, b in zip(values, values[1:])):
             raise ValueError("scale entries must be strictly ascending")
 
 
-def natural_scale_document(base_hz: float = DEFAULT_BASE_HZ) -> ScaleDocument:
+def natural_scale_document() -> ScaleDocument:
     scale = assemble_diatonic()
     entries = tuple(
         ScaleEntry(name, monzo_form(ratio), ratio)
@@ -64,33 +61,28 @@ def natural_scale_document(base_hz: float = DEFAULT_BASE_HZ) -> ScaleDocument:
     )
     return ScaleDocument(
         description="Just diatonic scale on DO (5-limit, harmonic divisions)",
-        base_frequency_hz=base_hz,
         entries=entries,
     )
 
 
-def et_scale_document(n: int, base_hz: float = DEFAULT_BASE_HZ) -> ScaleDocument:
-    scale = EtScale(n=n, base_frequency_hz=base_hz)
+def et_scale_document(n: int) -> ScaleDocument:
+    scale = EtScale(n=n)
     entries = tuple(
         ScaleEntry(None, p.exact_form(), p) for p in scale.pitches if p.k > 0
     )
     return ScaleDocument(
         description=f"Equal division of the octave in {n} steps",
-        base_frequency_hz=base_hz,
         entries=entries,
     )
 
 
-def pythagorean_chromatic_document(
-    table: PythTable, base_hz: float = DEFAULT_BASE_HZ
-) -> ScaleDocument:
+def pythagorean_chromatic_document(table: PythTable) -> ScaleDocument:
     named = select_chromatic(table)
     entries = tuple(
         ScaleEntry(p.name, monzo_form(p.ratio), p.ratio) for p in named if p.ratio != 1
     )
     return ScaleDocument(
         description="Pythagorean chromatic scale on DO (18 sounds, 12 fifths each way)",
-        base_frequency_hz=base_hz,
         entries=entries,
     )
 
@@ -107,29 +99,45 @@ def write_scl(doc: ScaleDocument, path) -> None:
     path.write_text(render_scl(doc, path.name), encoding="utf-8", newline="\n")
 
 
-def parse_scl(text: str) -> tuple[str, list[Union[Fraction, float]]]:
-    """Minimal reader for the writer above: (description, pitch values).
+#: a pitch token: cents when it holds a period, else a ratio p/q or p
+_CENTS = re.compile(r"[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+)")
+_RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
-    Rational lines come back as Fractions, cents lines as floats.  The
-    declared count is checked against the pitch lines found.
+
+def _parse_pitch(line: str) -> Union[Fraction, float]:
+    """The pitch at the start of a Scala pitch line; text after it is ignored."""
+    token = line.split()[0]
+    try:
+        if "." in token:
+            if _CENTS.fullmatch(token) and math.isfinite(float(token)):
+                return float(token)
+        elif ratio := _RATIO.fullmatch(token):
+            num, den = int(ratio[1]), int(ratio[2] or 1)
+            if num > 0 and den > 0:
+                return Fraction(num, den)
+    except ValueError:  # past the interpreter's limit on str-to-int digits
+        pass
+    raise TuningError(f"not a positive ratio or a cents value: {line.strip()!r}")
+
+
+def parse_scl(text: str) -> tuple[str, list[Union[Fraction, float]]]:
+    """Reader for Scala tuning files: (description, pitch values).
+
+    Per https://www.huygens-fokker.org/scala/scl_format.html, "!" lines are
+    comments, then come the description, the pitch count (here at most nine
+    digits) and the pitch lines.  Ratios come back as Fractions, cents as
+    floats; anything else, or a count that does not match, is a TuningError.
     """
     lines = [ln for ln in text.splitlines() if not ln.startswith("!")]
     if len(lines) < 2:
-        raise ValueError("truncated scale file")
+        raise TuningError("truncated scale file")
     description = lines[0]
-    count = int(lines[1])
-    pitches: list[Union[Fraction, float]] = []
-    for ln in lines[2:]:
-        ln = ln.strip()
-        if not ln:
-            continue
-        if "." in ln:
-            pitches.append(float(ln))
-        else:
-            num, _, den = ln.partition("/")
-            pitches.append(Fraction(int(num), int(den) if den else 1))
-    if len(pitches) != count:
-        raise ValueError(f"declared {count} pitches, found {len(pitches)}")
+    count = re.fullmatch(r"\s*([0-9]{1,9})\s*", lines[1])
+    if count is None:
+        raise TuningError(f"not a pitch count: {lines[1]!r}")
+    pitches = [_parse_pitch(ln) for ln in lines[2:] if ln.strip()]
+    if len(pitches) != int(count[1]):
+        raise TuningError(f"declared {count[1]} pitches, found {len(pitches)}")
     return description, pitches
 
 

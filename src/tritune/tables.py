@@ -8,15 +8,11 @@ modules; these functions only lay it out.
 
 from __future__ import annotations
 
-from .equal import EtPitch, et_value
+from .equal import DIATONIC_INDICES, EtPitch, et_value
 from .natural import compare_three_scales
-from .pythagorean import (
-    DIATONIC_DEGREES,
-    PythTable,
-    pairing_table,
-    select_chromatic,
-)
+from .pythagorean import PythTable, pairing_table, select_chromatic
 from .ratio import monzo_form, to_decimal
+from .scalefile import comparison_table
 
 
 def _aligned(rows: list[tuple[str, ...]]) -> str:
@@ -44,7 +40,7 @@ def pairing_text(table: PythTable, n: int = 12) -> str:
     rows = []
     for degree in range(n + 1):
         low, high = pairs[degree]
-        if degree in DIATONIC_DEGREES:
+        if degree in DIATONIC_INDICES:
             marker = "*"
             first, second = sorted((low, high), key=lambda e: e.k)
         else:
@@ -75,15 +71,11 @@ def chromatic_text(table: PythTable) -> str:
 def comparison_text() -> str:
     """The three-system diatonic table plus the exact orderings it implies."""
     comp = compare_three_scales()
-    rows = [("degree", "E", "P", "N")]
-    for row in comp.rows:
+    table = comparison_table(comp)
+    rows = [("degree", *table.columns)]
+    for degree, cells in table.rows:
         rows.append(
-            (
-                row.degree,
-                f"{row.equal.exact_form()} = {et_value(row.equal, 5)}",
-                f"{monzo_form(row.pythagorean)} = {to_decimal(row.pythagorean, 5)}",
-                f"{monzo_form(row.natural)} = {to_decimal(row.natural, 5)}",
-            )
+            (degree, *(f"{cells[c].exact} = {cells[c].decimal}" for c in table.columns))
         )
     text = _aligned(rows)
     notes = [

@@ -20,15 +20,22 @@ MAX_STIMULI = 10_000
 
 
 def perception_increments(stimuli: Sequence[float], k: float) -> list[float]:
-    """Perceived change at each step: dP_j = k * (S_{j+1} - S_j) / S_j."""
-    if k <= 0:
-        raise ValueError("the context constant k must be positive")
+    """Perceived change at each step: dP_j = k * (S_{j+1} - S_j) / S_j.
+
+    ``k`` and at least two stimuli must be positive finite numbers, and every
+    increment must be finite; otherwise a TuningError.
+    """
+    if not 0 < k < math.inf:
+        raise TuningError("the context constant k must be positive and finite")
     values = [float(s) for s in stimuli]
     if len(values) < 2:
-        raise ValueError("a stimulus series needs at least two values")
-    if any(v <= 0 for v in values):
-        raise ValueError("stimuli must be positive")
-    return [k * (b - a) / a for a, b in zip(values, values[1:])]
+        raise TuningError("a stimulus series needs at least two values")
+    if not all(0 < v < math.inf for v in values):
+        raise TuningError("stimuli must be positive and finite")
+    increments = [k * (b - a) / a for a, b in zip(values, values[1:])]
+    if not all(math.isfinite(d) for d in increments):
+        raise TuningError("a perceived increment leaves the float range")
+    return increments
 
 
 def uniform_stimuli(s1: float, c: float, k: float, n: int) -> list[float]:

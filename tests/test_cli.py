@@ -175,12 +175,3 @@ class TestExport:
         )
         assert code == 1
         assert err.startswith("error:")
-
-    def test_base_hz_flag_is_metadata(self, tmp_path, capsys):
-        out_path = tmp_path / "just.scl"
-        code, _, _ = run(
-            capsys, "--base-hz", "256", "export", "--format", "scl", "--out", str(out_path)
-        )
-        assert code == 0
-        # pitch content is base-normalized; the base changes only metadata
-        assert "9/8" in out_path.read_text(encoding="utf-8")

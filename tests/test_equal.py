@@ -6,10 +6,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tritune.equal import (
-    DEFAULT_BASE_HZ,
     EtPitch,
-    EtScale,
     compare_fraction_to_et,
+    compare_pitches,
     diatonic_subset,
     et_semitone_count,
     et_value,
@@ -18,7 +17,7 @@ from tritune.equal import (
 )
 from tritune.errors import TuningError, UnsupportedDivisionError
 from tritune.intervals import Interval, compose
-from tritune.ratio import MAX_DIGITS, integer_nth_root
+from tritune.ratio import MAX_DIGITS, Monzo, integer_nth_root
 
 
 def decimal_power_of_two(k: int, n: int, digits: int) -> str:
@@ -94,6 +93,11 @@ class TestEtValue:
             with pytest.raises(TuningError):
                 et_value(EtPitch(k, 12), MAX_DIGITS + 1)
 
+    def test_too_many_digits_for_a_string_is_a_tuning_error(self):
+        # 2**20000 has 6021 integer digits, past the interpreter's limit
+        with pytest.raises(TuningError):
+            et_value(EtPitch(20000, 1), 5)
+
     def test_53_divisions_at_200_digits_is_certified(self):
         text = et_value(EtPitch(7, 53), 200)
         whole, _, frac = text.partition(".")
@@ -119,15 +123,6 @@ class TestGeneration:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             generate_et(0)
-
-    def test_bad_base_rejected(self):
-        with pytest.raises(ValueError):
-            EtScale(n=12, base_frequency_hz=-1.0)
-
-    def test_default_base_puts_la_at_440(self):
-        scale = generate_et(12)
-        assert scale.frequency(9) == pytest.approx(440.0, abs=1e-9)
-        assert DEFAULT_BASE_HZ == pytest.approx(440.0 / 2 ** 0.75)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 19, 53])
     def test_homogeneity(self, n):
@@ -234,3 +229,66 @@ class TestExactComparison:
         rhs = r.denominator ** n
         expected = (lhs > rhs) - (lhs < rhs)
         assert compare_fraction_to_et(r, EtPitch(-minus_k, n)) == expected
+
+
+def pitch_as_power(p):
+    """(r, k, n) with p = r * 2**(k/n): the integer definition's view of p."""
+    if isinstance(p, EtPitch):
+        return Fraction(1), p.k, p.n
+    if isinstance(p, Monzo):
+        return p.as_fraction(), 0, 1
+    return Fraction(p), 0, 1
+
+
+pitches = st.one_of(
+    st.integers(min_value=1, max_value=1000),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+    st.builds(
+        Monzo,
+        st.integers(min_value=-20, max_value=20),
+        st.integers(min_value=-10, max_value=10),
+        st.integers(min_value=-5, max_value=5),
+    ),
+    st.builds(
+        EtPitch,
+        st.integers(min_value=-100, max_value=100),
+        st.integers(min_value=1, max_value=60),
+    ),
+)
+
+
+class TestComparePitches:
+    @given(pitches, pitches)
+    def test_matches_the_integer_definition(self, x, y):
+        # r1 * 2**(k1/n1) <=> r2 * 2**(k2/n2)  iff, with N = n1*n2,
+        # p1**N * q2**N * 2**(k1*n2) <=> p2**N * q1**N * 2**(k2*n1)
+        (r1, k1, n1), (r2, k2, n2) = pitch_as_power(x), pitch_as_power(y)
+        big_n = n1 * n2
+        lhs = (r1.numerator * r2.denominator) ** big_n
+        rhs = (r2.numerator * r1.denominator) ** big_n
+        shift = k1 * n2 - k2 * n1
+        if shift >= 0:
+            lhs <<= shift
+        else:
+            rhs <<= -shift
+        expected = (lhs > rhs) - (lhs < rhs)
+        assert compare_pitches(x, y) == expected
+        assert compare_pitches(y, x) == -expected
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (EtPitch(12, 12), 2),
+            (EtPitch(-24, 12), Fraction(1, 4)),
+            (EtPitch(6, 12), EtPitch(1, 2)),
+            (Monzo(3, 0), EtPitch(3, 1)),
+            (Monzo(-1, 1), Fraction(3, 2)),
+        ],
+    )
+    def test_equal_across_forms(self, x, y):
+        assert compare_pitches(x, y) == compare_pitches(y, x) == 0
+
+    def test_near_miss_is_decided(self):
+        # 53545/35737 lies 2e-7 cents below 2**(7/12)
+        assert compare_pitches(Fraction(53545, 35737), EtPitch(7, 12)) == -1
+

@@ -111,6 +111,18 @@ class TestCongruence:
             [Fraction(1), Fraction(3, 2)], [EtPitch(0, 12), EtPitch(7, 12)]
         )
 
+    def test_mixed_exact_and_equal_is_exact(self):
+        # 53545/35737 is within 1e-6 cents of 2**(7/12) but not equal to it
+        assert not are_congruent(
+            [1, Fraction(53545, 35737)], [EtPitch(0, 12), EtPitch(7, 12)]
+        )
+        assert are_congruent(
+            [Monzo(0, 0), Monzo(1, 0)], [EtPitch(5, 12), EtPitch(17, 12)]
+        )
+        assert not are_congruent([1, 2], [EtPitch(5, 12), EtPitch(16, 12)])
+        # a float still compares in cents
+        assert are_congruent([1.0, 2 ** (7 / 12)], [EtPitch(0, 12), EtPitch(7, 12)])
+
     def test_monzo_sequences_compare_exactly(self):
         walk = [Monzo(0, 0, 0), Monzo(-1, 1, 0), Monzo(-2, 2, 0)]
         scaled = [Fraction(5) * Fraction(3, 2) ** k for k in range(3)]

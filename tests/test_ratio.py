@@ -20,6 +20,7 @@ from tritune.ratio import (
     is_perfect_nth_power,
     monzo_form,
     monzo_to_rational,
+    octave_shift,
     rational_to_monzo,
     reduce_to_octave,
     to_decimal,
@@ -100,6 +101,50 @@ class TestOctaveReduction:
         reduced = reduce_to_octave(r)
         assert 1 <= reduced < 2
         assert reduce_to_octave(reduced) == reduced
+
+    @staticmethod
+    def shift_by_loop(r: Fraction) -> int:
+        h = 0
+        while r < 1:
+            r *= 2
+            h += 1
+        while r >= 2:
+            r /= 2
+            h -= 1
+        return h
+
+    @given(
+        st.one_of(
+            st.fractions(min_value=Fraction(1, 10**30), max_value=10**30),
+            st.integers(min_value=-200, max_value=200).map(lambda e: Fraction(2) ** e),
+        )
+    )
+    def test_octave_shift_matches_the_loop(self, r):
+        assert octave_shift(r) == self.shift_by_loop(r)
+
+    @pytest.mark.parametrize(
+        "r",
+        [
+            Fraction(1),
+            Fraction(2),
+            Fraction(1, 2),
+            Fraction(2) ** 95,
+            Fraction(2) ** -95,
+            Fraction(3, 2) ** 60,
+            Fraction(3, 2) ** -60,
+            Fraction(2**64 - 1, 2**63),
+            Fraction(2**63 + 1, 2**64),
+        ],
+    )
+    def test_octave_shift_at_powers_of_two_and_far_fifths(self, r):
+        h = octave_shift(r)
+        assert h == self.shift_by_loop(r)
+        assert 1 <= r * Fraction(2) ** h < 2
+
+    def test_octave_shift_rejects_nonpositive(self):
+        for r in (0, Fraction(-3, 2)):
+            with pytest.raises(ValueError):
+                octave_shift(r)
 
 
 class TestPerfectPowers:
@@ -217,6 +262,12 @@ class TestDecimalRendering:
         assert to_decimal(Fraction(1, 3), MAX_DIGITS) == "0." + "3" * MAX_DIGITS
         with pytest.raises(TuningError):
             to_decimal(Fraction(1, 3), MAX_DIGITS + 1)
+
+    def test_too_many_digits_for_a_string_is_a_tuning_error(self):
+        # 301 integer digits plus 4000 fraction digits pass the interpreter's
+        # 4300-digit int-to-str limit
+        with pytest.raises(TuningError):
+            to_decimal(Fraction(10**301, 3), MAX_DIGITS)
 
 
 class TestCents:

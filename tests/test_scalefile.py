@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tritune.equal import EtPitch
+from tritune.errors import TuningError
 from tritune.pythagorean import generate_fifths
 from tritune.scalefile import (
     ComparisonTable,
@@ -80,19 +81,80 @@ class TestSclWriter:
                 else:
                     assert parsed == 1200.0 * entry.value.k / entry.value.n
 
+    @pytest.mark.parametrize(
+        "doc",
+        [et_scale_document(n) for n in (1, 5, 12, 31, 53, 311)]
+        + [
+            pythagorean_chromatic_document(generate_fifths(12, 12)),
+            natural_scale_document(),
+        ],
+        ids=lambda doc: doc.description,
+    )
+    def test_round_trip_reads_back_every_rendered_pitch(self, doc):
+        lines = render_scl(doc, "scale.scl").splitlines()
+        description, values = parse_scl("\n".join(lines) + "\n")
+        assert description == doc.description
+        assert len(values) == int(lines[2]) == len(doc.entries)
+        for parsed, line, entry in zip(values, lines[3:], doc.entries):
+            if isinstance(entry.value, Fraction):
+                assert parsed == entry.value
+            else:
+                assert isinstance(parsed, float) and parsed == float(line)
+                cents = Fraction(1200 * entry.value.k, entry.value.n)
+                assert 0 <= cents - Fraction(line) < Fraction(1, 10**5)
+
     def test_parse_rejects_wrong_count(self):
         with pytest.raises(ValueError):
             parse_scl("! f.scl\ndesc\n3\n2/1\n")
+
+    def test_parse_follows_the_scala_format(self):
+        text = "! f.scl\n!\n\n 3 \n 3/2 fifth\n-5.0 cents below\n\t2\n"
+        assert parse_scl(text) == ("", [Fraction(3, 2), -5.0, Fraction(2)])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "d\n1\n1/0\n",
+            "d\n1\n0/1\n",
+            "d\n1\n-3/2\n",
+            "d\n1\nfifth\n",
+            "d\n1\n3/2/5\n",
+            "d\n1\n1.5e3\n",
+            "d\n1\n" + "9" * 400 + ".0\n",
+            "d\n1\n" + "9" * 5000 + "\n",
+            "d\nseven\n3/2\n",
+            "d\n-1\n",
+            "d\n" + "1" * 10 + "\n",
+            "d\n",
+        ],
+    )
+    def test_parse_rejects_what_the_format_does_not_allow(self, text):
+        with pytest.raises(TuningError):
+            parse_scl(text)
 
     def test_document_requires_ascending_entries(self):
         with pytest.raises(ValueError):
             ScaleDocument(
                 description="broken",
-                base_frequency_hz=440.0,
                 entries=(
                     ScaleEntry(None, "2", Fraction(2)),
                     ScaleEntry(None, "3/2", Fraction(3, 2)),
                 ),
+            )
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (Fraction(2), EtPitch(12, 12)),
+            (EtPitch(1, 2), EtPitch(6, 12)),
+            (EtPitch(7, 12), Fraction(53545, 35737)),  # 2e-7 cents below
+        ],
+    )
+    def test_document_rejects_equal_or_descending_exact_neighbours(self, low, high):
+        with pytest.raises(ValueError):
+            ScaleDocument(
+                description="broken",
+                entries=(ScaleEntry(None, "", low), ScaleEntry(None, "", high)),
             )
 
 

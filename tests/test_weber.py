@@ -26,6 +26,17 @@ class TestPerceptionIncrements:
         with pytest.raises(ValueError):
             perception_increments([1, 2], k=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(TuningError):
+            perception_increments([1, bad], k=1)
+        with pytest.raises(TuningError):
+            perception_increments([1, 2], k=bad)
+
+    def test_increment_leaving_the_float_range_rejected(self):
+        with pytest.raises(TuningError):
+            perception_increments([1, 1e308], k=1e10)
+
 
 class TestUniformStimuli:
     def test_doubling_series(self):
