@@ -2,6 +2,7 @@
 equal division, Pythagorean (3-limit) and natural/just (5-limit)."""
 
 from .equal import (
+    MAX_DIVISIONS,
     EtPitch,
     EtScale,
     diatonic_subset,

@@ -141,23 +141,26 @@ def _run_export(args) -> None:
     print(f"wrote {path}")
 
 
+_PARSER = _build_parser()
+
+_RUNNERS = {
+    "et": _run_et,
+    "pyth": _run_pyth,
+    "natural": _run_natural,
+    "compare": lambda a: sys.stdout.write(comparison_text()),
+    "weber": _run_weber,
+    "chord": _run_chord,
+    "export": _run_export,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    runners = {
-        "et": _run_et,
-        "pyth": _run_pyth,
-        "natural": _run_natural,
-        "compare": lambda a: sys.stdout.write(comparison_text()),
-        "weber": _run_weber,
-        "chord": _run_chord,
-        "export": _run_export,
-    }
     try:
-        runners[args.command](args)
+        _RUNNERS[args.command](args)
     except (TuningError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

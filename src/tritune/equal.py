@@ -13,12 +13,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import UnsupportedDivisionError
+from .errors import TuningError, UnsupportedDivisionError
 from .ratio import Monzo, _fixed_point, _floor_log2, check_digits, integer_nth_root
 from .ratio import is_nth_root_irrational, to_decimal
 
 #: Chromatic indices of the major diatonic subset of the 12-division scale.
 DIATONIC_INDICES = (0, 2, 4, 5, 7, 9, 11, 12)
+
+#: Most steps per octave an :class:`EtScale` takes (one step per cent);
+#: beyond it a TuningError, so a scale holds at most 1201 pitches.
+MAX_DIVISIONS = 1200
 
 
 @dataclass(frozen=True)
@@ -112,14 +116,17 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
 
 @dataclass(frozen=True)
 class EtScale:
-    """n+1 pitches 2**(k/n), k = 0..n, over one octave."""
+    """n+1 pitches 2**(k/n), k = 0..n, over one octave; 1 <= n <= MAX_DIVISIONS."""
 
     n: int
     pitches: tuple[EtPitch, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("an equal scale needs at least one step per octave")
+        if not 1 <= self.n <= MAX_DIVISIONS:
+            raise TuningError(
+                f"an equal scale takes 1 to {MAX_DIVISIONS} steps per octave, "
+                f"got {self.n}"
+            )
         object.__setattr__(
             self, "pitches", tuple(EtPitch(k, self.n) for k in range(self.n + 1))
         )

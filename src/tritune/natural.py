@@ -221,9 +221,6 @@ class SiSearch:
     accepted: SiCandidate
     rejected: tuple[SiCandidate, ...]
 
-    def rejected_values(self) -> set[Fraction]:
-        return {c.value for c in self.rejected}
-
 
 def find_si() -> SiSearch:
     """Brute-force the last degree: the only harmonic proportion that lands

@@ -9,14 +9,16 @@ traditional 18-name chromatic selection is drawn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_fraction_to_et, nearest_degree
-from .errors import CoverageError, PropositionViolationError, TuningError
+from .errors import CoverageError, ExponentBoundError, PropositionViolationError
+from .errors import TuningError
 from .intervals import NoteName, note_name
-from .ratio import Monzo, cents, octave_shift, rational_to_monzo, reduce_to_octave
+from .ratio import EXPONENT_BOUND, Monzo, cents, octave_shift, rational_to_monzo
+from .ratio import reduce_to_octave
 
 PYTHAGOREAN_COMMA = Fraction(531441, 524288)  # (3/2)**12 / 2**7
 LIMMA = Fraction(256, 243)  # the diatonic semitone, 2**8 / 3**5
@@ -26,27 +28,33 @@ TONE = Fraction(9, 8)
 
 @dataclass(frozen=True)
 class FifthStep:
-    """One generated sound: 2**h * (3/2)**(+/-k) folded into (1, 2)."""
+    """One generated sound, set by a direction and a count k of fifths.
+
+    ``h`` and ``ratio`` follow from those two: the walk reaches
+    (3/2)**(+/-k), never a power of two, and ``ratio.octave_shift`` gives
+    the h that folds it strictly inside (1, 2) as ratio = 2**h * (3/2)**(+/-k).
+    So h <= 0 going up and h >= 0 going down.  k runs from 1 to
+    ``EXPONENT_BOUND``; beyond it an ExponentBoundError.
+    """
 
     direction: str  # "up" or "down"
     k: int
-    h: int
-    ratio: Fraction
+    h: int = field(init=False)
+    ratio: Fraction = field(init=False)
 
     def __post_init__(self):
         if self.direction not in ("up", "down"):
             raise ValueError("direction must be 'up' or 'down'")
         if self.k < 1:
             raise ValueError("a fifth step needs k >= 1")
-        if self.direction == "up" and self.h > 0:
-            raise ValueError("upward fifths are corrected downward (h <= 0)")
-        if self.direction == "down" and self.h < 0:
-            raise ValueError("downward fifths are corrected upward (h >= 0)")
-        sign = 1 if self.direction == "up" else -1
-        if self.ratio != Fraction(2) ** self.h * Fraction(3, 2) ** (sign * self.k):
-            raise ValueError("ratio does not match its construction")
-        if not 1 < self.ratio < 2:
-            raise ValueError("generated sounds lie strictly inside the octave")
+        if self.k > EXPONENT_BOUND:
+            raise ExponentBoundError(
+                f"at most {EXPONENT_BOUND} fifths each way, got {self.k}"
+            )
+        raw = Fraction(3, 2) ** (self.k if self.direction == "up" else -self.k)
+        h = octave_shift(raw)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "ratio", raw * Fraction(2) ** h)
 
 
 @dataclass(frozen=True)
@@ -78,17 +86,15 @@ class PythEntry:
 
 @dataclass(frozen=True)
 class PythTable:
-    """Sounds generated by m1 fifths down and m2 fifths up, plus endpoints."""
+    """Sounds generated by m1 fifths down and m2 fifths up."""
 
     down: tuple[FifthStep, ...]
     up: tuple[FifthStep, ...]
-    endpoints: tuple[Fraction, Fraction] = (Fraction(1), Fraction(2))
 
     def entries(self) -> list[PythEntry]:
-        rows = [PythEntry(self.endpoints[0], None)]
-        rows += [PythEntry(s.ratio, s) for s in self.down]
-        rows += [PythEntry(s.ratio, s) for s in self.up]
-        rows.append(PythEntry(self.endpoints[1], None))
+        rows = [PythEntry(Fraction(1), None)]
+        rows += [PythEntry(s.ratio, s) for s in self.down + self.up]
+        rows.append(PythEntry(Fraction(2), None))
         return rows
 
     def entries_sorted(self) -> list[PythEntry]:
@@ -101,18 +107,13 @@ class PythTable:
 def generate_fifths(m1: int, m2: int) -> PythTable:
     """Walk m1 fifths down and m2 fifths up, folding into the base octave.
 
-    (3/2)**(+/-k) is never a power of two, so it folds strictly inside (1, 2).
+    m1 and m2 run from 0 to ``EXPONENT_BOUND``; beyond it the first step
+    past the bound raises ExponentBoundError.
     """
     if m1 < 0 or m2 < 0:
         raise ValueError("iteration counts cannot be negative")
-
-    def step(direction: str, k: int) -> FifthStep:
-        raw = Fraction(3, 2) ** (k if direction == "up" else -k)
-        h = octave_shift(raw)
-        return FifthStep(direction, k, h, raw * Fraction(2) ** h)
-
-    down = tuple(step("down", k1) for k1 in range(1, m1 + 1))
-    up = tuple(step("up", k2) for k2 in range(1, m2 + 1))
+    down = tuple(FifthStep("down", k) for k in range(1, m1 + 1))
+    up = tuple(FifthStep("up", k) for k in range(1, m2 + 1))
     return PythTable(down, up)
 
 
@@ -191,10 +192,8 @@ def select_chromatic(t: PythTable) -> list[NamedPitch]:
             keep = low if low.k < high.k else high
             named.append(NamedPitch(note_name(degree), keep.ratio, keep.step))
         else:
-            flat_name = NoteName(note_name(degree + 1).letter, "flat")
-            sharp_name = NoteName(note_name(degree - 1).letter, "sharp")
-            named.append(NamedPitch(flat_name, low.ratio, low.step))
-            named.append(NamedPitch(sharp_name, high.ratio, high.step))
+            named.append(NamedPitch(note_name(degree, "flat"), low.ratio, low.step))
+            named.append(NamedPitch(note_name(degree, "sharp"), high.ratio, high.step))
     named.sort(key=lambda p: p.ratio)
     return named
 

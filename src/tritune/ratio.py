@@ -30,9 +30,10 @@ from typing import Optional, Union
 
 from .errors import ExponentBoundError, TuningError
 
-#: Safety bound on prime exponents.  3**64 is astronomically larger than any
-#: value a scale construction reaches; exceeding the bound means a caller is
-#: iterating out of control, so it becomes a typed error instead of silence.
+#: Safety bound on prime exponents, and on the fifths ``pythagorean.FifthStep``
+#: stacks each way.  3**64 is far beyond any value a scale construction
+#: reaches; exceeding the bound means a caller is iterating out of control,
+#: so it becomes a typed error instead of silence.
 EXPONENT_BOUND = 64
 
 #: Most fraction digits :func:`to_decimal` and ``equal.et_value`` print.  For

@@ -18,7 +18,6 @@ from typing import Optional, Union
 
 from .equal import EtPitch, EtScale, compare_pitches, et_value
 from .errors import TuningError
-from .intervals import NoteName
 from .natural import ScaleComparison, assemble_diatonic, compare_three_scales
 from .pythagorean import PythTable, select_chromatic
 from .ratio import _fixed_point, monzo_form, to_decimal
@@ -28,8 +27,12 @@ PitchValue = Union[Fraction, EtPitch]
 
 @dataclass(frozen=True)
 class ScaleEntry:
-    name: Optional[NoteName]
-    exact_form: str
+    """One pitch of a scale document: a ratio or an equal-division pitch.
+
+    Only the pitch is kept; a tuning file carries no note names or factored
+    forms.
+    """
+
     value: PitchValue
 
     def pitch_line(self) -> str:
@@ -53,12 +56,7 @@ class ScaleDocument:
 
 
 def natural_scale_document() -> ScaleDocument:
-    scale = assemble_diatonic()
-    entries = tuple(
-        ScaleEntry(name, monzo_form(ratio), ratio)
-        for name, ratio in scale.degrees
-        if ratio != 1
-    )
+    entries = tuple(ScaleEntry(r) for _, r in assemble_diatonic().degrees if r != 1)
     return ScaleDocument(
         description="Just diatonic scale on DO (5-limit, harmonic divisions)",
         entries=entries,
@@ -66,10 +64,7 @@ def natural_scale_document() -> ScaleDocument:
 
 
 def et_scale_document(n: int) -> ScaleDocument:
-    scale = EtScale(n=n)
-    entries = tuple(
-        ScaleEntry(None, p.exact_form(), p) for p in scale.pitches if p.k > 0
-    )
+    entries = tuple(ScaleEntry(p) for p in EtScale(n=n).pitches if p.k > 0)
     return ScaleDocument(
         description=f"Equal division of the octave in {n} steps",
         entries=entries,
@@ -77,9 +72,8 @@ def et_scale_document(n: int) -> ScaleDocument:
 
 
 def pythagorean_chromatic_document(table: PythTable) -> ScaleDocument:
-    named = select_chromatic(table)
     entries = tuple(
-        ScaleEntry(p.name, monzo_form(p.ratio), p.ratio) for p in named if p.ratio != 1
+        ScaleEntry(p.ratio) for p in select_chromatic(table) if p.ratio != 1
     )
     return ScaleDocument(
         description="Pythagorean chromatic scale on DO (18 sounds, 12 fifths each way)",

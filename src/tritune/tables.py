@@ -33,23 +33,17 @@ def fifth_generation_text(table: PythTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pairing_text(table: PythTable, n: int = 12) -> str:
-    """Per equal degree, its two approximants; diatonic rows (*) list the
-    sound reached in fewer fifths first, the others deficit then excess."""
-    pairs = pairing_table(table, n)
+def pairing_text(table: PythTable) -> str:
+    """Per 12-division degree, its two approximants; diatonic rows (*) list
+    the sound reached in fewer fifths first, the others deficit then excess."""
     rows = []
-    for degree in range(n + 1):
-        low, high = pairs[degree]
-        if degree in DIATONIC_INDICES:
-            marker = "*"
-            first, second = sorted((low, high), key=lambda e: e.k)
-        else:
-            marker = " "
-            first, second = low, high
-        et = EtPitch(degree, n)
+    for degree, pair in pairing_table(table, 12).items():
+        diatonic = degree in DIATONIC_INDICES
+        first, second = sorted(pair, key=lambda e: e.k) if diatonic else pair
+        et = EtPitch(degree, 12)
         rows.append(
             (
-                f"{marker} {degree:>2}",
+                f"{'*' if diatonic else ' '} {degree:>2}",
                 et.exact_form(),
                 et_value(et, 5),
                 first.construction(),

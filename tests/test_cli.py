@@ -1,8 +1,22 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritune import cli
 from tritune.cli import main
+from tritune.equal import MAX_DIVISIONS
 from tritune.errors import TuningError
+from tritune.ratio import EXPONENT_BOUND, MAX_DIGITS
+from tritune.weber import MAX_STIMULI
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -175,3 +189,122 @@ class TestExport:
         )
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestCaps:
+    """Each documented input cap, at its value and one past it."""
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (("et", "--n", str(MAX_DIVISIONS), "--digits", "1"), MAX_DIVISIONS + 1),
+            (("et", "--n", "1", "--digits", str(MAX_DIGITS)), 2),
+            (("pyth", "--fifths-up", str(EXPONENT_BOUND)), EXPONENT_BOUND + 14),
+            (("pyth", "--fifths-down", str(EXPONENT_BOUND)), EXPONENT_BOUND + 14),
+            (("weber", "--s1", "1", "--c", "0", "--k", "1", "--n", str(MAX_STIMULI)), 1),
+        ],
+    )
+    def test_at_the_cap(self, capsys, argv, lines):
+        code, out, err = run(capsys, *argv)
+        assert (code, out.count("\n"), err) == (0, lines, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("et", "--n", str(MAX_DIVISIONS + 1)),
+            ("et", "--n", "1", "--digits", str(MAX_DIGITS + 1)),
+            ("pyth", "--fifths-up", str(EXPONENT_BOUND + 1)),
+            ("pyth", "--fifths-down", str(EXPONENT_BOUND + 1)),
+            ("weber", "--s1", "1", "--c", "0", "--k", "1", "--n", str(MAX_STIMULI + 1)),
+        ],
+    )
+    def test_past_the_cap(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_exported_division_cap(self, tmp_path, capsys):
+        path = tmp_path / "et.scl"
+        argv = ("export", "--format", "scl", "--scale", "et", "--out", str(path))
+        assert run(capsys, *argv, "--n", str(MAX_DIVISIONS))[0] == 0
+        assert path.read_text(encoding="utf-8").splitlines()[2] == str(MAX_DIVISIONS)
+        path.unlink()
+        code, out, err = run(capsys, *argv, "--n", str(MAX_DIVISIONS + 1))
+        assert (code, out, path.exists()) == (1, "", False)
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    def golden(name):
+        return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+    assert run(capsys, "pyth", "--pairing") == (0, golden("pairing.txt"), "")
+    assert run(capsys, "pyth") == (0, golden("fifth_generation.txt"), "")
+    code, out, err = run(capsys, "pyth", "--pairing", "--chromatic")
+    assert (code, out) == (2, "") and "not allowed with" in err
+    assert run(capsys, "compare") == (0, golden("comparison.txt"), "")
+
+
+# no path separators: whatever ``export`` writes lands in the working directory
+_TEXT = st.text(st.characters(blacklist_characters="/\\"), max_size=8)
+_INT = st.integers(min_value=-3, max_value=70).map(str)
+_CHORD = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=5)
+
+_FLOAT = st.floats().map(str)
+
+#: every subcommand with its options and the values each takes (None: a switch)
+_OPTIONS = {
+    "et": {"--n": _INT, "--digits": _INT},
+    "pyth": {
+        "--fifths-up": _INT,
+        "--fifths-down": _INT,
+        "--pairing": None,
+        "--chromatic": None,
+    },
+    "natural": {"--trace": None},
+    "compare": {},
+    "weber": {"--s1": _FLOAT, "--c": _FLOAT, "--k": _FLOAT, "--n": _INT},
+    "chord": {},
+    "export": {
+        "--format": st.sampled_from(["scl", "csv", "json"]),
+        "--scale": st.sampled_from(["et", "pyth", "natural"]),
+        "--n": _INT,
+        "--out": _TEXT,
+    },
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, most of its options, values that are mostly well typed,
+    and now and then a stray token."""
+    command = draw(st.sampled_from([*_OPTIONS, "frobnicate", "--help"]))
+    argv = [command]
+    for flag, values in _OPTIONS.get(command, {}).items():
+        if draw(st.integers(min_value=0, max_value=3)):
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(values if draw(st.integers(0, 9)) else _TEXT))
+    if command == "chord":
+        argv.append(draw(st.one_of(_CHORD.map(lambda c: ",".join(map(str, c))), _TEXT)))
+    if not draw(st.integers(min_value=0, max_value=4)):
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), draw(_TEXT))
+    return argv
+
+
+@settings(deadline=None)
+@given(_argvs())
+def test_main_only_returns_a_status(argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

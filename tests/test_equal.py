@@ -6,7 +6,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tritune.equal import (
+    MAX_DIVISIONS,
     EtPitch,
+    EtScale,
     compare_fraction_to_et,
     compare_pitches,
     diatonic_subset,
@@ -123,6 +125,14 @@ class TestGeneration:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             generate_et(0)
+
+    def test_division_cap(self):
+        scale = EtScale(MAX_DIVISIONS)
+        assert scale.pitches[-1] == EtPitch(MAX_DIVISIONS, MAX_DIVISIONS)
+        with pytest.raises(TuningError):
+            EtScale(MAX_DIVISIONS + 1)
+        with pytest.raises(TuningError):
+            generate_et(MAX_DIVISIONS + 1)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 19, 53])
     def test_homogeneity(self, n):

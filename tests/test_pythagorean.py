@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tritune.equal import EtPitch, compare_fraction_to_et
-from tritune.errors import CoverageError, TuningError
+from tritune.errors import CoverageError, ExponentBoundError, TuningError
 from tritune.intervals import are_congruent
 from tritune.pythagorean import (
     APOTOME,
@@ -18,7 +18,7 @@ from tritune.pythagorean import (
     select_chromatic,
     tone_split_analysis,
 )
-from tritune.ratio import to_decimal
+from tritune.ratio import EXPONENT_BOUND, octave_shift, to_decimal
 
 # the classical 26-sound generation, twelve fifths each way:
 # (direction, k, h, ratio, five-digit truncation)
@@ -118,11 +118,28 @@ class TestGeneration:
             fits = [h for h in range(-20, 21) if 1 < Fraction(2) ** h * raw < 2]
             assert fits == [s.h]
 
-    def test_step_invariants_enforced(self):
+    @pytest.mark.parametrize("direction, k", [("sideways", 1), ("up", 0), ("down", -1)])
+    def test_step_rejects_bad_direction_or_count(self, direction, k):
         with pytest.raises(ValueError):
-            FifthStep("up", 1, 1, Fraction(3))
-        with pytest.raises(ValueError):
-            FifthStep("down", 1, 1, Fraction(5, 3))
+            FifthStep(direction, k)
+
+    @pytest.mark.parametrize("direction, sign", [("up", 1), ("down", -1)])
+    def test_step_folds_by_octave_shift(self, direction, sign):
+        for k in range(1, EXPONENT_BOUND + 1):
+            raw = Fraction(3, 2) ** (sign * k)
+            s = FifthStep(direction, k)
+            assert s.h == octave_shift(raw)
+            assert s.ratio == raw * Fraction(2) ** s.h
+            assert 1 < s.ratio < 2 and sign * s.h <= 0
+
+    def test_fifth_count_cap(self):
+        t = generate_fifths(EXPONENT_BOUND, EXPONENT_BOUND)
+        assert len(t.entries()) == 2 * EXPONENT_BOUND + 2
+        for m1, m2 in ((EXPONENT_BOUND + 1, 0), (0, EXPONENT_BOUND + 1)):
+            with pytest.raises(ExponentBoundError):
+                generate_fifths(m1, m2)
+        with pytest.raises(ExponentBoundError):
+            FifthStep("up", EXPONENT_BOUND + 1)
 
 
 class TestClassification:

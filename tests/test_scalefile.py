@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tritune.equal import EtPitch
 from tritune.errors import TuningError
@@ -19,6 +21,22 @@ from tritune.scalefile import (
     render_scl,
     write_scl,
 )
+
+#: a pitch line as written, as the format allows it or not
+_SCL_LINE = st.one_of(
+    st.sampled_from(["!", "3/2", "2 octave", "1/0", "0/1", "-5.0", "1e5", "nan", "."]),
+    st.from_regex(r"[-+0-9./ !a]*", fullmatch=True),
+    st.text(),
+)
+
+
+@st.composite
+def _scl_texts(draw):
+    """Description, a count that mostly matches, and the pitch lines."""
+    pitches = draw(st.lists(_SCL_LINE, max_size=6))
+    count = draw(st.one_of(st.just(str(len(pitches))), _SCL_LINE))
+    return "\n".join([draw(st.text()), count, *pitches])
+
 
 # hand-written expected file: first line comment with the file name, then the
 # description, the pitch count, and one pitch per line (rationals as p/q)
@@ -132,13 +150,21 @@ class TestSclWriter:
         with pytest.raises(TuningError):
             parse_scl(text)
 
+    @given(st.one_of(st.text(), _scl_texts()))
+    def test_parse_returns_or_raises_tuning_error(self, text):
+        try:
+            description, pitches = parse_scl(text)
+        except TuningError:
+            return
+        assert isinstance(description, str) and isinstance(pitches, list)
+
     def test_document_requires_ascending_entries(self):
         with pytest.raises(ValueError):
             ScaleDocument(
                 description="broken",
                 entries=(
-                    ScaleEntry(None, "2", Fraction(2)),
-                    ScaleEntry(None, "3/2", Fraction(3, 2)),
+                    ScaleEntry(Fraction(2)),
+                    ScaleEntry(Fraction(3, 2)),
                 ),
             )
 
@@ -154,7 +180,7 @@ class TestSclWriter:
         with pytest.raises(ValueError):
             ScaleDocument(
                 description="broken",
-                entries=(ScaleEntry(None, "", low), ScaleEntry(None, "", high)),
+                entries=(ScaleEntry(low), ScaleEntry(high)),
             )
 
 
@@ -185,5 +211,5 @@ class TestComparisonExport:
 
 
 def test_et_pitch_lines_are_exact_for_any_division():
-    entry = ScaleEntry(None, "2^(1/12)", EtPitch(1, 12))
+    entry = ScaleEntry(EtPitch(1, 12))
     assert entry.pitch_line() == "100.00000"
