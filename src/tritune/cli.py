@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .equal import generate_et, et_value
+from .equal import MAX_ET_DIGITS, generate_et, et_value
 from .errors import TuningError
 from .intervals import classify_chord
 from .natural import assemble_diatonic, build_core, find_si, solve_fa_la
@@ -80,6 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_et(args) -> None:
     scale = generate_et(args.n)
+    if args.n * args.digits > MAX_ET_DIGITS:
+        raise TuningError(
+            f"an et table takes at most {MAX_ET_DIGITS} steps x digits, "
+            f"got {args.n} x {args.digits}"
+        )
     # every line is built before any is printed: all of the table or none
     lines = [f"{p.k} {p.exact_form()} {et_value(p, args.digits)}" for p in scale.pitches]
     print("\n".join(lines))

@@ -24,6 +24,11 @@ DIATONIC_INDICES = (0, 2, 4, 5, 7, 9, 11, 12)
 #: beyond it a TuningError, so a scale holds at most 1201 pitches.
 MAX_DIVISIONS = 1200
 
+#: Most steps x digits one ``et`` table asks for: 12 x ``ratio.MAX_DIGITS``,
+#: so the paper's 12-step scale takes every digit count.  Each cap alone
+#: leaves the product, and with it the roots of one table, unbounded.
+MAX_ET_DIGITS = 48_000
+
 
 @dataclass(frozen=True)
 class EtPitch:
@@ -98,19 +103,21 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     ``precision_digits`` is capped at ``ratio.MAX_DIGITS`` (TuningError
     beyond it).  With k/n reduced, one call takes a single certified root of
     an integer of about k + 3.33*d*n bits; the cap bounds that at
-    k + 13300*n bits, whose root costs a few big-integer powers of that size
-    (on a 2-vCPU Xeon VM: 0.03 s for n = 12 and 3.7 s for n = 311 at the cap).
+    k + 13300*n bits.  Building that radicand and its root cost about two
+    big-integer powers of that size, 5**(d*n) and the root's a**(n-1) (on a
+    2-vCPU Xeon VM: 0.012 s for n = 12, 1.2 s for n = 311 and 8 s for
+    n = 1200 at the cap).
     """
     check_digits(precision_digits)
     if p.is_rational():
         return to_decimal(p.as_fraction(), precision_digits)
     e = p.exponent
     d = precision_digits
-    if e.numerator >= 0:
-        radicand = 2 ** e.numerator * 10 ** (d * e.denominator)
-    else:
-        # floor(root(x)) == floor(root(floor(x))) for x >= 0
-        radicand = 10 ** (d * e.denominator) // 2 ** (-e.numerator)
+    # 2**k * 10**(d*n) = 5**(d*n) * 2**(d*n + k); a negative shift count
+    # floors, and floor(root(x)) == floor(root(floor(x))) for x >= 0
+    dn = d * e.denominator
+    shift = dn + e.numerator
+    radicand = 5 ** dn << shift if shift >= 0 else 5 ** dn >> -shift
     return _fixed_point(integer_nth_root(radicand, e.denominator), d)
 
 

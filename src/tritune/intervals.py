@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches, pitch_parts
+from .errors import TuningError
 from .ratio import Monzo, cents, octave_shift
 
 Pitch = Union[int, Fraction, float, Monzo, EtPitch]
@@ -238,7 +239,7 @@ def classify_chord(indices, preference: str = "sharp") -> ChordClassification:
     """
     distinct = sorted(set(indices))
     if len(distinct) < 3:
-        raise ValueError("a chord needs at least three distinct sounds")
+        raise TuningError("a chord needs at least three distinct sounds")
     root = distinct[0]
     pattern = tuple(i - root for i in distinct)
     quality = _CHORD_PATTERNS.get(pattern, "unknown")

@@ -17,7 +17,7 @@ from .equal import DIATONIC_INDICES, EtPitch, compare_fraction_to_et, nearest_de
 from .errors import CoverageError, ExponentBoundError, PropositionViolationError
 from .errors import TuningError
 from .intervals import NoteName, note_name
-from .ratio import EXPONENT_BOUND, Monzo, cents, octave_shift, rational_to_monzo
+from .ratio import EXPONENT_BOUND, Monzo, cents, octave_shift
 from .ratio import reduce_to_octave
 
 PYTHAGOREAN_COMMA = Fraction(531441, 524288)  # (3/2)**12 / 2**7
@@ -111,7 +111,7 @@ def generate_fifths(m1: int, m2: int) -> PythTable:
     past the bound raises ExponentBoundError.
     """
     if m1 < 0 or m2 < 0:
-        raise ValueError("iteration counts cannot be negative")
+        raise TuningError("iteration counts cannot be negative")
     down = tuple(FifthStep("down", k) for k in range(1, m1 + 1))
     up = tuple(FifthStep("up", k) for k in range(1, m2 + 1))
     return PythTable(down, up)
@@ -169,9 +169,11 @@ class NamedPitch:
     step: Optional[FifthStep]
 
     def __post_init__(self):
-        m = rational_to_monzo(self.ratio)
-        if m is None or not m.is_three_limit:
-            raise ValueError(f"{self.ratio} is not a 3-limit ratio")
+        # 3-limit by provenance: the ratio of its fifth step, or an endpoint
+        if self.ratio not in ((self.step.ratio,) if self.step else (1, 2)):
+            raise ValueError(
+                f"{self.ratio} is neither its fifth step's ratio nor 1 or 2"
+            )
 
 
 def select_chromatic(t: PythTable) -> list[NamedPitch]:

@@ -12,11 +12,14 @@ Pitch ratios live in three exact representations:
 Irrational values such as 2**(k/n) are printed through
 :func:`integer_nth_root`, the exact floor of an n-th root.  It runs Newton's
 iteration on integers (Brent & Zimmermann, *Modern Computer Arithmetic*,
-section 1.5) from a float seed.  The seed only decides how many steps are
-needed: the start lies above the root (by construction, or checked in
-integers for the float seed), each step from above descends and stays at or
-above the floor root, and the result is returned only after the closing
-certificate ``a**n <= x < (a+1)**n`` has been checked in integers.
+section 1.5), started from a float estimate or from the root at half length.
+The start only decides how many steps are needed: each step lands at or
+above the floor root and from above it descends, so the iteration stops at
+the floor root.  The result is returned only after the certificate
+``a**n <= x < (a+1)**n`` has been checked in integers, from the power
+``a**(n-1)`` that the last step formed: the binomial bound
+``(a+1)**n >= (a+n) * a**(n-1)`` proves the upper half, and ``(a+1)**n``
+itself is formed only when that bound does not decide.
 
 Everything here is immutable and pure.
 """
@@ -146,68 +149,71 @@ def reduce_to_octave(r: RationalLike) -> Fraction:
 def integer_nth_root(x: int, n: int) -> int:
     """floor(x ** (1/n)), certified by ``a**n <= x < (a+1)**n`` in integers.
 
-    Newton's iteration ``a <- ((n-1)*a + x // a**(n-1)) // n`` runs from a
-    start above the root and stops at the first ``a`` with ``a**n <= x``,
-    where the value would stop decreasing.  By the mean inequality a step
-    from any positive ``a`` lands at or above the floor root, and from
-    ``a**n > x`` it strictly descends, so from any start above the root the
-    stop is the floor root.  The start only sets the step count.  A root of
-    up to ``_SEED_BITS`` bits starts from ``math.log2`` of the top 64 bits of
-    ``x`` plus the dropped bit count, divided by n and lifted by a relative
-    2**-30; the lift is checked in integers and doubled should it fall
-    short.  A longer root starts from the root of ``x`` with a little under
-    half of the root's low bits dropped, plus one, shifted back: above the
-    root by construction and close enough that one step at each level of
-    this recursion lands within a unit of the root.  For n = 2
-    ``math.isqrt`` does the same job.
+    Newton's iteration ``a <- ((n-1)*a + x // a**(n-1)) // n`` lands at or
+    above the floor root from any positive ``a`` (by the mean inequality),
+    and from an ``a`` with ``a**n > x`` it strictly descends, so it stops at
+    the first ``a`` with ``a**n <= x``: the floor root.  The start only sets
+    the step count.  A root of up to ``_SEED_BITS`` bits starts from
+    ``math.log2`` of the top 64 bits of ``x`` plus the dropped bit count,
+    divided by n and lifted by a relative 2**-30; the lift is checked in
+    integers and doubled should it fall short.  A longer root starts with
+    one step from ``r << half``, where ``r`` is the root of ``x`` with
+    ``n*half`` low bits dropped (a little under half of the root's bits):
+    that start is at or below the root, its power ``a**(n-1)`` is the inner
+    root's power shifted, and the step lands within a unit of the root.  For
+    n = 2 ``math.isqrt`` does the same job.
 
-    The closing certificate is checked before returning; if it ever failed,
-    ``ArithmeticError`` is raised instead of returning an inexact root.
+    The certificate is checked before returning, from the witness
+    ``p = a**(n-1)`` that the iteration's last test formed: ``p * a <= x``
+    is the lower half, and ``x < (a + n) * p`` proves the upper half, since
+    ``(a+1)**n >= a**n + n * a**(n-1)`` by the binomial theorem.  That bound
+    leaves about a share (n-1)/(2a) of the bracket undecided, so only for
+    roots within a small multiple of n is ``(a+1)**n`` ever formed.  If the
+    certificate failed, ``ArithmeticError`` is raised instead of returning
+    an inexact root.
     """
     if x < 0 or n < 1:
         raise ValueError("integer_nth_root requires x >= 0, n >= 1")
     if n == 1:
-        a = x
+        a, p = x, 1
     elif n == 2:
-        a = math.isqrt(x)
+        a = p = math.isqrt(x)
     else:
-        a = _newton_root(x, n)
-    if not a ** n <= x < (a + 1) ** n:
+        a, p = _newton_root(x, n)
+    if not (p * a <= x and (x < (a + n) * p or x < (a + 1) ** n)):
         raise ArithmeticError(
             f"root certificate failed: {n}-th root of a {x.bit_length()}-bit integer"
         )
     return a
 
 
-def _newton_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) for n >= 3 by integer Newton steps (uncertified)."""
+def _newton_root(x: int, n: int) -> tuple[int, int]:
+    """(a, p) with a = floor(x ** (1/n)) and p = a**(n-1), for n >= 3, by
+    integer Newton steps (uncertified)."""
+    m = n - 1
     if x < 2:
-        return x
+        return x, x ** m
     half = (x.bit_length() // n - n.bit_length()) // 2
     # drop a little under half of the root's bits: a start right in the top
     # half plus log2(n) bits is within a unit after one step, which squares
     # the relative error and scales it by about n/2
     if half > _SEED_BITS // 2:
-        # x < ((x >> n*half) + 1) << n*half puts the start above root(x)
-        a = (_newton_root(x >> (n * half), n) + 1) << half
+        # r << half is at or below root(x) and its power is q << half*m, so
+        # the step from it needs no power of its own
+        r, q = _newton_root(x >> (n * half), n)
+        a = (m * (r << half) + (x >> (half * m)) // q) // n
+        p = a ** m
     else:
-        a = _float_root_above(x, n)
-    m = n - 1
-    p = a ** m
+        drop = max(x.bit_length() - 64, 0)
+        a = int(2.0 ** ((math.log2(x >> drop) + drop) / n + 2.0 ** -30)) + 1
+        p = a ** m
+        while p * a <= x:  # only if the float estimate fell short
+            a <<= 1
+            p = a ** m
     while p * a > x:
         a = (m * a + x // p) // n
         p = a ** m
-    return a
-
-
-def _float_root_above(x: int, n: int) -> int:
-    """An integer above x ** (1/n), from the float log of the top 64 bits of x."""
-    drop = max(x.bit_length() - 64, 0)
-    log_root = (math.log2(x >> drop) + drop) / n
-    a = int(2.0 ** (log_root + 2.0 ** -30)) + 1
-    while a ** n <= x:  # only if the float estimate fell short
-        a <<= 1
-    return a
+    return a, p
 
 
 def is_perfect_nth_power(m: int, n: int) -> tuple[bool, Optional[int]]:
@@ -242,9 +248,9 @@ def _terminating_digits(den: int) -> Optional[int]:
 
 
 def check_digits(digits: int) -> None:
-    """Require 1 <= digits <= MAX_DIGITS; beyond the cap a TuningError."""
+    """Require 1 <= digits <= MAX_DIGITS; a TuningError otherwise."""
     if digits < 1:
-        raise ValueError("digits must be >= 1")
+        raise TuningError("digits must be >= 1")
     if digits > MAX_DIGITS:
         raise TuningError(f"at most {MAX_DIGITS} digits can be printed, got {digits}")
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tritune import cli
 from tritune.cli import main
-from tritune.equal import MAX_DIVISIONS
+from tritune.equal import MAX_DIVISIONS, MAX_ET_DIGITS
 from tritune.errors import TuningError
 from tritune.ratio import EXPONENT_BOUND, MAX_DIGITS
 from tritune.weber import MAX_STIMULI
@@ -199,6 +199,8 @@ class TestCaps:
         [
             (("et", "--n", str(MAX_DIVISIONS), "--digits", "1"), MAX_DIVISIONS + 1),
             (("et", "--n", "1", "--digits", str(MAX_DIGITS)), 2),
+            (("et", "--n", "12", "--digits", str(MAX_ET_DIGITS // 12)), 13),
+            (("et", "--n", "480", "--digits", str(MAX_ET_DIGITS // 480)), 481),
             (("pyth", "--fifths-up", str(EXPONENT_BOUND)), EXPONENT_BOUND + 14),
             (("pyth", "--fifths-down", str(EXPONENT_BOUND)), EXPONENT_BOUND + 14),
             (("weber", "--s1", "1", "--c", "0", "--k", "1", "--n", str(MAX_STIMULI)), 1),
@@ -213,6 +215,9 @@ class TestCaps:
         [
             ("et", "--n", str(MAX_DIVISIONS + 1)),
             ("et", "--n", "1", "--digits", str(MAX_DIGITS + 1)),
+            ("et", "--n", "13", "--digits", str(MAX_ET_DIGITS // 13 + 1)),
+            ("et", "--n", "481", "--digits", str(MAX_ET_DIGITS // 480)),
+            ("et", "--n", str(MAX_DIVISIONS), "--digits", str(MAX_ET_DIGITS // MAX_DIVISIONS + 1)),
             ("pyth", "--fifths-up", str(EXPONENT_BOUND + 1)),
             ("pyth", "--fifths-down", str(EXPONENT_BOUND + 1)),
             ("weber", "--s1", "1", "--c", "0", "--k", "1", "--n", str(MAX_STIMULI + 1)),

@@ -84,6 +84,8 @@ class TestEtValue:
         # 2^(-1/12) = 0.94387...
         assert et_value(EtPitch(-1, 12), 5) == "0.94387"
         assert et_value(EtPitch(-12, 12), 5) == "0.5"
+        # 2^(-25/12) = 0.23597...: below 10**-(d*n) * 2**k the radicand is floored
+        assert [et_value(EtPitch(-25, 12), d) for d in (1, 2, 3)] == ["0.2", "0.23", "0.235"]
 
     def test_domain(self):
         with pytest.raises(ValueError):

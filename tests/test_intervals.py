@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tritune.equal import EtPitch, generate_et
+from tritune.errors import TuningError
 from tritune.intervals import (
     Interval,
     NoteName,
@@ -211,7 +212,7 @@ class TestChords:
     def test_unknown_and_errors(self):
         assert classify_chord({0, 1, 2}).quality == "unknown"
         assert classify_chord({0, 2, 4, 6}).quality == "unknown"
-        with pytest.raises(ValueError):
+        with pytest.raises(TuningError):
             classify_chord({0, 4})
-        with pytest.raises(ValueError):
+        with pytest.raises(TuningError):
             classify_chord({0, 0, 4})  # duplicates collapse below three sounds

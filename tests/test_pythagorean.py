@@ -4,13 +4,14 @@ import pytest
 
 from tritune.equal import EtPitch, compare_fraction_to_et
 from tritune.errors import CoverageError, ExponentBoundError, TuningError
-from tritune.intervals import are_congruent
+from tritune.intervals import are_congruent, note_name
 from tritune.pythagorean import (
     APOTOME,
     LIMMA,
     PYTHAGOREAN_COMMA,
     TONE,
     FifthStep,
+    NamedPitch,
     base_dependence_demo,
     classify_to_et,
     generate_fifths,
@@ -98,7 +99,7 @@ class TestGeneration:
         assert t.ratios() == [1, 2]
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TuningError):
             generate_fifths(-1, 0)
 
     @pytest.mark.parametrize("m1, m2", [(0, 0), (5, 3), (12, 12), (20, 1)])
@@ -208,6 +209,16 @@ class TestChromaticSelection:
         named = select_chromatic(table)
         assert str(named[0].name) == str(named[-1].name) == "DO"
         assert (named[0].ratio, named[-1].ratio) == (1, 2)
+
+    def test_named_pitch_checks_its_provenance(self):
+        up = FifthStep("up", 1)
+        assert NamedPitch(note_name(7), Fraction(3, 2), up).step is up
+        assert NamedPitch(note_name(12), Fraction(2), None).ratio == 2
+        with pytest.raises(ValueError):
+            NamedPitch(note_name(4), Fraction(5, 4), None)
+        for other in (Fraction(9, 8), Fraction(2)):
+            with pytest.raises(ValueError):
+                NamedPitch(note_name(7), other, up)
 
     def test_every_selected_sound_is_three_limit(self, table):
         from tritune.ratio import rational_to_monzo

@@ -217,9 +217,41 @@ class TestIntegerRoot:
             assert certified(integer_nth_root(x, n), x, n)
 
     def test_failed_certificate_raises(self, monkeypatch):
-        monkeypatch.setattr(ratio, "_newton_root", lambda x, n: 1)
+        monkeypatch.setattr(ratio, "_newton_root", lambda x, n: (1, 1))
         with pytest.raises(ArithmeticError):
             integer_nth_root(10 ** 9, 3)
+
+    @pytest.mark.parametrize(
+        "x, n", [(10 ** 9 - 1, 3), (10 ** 9, 3), (2 ** 7 * 10 ** 100, 12), (3 ** 500, 53)]
+    )
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_neighbour_of_the_root_fails_its_certificate(self, monkeypatch, x, n, off):
+        # a wrong root with its own exact power: the lower bound catches the
+        # one above, the upper bound the one below, also right next to a^n
+        a = integer_nth_root(x, n) + off
+        monkeypatch.setattr(ratio, "_newton_root", lambda x, n: (a, a ** (n - 1)))
+        with pytest.raises(ArithmeticError):
+            integer_nth_root(x, n)
+
+    @given(
+        st.integers(min_value=0, max_value=4_000).flatmap(
+            lambda bits: st.integers(min_value=0, max_value=(1 << bits) - 1)
+        ),
+        st.integers(min_value=3, max_value=311),
+    )
+    def test_newton_returns_its_witness(self, x, n):
+        a = integer_nth_root(x, n)
+        assert ratio._newton_root(x, n) == (a, a ** (n - 1))
+
+    @pytest.mark.parametrize(
+        "x, n, a",
+        [(2 ** 258, 311, 1)]
+        + [((a + 1) ** n - 1, n, a) for n in (3, 12, 53, 311) for a in (1, 2, n // 2, n)],
+    )
+    def test_root_where_the_binomial_bound_does_not_decide(self, x, n, a):
+        # x >= (a + n) * a**(n-1): only (a+1)**n itself closes the bracket
+        assert x >= (a + n) * a ** (n - 1)
+        assert integer_nth_root(x, n) == a
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -255,7 +287,7 @@ class TestDecimalRendering:
         assert Decimal(to_decimal(r, digits)) == truncated
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TuningError):
             to_decimal(Fraction(1), 0)
 
     def test_digit_cap(self):
