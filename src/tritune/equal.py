@@ -4,18 +4,21 @@ The step ratio 2**(1/N) and its powers are irrational, so pitches are kept
 symbolic as the pair (k, n) meaning 2**(k/n).  Identities like "n steps
 compose to one octave" then hold exactly, and decimal values are produced on
 demand by integer root extraction so that every printed digit is exact.
+With a rational coefficient, r * 2**(k/n), the same :class:`EtPitch` holds
+every exact pitch of the three systems, ordered by one integer comparison.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import TuningError, UnsupportedDivisionError
-from .ratio import Monzo, _fixed_point, _floor_log2, check_digits, integer_nth_root
-from .ratio import is_nth_root_irrational, to_decimal
+from .ratio import Monzo, _fixed_point, _floor_log2, _monzo_terms, check_digits
+from .ratio import cents, integer_nth_root, is_nth_root_irrational, to_decimal
 
 #: Chromatic indices of the major diatonic subset of the 12-division scale.
 DIATONIC_INDICES = (0, 2, 4, 5, 7, 9, 11, 12)
@@ -29,21 +32,51 @@ MAX_DIVISIONS = 1200
 #: leaves the product, and with it the roots of one table, unbounded.
 MAX_ET_DIGITS = 48_000
 
+_ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class EtPitch:
-    """The ratio 2**(k/n) relative to a scale base, kept symbolic.
+    """The ratio r * 2**(k/n) relative to a scale base, kept symbolic.
 
-    (k, n) is stored as given; equality and hashing reduce, so
-    EtPitch(2, 24) == EtPitch(1, 12).
+    r is a positive ratio of odd integers (1 for an equal-division pitch), so
+    every exact pitch, 2**x being rational only for integer x, has one r and
+    one reduced k/n.  (k, n) is stored as given; equality and hashing reduce,
+    so EtPitch(2, 24) == EtPitch(1, 12).
     """
 
     k: int
     n: int
+    r: Fraction = _ONE
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("octave divisions n must be a positive integer")
+            raise TuningError("octave divisions n must be a positive integer")
+        r = self.r
+        if r is not _ONE and not (
+            isinstance(r, (int, Fraction)) and r > 0 and r.numerator & r.denominator & 1
+        ):
+            raise TuningError(f"r must be a positive ratio of odd integers, got {r!r}")
+
+    @classmethod
+    def of(cls, x: Union[int, Fraction, Monzo, EtPitch]) -> EtPitch:
+        """x as r * 2**(k/n), the powers of two of an int, Fraction or Monzo
+        moved into k; TuningError for anything but a positive exact pitch."""
+        if isinstance(x, EtPitch):
+            return x
+        p, q, k, _ = _power_form(x)
+        a, b = ((m & -m).bit_length() - 1 for m in (p, q))
+        return cls(k + a - b, 1, Fraction(p >> a, q >> b))
+
+    def __mul__(self, other) -> EtPitch:
+        o = EtPitch.of(other)
+        e = Fraction(self.k, self.n) + Fraction(o.k, o.n)
+        return EtPitch(e.numerator, e.denominator, self.r * o.r)
+
+    def __truediv__(self, other) -> EtPitch:
+        o = EtPitch.of(other)
+        e = Fraction(self.k, self.n) - Fraction(o.k, o.n)
+        return EtPitch(e.numerator, e.denominator, Fraction(self.r) / o.r)
 
     @property
     def exponent(self) -> Fraction:
@@ -52,44 +85,61 @@ class EtPitch:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EtPitch):
-            return self.exponent == other.exponent
+            return self.k * other.n == other.k * self.n and self.r == other.r
         return NotImplemented
 
     def __hash__(self):
-        return hash(("EtPitch", self.exponent))
+        return hash(("EtPitch", self.exponent, self.r))
 
     def __float__(self) -> float:
-        return 2.0 ** (self.k / self.n)
+        return self.r * 2.0 ** (self.k / self.n)
 
     def __str__(self) -> str:
         return self.exact_form()
 
     def cents(self) -> float:
-        return 1200.0 * self.k / self.n
+        return 1200.0 * self.k / self.n + cents(self.r)
 
     def is_rational(self) -> bool:
-        """2**(k/n) is rational iff the reduced exponent is an integer."""
-        return self.exponent.denominator == 1
+        """r * 2**(k/n) is rational iff the reduced exponent is an integer."""
+        return self.k % self.n == 0
 
     def is_irrational(self) -> bool:
         """Checked through the perfect-power test, not assumed."""
-        e = self.exponent
-        if e.denominator == 1:
-            return False
-        if e >= 0:
-            return is_nth_root_irrational(2 ** e.numerator, e.denominator)
-        return is_nth_root_irrational(2 ** (-e.numerator), e.denominator)
+        e = abs(self.exponent)
+        return e.denominator > 1 and is_nth_root_irrational(2 ** e.numerator, e.denominator)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError(f"2^({self.k}/{self.n}) is irrational")
-        e = self.exponent.numerator
-        return Fraction(2) ** e
+            raise TuningError(f"{self.exact_form()} is irrational")
+        return self.r * Fraction(2) ** (self.k // self.n)
 
     def exact_form(self) -> str:
         if self.is_rational():
             return str(self.as_fraction())
-        return f"2^({self.k}/{self.n})"
+        return ("" if self.r == 1 else f"{self.r}*") + f"2^({self.k}/{self.n})"
+
+
+def _power_form(x) -> tuple[int, int, int, int]:
+    """(p, q, k, n) with x = (p/q) * 2**(k/n), read off an exact pitch without
+    building one; TuningError for anything but a positive exact pitch."""
+    if isinstance(x, EtPitch):
+        return x.r.numerator, x.r.denominator, x.k, x.n
+    if isinstance(x, Monzo):
+        return (*_monzo_terms(x), 0, 1)
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x > 0:
+        return x.numerator, x.denominator, 0, 1
+    raise TuningError(f"pitches must be positive, got {x!r}")
+
+
+def _sign(a: int, b: int, s: int, m: int) -> int:
+    """sign(a/b - 2**(s/m)) for positive integers a, b and m: with s/m reduced,
+    a**m <=> b**m * 2**s (the shift moves to the left side for s < 0)."""
+    if a == b:
+        return (s < 0) - (s > 0)
+    g = math.gcd(s, m)
+    lhs, rhs = a ** (m // g) << max(-s // g, 0), b ** (m // g) << max(s // g, 0)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def et_value(p: EtPitch, precision_digits: int) -> str:
@@ -98,17 +148,22 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     floor(2**(k/n) * 10**d) equals the integer n-th root of 2**k * 10**(d*n),
     so the truncation is computed without any floating point at all.
     Expansions that terminate early (rational cases like 2**(0/12)) are
-    emitted in full without padding.
+    emitted in full without padding.  Only r = 1 is printed (TuningError).
 
-    ``precision_digits`` is capped at ``ratio.MAX_DIGITS`` (TuningError
-    beyond it).  With k/n reduced, one call takes a single certified root of
-    an integer of about k + 3.33*d*n bits; the cap bounds that at
-    k + 13300*n bits.  Building that radicand and its root cost about two
-    big-integer powers of that size, 5**(d*n) and the root's a**(n-1) (on a
-    2-vCPU Xeon VM: 0.012 s for n = 12, 1.2 s for n = 311 and 8 s for
-    n = 1200 at the cap).
+    ``precision_digits`` is capped at ``ratio.MAX_DIGITS``, and k // n, before
+    any power, below 10/3 of the interpreter's int-to-str digit limit L, as
+    2**(10L/3) > 10**L has too many digits to print (TuningError beyond
+    either).  With k/n reduced, one call takes a single certified root of an
+    integer of about k + 3.33*d*n bits, two big-integer powers of that size:
+    5**(d*n) and the root's a**(n-1) (on a 2-vCPU Xeon VM: 0.012 s for
+    n = 12, 1.2 s for n = 311 and 8 s for n = 1200 at the digit cap, k < n).
     """
     check_digits(precision_digits)
+    if p.r != 1:
+        raise TuningError(f"only 2^(k/n) is printed, not {p.exact_form()}")
+    limit = sys.get_int_max_str_digits()
+    if limit and 3 * (p.k // p.n) >= 10 * limit:
+        raise TuningError(f"2^({p.k}/{p.n}) has more than {limit} integer digits")
     if p.is_rational():
         return to_decimal(p.as_fraction(), precision_digits)
     e = p.exponent
@@ -163,23 +218,9 @@ def diatonic_subset(scale: EtScale) -> list[EtPitch]:
 
 
 def compare_fraction_to_et(r: Fraction, p: EtPitch) -> int:
-    """Exact three-way comparison of r = a/b against 2**(k/n).
-
-    With k/n reduced, r <=> 2**(k/n) iff a**n <=> b**n * 2**k, decided in
-    integers (for k < 0 the shift moves to the other side:
-    a**n * 2**(-k) <=> b**n).  Returns -1, 0 or +1.
-    """
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("pitch ratios must be positive")
-    e = p.exponent
-    lhs = r.numerator ** e.denominator
-    rhs = r.denominator ** e.denominator
-    if e.numerator >= 0:
-        rhs <<= e.numerator
-    else:
-        lhs <<= -e.numerator
-    return (lhs > rhs) - (lhs < rhs)
+    """Exact three-way comparison of r = a/b against p = 2**(k/n): -1, 0 or +1,
+    by a**n <=> b**n * 2**k with k/n reduced, in :func:`compare_pitches`."""
+    return compare_pitches(r, p)
 
 
 def nearest_degree(r: Fraction, n: int) -> int:
@@ -194,7 +235,7 @@ def nearest_degree(r: Fraction, n: int) -> int:
     """
     r = Fraction(r)
     if r <= 0:
-        raise ValueError("pitch ratios must be positive")
+        raise TuningError("pitch ratios must be positive")
     m = _floor_log2(r.numerator ** (2 * n), r.denominator ** (2 * n))
     return (m + 1) // 2
 
@@ -204,33 +245,10 @@ def compare_pitches(
 ) -> int:
     """Exact three-way comparison of two pitches: -1, 0 or +1.
 
-    Two equal-division pitches compare k1*n2 with k2*n1, a rational against
-    one goes through :func:`compare_fraction_to_et`, and two rationals
-    compare as fractions.
+    Each pitch is read as (p/q) * 2**(k/n), and x <=> y iff
+    (p1*q2) / (q1*p2) <=> 2**((k2*n1 - k1*n2) / (n1*n2)), which the integer
+    kernel ``_sign`` decides.
     """
-    x, y = (p.as_fraction() if isinstance(p, Monzo) else p for p in (x, y))
-    if isinstance(x, EtPitch):
-        if not isinstance(y, EtPitch):
-            return -compare_fraction_to_et(y, x)
-        x, y = x.k * y.n, y.k * x.n
-    elif isinstance(y, EtPitch):
-        return compare_fraction_to_et(x, y)
-    return (x > y) - (x < y)
-
-
-def pitch_parts(p) -> Optional[tuple[Fraction, Fraction]]:
-    """(r, e) with p = r * 2**e, both rational; None for a float.
-
-    Splits off the octave exponent of an equal-division pitch so that pitch
-    products and quotients stay exact.  Anything that is not a positive,
-    finite pitch raises ValueError.
-    """
-    if isinstance(p, EtPitch):
-        return Fraction(1), p.exponent
-    if isinstance(p, Monzo):
-        return p.as_fraction(), Fraction(0)
-    if isinstance(p, (int, Fraction)) and not isinstance(p, bool) and p > 0:
-        return Fraction(p), Fraction(0)
-    if isinstance(p, float) and 0 < p < math.inf:
-        return None
-    raise ValueError(f"pitches must be positive, got {p!r}")
+    p1, q1, k1, n1 = _power_form(x)
+    p2, q2, k2, n2 = _power_form(y)
+    return _sign(p1 * q2, q1 * p2, k2 * n1 - k1 * n2, n1 * n2)

@@ -3,20 +3,22 @@
 The distance between two pitches is the ratio of their frequencies, so equal
 musical distances are equal ratios, adjacent intervals compose by
 multiplication, and two ordered sound sets are congruent when their
-consecutive ratios agree.  Rationals, monzos and equal-division pitches are
-compared exactly, each as r * 2**e; only a float drops the comparison to
-cents with a 1e-6 tolerance.
+consecutive ratios agree.  Every exact pitch is read as one ``EtPitch``
+r * 2**(k/n), so intervals between any of them are exact; only a float
+drops a congruence test to cents with a 1e-6 tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence, Union
 
-from .equal import DIATONIC_INDICES, EtPitch, compare_pitches, pitch_parts
+from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import TuningError
-from .ratio import Monzo, cents, octave_shift
+from .ratio import Monzo, cents
 
 Pitch = Union[int, Fraction, float, Monzo, EtPitch]
 
@@ -55,9 +57,9 @@ class NoteName:
 
     def __post_init__(self):
         if self.letter not in LETTERS:
-            raise ValueError(f"unknown letter {self.letter!r}")
+            raise TuningError(f"unknown letter {self.letter!r}")
         if self.accidental not in _ACCIDENTAL_MARK:
-            raise ValueError(f"unknown accidental {self.accidental!r}")
+            raise TuningError(f"unknown accidental {self.accidental!r}")
 
     def __str__(self) -> str:
         return self.letter + _ACCIDENTAL_MARK[self.accidental]
@@ -71,7 +73,7 @@ def note_name(chromatic_index: int, preference: str = "sharp") -> NoteName:
     per ``preference``.
     """
     if preference not in ("sharp", "flat"):
-        raise ValueError("preference must be 'sharp' or 'flat'")
+        raise TuningError("preference must be 'sharp' or 'flat'")
     i = chromatic_index % 12
     if i in _DIATONIC_LETTER:
         return NoteName(_DIATONIC_LETTER[i])
@@ -88,7 +90,7 @@ class Interval:
 
     def __post_init__(self):
         if compare_pitches(self.ratio, 1) < 0:
-            raise ValueError("interval ratios are >= 1")
+            raise TuningError("interval ratios are >= 1")
 
     def cents(self) -> float:
         return cents(self.ratio)
@@ -103,36 +105,21 @@ class Interval:
 def interval_between(f1: Pitch, f2: Pitch) -> Interval:
     """The distance between two sounds: the larger divided by the smaller.
 
-    Arguments are reordered if needed so the result is always >= 1.  Both
-    pitches must live in the same exact family (rational-valued, or
-    equal-division); the ratio between a rational and an irrational
-    equal-division pitch is not representable exactly.
+    Arguments are reordered if needed so the result is always >= 1.  It is
+    a Fraction when both pitches are rational, else an exact ``EtPitch``
+    r * 2**(k/n): 3/2 against 2^(7/12) is (3/4) * 2^(5/12) = 3 * 2^(-19/12).
     """
-    parts = (pitch_parts(f1), pitch_parts(f2))
-    if None not in parts and all(e.denominator == 1 for _, e in parts):
-        a, b = (r * 2 ** e for r, e in parts)
-        return Interval(max(a, b) / min(a, b))
-    if isinstance(f1, EtPitch) and isinstance(f2, EtPitch):
-        diff = abs(f2.exponent - f1.exponent)
-        return Interval(EtPitch(diff.numerator, diff.denominator))
-    raise TypeError(
-        "cannot form an exact interval between a rational pitch and an "
-        "irrational equal-division pitch"
-    )
+    lo, hi = sorted(map(EtPitch.of, (f1, f2)), key=cmp_to_key(compare_pitches))
+    q = hi / lo
+    return Interval(q.as_fraction() if lo.is_rational() and hi.is_rational() else q)
 
 
 def compose(i1: Interval, i2: Interval) -> Interval:
-    """Chain two intervals: distances compose by multiplying ratios."""
+    """Chain two intervals: distances compose by multiplying ratios, to a
+    Fraction when both are Fractions and to an ``EtPitch`` otherwise."""
     if isinstance(i1.ratio, Fraction) and isinstance(i2.ratio, Fraction):
         return Interval(i1.ratio * i2.ratio)
-    # with an equal-division step the product is an equal-division step,
-    # provided the rational parts multiply to a power of two
-    (r1, e1), (r2, e2) = pitch_parts(i1.ratio), pitch_parts(i2.ratio)
-    h = octave_shift(r1 * r2)
-    if r1 * r2 * Fraction(2) ** h != 1:
-        raise TypeError("cannot compose a non-octave rational with an irrational step")
-    e = e1 + e2 - h
-    return Interval(EtPitch(e.numerator, e.denominator))
+    return Interval(EtPitch.of(i1.ratio) * i2.ratio)
 
 
 @dataclass(frozen=True)
@@ -144,9 +131,10 @@ class PitchSequence:
     def __init__(self, pitches: Iterable[Pitch]):
         items = tuple(pitches)
         if not items:
-            raise ValueError("a pitch sequence cannot be empty")
+            raise TuningError("a pitch sequence cannot be empty")
         for p in items:
-            pitch_parts(p)  # raises unless p is a positive pitch
+            if not (isinstance(p, float) and 0 < p < math.inf):
+                EtPitch.of(p)  # raises unless p is a positive exact pitch
         object.__setattr__(self, "pitches", items)
 
     def __len__(self):
@@ -158,13 +146,8 @@ class PitchSequence:
 
 def _steps_equal(lo1: Pitch, hi1: Pitch, lo2: Pitch, hi2: Pitch) -> bool:
     """Whether hi1/lo1 == hi2/lo2: exactly unless a float is involved."""
-    parts = [pitch_parts(p) for p in (lo1, hi1, lo2, hi2)]
-    if None not in parts:
-        # r2 * 2**e2 / (r1 * 2**e1) == r4 * 2**e4 / (r3 * 2**e3) iff
-        # r2 * r3 == r1 * r4 * 2**e; an irrational 2**e equals no rational
-        (r1, e1), (r2, e2), (r3, e3), (r4, e4) = parts
-        e = e1 + e4 - e2 - e3
-        return e.denominator == 1 and r2 * r3 == r1 * r4 * 2 ** e
+    if not any(isinstance(p, float) for p in (lo1, hi1, lo2, hi2)):
+        return EtPitch.of(hi1) / lo1 == EtPitch.of(hi2) / lo2
     step_a = cents(hi1) - cents(lo1)
     step_b = cents(hi2) - cents(lo2)
     return abs(step_a - step_b) <= CENTS_TOLERANCE
@@ -215,7 +198,7 @@ class EtIntervalName:
 def classify_et_interval(semitones: int) -> EtIntervalName:
     """Name an interval by its step count: 0 unison, 5 fourth, 7 fifth, ..."""
     if semitones < 0:
-        raise ValueError("a step count cannot be negative")
+        raise TuningError("a step count cannot be negative")
     return EtIntervalName(semitones, _SEMITONE_NAMES.get(semitones))
 
 

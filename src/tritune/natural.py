@@ -38,7 +38,7 @@ DIATONIC_DEGREES = (
 def _positive_fraction(x: RationalLike, what: str) -> Fraction:
     f = Fraction(x)
     if f <= 0:
-        raise ValueError(f"{what} must be positive, got {x}")
+        raise TuningError(f"{what} must be positive, got {x}")
     return f
 
 

@@ -33,8 +33,9 @@ class FifthStep:
     ``h`` and ``ratio`` follow from those two: the walk reaches
     (3/2)**(+/-k), never a power of two, and ``ratio.octave_shift`` gives
     the h that folds it strictly inside (1, 2) as ratio = 2**h * (3/2)**(+/-k).
-    So h <= 0 going up and h >= 0 going down.  k runs from 1 to
-    ``EXPONENT_BOUND``; beyond it an ExponentBoundError.
+    So h = -floor(k*log2(3/2)) going up and h = ceil(k*log2(3/2)) going down:
+    the fold is bounded by |h| <= ceil(k*log2(3/2)), at most 38 for k up to
+    ``EXPONENT_BOUND`` = 64, beyond which an ExponentBoundError is raised.
     """
 
     direction: str  # "up" or "down"
@@ -44,9 +45,9 @@ class FifthStep:
 
     def __post_init__(self):
         if self.direction not in ("up", "down"):
-            raise ValueError("direction must be 'up' or 'down'")
+            raise TuningError("direction must be 'up' or 'down'")
         if self.k < 1:
-            raise ValueError("a fifth step needs k >= 1")
+            raise TuningError("a fifth step needs k >= 1")
         if self.k > EXPONENT_BOUND:
             raise ExponentBoundError(
                 f"at most {EXPONENT_BOUND} fifths each way, got {self.k}"
@@ -171,7 +172,7 @@ class NamedPitch:
     def __post_init__(self):
         # 3-limit by provenance: the ratio of its fifth step, or an endpoint
         if self.ratio not in ((self.step.ratio,) if self.step else (1, 2)):
-            raise ValueError(
+            raise TuningError(
                 f"{self.ratio} is neither its fifth step's ratio nor 1 or 2"
             )
 

@@ -81,21 +81,17 @@ class Monzo:
     def as_fraction(self) -> Fraction:
         return monzo_to_rational(self)
 
-    @property
-    def is_three_limit(self) -> bool:
-        return self.exp5 == 0
+
+def _monzo_terms(m: Monzo) -> tuple[int, int]:
+    """Coprime (num, den) with num / den = 2**exp2 * 3**exp3 * 5**exp5."""
+    terms = ((2, m.exp2), (3, m.exp3), (5, m.exp5))
+    num = math.prod(prime ** e for prime, e in terms if e > 0)
+    return num, math.prod(prime ** -e for prime, e in terms if e < 0)
 
 
 def monzo_to_rational(m: Monzo) -> Fraction:
     """Return the reduced fraction 2**exp2 * 3**exp3 * 5**exp5."""
-    num = 1
-    den = 1
-    for prime, e in ((2, m.exp2), (3, m.exp3), (5, m.exp5)):
-        if e >= 0:
-            num *= prime ** e
-        else:
-            den *= prime ** (-e)
-    return Fraction(num, den)
+    return Fraction(*_monzo_terms(m))
 
 
 def rational_to_monzo(r: RationalLike) -> Optional[Monzo]:
@@ -106,7 +102,7 @@ def rational_to_monzo(r: RationalLike) -> Optional[Monzo]:
     """
     r = Fraction(r)
     if r <= 0:
-        raise ValueError("pitch ratios must be positive")
+        raise TuningError("pitch ratios must be positive")
     exps = {2: 0, 3: 0, 5: 0}
     num, den = r.numerator, r.denominator
     for p in (2, 3, 5):
@@ -136,7 +132,7 @@ def octave_shift(r: RationalLike) -> int:
     """The unique h with 1 <= r * 2**h < 2."""
     r = Fraction(r)
     if r <= 0:
-        raise ValueError("pitch ratios must be positive")
+        raise TuningError("pitch ratios must be positive")
     return -_floor_log2(r.numerator, r.denominator)
 
 
@@ -173,7 +169,7 @@ def integer_nth_root(x: int, n: int) -> int:
     an inexact root.
     """
     if x < 0 or n < 1:
-        raise ValueError("integer_nth_root requires x >= 0, n >= 1")
+        raise TuningError("integer_nth_root requires x >= 0, n >= 1")
     if n == 1:
         a, p = x, 1
     elif n == 2:
@@ -219,9 +215,9 @@ def _newton_root(x: int, n: int) -> tuple[int, int]:
 def is_perfect_nth_power(m: int, n: int) -> tuple[bool, Optional[int]]:
     """Whether a**n == m for some integer a; returns (flag, a or None)."""
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise TuningError("m must be a positive integer")
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise TuningError("n must be at least 2")
     a = integer_nth_root(m, n)
     if a ** n == m:
         return True, a
@@ -231,7 +227,7 @@ def is_perfect_nth_power(m: int, n: int) -> tuple[bool, Optional[int]]:
 def is_nth_root_irrational(m: int, n: int) -> bool:
     """True exactly when the nth root of m is irrational (m, n >= 2)."""
     if m < 2 or n < 2:
-        raise ValueError("requires m >= 2 and n >= 2")
+        raise TuningError("requires m >= 2 and n >= 2")
     return not is_perfect_nth_power(m, n)[0]
 
 
@@ -265,7 +261,7 @@ def to_decimal(r: RationalLike, digits: int) -> str:
     check_digits(digits)
     r = Fraction(r)
     if r < 0:
-        raise ValueError("negative ratios are not printable pitches")
+        raise TuningError("negative ratios are not printable pitches")
     exact_len = _terminating_digits(r.denominator)
     width = exact_len if exact_len is not None and exact_len <= digits else digits
     return _fixed_point(r.numerator * 10 ** width // r.denominator, width)
@@ -328,5 +324,5 @@ def cents(r) -> float:
         return 1200.0 * (math.log2(r.numerator) - math.log2(r.denominator))
     value = float(r)
     if value <= 0:
-        raise ValueError("cents is defined for positive ratios only")
+        raise TuningError("cents is defined for positive ratios only")
     return 1200.0 * math.log2(value)

@@ -39,6 +39,8 @@ class ScaleEntry:
         """Tuning-file rendering: p/q for rationals, 5-digit cents otherwise."""
         if isinstance(self.value, Fraction):
             return f"{self.value.numerator}/{self.value.denominator}"
+        if self.value.r != 1:
+            raise TuningError(f"no exact cents for {self.value.exact_form()}")
         return _fixed_point(1200 * self.value.k * 10 ** 5 // self.value.n, 5)
 
 
@@ -49,10 +51,10 @@ class ScaleDocument:
 
     def __post_init__(self):
         if not self.entries:
-            raise ValueError("a scale document needs at least one entry")
+            raise TuningError("a scale document needs at least one entry")
         values = [e.value for e in self.entries]
         if any(compare_pitches(a, b) >= 0 for a, b in zip(values, values[1:])):
-            raise ValueError("scale entries must be strictly ascending")
+            raise TuningError("scale entries must be strictly ascending")
 
 
 def natural_scale_document() -> ScaleDocument:
@@ -186,4 +188,4 @@ def export_table(table: ComparisonTable, format: str) -> str:
             ],
         }
         return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    raise ValueError(f"unknown table format {format!r}")
+    raise TuningError(f"unknown table format {format!r}")

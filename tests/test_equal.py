@@ -1,3 +1,5 @@
+import math
+import sys
 from decimal import Decimal, ROUND_DOWN, localcontext
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from tritune import equal
 from tritune.equal import (
     MAX_DIVISIONS,
     EtPitch,
@@ -58,6 +61,40 @@ class TestEtPitch:
         with pytest.raises(ValueError):
             EtPitch(1, 0)
 
+    def test_coefficient(self):
+        p = EtPitch(-19, 12, 3)
+        assert p.exact_form() == "3*2^(-19/12)" and p.is_irrational()
+        assert p == EtPitch(-38, 24, Fraction(3)) and hash(p) == hash(EtPitch(-38, 24, 3))
+        assert p != EtPitch(-19, 12) and p != EtPitch(-19, 12, 5)
+        assert EtPitch(24, 12, Fraction(3, 5)).as_fraction() == Fraction(12, 5)
+        assert EtPitch(0, 1, 3).exact_form() == "3"
+        assert p.cents() == pytest.approx(1200 * (math.log2(3) - 19 / 12))
+
+    @pytest.mark.parametrize(
+        "r", [2, Fraction(3, 4), Fraction(4, 3), 0, -3, Fraction(-1, 3), 1.5, "3"]
+    )
+    def test_non_odd_coefficient_rejected(self, r):
+        with pytest.raises(TuningError):
+            EtPitch(1, 12, r)
+
+    def test_of(self):
+        assert EtPitch.of(Fraction(12, 5)) == EtPitch(2, 1, Fraction(3, 5))
+        assert EtPitch.of(Fraction(3, 8)) == EtPitch(-3, 1, 3)
+        assert EtPitch.of(1) == EtPitch(0, 1) and EtPitch.of(32) == EtPitch(5, 1)
+        assert EtPitch.of(Monzo(-3, 1, 1)) == EtPitch(-3, 1, 15)
+        p = EtPitch(7, 12)
+        assert EtPitch.of(p) is p
+        for bad in (0, -2, Fraction(-1, 3), 1.5, True, None):
+            with pytest.raises(TuningError):
+                EtPitch.of(bad)
+
+    def test_products_and_quotients_stay_exact(self):
+        assert EtPitch(7, 12) * EtPitch(5, 12) == EtPitch(1, 1)
+        assert EtPitch(7, 12) * 2 == EtPitch(19, 12)
+        assert EtPitch(7, 12) / Fraction(3, 2) == EtPitch(19, 12, Fraction(1, 3))
+        assert EtPitch(7, 12, 3) / EtPitch(7, 12, 3) == EtPitch(0, 1)
+        assert EtPitch(1, 2, 5) * Monzo(1, -1, 0) == EtPitch(3, 2, Fraction(5, 3))
+
 
 class TestEtValue:
     def test_examples(self):
@@ -90,6 +127,38 @@ class TestEtValue:
     def test_domain(self):
         with pytest.raises(ValueError):
             et_value(EtPitch(1, 12), 0)
+
+    @pytest.mark.parametrize("p", [EtPitch(7, 12, 3), EtPitch(0, 1, 3), EtPitch(1, 2, Fraction(1, 5))])
+    def test_coefficient_other_than_one_rejected(self, p):
+        with pytest.raises(TuningError, match="only 2"):
+            et_value(p, 5)
+
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_k_cap_before_any_power(self, n, monkeypatch):
+        # 3 * (k // n) >= 10 * L rejects at once: 2**(10L/3) > 10**L
+        limit = sys.get_int_max_str_digits()
+        first = -(-10 * limit // 3)
+        assert 2 ** (first - 1) >= 10 ** limit  # past the limit: the exact check rejects
+        value = n * first - 1
+        with pytest.raises(TuningError, match="too many digits to print"):
+            et_value(EtPitch(value, n), 1)
+
+        def no_power(*args):
+            raise AssertionError("a power was built")
+
+        monkeypatch.setattr(equal, "integer_nth_root", no_power)
+        monkeypatch.setattr(equal, "to_decimal", no_power)
+        for k in (value + 1, 10 ** 12):
+            with pytest.raises(TuningError, match="integer digits"):
+                et_value(EtPitch(k, n), 1)
+
+    def test_longest_printable_power_is_still_printed(self):
+        limit = sys.get_int_max_str_digits()
+        k = (10 ** limit).bit_length() - 1  # the last 2**k below 10**limit
+        assert et_value(EtPitch(k, 1), 1) == str(2 ** k)
+        assert et_value(EtPitch(12 * k, 12), 1) == str(2 ** k)
+        with pytest.raises(TuningError, match="too many digits to print"):
+            et_value(EtPitch(k + 1, 1), 1)
 
     def test_digit_cap(self):
         assert len(et_value(EtPitch(1, 12), MAX_DIGITS)) == MAX_DIGITS + 2
@@ -246,11 +315,13 @@ class TestExactComparison:
 def pitch_as_power(p):
     """(r, k, n) with p = r * 2**(k/n): the integer definition's view of p."""
     if isinstance(p, EtPitch):
-        return Fraction(1), p.k, p.n
+        return Fraction(p.r), p.k, p.n
     if isinstance(p, Monzo):
         return p.as_fraction(), 0, 1
     return Fraction(p), 0, 1
 
+
+odd = st.integers(min_value=0, max_value=30).map(lambda i: 2 * i + 1)
 
 pitches = st.one_of(
     st.integers(min_value=1, max_value=1000),
@@ -265,6 +336,12 @@ pitches = st.one_of(
         EtPitch,
         st.integers(min_value=-100, max_value=100),
         st.integers(min_value=1, max_value=60),
+    ),
+    st.builds(
+        EtPitch,
+        st.integers(min_value=-100, max_value=100),
+        st.integers(min_value=1, max_value=60),
+        st.builds(Fraction, odd, odd),
     ),
 )
 
@@ -299,6 +376,17 @@ class TestComparePitches:
     )
     def test_equal_across_forms(self, x, y):
         assert compare_pitches(x, y) == compare_pitches(y, x) == 0
+
+    @given(pitches, pitches, st.integers(min_value=1, max_value=6), st.booleans())
+    def test_one_exact_form_exactly_when_equal(self, x, y, m, tie):
+        if tie:  # y becomes x in another form: k/n unreduced, or a Fraction
+            c = EtPitch.of(x)
+            y = c.as_fraction() if c.is_rational() and m % 2 else EtPitch(c.k * m, c.n * m, c.r)
+        same = EtPitch.of(x) == EtPitch.of(y)
+        assert same == (compare_pitches(x, y) == 0)
+        if same:
+            assert hash(EtPitch.of(x)) == hash(EtPitch.of(y))
+        assert tie <= same
 
     def test_near_miss_is_decided(self):
         # 53545/35737 lies 2e-7 cents below 2**(7/12)

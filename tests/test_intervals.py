@@ -1,10 +1,11 @@
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tritune.equal import EtPitch, generate_et
+from tritune.equal import EtPitch, compare_pitches, generate_et
 from tritune.errors import TuningError
 from tritune.intervals import (
     Interval,
@@ -23,6 +24,25 @@ from tritune.intervals import (
 from tritune.ratio import Monzo
 
 fractions_01 = st.fractions(min_value=Fraction(1, 1000), max_value=1000)
+
+#: every exact form: rationals, monzos, 2**(k/n), and r * 2**(k/n) with r odd/odd
+exact_pitches = st.one_of(
+    fractions_01,
+    st.integers(min_value=1, max_value=64),
+    st.builds(Monzo, st.integers(-6, 6), st.integers(-4, 4), st.integers(-2, 2)),
+    st.builds(EtPitch, st.integers(-36, 36), st.integers(1, 31)),
+    st.builds(
+        EtPitch,
+        st.integers(-36, 36),
+        st.integers(1, 31),
+        st.sampled_from([Fraction(3), Fraction(5, 3), Fraction(1, 15), Fraction(7, 9)]),
+    ),
+)
+
+
+def nth_power(p: EtPitch) -> Fraction:
+    """(r * 2**(k/n))**n = r**n * 2**k, an integer identity for p's value."""
+    return Fraction(p.r) ** p.n * Fraction(2) ** p.k
 
 
 class TestIntervalBetween:
@@ -51,8 +71,12 @@ class TestIntervalBetween:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             interval_between(Fraction(-1), Fraction(2))
-        with pytest.raises(TypeError):
-            interval_between(Fraction(3, 2), EtPitch(7, 12))
+        # a rational against an irrational pitch is exact: (3/2) / 2**(7/12)
+        # = 3 * 2**(-19/12), whose twelfth power is (3/2)**12 / 2**7
+        i = interval_between(Fraction(3, 2), EtPitch(7, 12))
+        assert i.ratio == EtPitch(-19, 12, 3)
+        assert nth_power(i.ratio) == Fraction(3, 2) ** 12 / 2 ** 7
+        assert interval_between(EtPitch(7, 12), Fraction(3, 2)).ratio == i.ratio
 
     @given(fractions_01, fractions_01, st.integers(min_value=-10, max_value=10))
     def test_scale_invariance(self, a, b, k):
@@ -72,17 +96,23 @@ class TestCompose:
         assert compose(Interval(Fraction(4)), Interval(Fraction(8))).ratio == 32
         assert compose(Interval(Fraction(3, 2)), Interval(Fraction(4, 3))).ratio == 2
 
-    @given(fractions_01, fractions_01, fractions_01)
+    @given(exact_pitches, exact_pitches, exact_pitches)
     def test_telescopes(self, x, y, z):
-        a, c, b = sorted([x, y, z])
+        a, c, b = sorted([x, y, z], key=cmp_to_key(compare_pitches))
         left = compose(interval_between(a, c), interval_between(c, b))
-        assert left.ratio == interval_between(a, b).ratio
+        whole = interval_between(a, b)
+        assert EtPitch.of(left.ratio) == EtPitch.of(whole.ratio)
+        if all(isinstance(p, Fraction) for p in (x, y, z)):
+            assert left.ratio == whole.ratio and isinstance(left.ratio, Fraction)
 
     def test_mixed_et_and_octave(self):
         i = compose(Interval(EtPitch(7, 12)), Interval(Fraction(2)))
         assert i.ratio.exponent == Fraction(19, 12)
-        with pytest.raises(TypeError):
-            compose(Interval(EtPitch(7, 12)), Interval(Fraction(3, 2)))
+        # a non-octave rational with an irrational step is exact too:
+        # 2**(7/12) * 3/2 = 3 * 2**(-5/12), whose twelfth power is 2**7 * (3/2)**12
+        i = compose(Interval(EtPitch(7, 12)), Interval(Fraction(3, 2)))
+        assert i.ratio == EtPitch(-5, 12, 3)
+        assert nth_power(i.ratio) == 2 ** 7 * Fraction(3, 2) ** 12
 
 
 class TestCongruence:

@@ -133,6 +133,15 @@ class TestGeneration:
             assert s.ratio == raw * Fraction(2) ** s.h
             assert 1 < s.ratio < 2 and sign * s.h <= 0
 
+    def test_fold_is_bounded(self):
+        # m = floor(k * log2(3/2)) = floor(log2 3**k) - k, 3**k not a power of two
+        folds = []
+        for k in range(1, EXPONENT_BOUND + 1):
+            m = (3 ** k).bit_length() - 1 - k
+            assert FifthStep("up", k).h == -m and FifthStep("down", k).h == m + 1
+            folds.append(m + 1)
+        assert max(folds) == 38
+
     def test_fifth_count_cap(self):
         t = generate_fifths(EXPONENT_BOUND, EXPONENT_BOUND)
         assert len(t.entries()) == 2 * EXPONENT_BOUND + 2

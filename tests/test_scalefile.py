@@ -75,6 +75,11 @@ class TestSclWriter:
         doc = et_scale_document(7)
         assert doc.entries[0].pitch_line() == "171.42857"  # 1200/7
 
+    def test_pitch_with_a_coefficient_has_no_cents_line(self):
+        # 3 * 2**(-19/12) has irrational cents: no five exact digits to write
+        with pytest.raises(TuningError):
+            ScaleEntry(EtPitch(-19, 12, 3)).pitch_line()
+
     def test_pythagorean_chromatic(self):
         doc = pythagorean_chromatic_document(generate_fifths(12, 12))
         lines = [e.pitch_line() for e in doc.entries]
