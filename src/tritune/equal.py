@@ -41,8 +41,8 @@ class EtPitch:
 
     r is a positive ratio of odd integers (1 for an equal-division pitch), so
     every exact pitch, 2**x being rational only for integer x, has one r and
-    one reduced k/n.  (k, n) is stored as given; equality and hashing reduce,
-    so EtPitch(2, 24) == EtPitch(1, 12).
+    one reduced k/n.  k and n are ints (not bools), n >= 1, stored as given;
+    equality and hashing reduce, so EtPitch(2, 24) == EtPitch(1, 12).
     """
 
     k: int
@@ -50,8 +50,10 @@ class EtPitch:
     r: Fraction = _ONE
 
     def __post_init__(self):
-        if self.n < 1:
-            raise TuningError("octave divisions n must be a positive integer")
+        if type(self.k) is not int or type(self.n) is not int or self.n < 1:
+            raise TuningError(
+                f"EtPitch takes an integer k and n >= 1, got {self.k!r}, {self.n!r}"
+            )
         r = self.r
         if r is not _ONE and not (
             isinstance(r, (int, Fraction)) and r > 0 and r.numerator & r.denominator & 1
@@ -133,10 +135,19 @@ def _power_form(x) -> tuple[int, int, int, int]:
 
 
 def _sign(a: int, b: int, s: int, m: int) -> int:
-    """sign(a/b - 2**(s/m)) for positive integers a, b and m: with s/m reduced,
-    a**m <=> b**m * 2**s (the shift moves to the left side for s < 0)."""
+    """sign(a/b - 2**(s/m)) for positive integers a, b and m.
+
+    Octaves first: a/b lies in [2**f, 2**(f+1)) for f = floor(log2(a/b)), and
+    2**(s/m) in [2**e, 2**(e+1)) for e = s // m, so f != e decides with no
+    power.  Within one octave band, with s/m reduced, a**m <=> b**m * 2**s
+    (the shift moves to the left side for s < 0): powers of exponent at most
+    m, which :func:`compare_pitches` makes at most n1*n2.
+    """
     if a == b:
         return (s < 0) - (s > 0)
+    f, e = _floor_log2(a, b), s // m
+    if f != e:
+        return (f > e) - (f < e)
     g = math.gcd(s, m)
     lhs, rhs = a ** (m // g) << max(-s // g, 0), b ** (m // g) << max(s // g, 0)
     return (lhs > rhs) - (lhs < rhs)
@@ -176,6 +187,14 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     return _fixed_point(integer_nth_root(radicand, e.denominator), d)
 
 
+def _check_divisions(n: int) -> None:
+    """Require an integer 1 <= n <= MAX_DIVISIONS; a TuningError otherwise."""
+    if type(n) is not int or not 1 <= n <= MAX_DIVISIONS:
+        raise TuningError(
+            f"an equal scale takes 1 to {MAX_DIVISIONS} steps per octave, got {n!r}"
+        )
+
+
 @dataclass(frozen=True)
 class EtScale:
     """n+1 pitches 2**(k/n), k = 0..n, over one octave; 1 <= n <= MAX_DIVISIONS."""
@@ -184,11 +203,7 @@ class EtScale:
     pitches: tuple[EtPitch, ...] = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DIVISIONS:
-            raise TuningError(
-                f"an equal scale takes 1 to {MAX_DIVISIONS} steps per octave, "
-                f"got {self.n}"
-            )
+        _check_divisions(self.n)
         object.__setattr__(
             self, "pitches", tuple(EtPitch(k, self.n) for k in range(self.n + 1))
         )
@@ -224,7 +239,8 @@ def compare_fraction_to_et(r: Fraction, p: EtPitch) -> int:
 
 
 def nearest_degree(r: Fraction, n: int) -> int:
-    """Index of the n-division pitch closest to ratio r = a/b, half rounding up.
+    """Index of the n-division pitch closest to ratio r = a/b, half rounding up;
+    n is an integer from 1 to MAX_DIVISIONS (TuningError otherwise).
 
     The answer is the d with b**(2n) * 2**(2d-1) <= a**(2n) < b**(2n) * 2**(2d+1),
     found in integers: m = floor(log2 r**(2n)) is the bit-length difference
@@ -233,6 +249,7 @@ def nearest_degree(r: Fraction, n: int) -> int:
     impossible unless r is itself a power of 2**(1/2n); the half-up rule
     makes the function total anyway.
     """
+    _check_divisions(n)
     r = Fraction(r)
     if r <= 0:
         raise TuningError("pitch ratios must be positive")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import TuningError
@@ -122,28 +122,6 @@ def compose(i1: Interval, i2: Interval) -> Interval:
     return Interval(EtPitch.of(i1.ratio) * i2.ratio)
 
 
-@dataclass(frozen=True)
-class PitchSequence:
-    """An ordered, non-empty set of positive pitches."""
-
-    pitches: tuple
-
-    def __init__(self, pitches: Iterable[Pitch]):
-        items = tuple(pitches)
-        if not items:
-            raise TuningError("a pitch sequence cannot be empty")
-        for p in items:
-            if not (isinstance(p, float) and 0 < p < math.inf):
-                EtPitch.of(p)  # raises unless p is a positive exact pitch
-        object.__setattr__(self, "pitches", items)
-
-    def __len__(self):
-        return len(self.pitches)
-
-    def __iter__(self):
-        return iter(self.pitches)
-
-
 def _steps_equal(lo1: Pitch, hi1: Pitch, lo2: Pitch, hi2: Pitch) -> bool:
     """Whether hi1/lo1 == hi2/lo2: exactly unless a float is involved."""
     if not any(isinstance(p, float) for p in (lo1, hi1, lo2, hi2)):
@@ -156,14 +134,19 @@ def _steps_equal(lo1: Pitch, hi1: Pitch, lo2: Pitch, hi2: Pitch) -> bool:
 def are_congruent(a, b) -> bool:
     """Whether two ordered sound sets develop along identical ratios.
 
-    Sequences of different length are simply not congruent.  Comparison is
-    exact unless a float is involved, and then in cents within 1e-6.
+    Each set must be non-empty and hold positive exact pitches or positive
+    finite floats (TuningError otherwise); sets of different length are
+    simply not congruent.  Comparison is exact unless a float is involved,
+    and then in cents within 1e-6.
     """
-    seq_a = a if isinstance(a, PitchSequence) else PitchSequence(a)
-    seq_b = b if isinstance(b, PitchSequence) else PitchSequence(b)
-    if len(seq_a) != len(seq_b):
+    pa, pb = tuple(a), tuple(b)
+    for p in pa + pb:
+        if not (isinstance(p, float) and 0 < p < math.inf):
+            EtPitch.of(p)  # raises unless p is a positive exact pitch
+    if not (pa and pb):
+        raise TuningError("a pitch sequence cannot be empty")
+    if len(pa) != len(pb):
         return False
-    pa, pb = seq_a.pitches, seq_b.pitches
     return all(
         _steps_equal(pa[i], pa[i + 1], pb[i], pb[i + 1]) for i in range(len(pa) - 1)
     )
@@ -205,7 +188,6 @@ def classify_et_interval(semitones: int) -> EtIntervalName:
 @dataclass(frozen=True)
 class ChordClassification:
     quality: str
-    root_index: int
     root: NoteName
 
     def __str__(self) -> str:
@@ -226,4 +208,4 @@ def classify_chord(indices, preference: str = "sharp") -> ChordClassification:
     root = distinct[0]
     pattern = tuple(i - root for i in distinct)
     quality = _CHORD_PATTERNS.get(pattern, "unknown")
-    return ChordClassification(quality, root, note_name(root, preference))
+    return ChordClassification(quality, note_name(root, preference))

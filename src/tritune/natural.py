@@ -113,15 +113,12 @@ def frequency_of_division(f_ac: RationalLike, f_ad: RationalLike) -> Fraction:
     Inverse proportionality between string length and frequency turns the
     harmonic mean of lengths into the arithmetic mean of frequencies.
     """
-    fa = _positive_fraction(f_ac, "frequency")
-    fb = _positive_fraction(f_ad, "frequency")
-    return (fa + fb) / 2
+    return means(f_ac, f_ad).arithmetic
 
 
 @dataclass(frozen=True)
 class DerivationStep:
     inputs: tuple[str, str]
-    input_values: tuple[Fraction, Fraction]
     result_name: str
     result: Fraction
 
@@ -145,23 +142,24 @@ def build_core() -> CoreScale:
     mi = frequency_of_division(do, sol)
     re = frequency_of_division(do, mi)
     trace = (
-        DerivationStep(("DO", "2DO"), (do, do2), "SOL", sol),
-        DerivationStep(("DO", "SOL"), (do, sol), "MI", mi),
-        DerivationStep(("DO", "MI"), (do, mi), "RE", re),
+        DerivationStep(("DO", "2DO"), "SOL", sol),
+        DerivationStep(("DO", "SOL"), "MI", mi),
+        DerivationStep(("DO", "MI"), "RE", re),
     )
     return CoreScale(degrees=(do, re, mi, sol, do2), trace=trace)
 
 
 @dataclass(frozen=True)
-class RejectedMean:
-    """A candidate mean that adds nothing: off-lattice or already known."""
+class Candidate:
+    """A value built from the ordered pair (f_n1, f_n2) and its verdict."""
 
-    inputs: tuple[Fraction, Fraction]
+    f_n1: Fraction
+    f_n2: Fraction
     value: Fraction
-    reason: str  # "not-5-limit" | "already-present"
+    reason: str  # "accepted" | "already-present" | "out-of-range" | "not-5-limit"
 
 
-def dead_end_scan(found) -> list[RejectedMean]:
+def dead_end_scan(found) -> list[Candidate]:
     """Take means over all ordered pairs of known sounds; list the rejects.
 
     Rejects are values that are either already in the scale or outside the
@@ -176,9 +174,9 @@ def dead_end_scan(found) -> list[RejectedMean]:
                 continue
             value = frequency_of_division(a, b)
             if value in pitches:
-                rejects.append(RejectedMean((a, b), value, "already-present"))
+                rejects.append(Candidate(a, b, value, "already-present"))
             elif not is_five_smooth(value):
-                rejects.append(RejectedMean((a, b), value, "not-5-limit"))
+                rejects.append(Candidate(a, b, value, "not-5-limit"))
     return rejects
 
 
@@ -209,17 +207,9 @@ def solve_fa_la() -> FaLaSolution:
 
 
 @dataclass(frozen=True)
-class SiCandidate:
-    f_n1: Fraction
-    f_n2: Fraction
-    value: Fraction
-    reason: str  # "accepted" | "out-of-range" | "not-5-limit"
-
-
-@dataclass(frozen=True)
 class SiSearch:
-    accepted: SiCandidate
-    rejected: tuple[SiCandidate, ...]
+    accepted: Candidate
+    rejected: tuple[Candidate, ...]
 
 
 def find_si() -> SiSearch:
@@ -241,11 +231,11 @@ def find_si() -> SiSearch:
                 continue
             f3 = 2 * f_n1 - f_n2
             if not lo < f3 < hi:
-                rejected.append(SiCandidate(f_n1, f_n2, f3, "out-of-range"))
+                rejected.append(Candidate(f_n1, f_n2, f3, "out-of-range"))
             elif not is_five_smooth(f3):
-                rejected.append(SiCandidate(f_n1, f_n2, f3, "not-5-limit"))
+                rejected.append(Candidate(f_n1, f_n2, f3, "not-5-limit"))
             else:
-                accepted.append(SiCandidate(f_n1, f_n2, f3, "accepted"))
+                accepted.append(Candidate(f_n1, f_n2, f3, "accepted"))
     if len(accepted) != 1:
         raise PropositionViolationError(
             f"expected exactly one admissible SI, found {len(accepted)}"

@@ -18,7 +18,7 @@ from .errors import CoverageError, ExponentBoundError, PropositionViolationError
 from .errors import TuningError
 from .intervals import NoteName, note_name
 from .ratio import EXPONENT_BOUND, Monzo, cents, octave_shift
-from .ratio import reduce_to_octave
+from .ratio import monzo_to_rational, reduce_to_octave
 
 PYTHAGOREAN_COMMA = Fraction(531441, 524288)  # (3/2)**12 / 2**7
 LIMMA = Fraction(256, 243)  # the diatonic semitone, 2**8 / 3**5
@@ -98,9 +98,6 @@ class PythTable:
         rows.append(PythEntry(Fraction(2), None))
         return rows
 
-    def entries_sorted(self) -> list[PythEntry]:
-        return sorted(self.entries(), key=lambda e: e.ratio)
-
     def ratios(self) -> list[Fraction]:
         return [e.ratio for e in self.entries()]
 
@@ -122,7 +119,8 @@ def classify_to_et(r: Fraction, n: int = 12) -> tuple[int, float]:
     """Slot a ratio against the nearest n-division degree.
 
     Returns (degree, deviation in cents); positive deviation means the sound
-    sits above its equal neighbour.
+    sits above its equal neighbour.  n is an integer from 1 to
+    ``equal.MAX_DIVISIONS``, as for ``equal.nearest_degree``.
     """
     r = Fraction(r)
     if not 1 <= r <= 2:
@@ -138,15 +136,15 @@ def pairing_table(
 
     Each degree must receive exactly one approximant from below and one from
     above (the endpoints sit exactly on degrees 0 and n).  Anything else is a
-    coverage error naming the offending degree.
+    coverage error naming the offending degree.  n is an integer from 1 to
+    ``equal.MAX_DIVISIONS``, as for ``equal.nearest_degree``.
     """
-    buckets: dict[int, list[PythEntry]] = {d: [] for d in range(n + 1)}
+    buckets: dict[int, list[PythEntry]] = {}
     for entry in t.entries():
-        degree = nearest_degree(entry.ratio, n)
-        buckets[degree].append(entry)
+        buckets.setdefault(nearest_degree(entry.ratio, n), []).append(entry)
     pairs = {}
     for degree in range(n + 1):
-        found = sorted(buckets[degree], key=lambda e: e.ratio)
+        found = sorted(buckets.get(degree, []), key=lambda e: e.ratio)
         if len(found) != 2:
             raise CoverageError(degree, len(found))
         low, high = found
@@ -205,9 +203,6 @@ def select_chromatic(t: PythTable) -> list[NamedPitch]:
 class ToneSplitReport:
     """How the whole tone DO-RE splits into the two unequal semitones."""
 
-    limma: Fraction
-    apotome: Fraction
-    tone: Fraction
     product_is_tone: bool
     limma_below_equal_semitone: bool
     apotome_above_equal_semitone: bool
@@ -225,9 +220,6 @@ def tone_split_analysis() -> ToneSplitReport:
     flat_to_re = TONE / LIMMA
     sharp_to_re = TONE / APOTOME
     report = ToneSplitReport(
-        limma=LIMMA,
-        apotome=APOTOME,
-        tone=TONE,
         product_is_tone=LIMMA * APOTOME == TONE,
         limma_below_equal_semitone=compare_fraction_to_et(LIMMA, semitone) < 0,
         apotome_above_equal_semitone=compare_fraction_to_et(APOTOME, semitone) > 0,
@@ -258,8 +250,6 @@ def tone_split_analysis() -> ToneSplitReport:
 class BaseDependenceDemo:
     """Witness that the finite selection depends on the starting sound."""
 
-    base_monzo: Monzo  # the MI used as alternative base
-    shift_monzo: Monzo  # nine fifths up, five halvings
     product_monzo: Monzo
     product_ratio: Fraction  # octave-reduced, relative to the original base
     product_in_table: bool
@@ -272,12 +262,10 @@ def base_dependence_demo(t: PythTable) -> BaseDependenceDemo:
     mi = Monzo(-6, 4)
     shift = Monzo(-5 - 9, 9)  # 2**-5 * (3/2)**9
     product = mi + shift
-    product_ratio = reduce_to_octave(product.as_fraction())
-    control_ratio = reduce_to_octave(shift.as_fraction())
+    product_ratio = reduce_to_octave(monzo_to_rational(product))
+    control_ratio = reduce_to_octave(monzo_to_rational(shift))
     ratios = set(t.ratios())
     demo = BaseDependenceDemo(
-        base_monzo=mi,
-        shift_monzo=shift,
         product_monzo=product,
         product_ratio=product_ratio,
         product_in_table=product_ratio in ratios,

@@ -78,9 +78,6 @@ class Monzo:
     def __sub__(self, other: "Monzo") -> "Monzo":
         return Monzo(self.exp2 - other.exp2, self.exp3 - other.exp3, self.exp5 - other.exp5)
 
-    def as_fraction(self) -> Fraction:
-        return monzo_to_rational(self)
-
 
 def _monzo_terms(m: Monzo) -> tuple[int, int]:
     """Coprime (num, den) with num / den = 2**exp2 * 3**exp3 * 5**exp5."""
@@ -244,7 +241,9 @@ def _terminating_digits(den: int) -> Optional[int]:
 
 
 def check_digits(digits: int) -> None:
-    """Require 1 <= digits <= MAX_DIGITS; a TuningError otherwise."""
+    """Require an integer 1 <= digits <= MAX_DIGITS; a TuningError otherwise."""
+    if type(digits) is not int:
+        raise TuningError(f"digits must be an integer, got {digits!r}")
     if digits < 1:
         raise TuningError("digits must be >= 1")
     if digits > MAX_DIGITS:

@@ -27,7 +27,7 @@ def _aligned(rows: list[tuple[str, ...]]) -> str:
 def fifth_generation_text(table: PythTable) -> str:
     """All generated sounds ascending: ratio, truncated decimal, construction."""
     lines = []
-    for entry in table.entries_sorted():
+    for entry in sorted(table.entries(), key=lambda e: e.ratio):
         pq = f"{entry.ratio.numerator}/{entry.ratio.denominator}"
         lines.append(f"{pq} {to_decimal(entry.ratio, 5)} {entry.construction()}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import math
+import signal
 import sys
 from decimal import Decimal, ROUND_DOWN, localcontext
 from fractions import Fraction
@@ -22,7 +23,7 @@ from tritune.equal import (
 )
 from tritune.errors import TuningError, UnsupportedDivisionError
 from tritune.intervals import Interval, compose
-from tritune.ratio import MAX_DIGITS, Monzo, integer_nth_root
+from tritune.ratio import MAX_DIGITS, Monzo, integer_nth_root, monzo_to_rational
 
 
 def decimal_power_of_two(k: int, n: int, digits: int) -> str:
@@ -60,6 +61,13 @@ class TestEtPitch:
     def test_invalid_division(self):
         with pytest.raises(ValueError):
             EtPitch(1, 0)
+
+    @pytest.mark.parametrize(
+        "k, n", [(1.5, 12), (True, 12), (Fraction(1), 12), (1, 12.0), (1, True), (1, Fraction(12))]
+    )
+    def test_k_and_n_must_be_integers(self, k, n):
+        with pytest.raises(TuningError):
+            EtPitch(k, n)
 
     def test_coefficient(self):
         p = EtPitch(-19, 12, 3)
@@ -127,6 +135,9 @@ class TestEtValue:
     def test_domain(self):
         with pytest.raises(ValueError):
             et_value(EtPitch(1, 12), 0)
+        for digits in (2.5, 5.0, True):
+            with pytest.raises(TuningError):
+                et_value(EtPitch(1, 12), digits)
 
     @pytest.mark.parametrize("p", [EtPitch(7, 12, 3), EtPitch(0, 1, 3), EtPitch(1, 2, Fraction(1, 5))])
     def test_coefficient_other_than_one_rejected(self, p):
@@ -257,6 +268,12 @@ class TestExactComparison:
         assert compare_fraction_to_et(Fraction(4, 3), EtPitch(5, 12)) == -1
         assert compare_fraction_to_et(Fraction(2), EtPitch(12, 12)) == 0
 
+    def test_divisions_cap(self):
+        assert nearest_degree(Fraction(3, 2), MAX_DIVISIONS) == 702
+        for n in (MAX_DIVISIONS + 1, 0, -12, 12.0, True):
+            with pytest.raises(TuningError):
+                nearest_degree(Fraction(3, 2), n)
+
     def test_nearest_degree_anchors(self):
         assert nearest_degree(Fraction(1), 12) == 0
         assert nearest_degree(Fraction(2), 12) == 12
@@ -317,7 +334,7 @@ def pitch_as_power(p):
     if isinstance(p, EtPitch):
         return Fraction(p.r), p.k, p.n
     if isinstance(p, Monzo):
-        return p.as_fraction(), 0, 1
+        return monzo_to_rational(p), 0, 1
     return Fraction(p), 0, 1
 
 
@@ -340,6 +357,14 @@ pitches = st.one_of(
     st.builds(
         EtPitch,
         st.integers(min_value=-100, max_value=100),
+        st.integers(min_value=1, max_value=60),
+        st.builds(Fraction, odd, odd),
+    ),
+    # far apart: many octaves from the others, settled by the octaves alone
+    st.integers(min_value=2 ** 60, max_value=2 ** 200),
+    st.builds(
+        EtPitch,
+        st.integers(min_value=-10 ** 4, max_value=10 ** 4),
         st.integers(min_value=1, max_value=60),
         st.builds(Fraction, odd, odd),
     ),
@@ -387,6 +412,21 @@ class TestComparePitches:
         if same:
             assert hash(EtPitch.of(x)) == hash(EtPitch.of(y))
         assert tie <= same
+
+    def test_different_octaves_form_no_power(self):
+        # exponent m = 1199 * 1200 would take tens of seconds to form
+        def timeout(*args):
+            raise AssertionError("compare_pitches formed a power")
+
+        x, y = EtPitch(1, 1199, 3 ** 20), EtPitch(1, 1200, 5 ** 13)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            assert compare_pitches(x, y) == 1
+            assert compare_pitches(y, x) == -1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_near_miss_is_decided(self):
         # 53545/35737 lies 2e-7 cents below 2**(7/12)

@@ -1,10 +1,12 @@
-"""The four reference tables must render byte-identically to the checked-in
-golden files, whose numeric content is produced by the exact modules."""
+"""The four reference tables and the ``natural --trace`` derivation must
+render byte-identically to the checked-in golden files, whose numeric content
+is produced by the exact modules."""
 
 from pathlib import Path
 
 import pytest
 
+from tritune import cli
 from tritune.pythagorean import generate_fifths
 from tritune.tables import (
     chromatic_text,
@@ -39,6 +41,11 @@ def test_chromatic_table(table):
 
 def test_comparison_table():
     assert comparison_text() == golden("comparison.txt")
+
+
+def test_natural_trace(capsys):
+    assert cli.main(["natural", "--trace"]) == 0
+    assert capsys.readouterr().out == golden("natural_trace.txt")
 
 
 def test_goldens_carry_the_reference_values():

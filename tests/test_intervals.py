@@ -10,7 +10,6 @@ from tritune.errors import TuningError
 from tritune.intervals import (
     Interval,
     NoteName,
-    PitchSequence,
     are_congruent,
     classify_chord,
     classify_et_interval,
@@ -161,7 +160,9 @@ class TestCongruence:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            PitchSequence([])
+            are_congruent([], [])
+        with pytest.raises(ValueError):
+            are_congruent([1, 2], [])
 
     @given(st.lists(fractions_01, min_size=2, max_size=6), fractions_01, fractions_01)
     def test_equivalence_laws(self, seq, kappa, lam):

@@ -132,7 +132,7 @@ class TestCoreConstruction:
 
 class TestDeadEndScan:
     def test_quoted_rejects(self, rejects):
-        by_pair = {(r.inputs[0], r.inputs[1]): r for r in rejects}
+        by_pair = {(r.f_n1, r.f_n2): r for r in rejects}
         eleven_eighths = by_pair[(Fraction(5, 4), Fraction(3, 2))]
         assert (eleven_eighths.value, eleven_eighths.reason) == (
             Fraction(11, 8),
@@ -147,7 +147,7 @@ class TestDeadEndScan:
         assert rejects
         assert {r.reason for r in rejects} == {"not-5-limit", "already-present"}
         for r in rejects:
-            assert r.value == (r.inputs[0] + r.inputs[1]) / 2
+            assert r.value == (r.f_n1 + r.f_n2) / 2
 
 
 class TestFaLa:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tritune.equal import EtPitch, compare_fraction_to_et
+from tritune.equal import MAX_DIVISIONS, EtPitch, compare_fraction_to_et
 from tritune.errors import CoverageError, ExponentBoundError, TuningError
 from tritune.intervals import are_congruent, note_name
 from tritune.pythagorean import (
@@ -169,6 +169,14 @@ class TestClassification:
     def test_outside_octave_rejected(self):
         with pytest.raises(TuningError):
             classify_to_et(Fraction(5, 2))
+
+    def test_divisions_must_be_an_integer_from_1_to_the_cap(self, table):
+        assert classify_to_et(Fraction(3, 2), MAX_DIVISIONS)[0] == 702
+        for n in (0, -12, MAX_DIVISIONS + 1, 12.0):
+            with pytest.raises(TuningError):
+                classify_to_et(Fraction(3, 2), n)
+            with pytest.raises(TuningError):
+                pairing_table(table, n)
 
 
 class TestPairing:

@@ -289,6 +289,9 @@ class TestDecimalRendering:
     def test_domain(self):
         with pytest.raises(TuningError):
             to_decimal(Fraction(1), 0)
+        for digits in (True, 2.5, 5.0, "5"):
+            with pytest.raises(TuningError):
+                to_decimal(Fraction(1, 3), digits)
 
     def test_digit_cap(self):
         assert to_decimal(Fraction(1, 3), MAX_DIGITS) == "0." + "3" * MAX_DIGITS
