@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .errors import TuningError, UnsupportedDivisionError
-from .ratio import Monzo, _fixed_point, _floor_log2, _monzo_terms, check_digits
+from .errors import TuningError, UnsupportedDivisionError, check_int, positive_fraction
+from .ratio import MAX_DIGITS, Monzo, _fixed_point, _floor_log2, _monzo_terms
 from .ratio import cents, integer_nth_root, is_nth_root_irrational, to_decimal
 
 #: Chromatic indices of the major diatonic subset of the 12-division scale.
@@ -31,6 +31,13 @@ MAX_DIVISIONS = 1200
 #: so the paper's 12-step scale takes every digit count.  Each cap alone
 #: leaves the product, and with it the roots of one table, unbounded.
 MAX_ET_DIGITS = 48_000
+
+#: Most bits of a power b**e, counted as e * bits(b), that an exact comparison
+#: forms: :func:`compare_pitches` in one octave band and :func:`nearest_degree`
+#: raise a TuningError beyond it, before any power.  Such a power takes about
+#: 65 ms on a 2-vCPU Xeon VM; the package's largest, at n = 1200 on 64 fifths
+#: in ``nearest_degree``, has about 247 000 bits.
+MAX_POWER_BITS = 2 ** 20
 
 _ONE = Fraction(1)
 
@@ -50,10 +57,8 @@ class EtPitch:
     r: Fraction = _ONE
 
     def __post_init__(self):
-        if type(self.k) is not int or type(self.n) is not int or self.n < 1:
-            raise TuningError(
-                f"EtPitch takes an integer k and n >= 1, got {self.k!r}, {self.n!r}"
-            )
+        check_int("k", self.k, None)
+        check_int("n", self.n, 1)
         r = self.r
         if r is not _ONE and not (
             isinstance(r, (int, Fraction)) and r > 0 and r.numerator & r.denominator & 1
@@ -134,6 +139,12 @@ def _power_form(x) -> tuple[int, int, int, int]:
     raise TuningError(f"pitches must be positive, got {x!r}")
 
 
+def _check_power(base: int, e: int) -> None:
+    """TuningError if base**e, counted as e * bits(base), passes MAX_POWER_BITS."""
+    if e * base.bit_length() > MAX_POWER_BITS:
+        raise TuningError(f"a power of {e} x {base.bit_length()} bits is over MAX_POWER_BITS")
+
+
 def _sign(a: int, b: int, s: int, m: int) -> int:
     """sign(a/b - 2**(s/m)) for positive integers a, b and m.
 
@@ -141,7 +152,8 @@ def _sign(a: int, b: int, s: int, m: int) -> int:
     2**(s/m) in [2**e, 2**(e+1)) for e = s // m, so f != e decides with no
     power.  Within one octave band, with s/m reduced, a**m <=> b**m * 2**s
     (the shift moves to the left side for s < 0): powers of exponent at most
-    m, which :func:`compare_pitches` makes at most n1*n2.
+    m, which :func:`compare_pitches` makes at most n1*n2, and of at most
+    ``MAX_POWER_BITS`` bits (TuningError beyond).
     """
     if a == b:
         return (s < 0) - (s > 0)
@@ -149,6 +161,7 @@ def _sign(a: int, b: int, s: int, m: int) -> int:
     if f != e:
         return (f > e) - (f < e)
     g = math.gcd(s, m)
+    _check_power(max(a, b), m // g)
     lhs, rhs = a ** (m // g) << max(-s // g, 0), b ** (m // g) << max(s // g, 0)
     return (lhs > rhs) - (lhs < rhs)
 
@@ -169,7 +182,7 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     5**(d*n) and the root's a**(n-1) (on a 2-vCPU Xeon VM: 0.012 s for
     n = 12, 1.2 s for n = 311 and 8 s for n = 1200 at the digit cap, k < n).
     """
-    check_digits(precision_digits)
+    check_int("digits", precision_digits, 1, MAX_DIGITS)
     if p.r != 1:
         raise TuningError(f"only 2^(k/n) is printed, not {p.exact_form()}")
     limit = sys.get_int_max_str_digits()
@@ -187,14 +200,6 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     return _fixed_point(integer_nth_root(radicand, e.denominator), d)
 
 
-def _check_divisions(n: int) -> None:
-    """Require an integer 1 <= n <= MAX_DIVISIONS; a TuningError otherwise."""
-    if type(n) is not int or not 1 <= n <= MAX_DIVISIONS:
-        raise TuningError(
-            f"an equal scale takes 1 to {MAX_DIVISIONS} steps per octave, got {n!r}"
-        )
-
-
 @dataclass(frozen=True)
 class EtScale:
     """n+1 pitches 2**(k/n), k = 0..n, over one octave; 1 <= n <= MAX_DIVISIONS."""
@@ -203,7 +208,7 @@ class EtScale:
     pitches: tuple[EtPitch, ...] = field(init=False)
 
     def __post_init__(self):
-        _check_divisions(self.n)
+        check_int("steps per octave n", self.n, 1, MAX_DIVISIONS)
         object.__setattr__(
             self, "pitches", tuple(EtPitch(k, self.n) for k in range(self.n + 1))
         )
@@ -220,7 +225,7 @@ def generate_et(n: int) -> EtScale:
 
 def et_semitone_count(i1: int, i2: int) -> int:
     """Number of scale steps spanned by two indices."""
-    return abs(i2 - i1)
+    return abs(check_int("i2", i2, None) - check_int("i1", i1, None))
 
 
 def diatonic_subset(scale: EtScale) -> list[EtPitch]:
@@ -240,7 +245,8 @@ def compare_fraction_to_et(r: Fraction, p: EtPitch) -> int:
 
 def nearest_degree(r: Fraction, n: int) -> int:
     """Index of the n-division pitch closest to ratio r = a/b, half rounding up;
-    n is an integer from 1 to MAX_DIVISIONS (TuningError otherwise).
+    n is an integer from 1 to MAX_DIVISIONS and a**(2n), b**(2n) have at most
+    ``MAX_POWER_BITS`` bits (TuningError otherwise).
 
     The answer is the d with b**(2n) * 2**(2d-1) <= a**(2n) < b**(2n) * 2**(2d+1),
     found in integers: m = floor(log2 r**(2n)) is the bit-length difference
@@ -249,10 +255,9 @@ def nearest_degree(r: Fraction, n: int) -> int:
     impossible unless r is itself a power of 2**(1/2n); the half-up rule
     makes the function total anyway.
     """
-    _check_divisions(n)
-    r = Fraction(r)
-    if r <= 0:
-        raise TuningError("pitch ratios must be positive")
+    check_int("steps per octave n", n, 1, MAX_DIVISIONS)
+    r = positive_fraction(r, "a pitch ratio")
+    _check_power(max(r.numerator, r.denominator), 2 * n)
     m = _floor_log2(r.numerator ** (2 * n), r.denominator ** (2 * n))
     return (m + 1) // 2
 
@@ -264,7 +269,7 @@ def compare_pitches(
 
     Each pitch is read as (p/q) * 2**(k/n), and x <=> y iff
     (p1*q2) / (q1*p2) <=> 2**((k2*n1 - k1*n2) / (n1*n2)), which the integer
-    kernel ``_sign`` decides.
+    kernel ``_sign`` decides, with a TuningError past ``MAX_POWER_BITS``.
     """
     p1, q1, k1, n1 = _power_form(x)
     p2, q2, k2, n2 = _power_form(y)

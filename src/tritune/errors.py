@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input contract that
+every public count, index and ratio argument passes through."""
+
+from fractions import Fraction
 
 
 class TuningError(ValueError):
@@ -24,3 +27,22 @@ class CoverageError(TuningError):
 
 class PropositionViolationError(TuningError):
     """An exhaustive search did not confirm a uniqueness claim it was asked to verify."""
+
+
+def check_int(
+    what: str, value, lo: int | None, hi: int | None = None, error=TuningError
+) -> int:
+    """``value`` if it is an int, not a bool, with lo <= value <= hi (a bound
+    of None is no bound); ``error`` otherwise."""
+    if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
+        return value
+    span = "" if lo is None else f" from {lo} to {hi}" if hi is not None else f" >= {lo}"
+    raise error(f"{what} must be an integer{span}, got {value!r}")
+
+
+def positive_fraction(x, what: str) -> Fraction:
+    """``x`` as a Fraction if it is a positive int or Fraction, not a bool; a
+    TuningError otherwise, floats and strings included."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x > 0:
+        return x if isinstance(x, Fraction) else Fraction(x)
+    raise TuningError(f"{what} must be a positive int or Fraction, got {x!r}")

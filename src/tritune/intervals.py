@@ -17,7 +17,7 @@ from functools import cmp_to_key
 from typing import Optional, Sequence, Union
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
-from .errors import TuningError
+from .errors import TuningError, check_int
 from .ratio import Monzo, cents
 
 Pitch = Union[int, Fraction, float, Monzo, EtPitch]
@@ -74,7 +74,7 @@ def note_name(chromatic_index: int, preference: str = "sharp") -> NoteName:
     """
     if preference not in ("sharp", "flat"):
         raise TuningError("preference must be 'sharp' or 'flat'")
-    i = chromatic_index % 12
+    i = check_int("a chromatic index", chromatic_index, None) % 12
     if i in _DIATONIC_LETTER:
         return NoteName(_DIATONIC_LETTER[i])
     if preference == "sharp":
@@ -154,17 +154,18 @@ def are_congruent(a, b) -> bool:
 
 def transpose_indices(indices: Sequence[int], k: int) -> list[int]:
     """Shift every scale index by the same amount, preserving order."""
-    return [i + k for i in indices]
+    check_int("a shift k", k, None)
+    return [check_int("an index", i, None) + k for i in indices]
 
 
 def sharp(index: int) -> int:
     """One step up the chromatic ladder."""
-    return index + 1
+    return check_int("an index", index, None) + 1
 
 
 def flat(index: int) -> int:
     """One step down the chromatic ladder."""
-    return index - 1
+    return check_int("an index", index, None) - 1
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,7 @@ class EtIntervalName:
 
 def classify_et_interval(semitones: int) -> EtIntervalName:
     """Name an interval by its step count: 0 unison, 5 fourth, 7 fifth, ..."""
-    if semitones < 0:
-        raise TuningError("a step count cannot be negative")
+    check_int("a step count", semitones, 0)
     return EtIntervalName(semitones, _SEMITONE_NAMES.get(semitones))
 
 
@@ -202,7 +202,7 @@ def classify_chord(indices, preference: str = "sharp") -> ChordClassification:
     The pattern is read relative to the lowest sound, which also names the
     chord.  Anything but the three named shapes comes back as "unknown".
     """
-    distinct = sorted(set(indices))
+    distinct = sorted({check_int("a chord index", i, None) for i in indices})
     if len(distinct) < 3:
         raise TuningError("a chord needs at least three distinct sounds")
     root = distinct[0]

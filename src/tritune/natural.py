@@ -18,8 +18,9 @@ from functools import cmp_to_key
 from typing import Optional, Union
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
-from .errors import PropositionViolationError, TuningError
+from .errors import PropositionViolationError, TuningError, positive_fraction
 from .intervals import NoteName
+from .pythagorean import generate_fifths, select_chromatic
 from .ratio import RationalLike, is_five_smooth, is_perfect_nth_power
 
 #: the just diatonic degrees, ascending, with their names
@@ -33,13 +34,6 @@ DIATONIC_DEGREES = (
     ("SI", Fraction(15, 8)),
     ("DO", Fraction(2)),
 )
-
-
-def _positive_fraction(x: RationalLike, what: str) -> Fraction:
-    f = Fraction(x)
-    if f <= 0:
-        raise TuningError(f"{what} must be positive, got {x}")
-    return f
 
 
 @dataclass(frozen=True)
@@ -71,8 +65,8 @@ class MeanTriple:
 
 def means(a: RationalLike, b: RationalLike) -> MeanTriple:
     """The three classical means of two positive rationals."""
-    fa = _positive_fraction(a, "a")
-    fb = _positive_fraction(b, "b")
+    fa = positive_fraction(a, "a")
+    fb = positive_fraction(b, "b")
     return MeanTriple(
         arithmetic=(fa + fb) / 2,
         harmonic=2 * fa * fb / (fa + fb),
@@ -95,8 +89,8 @@ def harmonic_divide(ac: RationalLike, ad: RationalLike) -> HarmonicDivision:
     The defining proportion AC/CB == AD/BD is re-checked exactly on the
     result before it is returned.
     """
-    fac = _positive_fraction(ac, "AC")
-    fad = _positive_fraction(ad, "AD")
+    fac = positive_fraction(ac, "AC")
+    fad = positive_fraction(ad, "AD")
     if fac >= fad:
         raise TuningError(f"AC must be shorter than AD, got AC={fac}, AD={fad}")
     ab = means(fac, fad).harmonic
@@ -166,7 +160,7 @@ def dead_end_scan(found) -> list[Candidate]:
     5-limit lattice.  Both orientations of every pair are scanned so the
     stall is certified exhaustively.
     """
-    pitches = [Fraction(p) for p in found]
+    pitches = [positive_fraction(p, "a found pitch") for p in found]
     rejects = []
     for a in pitches:
         for b in pitches:
@@ -304,8 +298,6 @@ def _ordering(row: ComparisonRow) -> str:
 
 def compare_three_scales() -> ScaleComparison:
     """The diatonic degrees of the equal, fifth-built and just scales."""
-    from .pythagorean import generate_fifths, select_chromatic
-
     chromatic = select_chromatic(generate_fifths(12, 12))
     pyth = [p.ratio for p in chromatic if p.name.accidental == "natural"]
     natural = assemble_diatonic()

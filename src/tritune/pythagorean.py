@@ -15,7 +15,7 @@ from typing import Optional
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_fraction_to_et, nearest_degree
 from .errors import CoverageError, ExponentBoundError, PropositionViolationError
-from .errors import TuningError
+from .errors import TuningError, check_int, positive_fraction
 from .intervals import NoteName, note_name
 from .ratio import EXPONENT_BOUND, Monzo, cents, octave_shift
 from .ratio import monzo_to_rational, reduce_to_octave
@@ -46,12 +46,8 @@ class FifthStep:
     def __post_init__(self):
         if self.direction not in ("up", "down"):
             raise TuningError("direction must be 'up' or 'down'")
-        if self.k < 1:
-            raise TuningError("a fifth step needs k >= 1")
-        if self.k > EXPONENT_BOUND:
-            raise ExponentBoundError(
-                f"at most {EXPONENT_BOUND} fifths each way, got {self.k}"
-            )
+        check_int("a fifth count k", self.k, 1)
+        check_int("a fifth count k", self.k, 1, EXPONENT_BOUND, ExponentBoundError)
         raw = Fraction(3, 2) ** (self.k if self.direction == "up" else -self.k)
         h = octave_shift(raw)
         object.__setattr__(self, "h", h)
@@ -108,8 +104,8 @@ def generate_fifths(m1: int, m2: int) -> PythTable:
     m1 and m2 run from 0 to ``EXPONENT_BOUND``; beyond it the first step
     past the bound raises ExponentBoundError.
     """
-    if m1 < 0 or m2 < 0:
-        raise TuningError("iteration counts cannot be negative")
+    check_int("fifths down m1", m1, 0)
+    check_int("fifths up m2", m2, 0)
     down = tuple(FifthStep("down", k) for k in range(1, m1 + 1))
     up = tuple(FifthStep("up", k) for k in range(1, m2 + 1))
     return PythTable(down, up)
@@ -122,7 +118,7 @@ def classify_to_et(r: Fraction, n: int = 12) -> tuple[int, float]:
     sits above its equal neighbour.  n is an integer from 1 to
     ``equal.MAX_DIVISIONS``, as for ``equal.nearest_degree``.
     """
-    r = Fraction(r)
+    r = positive_fraction(r, "a pitch ratio")
     if not 1 <= r <= 2:
         raise TuningError(f"ratio {r} is outside the reference octave [1, 2]")
     degree = nearest_degree(r, n)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ExponentBoundError, TuningError
+from .errors import ExponentBoundError, TuningError, check_int, positive_fraction
 
 #: Safety bound on prime exponents, and on the fifths ``pythagorean.FifthStep``
 #: stacks each way.  3**64 is far beyond any value a scale construction
@@ -67,16 +67,10 @@ class Monzo:
 
     def __post_init__(self):
         for e in (self.exp2, self.exp3, self.exp5):
-            if abs(e) > EXPONENT_BOUND:
-                raise ExponentBoundError(
-                    f"exponent {e} exceeds the configured bound +/-{EXPONENT_BOUND}"
-                )
+            check_int("exponent", e, -EXPONENT_BOUND, EXPONENT_BOUND, ExponentBoundError)
 
     def __add__(self, other: "Monzo") -> "Monzo":
         return Monzo(self.exp2 + other.exp2, self.exp3 + other.exp3, self.exp5 + other.exp5)
-
-    def __sub__(self, other: "Monzo") -> "Monzo":
-        return Monzo(self.exp2 - other.exp2, self.exp3 - other.exp3, self.exp5 - other.exp5)
 
 
 def _monzo_terms(m: Monzo) -> tuple[int, int]:
@@ -97,9 +91,7 @@ def rational_to_monzo(r: RationalLike) -> Optional[Monzo]:
     None is a membership signal, not an error: callers use it to test whether
     a sound belongs to the prime lattice at all.
     """
-    r = Fraction(r)
-    if r <= 0:
-        raise TuningError("pitch ratios must be positive")
+    r = positive_fraction(r, "a pitch ratio")
     exps = {2: 0, 3: 0, 5: 0}
     num, den = r.numerator, r.denominator
     for p in (2, 3, 5):
@@ -127,15 +119,13 @@ def _floor_log2(a: int, b: int) -> int:
 
 def octave_shift(r: RationalLike) -> int:
     """The unique h with 1 <= r * 2**h < 2."""
-    r = Fraction(r)
-    if r <= 0:
-        raise TuningError("pitch ratios must be positive")
+    r = positive_fraction(r, "a pitch ratio")
     return -_floor_log2(r.numerator, r.denominator)
 
 
 def reduce_to_octave(r: RationalLike) -> Fraction:
     """Multiply by the unique power of two that lands ``r`` in [1, 2)."""
-    r = Fraction(r)
+    r = positive_fraction(r, "a pitch ratio")
     return r * Fraction(2) ** octave_shift(r)
 
 
@@ -165,9 +155,8 @@ def integer_nth_root(x: int, n: int) -> int:
     certificate failed, ``ArithmeticError`` is raised instead of returning
     an inexact root.
     """
-    if x < 0 or n < 1:
-        raise TuningError("integer_nth_root requires x >= 0, n >= 1")
-    if n == 1:
+    check_int("x", x, 0)
+    if check_int("n", n, 1) == 1:
         a, p = x, 1
     elif n == 2:
         a = p = math.isqrt(x)
@@ -211,11 +200,8 @@ def _newton_root(x: int, n: int) -> tuple[int, int]:
 
 def is_perfect_nth_power(m: int, n: int) -> tuple[bool, Optional[int]]:
     """Whether a**n == m for some integer a; returns (flag, a or None)."""
-    if m < 1:
-        raise TuningError("m must be a positive integer")
-    if n < 2:
-        raise TuningError("n must be at least 2")
-    a = integer_nth_root(m, n)
+    check_int("m", m, 1)
+    a = integer_nth_root(m, check_int("n", n, 2))
     if a ** n == m:
         return True, a
     return False, None
@@ -223,8 +209,7 @@ def is_perfect_nth_power(m: int, n: int) -> tuple[bool, Optional[int]]:
 
 def is_nth_root_irrational(m: int, n: int) -> bool:
     """True exactly when the nth root of m is irrational (m, n >= 2)."""
-    if m < 2 or n < 2:
-        raise TuningError("requires m >= 2 and n >= 2")
+    check_int("m", m, 2)
     return not is_perfect_nth_power(m, n)[0]
 
 
@@ -240,16 +225,6 @@ def _terminating_digits(den: int) -> Optional[int]:
     return max(twos, fives) if den == 1 else None
 
 
-def check_digits(digits: int) -> None:
-    """Require an integer 1 <= digits <= MAX_DIGITS; a TuningError otherwise."""
-    if type(digits) is not int:
-        raise TuningError(f"digits must be an integer, got {digits!r}")
-    if digits < 1:
-        raise TuningError("digits must be >= 1")
-    if digits > MAX_DIGITS:
-        raise TuningError(f"at most {MAX_DIGITS} digits can be printed, got {digits}")
-
-
 def to_decimal(r: RationalLike, digits: int) -> str:
     """Truncated decimal expansion of ``r`` with ``digits`` fraction digits.
 
@@ -257,7 +232,7 @@ def to_decimal(r: RationalLike, digits: int) -> str:
     with no zero padding ("1.5", "1"); all other values get exactly ``digits``
     truncated digits ("1.33333", "1.60180").
     """
-    check_digits(digits)
+    check_int("digits", digits, 1, MAX_DIGITS)
     r = Fraction(r)
     if r < 0:
         raise TuningError("negative ratios are not printable pitches")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import TuningError
+from .errors import TuningError, check_int
 
 #: Most stimuli :func:`uniform_stimuli` produces; beyond it a TuningError, so
 #: one call builds at most this many floats.
@@ -51,8 +51,7 @@ def uniform_stimuli(s1: float, c: float, k: float, n: int) -> list[float]:
         raise TuningError("the context constant k must be positive")
     if s1 <= 0:
         raise TuningError("the starting stimulus must be positive")
-    if not 2 <= n <= MAX_STIMULI:
-        raise TuningError(f"a stimulus series needs 2 to {MAX_STIMULI} values, got {n}")
+    check_int("a stimulus count n", n, 2, MAX_STIMULI)
     ratio = 1.0 + c / k
     if not 0 < ratio < math.inf:
         raise TuningError(

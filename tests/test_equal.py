@@ -1,8 +1,10 @@
 import math
 import signal
 import sys
+from contextlib import contextmanager
 from decimal import Decimal, ROUND_DOWN, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from tritune import equal
 from tritune.equal import (
     MAX_DIVISIONS,
+    MAX_POWER_BITS,
     EtPitch,
     EtScale,
     compare_fraction_to_et,
@@ -23,6 +26,7 @@ from tritune.equal import (
 )
 from tritune.errors import TuningError, UnsupportedDivisionError
 from tritune.intervals import Interval, compose
+from tritune.pythagorean import FifthStep, classify_to_et
 from tritune.ratio import MAX_DIGITS, Monzo, integer_nth_root, monzo_to_rational
 
 
@@ -32,6 +36,22 @@ def decimal_power_of_two(k: int, n: int, digits: int) -> str:
         ctx.prec = 50
         value = (Decimal(2).ln() * k / n).exp()
         return str(value.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_DOWN))
+
+
+@contextmanager
+def within_seconds(seconds):
+    """Fail the enclosed block if it runs longer than ``seconds``."""
+
+    def timeout(*args):
+        raise AssertionError(f"took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestEtPitch:
@@ -415,20 +435,103 @@ class TestComparePitches:
 
     def test_different_octaves_form_no_power(self):
         # exponent m = 1199 * 1200 would take tens of seconds to form
-        def timeout(*args):
-            raise AssertionError("compare_pitches formed a power")
-
         x, y = EtPitch(1, 1199, 3 ** 20), EtPitch(1, 1200, 5 ** 13)
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(5)
-        try:
+        with within_seconds(5):
             assert compare_pitches(x, y) == 1
             assert compare_pitches(y, x) == -1
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
     def test_near_miss_is_decided(self):
         # 53545/35737 lies 2e-7 cents below 2**(7/12)
         assert compare_pitches(Fraction(53545, 35737), EtPitch(7, 12)) == -1
 
+
+def just_above_one(bits):
+    """(2**(bits-1) + 1) / 2**(bits-1): in [1, 2), numerator of ``bits`` bits."""
+    return Fraction(2 ** (bits - 1) + 1, 2 ** (bits - 1))
+
+
+class TestPowerBound:
+    """Both integer comparison kernels form b**e only while e * bits(b) is
+    at most MAX_POWER_BITS, and raise TuningError beyond it before any power."""
+
+    def test_nearest_degree_at_the_bound_and_one_bit_past(self):
+        n, bits = 1024, MAX_POWER_BITS // 2048
+        assert 2 * n * bits == MAX_POWER_BITS
+        with within_seconds(5):
+            assert nearest_degree(just_above_one(bits), n) == 0
+            with pytest.raises(TuningError):
+                nearest_degree(just_above_one(bits + 1), n)
+
+    def test_compare_pitches_at_the_bound_and_one_bit_past(self):
+        # one octave band: 1 <= r < 2**(1/n) < 2, so the power is r's to the n
+        n, bits = 1024, MAX_POWER_BITS // 1024
+        assert n * bits == MAX_POWER_BITS
+        with within_seconds(5):
+            assert compare_pitches(just_above_one(bits), EtPitch(1, n)) == -1
+            assert compare_pitches(EtPitch(1, n), just_above_one(bits)) == 1
+            x, y = just_above_one(bits + 1), EtPitch(1, n)
+            with pytest.raises(TuningError):
+                compare_pitches(x, y)
+            with pytest.raises(TuningError):
+                compare_pitches(y, x)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (EtPitch(1, 1199, 3), EtPitch(1, 1200, 5)),
+            (EtPitch(7, 1200, 3 ** 10), EtPitch(3, 1199, 5 ** 7)),
+        ],
+    )
+    def test_one_band_pitches_past_the_bound_fail_fast(self, x, y):
+        with within_seconds(5):
+            with pytest.raises(TuningError):
+                compare_pitches(x, y)
+
+    def test_long_ratio_fails_fast(self):
+        with within_seconds(5):
+            with pytest.raises(TuningError):
+                nearest_degree(Fraction(3 ** 2000, 2 ** 3169), 1200)
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_largest_use_in_the_package_is_within_the_bound(self, direction):
+        r = FifthStep(direction, 64).ratio
+        bits = max(r.numerator.bit_length(), r.denominator.bit_length())
+        assert 2 * MAX_DIVISIONS * bits <= MAX_POWER_BITS
+        d = classify_to_et(r, MAX_DIVISIONS)[0]
+        p, q = r.numerator ** (2 * MAX_DIVISIONS), r.denominator ** (2 * MAX_DIVISIONS)
+        assert q << 2 * d <= 2 * p < q << 2 * d + 2
+
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.builds(Fraction, st.integers(1, 2 ** 40), st.integers(1, 2 ** 40)),
+    )
+    def test_nearest_degree_raises_exactly_past_the_bound(self, n, r):
+        # a lowered bound puts both sides of it within reach of cheap draws
+        power = 2 * n * max(r.numerator, r.denominator).bit_length()
+        with mock.patch.object(equal, "MAX_POWER_BITS", 1024):
+            if power > 1024:
+                with pytest.raises(TuningError):
+                    nearest_degree(r, n)
+            else:
+                d = nearest_degree(r, n)
+                p, q = r.numerator ** (2 * n), r.denominator ** (2 * n)
+                assert q * Fraction(2) ** (2 * d - 1) <= p < q * Fraction(2) ** (2 * d + 1)
+
+    @given(
+        st.integers(min_value=2, max_value=64).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n - 1))
+        ),
+        st.integers(min_value=2, max_value=64),
+        st.integers(min_value=0, max_value=2 ** 64),
+    )
+    def test_compare_pitches_raises_exactly_past_the_bound(self, nk, bits, low):
+        n, k = nk
+        r = Fraction(2 ** (bits - 1) + low % 2 ** (bits - 1), 2 ** (bits - 1))
+        power = n // math.gcd(k, n) * max(r.numerator, r.denominator).bit_length()
+        with mock.patch.object(equal, "MAX_POWER_BITS", 1024):
+            if power > 1024:
+                with pytest.raises(TuningError):
+                    compare_pitches(r, EtPitch(k, n))
+            else:
+                lhs, rhs = r.numerator ** n, r.denominator ** n << k
+                assert compare_pitches(r, EtPitch(k, n)) == (lhs > rhs) - (lhs < rhs)

@@ -1,10 +1,30 @@
-"""Every error the package raises on purpose is typed: no plain ValueError or
-TypeError is raised anywhere under ``src/tritune``."""
+"""The error contract.  Every error the package raises on purpose is typed:
+no plain ValueError or TypeError is raised anywhere under ``src/tritune``.
+Every public count, index and ratio argument is checked: a value of the
+wrong type or out of range is a TuningError, never a silent conversion."""
 
 import ast
+import inspect
+import re
+from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
+
+from tritune.equal import MAX_DIVISIONS, EtPitch, EtScale, compare_fraction_to_et
+from tritune.equal import et_semitone_count, et_value, generate_et, nearest_degree
+from tritune.errors import ExponentBoundError, TuningError
+from tritune.intervals import classify_chord, classify_et_interval, flat, note_name
+from tritune.intervals import sharp, transpose_indices
+from tritune.natural import dead_end_scan, frequency_of_division, harmonic_divide, means
+from tritune.pythagorean import FifthStep, classify_to_et, generate_fifths, pairing_table
+from tritune.ratio import EXPONENT_BOUND, MAX_DIGITS, Monzo, integer_nth_root
+from tritune.ratio import is_five_smooth, is_nth_root_irrational, is_perfect_nth_power
+from tritune.ratio import monzo_form, octave_shift, rational_to_monzo, reduce_to_octave
+from tritune.ratio import to_decimal
+from tritune.scalefile import et_scale_document
+from tritune.weber import MAX_STIMULI, uniform_stimuli
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "tritune").glob("*.py"))
 UNTYPED = {"ValueError", "TypeError"}
@@ -34,3 +54,163 @@ def test_no_plain_value_or_type_error(path):
 def test_the_check_sees_plain_raises():
     tree = ast.parse("def f():\n    raise ValueError('x')\n\ndef g():\n    raise TypeError\n")
     assert _raised_names(tree) == [(2, "ValueError"), (5, "TypeError")]
+
+
+MODULES = [import_module(f"tritune.{p.stem}") for p in SOURCES if p.stem != "__init__"]
+
+#: "module.name:parameter" -> (call taking the parameter's value, lo, hi);
+#: None is no bound.  Every other argument of the call is valid.
+INT_PARAMETERS = {
+    "ratio.Monzo:exp2": (lambda v: Monzo(v, 0, 0), -EXPONENT_BOUND, EXPONENT_BOUND),
+    "ratio.Monzo:exp3": (lambda v: Monzo(0, v, 0), -EXPONENT_BOUND, EXPONENT_BOUND),
+    "ratio.Monzo:exp5": (lambda v: Monzo(0, 0, v), -EXPONENT_BOUND, EXPONENT_BOUND),
+    "ratio.integer_nth_root:x": (lambda v: integer_nth_root(v, 3), 0, None),
+    "ratio.integer_nth_root:n": (lambda v: integer_nth_root(8, v), 1, None),
+    "ratio.is_perfect_nth_power:m": (lambda v: is_perfect_nth_power(v, 3), 1, None),
+    "ratio.is_perfect_nth_power:n": (lambda v: is_perfect_nth_power(8, v), 2, None),
+    "ratio.is_nth_root_irrational:m": (lambda v: is_nth_root_irrational(v, 3), 2, None),
+    "ratio.is_nth_root_irrational:n": (lambda v: is_nth_root_irrational(8, v), 2, None),
+    "ratio.to_decimal:digits": (lambda v: to_decimal(Fraction(1, 3), v), 1, MAX_DIGITS),
+    "equal.EtPitch:k": (lambda v: EtPitch(v, 12), None, None),
+    "equal.EtPitch:n": (lambda v: EtPitch(1, v), 1, None),
+    "equal.et_value:precision_digits": (lambda v: et_value(EtPitch(1, 12), v), 1, MAX_DIGITS),
+    "equal.EtScale:n": (lambda v: EtScale(v), 1, MAX_DIVISIONS),
+    "equal.EtScale.pitch:k": (lambda v: EtScale(12).pitch(v), None, None),
+    "equal.generate_et:n": (lambda v: generate_et(v), 1, MAX_DIVISIONS),
+    "equal.et_semitone_count:i1": (lambda v: et_semitone_count(v, 0), None, None),
+    "equal.et_semitone_count:i2": (lambda v: et_semitone_count(0, v), None, None),
+    "equal.nearest_degree:n": (lambda v: nearest_degree(Fraction(3, 2), v), 1, MAX_DIVISIONS),
+    "intervals.note_name:chromatic_index": (lambda v: note_name(v), None, None),
+    "intervals.transpose_indices:k": (lambda v: transpose_indices([0, 4], v), None, None),
+    "intervals.sharp:index": (lambda v: sharp(v), None, None),
+    "intervals.flat:index": (lambda v: flat(v), None, None),
+    "intervals.classify_et_interval:semitones": (lambda v: classify_et_interval(v), 0, None),
+    "pythagorean.FifthStep:k": (lambda v: FifthStep("up", v), 1, EXPONENT_BOUND),
+    "pythagorean.generate_fifths:m1": (lambda v: generate_fifths(v, 0), 0, EXPONENT_BOUND),
+    "pythagorean.generate_fifths:m2": (lambda v: generate_fifths(0, v), 0, EXPONENT_BOUND),
+    "pythagorean.classify_to_et:n": (lambda v: classify_to_et(Fraction(3, 2), v), 1, MAX_DIVISIONS),
+    "pythagorean.pairing_table:n": (lambda v: pairing_table(generate_fifths(1, 1), v), 1, MAX_DIVISIONS),
+    "weber.uniform_stimuli:n": (lambda v: uniform_stimuli(1.0, 0.0, 1.0, v), 2, MAX_STIMULI),
+    "scalefile.et_scale_document:n": (lambda v: et_scale_document(v), 1, MAX_DIVISIONS),
+}
+
+#: int parameters outside the contract, with the reason
+EXEMPT = {
+    "intervals.EtIntervalName:semitones": "a result record, built by classify_et_interval",
+    "errors.CoverageError:degree": "an error record, raised by pairing_table",
+    "errors.CoverageError:count": "an error record, raised by pairing_table",
+}
+
+#: index lists: each element is an int index, checked like an int parameter
+INDEX_LISTS = {
+    "intervals.transpose_indices:indices": lambda v: transpose_indices([0, v], 1),
+    "intervals.classify_chord:indices": lambda v: classify_chord([0, 4, v]),
+}
+
+#: "module.name:parameter" -> call taking a ratio: a positive int or Fraction
+RATIO_PARAMETERS = {
+    "ratio.rational_to_monzo:r": rational_to_monzo,
+    "ratio.is_five_smooth:r": is_five_smooth,
+    "ratio.octave_shift:r": octave_shift,
+    "ratio.reduce_to_octave:r": reduce_to_octave,
+    "ratio.monzo_form:r": monzo_form,
+    "equal.nearest_degree:r": lambda v: nearest_degree(v, 12),
+    "equal.compare_fraction_to_et:r": lambda v: compare_fraction_to_et(v, EtPitch(1, 12)),
+    "pythagorean.classify_to_et:r": lambda v: classify_to_et(v, 12),
+    "natural.means:a": lambda v: means(v, 1),
+    "natural.means:b": lambda v: means(1, v),
+    "natural.harmonic_divide:ac": lambda v: harmonic_divide(v, 1000),
+    "natural.harmonic_divide:ad": lambda v: harmonic_divide(Fraction(1, 1000), v),
+    "natural.frequency_of_division:f_ac": lambda v: frequency_of_division(v, 1),
+    "natural.frequency_of_division:f_ad": lambda v: frequency_of_division(1, v),
+    "natural.dead_end_scan:found": lambda v: dead_end_scan([1, v]),
+}
+
+
+def _int_parameters():
+    """"module.name:parameter" of every parameter annotated int of a public
+    function, record or method defined in a tritune module."""
+    found = set()
+    for mod in MODULES:
+        short = mod.__name__.rsplit(".", 1)[1]
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            targets = [(name, obj)] if callable(obj) else []
+            if inspect.isclass(obj):
+                targets += [
+                    (f"{name}.{attr}", f)
+                    for attr, f in vars(obj).items()
+                    if not attr.startswith("_") and inspect.isfunction(f)
+                ]
+            for qualname, target in targets:
+                try:
+                    parameters = inspect.signature(target).parameters.values()
+                except ValueError:  # a builtin's signature: no annotations
+                    continue
+                found.update(
+                    f"{short}.{qualname}:{p.name}"
+                    for p in parameters
+                    if p.annotation in ("int", int)
+                )
+    return found
+
+
+def test_integer_type_tests_live_in_the_helper():
+    pattern = re.compile(r"type\([^)]*\) is (not )?int\b")
+    users = {p.name for p in SOURCES if pattern.search(p.read_text(encoding="utf-8"))}
+    assert users == {"errors.py"}
+
+
+def test_every_int_parameter_is_in_the_table():
+    assert _int_parameters() == set(INT_PARAMETERS) | set(EXEMPT)
+
+
+def _bad_ints(lo, hi):
+    return [2.5, True, "1"] + ([lo - 1] if lo is not None else []) + (
+        [hi + 1] if hi is not None else []
+    )
+
+
+def _contract_error(exc) -> bool:
+    return "must be an integer" in str(exc)
+
+
+@pytest.mark.parametrize("key", sorted(INT_PARAMETERS))
+def test_int_parameter_rejects_non_integers_and_out_of_range(key):
+    call, lo, hi = INT_PARAMETERS[key]
+    error = ExponentBoundError if key.startswith("ratio.Monzo") else TuningError
+    for value in _bad_ints(lo, hi):
+        with pytest.raises(error) as info:
+            call(value)
+        assert _contract_error(info.value), (value, info.value)
+
+
+@pytest.mark.parametrize("key", sorted(INT_PARAMETERS))
+def test_int_parameter_accepts_its_bounds(key):
+    # a value at a bound passes the check; the call may still fail for
+    # another reason (a pairing with too few fifths), never the contract's
+    call, lo, hi = INT_PARAMETERS[key]
+    for value in {lo if lo is not None else -1, hi if hi is not None else 7}:
+        try:
+            call(value)
+        except TuningError as exc:
+            assert not _contract_error(exc), (value, exc)
+
+
+@pytest.mark.parametrize("key", sorted(INDEX_LISTS))
+def test_index_lists_take_integers_only(key):
+    call = INDEX_LISTS[key]
+    call(7)
+    for value in (2.5, True, "1"):
+        with pytest.raises(TuningError, match="must be an integer"):
+            call(value)
+
+
+@pytest.mark.parametrize("key", sorted(RATIO_PARAMETERS))
+def test_ratio_parameter_takes_positive_exact_ratios_only(key):
+    call = RATIO_PARAMETERS[key]
+    call(Fraction(3, 2))
+    for value in (0, -1, 0.5, "3/2", True, Fraction(-3, 2)):
+        with pytest.raises(TuningError):
+            call(value)
