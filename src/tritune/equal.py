@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .errors import TuningError, UnsupportedDivisionError, check_int, positive_fraction
+from .errors import TuningError, UnsupportedDivisionError, check_instance, check_int
+from .errors import positive_fraction
 from .ratio import MAX_DIGITS, Monzo, _fixed_point, _floor_log2, _monzo_terms
 from .ratio import cents, integer_nth_root, is_nth_root_irrational, to_decimal
 
@@ -33,11 +34,15 @@ MAX_DIVISIONS = 1200
 MAX_ET_DIGITS = 48_000
 
 #: Most bits of a power b**e, counted as e * bits(b), that an exact comparison
-#: forms: :func:`compare_pitches` in one octave band and :func:`nearest_degree`
-#: raise a TuningError beyond it, before any power.  Such a power takes about
-#: 65 ms on a 2-vCPU Xeon VM; the package's largest, at n = 1200 on 64 fifths
-#: in ``nearest_degree``, has about 247 000 bits.
+#: may need, checked first by :func:`compare_pitches` (in one octave band) and
+#: :func:`nearest_degree` (TuningError beyond).  A full power, formed only on a
+#: near-tie, takes about 65 ms at the bound on a 2-vCPU Xeon VM.
 MAX_POWER_BITS = 2 ** 20
+
+#: ``_power_bracket`` keeps _GUARD_BITS + bits(m) bits (relative width < 2**-60).
+#: Powers of at most _EXACT_BITS bits are formed exactly: on a 2-vCPU Xeon VM
+#: forming both is faster than one bracket below about 2000 to 2500 bits.
+_EXACT_BITS, _GUARD_BITS = 2048, 64
 
 _ONE = Fraction(1)
 
@@ -48,7 +53,7 @@ class EtPitch:
 
     r is a positive ratio of odd integers (1 for an equal-division pitch), so
     every exact pitch, 2**x being rational only for integer x, has one r and
-    one reduced k/n.  k and n are ints (not bools), n >= 1, stored as given;
+    one reduced k/n.  k, n and r are not bools, n >= 1, stored as given;
     equality and hashing reduce, so EtPitch(2, 24) == EtPitch(1, 12).
     """
 
@@ -60,9 +65,9 @@ class EtPitch:
         check_int("k", self.k, None)
         check_int("n", self.n, 1)
         r = self.r
-        if r is not _ONE and not (
+        if r is not _ONE and (isinstance(r, bool) or not (
             isinstance(r, (int, Fraction)) and r > 0 and r.numerator & r.denominator & 1
-        ):
+        )):
             raise TuningError(f"r must be a positive ratio of odd integers, got {r!r}")
 
     @classmethod
@@ -145,15 +150,38 @@ def _check_power(base: int, e: int) -> None:
         raise TuningError(f"a power of {e} x {base.bit_length()} bits is over MAX_POWER_BITS")
 
 
+def _power_bracket(a: int, b: int, m: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2**e <= (a/b)**m <= hi * 2**e, for a, b, m >= 1:
+    interval arithmetic (R. E. Moore, 1966), square-and-multiply on t-bit
+    bounds of a/b and of every product, lo rounded down and hi up."""
+    t = _GUARD_BITS + m.bit_length()
+    k = t - a.bit_length() + b.bit_length()  # a * 2**k / b has t or t+1 bits
+    num, den = (a << k, b) if k >= 0 else (a, b << -k)
+    q_lo, q_hi = num // den, -(-num // den)
+    lo, hi, e = q_lo, q_hi, -k
+    for bit in bin(m)[3:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi, e = lo * q_lo, hi * q_hi, e - k
+        drop = max(lo.bit_length() - t, 0)
+        lo, hi, e = lo >> drop, -(-hi >> drop), e + drop
+    return lo, hi, e
+
+
+def _powers(a: int, b: int, m: int) -> tuple[int, int]:
+    """a**m and b**m: the only full powers the two comparison kernels form."""
+    return a ** m, b ** m
+
+
 def _sign(a: int, b: int, s: int, m: int) -> int:
     """sign(a/b - 2**(s/m)) for positive integers a, b and m.
 
     Octaves first: a/b lies in [2**f, 2**(f+1)) for f = floor(log2(a/b)), and
     2**(s/m) in [2**e, 2**(e+1)) for e = s // m, so f != e decides with no
-    power.  Within one octave band, with s/m reduced, a**m <=> b**m * 2**s
-    (the shift moves to the left side for s < 0): powers of exponent at most
-    m, which :func:`compare_pitches` makes at most n1*n2, and of at most
-    ``MAX_POWER_BITS`` bits (TuningError beyond).
+    power.  Within one octave band, with s/m reduced, a**m <=> b**m * 2**s,
+    of at most ``MAX_POWER_BITS`` bits (TuningError beyond, checked first).
+    Past ``_EXACT_BITS``, and for m > 1 where no tie is possible, a bracket of
+    (a/b)**m decides by bit lengths alone unless it holds 2**s (a near-tie).
     """
     if a == b:
         return (s < 0) - (s > 0)
@@ -161,8 +189,16 @@ def _sign(a: int, b: int, s: int, m: int) -> int:
     if f != e:
         return (f > e) - (f < e)
     g = math.gcd(s, m)
-    _check_power(max(a, b), m // g)
-    lhs, rhs = a ** (m // g) << max(-s // g, 0), b ** (m // g) << max(s // g, 0)
+    s, m = s // g, m // g
+    _check_power(max(a, b), m)
+    if m > 1 and m * max(a, b).bit_length() > _EXACT_BITS:
+        lo, hi, e = _power_bracket(a, b, m)
+        if hi.bit_length() + e <= s:
+            return -1
+        if lo.bit_length() + e > s:
+            return 1
+    lhs, rhs = _powers(a, b, m)
+    lhs, rhs = lhs << max(-s, 0), rhs << max(s, 0)
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -182,6 +218,7 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     5**(d*n) and the root's a**(n-1) (on a 2-vCPU Xeon VM: 0.012 s for
     n = 12, 1.2 s for n = 311 and 8 s for n = 1200 at the digit cap, k < n).
     """
+    check_instance("a pitch", p, EtPitch)
     check_int("digits", precision_digits, 1, MAX_DIGITS)
     if p.r != 1:
         raise TuningError(f"only 2^(k/n) is printed, not {p.exact_form()}")
@@ -230,7 +267,7 @@ def et_semitone_count(i1: int, i2: int) -> int:
 
 def diatonic_subset(scale: EtScale) -> list[EtPitch]:
     """The eight-degree major subset DO..DO of the 12-division scale."""
-    if scale.n != 12:
+    if check_instance("a scale", scale, EtScale).n != 12:
         raise UnsupportedDivisionError(
             f"the diatonic subset is defined on 12 divisions, got {scale.n}"
         )
@@ -238,28 +275,30 @@ def diatonic_subset(scale: EtScale) -> list[EtPitch]:
 
 
 def compare_fraction_to_et(r: Fraction, p: EtPitch) -> int:
-    """Exact three-way comparison of r = a/b against p = 2**(k/n): -1, 0 or +1,
-    by a**n <=> b**n * 2**k with k/n reduced, in :func:`compare_pitches`."""
+    """Exact three-way comparison of r against p = 2**(k/n): -1, 0 or +1."""
     return compare_pitches(r, p)
 
 
 def nearest_degree(r: Fraction, n: int) -> int:
     """Index of the n-division pitch closest to ratio r = a/b, half rounding up;
     n is an integer from 1 to MAX_DIVISIONS and a**(2n), b**(2n) have at most
-    ``MAX_POWER_BITS`` bits (TuningError otherwise).
+    ``MAX_POWER_BITS`` bits (TuningError otherwise, checked first).
 
-    The answer is the d with b**(2n) * 2**(2d-1) <= a**(2n) < b**(2n) * 2**(2d+1),
-    found in integers: m = floor(log2 r**(2n)) is the bit-length difference
-    of a**(2n) and b**(2n), less one when a single shift comparison says so
-    (``ratio._floor_log2``), and d = (m + 1) // 2.  Half-way ties are
-    impossible unless r is itself a power of 2**(1/2n); the half-up rule
-    makes the function total anyway.
+    The answer is the d with b**(2n) * 2**(2d-1) <= a**(2n) < b**(2n) * 2**(2d+1):
+    d = (m + 1) // 2 for m = floor(log2 r**(2n)) (``ratio._floor_log2``).
+    Past ``_EXACT_BITS`` a bracket of r**(2n) bounds m by bit lengths and gives
+    d unless r is near half-way, the one case that forms the powers.  A tie
+    needs r a power of 2**(1/2n); the half-up rule makes the function total.
     """
     check_int("steps per octave n", n, 1, MAX_DIVISIONS)
     r = positive_fraction(r, "a pitch ratio")
-    _check_power(max(r.numerator, r.denominator), 2 * n)
-    m = _floor_log2(r.numerator ** (2 * n), r.denominator ** (2 * n))
-    return (m + 1) // 2
+    a, b = r.numerator, r.denominator
+    _check_power(max(a, b), 2 * n)
+    if 2 * n * max(a, b).bit_length() > _EXACT_BITS:
+        lo, hi, e = _power_bracket(a, b, 2 * n)  # m lies in [bits(lo), bits(hi)] - 1 + e
+        if (lo.bit_length() + e) // 2 == (hi.bit_length() + e) // 2:
+            return (lo.bit_length() + e) // 2
+    return (_floor_log2(*_powers(a, b, 2 * n)) + 1) // 2
 
 
 def compare_pitches(

@@ -40,6 +40,13 @@ def check_int(
     raise error(f"{what} must be an integer{span}, got {value!r}")
 
 
+def check_instance(what: str, value, kind: type):
+    """``value`` if it is an instance of ``kind``; a TuningError otherwise."""
+    if isinstance(value, kind):
+        return value
+    raise TuningError(f"{what} must be of type {kind.__name__}, got {value!r}")
+
+
 def positive_fraction(x, what: str) -> Fraction:
     """``x`` as a Fraction if it is a positive int or Fraction, not a bool; a
     TuningError otherwise, floats and strings included."""

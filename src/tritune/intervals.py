@@ -11,13 +11,14 @@ drops a congruence test to cents with a 1e-6 tolerance.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional, Sequence, Union
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
-from .errors import TuningError, check_int
+from .errors import TuningError, check_instance, check_int
 from .ratio import Monzo, cents
 
 Pitch = Union[int, Fraction, float, Monzo, EtPitch]
@@ -155,6 +156,7 @@ def are_congruent(a, b) -> bool:
 def transpose_indices(indices: Sequence[int], k: int) -> list[int]:
     """Shift every scale index by the same amount, preserving order."""
     check_int("a shift k", k, None)
+    check_instance("indices", indices, Iterable)
     return [check_int("an index", i, None) + k for i in indices]
 
 
@@ -202,6 +204,7 @@ def classify_chord(indices, preference: str = "sharp") -> ChordClassification:
     The pattern is read relative to the lowest sound, which also names the
     chord.  Anything but the three named shapes comes back as "unknown".
     """
+    check_instance("chord indices", indices, Iterable)
     distinct = sorted({check_int("a chord index", i, None) for i in indices})
     if len(distinct) < 3:
         raise TuningError("a chord needs at least three distinct sounds")

@@ -15,9 +15,9 @@ from typing import Optional
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_fraction_to_et, nearest_degree
 from .errors import CoverageError, ExponentBoundError, PropositionViolationError
-from .errors import TuningError, check_int, positive_fraction
+from .errors import TuningError, check_instance, check_int, positive_fraction
 from .intervals import NoteName, note_name
-from .ratio import EXPONENT_BOUND, Monzo, cents, octave_shift
+from .ratio import EXPONENT_BOUND, Monzo, _floor_log2, cents
 from .ratio import monzo_to_rational, reduce_to_octave
 
 PYTHAGOREAN_COMMA = Fraction(531441, 524288)  # (3/2)**12 / 2**7
@@ -47,11 +47,11 @@ class FifthStep:
         if self.direction not in ("up", "down"):
             raise TuningError("direction must be 'up' or 'down'")
         check_int("a fifth count k", self.k, 1)
-        check_int("a fifth count k", self.k, 1, EXPONENT_BOUND, ExponentBoundError)
-        raw = Fraction(3, 2) ** (self.k if self.direction == "up" else -self.k)
-        h = octave_shift(raw)
+        k = check_int("a fifth count k", self.k, 1, EXPONENT_BOUND, ExponentBoundError)
+        p, q = (3 ** k, 2 ** k) if self.direction == "up" else (2 ** k, 3 ** k)
+        h = -_floor_log2(p, q)  # as in ratio.octave_shift, on integers
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "ratio", raw * Fraction(2) ** h)
+        object.__setattr__(self, "ratio", Fraction(p << max(h, 0), q << max(-h, 0)))
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def pairing_table(
     ``equal.MAX_DIVISIONS``, as for ``equal.nearest_degree``.
     """
     buckets: dict[int, list[PythEntry]] = {}
-    for entry in t.entries():
+    for entry in check_instance("a fifth table", t, PythTable).entries():
         buckets.setdefault(nearest_degree(entry.ratio, n), []).append(entry)
     pairs = {}
     for degree in range(n + 1):

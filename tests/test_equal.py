@@ -105,6 +105,12 @@ class TestEtPitch:
         with pytest.raises(TuningError):
             EtPitch(1, 12, r)
 
+    def test_bool_coefficient_rejected(self):
+        # True is an int with odd numerator and denominator, but never a number
+        with pytest.raises(TuningError, match="positive ratio of odd integers"):
+            EtPitch(1, 12, True)
+        assert EtPitch(1, 12, 1).r == 1
+
     def test_of(self):
         assert EtPitch.of(Fraction(12, 5)) == EtPitch(2, 1, Fraction(3, 5))
         assert EtPitch.of(Fraction(3, 8)) == EtPitch(-3, 1, 3)

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from tritune.equal import MAX_DIVISIONS, EtPitch, EtScale, compare_fraction_to_et
-from tritune.equal import et_semitone_count, et_value, generate_et, nearest_degree
+from tritune.equal import diatonic_subset, et_semitone_count, et_value, generate_et
+from tritune.equal import nearest_degree
 from tritune.errors import ExponentBoundError, TuningError
 from tritune.intervals import classify_chord, classify_et_interval, flat, note_name
 from tritune.intervals import sharp, transpose_indices
@@ -127,6 +128,16 @@ RATIO_PARAMETERS = {
 }
 
 
+#: "module.name:parameter" -> (call taking a record or collection, a valid value)
+RECORD_PARAMETERS = {
+    "equal.et_value:p": (lambda v: et_value(v, 5), EtPitch(1, 12)),
+    "equal.diatonic_subset:scale": (diatonic_subset, EtScale(12)),
+    "intervals.classify_chord:indices": (classify_chord, (0, 4, 7)),
+    "intervals.transpose_indices:indices": (lambda v: transpose_indices(v, 1), [0, 4]),
+    "pythagorean.pairing_table:t": (lambda v: pairing_table(v, 12), generate_fifths(12, 12)),
+}
+
+
 def _int_parameters():
     """"module.name:parameter" of every parameter annotated int of a public
     function, record or method defined in a tritune module."""
@@ -213,4 +224,13 @@ def test_ratio_parameter_takes_positive_exact_ratios_only(key):
     call(Fraction(3, 2))
     for value in (0, -1, 0.5, "3/2", True, Fraction(-3, 2)):
         with pytest.raises(TuningError):
+            call(value)
+
+
+@pytest.mark.parametrize("key", sorted(RECORD_PARAMETERS))
+def test_record_parameter_takes_its_type_only(key):
+    call, valid = RECORD_PARAMETERS[key]
+    call(valid)
+    for value in (Fraction(3, 2), 2, 12, 5, None, 1.5):
+        with pytest.raises(TuningError, match="must be of type"):
             call(value)

@@ -1,0 +1,216 @@
+"""The outward-rounded power brackets behind the two exact comparison kernels.
+
+``equal._power_bracket(a, b, m)`` bounds (a/b)**m between lo * 2**e and
+hi * 2**e; ``_sign`` and ``nearest_degree`` decide from it when it leaves out
+the value they test, and form the exact powers (``equal._powers``) only on a
+near-tie or at most ``equal._EXACT_BITS`` bits.  Every answer must equal the
+exact powers' one.
+"""
+
+import math
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tritune import equal
+from tritune.equal import MAX_POWER_BITS, EtPitch, compare_pitches, nearest_degree
+from tritune.errors import CoverageError, TuningError
+from tritune.pythagorean import classify_to_et, generate_fifths, pairing_table
+from tritune.ratio import _floor_log2, integer_nth_root
+
+THOUSAND = settings(max_examples=1000, deadline=None)
+
+
+def exact_sign(a, b, s, m):
+    """sign(a/b - 2**(s/m)) from the full powers a**m and b**m * 2**s."""
+    lhs, rhs = a ** m << max(-s, 0), b ** m << max(s, 0)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def exact_degree(r, n):
+    return (_floor_log2(r.numerator ** (2 * n), r.denominator ** (2 * n)) + 1) // 2
+
+
+@contextmanager
+def counted_powers(limit=None):
+    """Count the calls of ``equal._powers`` (the exact branch); with a limit,
+    fail any call whose larger power has more than ``limit`` bits."""
+    calls = []
+    forms = equal._powers
+
+    def counting(a, b, m):
+        bits = m * max(a, b).bit_length()
+        assert limit is None or bits <= limit, f"exact powers of {bits} bits formed"
+        calls.append(bits)
+        return forms(a, b, m)
+
+    with mock.patch.object(equal, "_powers", counting):
+        yield calls
+
+
+@contextmanager
+def bracketed(guard_bits):
+    """Bracket every power, at ``guard_bits`` + bits(m) bits."""
+    with mock.patch.object(equal, "_EXACT_BITS", 0):
+        with mock.patch.object(equal, "_GUARD_BITS", guard_bits):
+            yield
+
+
+def in_bracket(lo, hi, e, a, b, m):
+    """lo * 2**e <= (a/b)**m <= hi * 2**e, in integers."""
+    p, q = a ** m, b ** m
+    if e < 0:
+        p <<= -e
+    else:
+        lo, hi = lo << e, hi << e
+    return lo * q <= p <= hi * q
+
+
+class TestBracket:
+    @given(st.integers(1, 2 ** 300), st.integers(1, 1300), st.sampled_from([1, 2, 5, 64]))
+    @settings(deadline=None)
+    def test_bracket_of_a_power_holds(self, a, m, guard_bits):
+        with mock.patch.object(equal, "_GUARD_BITS", guard_bits):
+            lo, hi, e = equal._power_bracket(a, 1, m)
+        assert 1 <= lo <= hi and in_bracket(lo, hi, e, a, 1, m)
+
+    @given(
+        st.integers(1, 2 ** 200),
+        st.integers(1, 2 ** 200),
+        st.integers(1, 1300),
+        st.sampled_from([1, 2, 5, 64]),
+    )
+    @settings(deadline=None)
+    def test_bracket_of_a_ratio_holds(self, a, b, m, guard_bits):
+        with mock.patch.object(equal, "_GUARD_BITS", guard_bits):
+            lo, hi, e = equal._power_bracket(a, b, m)
+        assert 1 <= lo <= hi and in_bracket(lo, hi, e, a, b, m)
+
+    @given(st.integers(1, 2 ** 300), st.integers(1, 2 ** 300), st.integers(1, 1300))
+    def test_bracket_is_narrow(self, a, b, m):
+        lo, hi, _ = equal._power_bracket(a, b, m)
+        assert (hi - lo) << 60 <= lo
+
+    @pytest.mark.parametrize("a, m", [(3, 5), (1, 1200), (2 ** 64 + 1, 1)])
+    def test_short_powers_are_exact(self, a, m):
+        lo, hi, e = equal._power_bracket(a, 1, m)
+        assert lo == hi and in_bracket(lo, hi, e, a, 1, m)
+
+
+in_band = st.tuples(
+    st.integers(1, 2 ** 128), st.integers(1, 2 ** 128), st.integers(1, 1300), st.integers(0, 10 ** 6)
+)
+
+
+class TestKernelsAgainstExactPowers:
+    """Few guard bits make wide brackets, so the exact fallback runs often."""
+
+    @THOUSAND
+    @given(in_band, st.sampled_from([1, 2, 3, 4, 64]))
+    def test_sign(self, draw, guard_bits):
+        a, b, m, nudge = draw
+        # s // m == floor(log2(a/b)): the one-band case the brackets decide
+        s = _floor_log2(a, b) * m + nudge % m
+        with bracketed(guard_bits):
+            assert equal._sign(a, b, s, m) == exact_sign(a, b, s, m)
+
+    @THOUSAND
+    @given(
+        st.integers(1, 2 ** 100),
+        st.integers(1, 2 ** 100),
+        st.integers(1, 650),
+        st.sampled_from([1, 2, 3, 4, 64]),
+    )
+    def test_nearest_degree(self, a, b, n, guard_bits):
+        r = Fraction(a, b)
+        with bracketed(guard_bits):
+            assert nearest_degree(r, n) == exact_degree(r, n)
+
+    def test_fallback_and_bracket_both_decide_with_few_guard_bits(self):
+        decided = 0
+        with bracketed(1), counted_powers() as calls:
+            for m in range(2, 300):
+                for a, b in ((3, 2), (5, 4), (7, 4), (3 ** 20, 2 ** 31)):
+                    s = _floor_log2(a, b) * m + m // 2
+                    assert equal._sign(a, b, s, m) == exact_sign(a, b, s, m)
+                    decided += 1
+        assert 0 < len(calls) < decided
+
+
+def root_approximation(s, m, bits):
+    """floor(2**(s/m) * 2**bits): a/2**bits < 2**(s/m) < (a+1)/2**bits."""
+    return integer_nth_root(1 << (s + bits * m), m)
+
+
+class TestNearTies:
+    @pytest.mark.parametrize("bits", [60, 100])
+    @pytest.mark.parametrize("m", [53, 306, 665, 1200])
+    def test_rational_approximations_of_an_equal_step(self, m, bits):
+        with counted_powers() as calls:
+            for s in (1, 7, m // 2, m - 1):
+                a = root_approximation(s, m, bits)
+                for x, want in ((a - 1, -1), (a, -1), (a + 1, 1), (a + 2, 1)):
+                    assert equal._sign(x, 1 << bits, s, m) == want
+                    p, k = Fraction(x, 1 << bits), EtPitch(s, m)
+                    assert compare_pitches(p, k) == want == -compare_pitches(k, p)
+        if bits == 100:  # closer than any bracket: the exact powers decide
+            assert calls
+
+    @pytest.mark.parametrize("bits", [60, 100])
+    @pytest.mark.parametrize("n", [53, 306, 600, 1200])
+    def test_half_way_points(self, n, bits):
+        for d in (0, n // 2, n - 1):
+            a = root_approximation(2 * d + 1, 2 * n, bits)
+            assert nearest_degree(Fraction(a, 1 << bits), n) == d
+            assert nearest_degree(Fraction(a + 1, 1 << bits), n) == d + 1
+
+
+def five_limit_ratios():
+    """2**a * 3**b * 5**c folded into [1, 2), for |b|, |c| <= 2."""
+    ratios = set()
+    for b in range(-2, 3):
+        for c in range(-2, 3):
+            r = Fraction(3) ** b * Fraction(5) ** c
+            ratios.add(r * Fraction(2) ** -_floor_log2(r.numerator, r.denominator))
+    return sorted(ratios)
+
+
+class TestLargeDivisions:
+    def test_classify_and_pair_form_no_power_past_the_threshold(self):
+        pool = generate_fifths(60, 60).ratios() + five_limit_ratios()
+        with counted_powers(equal._EXACT_BITS), mock.patch.object(
+            equal, "_power_bracket", wraps=equal._power_bracket
+        ) as brackets:
+            for n in (12, 31, 53, 311):
+                for r in pool:
+                    classify_to_et(r, n)
+            assert len(pairing_table(generate_fifths(53, 53), 53)) == 54
+            with pytest.raises(CoverageError):
+                pairing_table(generate_fifths(31, 31), 31)
+        assert brackets.call_count > 0
+
+    def test_the_guard_sees_a_near_tie_past_the_threshold(self):
+        a = root_approximation(1, 1200, 100)
+        with counted_powers(equal._EXACT_BITS), pytest.raises(AssertionError):
+            equal._sign(a, 1 << 100, 1, 1200)
+
+    def test_power_bound_is_checked_before_any_bracket(self):
+        # one bit past MAX_POWER_BITS, in one octave band as in TestPowerBound
+        n, bits = 1024, MAX_POWER_BITS // 1024 + 1
+        r = Fraction(2 ** (bits - 1) + 1, 2 ** (bits - 1))
+        with mock.patch.object(equal, "_power_bracket", side_effect=AssertionError):
+            with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
+                nearest_degree(r, n)
+            with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
+                compare_pitches(r, EtPitch(1, n))
+
+    def test_degree_at_311_divisions(self):
+        # 3**60 / 2**95, a 96-bit ratio: its powers at 2n = 622 have 59 712 bits
+        r = generate_fifths(0, 60).ratios()[-2]
+        d, _ = classify_to_et(r, 311)
+        assert d == exact_degree(r, 311)
+        assert math.isclose(d, 311 * math.log2(r), abs_tol=0.5)
