@@ -34,9 +34,10 @@ MAX_DIVISIONS = 1200
 MAX_ET_DIGITS = 48_000
 
 #: Most bits of a power b**e, counted as e * bits(b), that an exact comparison
-#: may need, checked first by :func:`compare_pitches` (in one octave band) and
-#: :func:`nearest_degree` (TuningError beyond).  A full power, formed only on a
-#: near-tie, takes about 65 ms at the bound on a 2-vCPU Xeon VM.
+#: may form, checked before any work (TuningError beyond); only
+#: :func:`nearest_degree` and :func:`compare_pitches` of an irrational ratio in
+#: one octave band form one, so two rationals always compare.  A full power,
+#: formed only on a near-tie, takes about 65 ms at the bound on a 2-vCPU Xeon VM.
 MAX_POWER_BITS = 2 ** 20
 
 #: ``_power_bracket`` keeps _GUARD_BITS + bits(m) bits (relative width < 2**-60).
@@ -144,12 +145,6 @@ def _power_form(x) -> tuple[int, int, int, int]:
     raise TuningError(f"pitches must be positive, got {x!r}")
 
 
-def _check_power(base: int, e: int) -> None:
-    """TuningError if base**e, counted as e * bits(base), passes MAX_POWER_BITS."""
-    if e * base.bit_length() > MAX_POWER_BITS:
-        raise TuningError(f"a power of {e} x {base.bit_length()} bits is over MAX_POWER_BITS")
-
-
 def _power_bracket(a: int, b: int, m: int) -> tuple[int, int, int]:
     """(lo, hi, e) with lo * 2**e <= (a/b)**m <= hi * 2**e, for a, b, m >= 1:
     interval arithmetic (R. E. Moore, 1966), square-and-multiply on t-bit
@@ -169,8 +164,25 @@ def _power_bracket(a: int, b: int, m: int) -> tuple[int, int, int]:
 
 
 def _powers(a: int, b: int, m: int) -> tuple[int, int]:
-    """a**m and b**m: the only full powers the two comparison kernels form."""
+    """a**m and b**m: the only full powers the comparisons form."""
     return a ** m, b ** m
+
+
+def _floor_log2_power(a: int, b: int, m: int) -> int:
+    """floor(log2((a/b)**m)) for positive integers a, b and m, the one exact
+    decision of both comparisons; TuningError first if m * bits(max(a, b))
+    passes ``MAX_POWER_BITS``.  Past ``_EXACT_BITS``, ends of one bit length L
+    of a bracket lo * 2**e <= (a/b)**m <= hi * 2**e give L - 1 + e, so only a
+    near-tie with a power of two (within about 2**-60) forms the full powers.
+    """
+    bits = max(a, b).bit_length()
+    if m * bits > MAX_POWER_BITS:
+        raise TuningError(f"a power of {m} x {bits} bits is over MAX_POWER_BITS")
+    if m * bits > _EXACT_BITS:
+        lo, hi, e = _power_bracket(a, b, m)
+        if lo.bit_length() == hi.bit_length():
+            return lo.bit_length() - 1 + e
+    return _floor_log2(*_powers(a, b, m))
 
 
 def _sign(a: int, b: int, s: int, m: int) -> int:
@@ -178,10 +190,9 @@ def _sign(a: int, b: int, s: int, m: int) -> int:
 
     Octaves first: a/b lies in [2**f, 2**(f+1)) for f = floor(log2(a/b)), and
     2**(s/m) in [2**e, 2**(e+1)) for e = s // m, so f != e decides with no
-    power.  Within one octave band, with s/m reduced, a**m <=> b**m * 2**s,
-    of at most ``MAX_POWER_BITS`` bits (TuningError beyond, checked first).
-    Past ``_EXACT_BITS``, and for m > 1 where no tie is possible, a bracket of
-    (a/b)**m decides by bit lengths alone unless it holds 2**s (a near-tie).
+    power.  Within one octave band, with s/m reduced, a/b >= 2**s at m = 1,
+    equal or not by one shift; at m > 1 a tie is impossible and a/b > 2**(s/m)
+    iff ``_floor_log2_power(a, b, m)`` >= s (TuningError past MAX_POWER_BITS).
     """
     if a == b:
         return (s < 0) - (s > 0)
@@ -190,16 +201,9 @@ def _sign(a: int, b: int, s: int, m: int) -> int:
         return (f > e) - (f < e)
     g = math.gcd(s, m)
     s, m = s // g, m // g
-    _check_power(max(a, b), m)
-    if m > 1 and m * max(a, b).bit_length() > _EXACT_BITS:
-        lo, hi, e = _power_bracket(a, b, m)
-        if hi.bit_length() + e <= s:
-            return -1
-        if lo.bit_length() + e > s:
-            return 1
-    lhs, rhs = _powers(a, b, m)
-    lhs, rhs = lhs << max(-s, 0), rhs << max(s, 0)
-    return (lhs > rhs) - (lhs < rhs)
+    if m == 1:
+        return int(a << max(-s, 0) != b << max(s, 0))
+    return 1 if _floor_log2_power(a, b, m) >= s else -1
 
 
 def et_value(p: EtPitch, precision_digits: int) -> str:
@@ -285,20 +289,13 @@ def nearest_degree(r: Fraction, n: int) -> int:
     ``MAX_POWER_BITS`` bits (TuningError otherwise, checked first).
 
     The answer is the d with b**(2n) * 2**(2d-1) <= a**(2n) < b**(2n) * 2**(2d+1):
-    d = (m + 1) // 2 for m = floor(log2 r**(2n)) (``ratio._floor_log2``).
-    Past ``_EXACT_BITS`` a bracket of r**(2n) bounds m by bit lengths and gives
-    d unless r is near half-way, the one case that forms the powers.  A tie
-    needs r a power of 2**(1/2n); the half-up rule makes the function total.
+    d = (m + 1) // 2 for m = ``_floor_log2_power(a, b, 2n)``, which forms the
+    powers only for r near a degree or half-way.  A tie needs r a power of
+    2**(1/2n); the half-up rule makes the function total.
     """
     check_int("steps per octave n", n, 1, MAX_DIVISIONS)
     r = positive_fraction(r, "a pitch ratio")
-    a, b = r.numerator, r.denominator
-    _check_power(max(a, b), 2 * n)
-    if 2 * n * max(a, b).bit_length() > _EXACT_BITS:
-        lo, hi, e = _power_bracket(a, b, 2 * n)  # m lies in [bits(lo), bits(hi)] - 1 + e
-        if (lo.bit_length() + e) // 2 == (hi.bit_length() + e) // 2:
-            return (lo.bit_length() + e) // 2
-    return (_floor_log2(*_powers(a, b, 2 * n)) + 1) // 2
+    return (_floor_log2_power(r.numerator, r.denominator, 2 * n) + 1) // 2
 
 
 def compare_pitches(
@@ -308,7 +305,7 @@ def compare_pitches(
 
     Each pitch is read as (p/q) * 2**(k/n), and x <=> y iff
     (p1*q2) / (q1*p2) <=> 2**((k2*n1 - k1*n2) / (n1*n2)), which the integer
-    kernel ``_sign`` decides, with a TuningError past ``MAX_POWER_BITS``.
+    kernel ``_sign`` decides, with a TuningError for a power past ``MAX_POWER_BITS``.
     """
     p1, q1, k1, n1 = _power_form(x)
     p2, q2, k2, n2 = _power_form(y)

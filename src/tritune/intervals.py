@@ -118,6 +118,8 @@ def interval_between(f1: Pitch, f2: Pitch) -> Interval:
 def compose(i1: Interval, i2: Interval) -> Interval:
     """Chain two intervals: distances compose by multiplying ratios, to a
     Fraction when both are Fractions and to an ``EtPitch`` otherwise."""
+    for i in (i1, i2):
+        check_instance("an interval", i, Interval)
     if isinstance(i1.ratio, Fraction) and isinstance(i2.ratio, Fraction):
         return Interval(i1.ratio * i2.ratio)
     return Interval(EtPitch.of(i1.ratio) * i2.ratio)
@@ -140,7 +142,7 @@ def are_congruent(a, b) -> bool:
     simply not congruent.  Comparison is exact unless a float is involved,
     and then in cents within 1e-6.
     """
-    pa, pb = tuple(a), tuple(b)
+    pa, pb = (tuple(check_instance("a pitch set", s, Iterable)) for s in (a, b))
     for p in pa + pb:
         if not (isinstance(p, float) and 0 < p < math.inf):
             EtPitch.of(p)  # raises unless p is a positive exact pitch

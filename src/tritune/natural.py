@@ -12,13 +12,15 @@ SI.  The result is the eight-degree just diatonic scale.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional, Union
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
-from .errors import PropositionViolationError, TuningError, positive_fraction
+from .errors import PropositionViolationError, TuningError, check_instance
+from .errors import positive_fraction
 from .intervals import NoteName
 from .pythagorean import generate_fifths, select_chromatic
 from .ratio import RationalLike, is_five_smooth, is_perfect_nth_power
@@ -160,6 +162,7 @@ def dead_end_scan(found) -> list[Candidate]:
     5-limit lattice.  Both orientations of every pair are scanned so the
     stall is certified exhaustively.
     """
+    check_instance("the found pitches", found, Iterable)
     pitches = [positive_fraction(p, "a found pitch") for p in found]
     rejects = []
     for a in pitches:

@@ -260,7 +260,7 @@ def base_dependence_demo(t: PythTable) -> BaseDependenceDemo:
     product = mi + shift
     product_ratio = reduce_to_octave(monzo_to_rational(product))
     control_ratio = reduce_to_octave(monzo_to_rational(shift))
-    ratios = set(t.ratios())
+    ratios = set(check_instance("a fifth table", t, PythTable).ratios())
     demo = BaseDependenceDemo(
         product_monzo=product,
         product_ratio=product_ratio,

@@ -230,12 +230,12 @@ def to_decimal(r: RationalLike, digits: int) -> str:
 
     Expansions that terminate within the requested width are emitted in full
     with no zero padding ("1.5", "1"); all other values get exactly ``digits``
-    truncated digits ("1.33333", "1.60180").
+    truncated digits ("1.33333", "1.60180").  ``r`` is an int or Fraction
+    >= 0, not a bool (TuningError otherwise, floats and strings included).
     """
     check_int("digits", digits, 1, MAX_DIGITS)
-    r = Fraction(r)
-    if r < 0:
-        raise TuningError("negative ratios are not printable pitches")
+    if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r >= 0):
+        raise TuningError(f"a printed ratio must be an int or Fraction >= 0, got {r!r}")
     exact_len = _terminating_digits(r.denominator)
     width = exact_len if exact_len is not None and exact_len <= digits else digits
     return _fixed_point(r.numerator * 10 ** width // r.denominator, width)
@@ -285,18 +285,17 @@ def monzo_form(r: Union[RationalLike, Monzo]) -> str:
 def cents(r) -> float:
     """Interval size of a ratio in cents: 1200 * log2(r).
 
-    Accepts anything with a positive real value: int, Fraction, float, Monzo,
-    or objects exposing ``cents()`` themselves (symbolic equal-division
-    pitches).
+    Accepts a positive int or Fraction (not a bool), a positive finite float,
+    a Monzo, or an object exposing ``cents()`` itself (symbolic equal-division
+    pitches); anything else is a TuningError.
     """
     if hasattr(r, "cents"):
         return r.cents()
     if isinstance(r, Monzo):
         r = monzo_to_rational(r)
-    if isinstance(r, Fraction):
-        # split the log to stay accurate for very large numerator/denominator
-        return 1200.0 * (math.log2(r.numerator) - math.log2(r.denominator))
-    value = float(r)
-    if value <= 0:
-        raise TuningError("cents is defined for positive ratios only")
-    return 1200.0 * math.log2(value)
+    if isinstance(r, float) and 0 < r < math.inf:
+        return 1200.0 * math.log2(r)
+    if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r > 0):
+        raise TuningError(f"cents takes a positive exact ratio or finite float, got {r!r}")
+    # split the log to stay accurate for very large numerator/denominator
+    return 1200.0 * (math.log2(r.numerator) - math.log2(r.denominator))

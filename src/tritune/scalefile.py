@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .equal import EtPitch, EtScale, compare_pitches, et_value
-from .errors import TuningError
+from .errors import TuningError, check_instance
 from .natural import ScaleComparison, assemble_diatonic, compare_three_scales
 from .pythagorean import PythTable, select_chromatic
 from .ratio import _fixed_point, monzo_form, to_decimal
@@ -85,6 +85,7 @@ def pythagorean_chromatic_document(table: PythTable) -> ScaleDocument:
 
 def render_scl(doc: ScaleDocument, filename: str) -> str:
     """Tuning-file text: comment, description, count, one pitch per line."""
+    check_instance("a scale document", doc, ScaleDocument)
     lines = [f"! {filename}", doc.description, str(len(doc.entries))]
     lines += [e.pitch_line() for e in doc.entries]
     return "\n".join(lines) + "\n"
@@ -124,6 +125,7 @@ def parse_scl(text: str) -> tuple[str, list[Union[Fraction, float]]]:
     digits) and the pitch lines.  Ratios come back as Fractions, cents as
     floats; anything else, or a count that does not match, is a TuningError.
     """
+    check_instance("scale file text", text, str)
     lines = [ln for ln in text.splitlines() if not ln.startswith("!")]
     if len(lines) < 2:
         raise TuningError("truncated scale file")
@@ -152,7 +154,8 @@ class ComparisonTable:
 
 
 def comparison_table(comp: Optional[ScaleComparison] = None) -> ComparisonTable:
-    comp = comp or compare_three_scales()
+    comp = compare_three_scales() if comp is None else comp
+    check_instance("a comparison", comp, ScaleComparison)
     rows = []
     for row in comp.rows:
         cells = {
@@ -166,6 +169,7 @@ def comparison_table(comp: Optional[ScaleComparison] = None) -> ComparisonTable:
 
 def export_table(table: ComparisonTable, format: str) -> str:
     """CSV (decimals only) or JSON (exact forms and decimals), UTF-8."""
+    check_instance("a comparison table", table, ComparisonTable)
     if format == "csv":
         lines = ["degree," + ",".join(table.columns)]
         for degree, cells in table.rows:

@@ -9,6 +9,7 @@ modules; these functions only lay it out.
 from __future__ import annotations
 
 from .equal import DIATONIC_INDICES, EtPitch, et_value
+from .errors import check_instance
 from .natural import compare_three_scales
 from .pythagorean import PythTable, pairing_table, select_chromatic
 from .ratio import monzo_form, to_decimal
@@ -27,7 +28,8 @@ def _aligned(rows: list[tuple[str, ...]]) -> str:
 def fifth_generation_text(table: PythTable) -> str:
     """All generated sounds ascending: ratio, truncated decimal, construction."""
     lines = []
-    for entry in sorted(table.entries(), key=lambda e: e.ratio):
+    entries = check_instance("a fifth table", table, PythTable).entries()
+    for entry in sorted(entries, key=lambda e: e.ratio):
         pq = f"{entry.ratio.numerator}/{entry.ratio.denominator}"
         lines.append(f"{pq} {to_decimal(entry.ratio, 5)} {entry.construction()}")
     return "\n".join(lines) + "\n"

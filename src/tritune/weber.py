@@ -10,9 +10,10 @@ relation over real-valued stimuli, not lattice arithmetic.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import Sequence
 
-from .errors import TuningError, check_int
+from .errors import TuningError, check_instance, check_int
 
 #: Most stimuli :func:`uniform_stimuli` produces; beyond it a TuningError, so
 #: one call builds at most this many floats.
@@ -27,7 +28,7 @@ def perception_increments(stimuli: Sequence[float], k: float) -> list[float]:
     """
     if not 0 < k < math.inf:
         raise TuningError("the context constant k must be positive and finite")
-    values = [float(s) for s in stimuli]
+    values = [float(s) for s in check_instance("stimuli", stimuli, Iterable)]
     if len(values) < 2:
         raise TuningError("a stimulus series needs at least two values")
     if not all(0 < v < math.inf for v in values):

@@ -25,7 +25,7 @@ from tritune.equal import (
     nearest_degree,
 )
 from tritune.errors import TuningError, UnsupportedDivisionError
-from tritune.intervals import Interval, compose
+from tritune.intervals import Interval, compose, interval_between
 from tritune.pythagorean import FifthStep, classify_to_et
 from tritune.ratio import MAX_DIGITS, Monzo, integer_nth_root, monzo_to_rational
 
@@ -492,6 +492,17 @@ class TestPowerBound:
         with within_seconds(5):
             with pytest.raises(TuningError):
                 compare_pitches(x, y)
+
+    def test_rational_pairs_past_the_bound_compare(self):
+        # exponent m = 1: two rationals compare by one shift, with no power
+        x = just_above_one(2 ** 20 + 1)
+        assert x.numerator.bit_length() > MAX_POWER_BITS
+        with within_seconds(5):
+            assert compare_pitches(x, 1) == 1 == -compare_pitches(1, x)
+            assert compare_pitches(x, x) == 0
+            assert Interval(x).ratio == x
+            assert interval_between(1, x).ratio == x
+            assert compare_pitches(x, Fraction(3, 2)) == -1
 
     def test_long_ratio_fails_fast(self):
         with within_seconds(5):

@@ -16,16 +16,20 @@ from tritune.equal import MAX_DIVISIONS, EtPitch, EtScale, compare_fraction_to_e
 from tritune.equal import diatonic_subset, et_semitone_count, et_value, generate_et
 from tritune.equal import nearest_degree
 from tritune.errors import ExponentBoundError, TuningError
-from tritune.intervals import classify_chord, classify_et_interval, flat, note_name
-from tritune.intervals import sharp, transpose_indices
-from tritune.natural import dead_end_scan, frequency_of_division, harmonic_divide, means
-from tritune.pythagorean import FifthStep, classify_to_et, generate_fifths, pairing_table
+from tritune.intervals import Interval, are_congruent, classify_chord, classify_et_interval
+from tritune.intervals import compose, flat, note_name, sharp, transpose_indices
+from tritune.natural import compare_three_scales, dead_end_scan, frequency_of_division
+from tritune.natural import harmonic_divide, means
+from tritune.pythagorean import FifthStep, base_dependence_demo, classify_to_et
+from tritune.pythagorean import generate_fifths, pairing_table
 from tritune.ratio import EXPONENT_BOUND, MAX_DIGITS, Monzo, integer_nth_root
 from tritune.ratio import is_five_smooth, is_nth_root_irrational, is_perfect_nth_power
 from tritune.ratio import monzo_form, octave_shift, rational_to_monzo, reduce_to_octave
-from tritune.ratio import to_decimal
-from tritune.scalefile import et_scale_document
-from tritune.weber import MAX_STIMULI, uniform_stimuli
+from tritune.ratio import cents, to_decimal
+from tritune.scalefile import comparison_table, et_scale_document, export_table, parse_scl
+from tritune.scalefile import render_scl
+from tritune.tables import fifth_generation_text
+from tritune.weber import MAX_STIMULI, perception_increments, uniform_stimuli
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "tritune").glob("*.py"))
 UNTYPED = {"ValueError", "TypeError"}
@@ -135,6 +139,20 @@ RECORD_PARAMETERS = {
     "intervals.classify_chord:indices": (classify_chord, (0, 4, 7)),
     "intervals.transpose_indices:indices": (lambda v: transpose_indices(v, 1), [0, 4]),
     "pythagorean.pairing_table:t": (lambda v: pairing_table(v, 12), generate_fifths(12, 12)),
+    "pythagorean.base_dependence_demo:t": (base_dependence_demo, generate_fifths(12, 12)),
+    "tables.fifth_generation_text:table": (fifth_generation_text, generate_fifths(12, 12)),
+    "scalefile.render_scl:doc": (lambda v: render_scl(v, "x.scl"), et_scale_document(12)),
+    "scalefile.export_table:table": (lambda v: export_table(v, "csv"), comparison_table()),
+    "scalefile.parse_scl:text": (parse_scl, "x\n1\n3/2\n"),
+    "intervals.compose:i1": (lambda v: compose(v, Interval(2)), Interval(Fraction(3, 2))),
+    "intervals.compose:i2": (lambda v: compose(Interval(2), v), Interval(Fraction(3, 2))),
+    "intervals.are_congruent:a": (lambda v: are_congruent(v, [1, 2]), [1, Fraction(3, 2)]),
+    "intervals.are_congruent:b": (lambda v: are_congruent([1, 2], v), [1, Fraction(3, 2)]),
+    "natural.dead_end_scan:found": (dead_end_scan, [1, Fraction(3, 2)]),
+    "weber.perception_increments:stimuli": (
+        lambda v: perception_increments(v, 1.0),
+        [1.0, 2.0],
+    ),
 }
 
 
@@ -234,3 +252,52 @@ def test_record_parameter_takes_its_type_only(key):
     for value in (Fraction(3, 2), 2, 12, 5, None, 1.5):
         with pytest.raises(TuningError, match="must be of type"):
             call(value)
+
+
+def test_comparison_table_takes_a_comparison_or_none():
+    # None means the paper's comparison, so comp is not in RECORD_PARAMETERS
+    assert comparison_table(compare_three_scales()) == comparison_table(None)
+    for value in (Fraction(3, 2), 2, 12, 5, 1.5, 0):
+        with pytest.raises(TuningError, match="must be of type"):
+            comparison_table(value)
+
+
+@pytest.mark.parametrize(
+    "value, printed",
+    [
+        (0, "0"),
+        (Fraction(0), "0"),
+        (3, "3"),
+        (Fraction(3, 2), "1.5"),
+        (Fraction(1, 3), "0.333"),
+        (None, None),
+        (True, None),
+        (False, None),
+        ("3/2", None),
+        (1.5, None),
+        (0.0, None),
+        (float("nan"), None),
+        (-1, None),
+        (Fraction(-3, 2), None),
+    ],
+)
+def test_to_decimal_takes_exact_ratios_from_zero_only(value, printed):
+    if printed is None:
+        with pytest.raises(TuningError):
+            to_decimal(value, 3)
+    else:
+        assert to_decimal(value, 3) == printed
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), -1.5, 0.0, Fraction(0), 0, -1, None, True, "3/2"],
+)
+def test_cents_rejects_what_has_no_finite_cents(value):
+    with pytest.raises(TuningError):
+        cents(value)
+
+
+def test_cents_takes_positive_finite_floats():
+    assert cents(2.0) == 1200.0
+    assert cents(1.5) == pytest.approx(cents(Fraction(3, 2)), abs=1e-9)

@@ -1,10 +1,11 @@
-"""The outward-rounded power brackets behind the two exact comparison kernels.
+"""The outward-rounded power brackets behind the one exact decision.
 
 ``equal._power_bracket(a, b, m)`` bounds (a/b)**m between lo * 2**e and
-hi * 2**e; ``_sign`` and ``nearest_degree`` decide from it when it leaves out
-the value they test, and form the exact powers (``equal._powers``) only on a
-near-tie or at most ``equal._EXACT_BITS`` bits.  Every answer must equal the
-exact powers' one.
+hi * 2**e.  ``equal._floor_log2_power``, which both ``_sign`` and
+``nearest_degree`` read, gives floor(log2((a/b)**m)) from it when lo and hi
+have one bit length, and forms the exact powers (``equal._powers``) only on a
+near-tie with a power of two or at most ``equal._EXACT_BITS`` bits.  Every
+answer must equal the exact powers' one.
 """
 
 import math
@@ -160,13 +161,24 @@ class TestNearTies:
         if bits == 100:  # closer than any bracket: the exact powers decide
             assert calls
 
+    @pytest.mark.parametrize("near", ["half-way", "degree"])
     @pytest.mark.parametrize("bits", [60, 100])
     @pytest.mark.parametrize("n", [53, 306, 600, 1200])
-    def test_half_way_points(self, n, bits):
-        for d in (0, n // 2, n - 1):
-            a = root_approximation(2 * d + 1, 2 * n, bits)
-            assert nearest_degree(Fraction(a, 1 << bits), n) == d
-            assert nearest_degree(Fraction(a + 1, 1 << bits), n) == d + 1
+    def test_half_way_points(self, n, bits, near):
+        with counted_powers() as calls:
+            for d in (0, n // 2, n - 1):
+                if near == "half-way":
+                    a = root_approximation(2 * d + 1, 2 * n, bits)
+                    assert nearest_degree(Fraction(a, 1 << bits), n) == d
+                    assert nearest_degree(Fraction(a + 1, 1 << bits), n) == d + 1
+                    continue
+                # r near 2**(d/n) itself: r**(2n) near the power of two 2**(2d)
+                a = root_approximation(2 * d, 2 * n, bits)
+                for x in (a - 1, a, a + 1, a + 2):
+                    r = Fraction(x, 1 << bits)
+                    assert nearest_degree(r, n) == exact_degree(r, n)
+        if bits == 100:  # closer than any bracket: the exact powers decide
+            assert calls
 
 
 def five_limit_ratios():

@@ -87,6 +87,12 @@ class TestSclWriter:
         assert "2187/2048" in lines
         assert lines[-1] == "2/1"
 
+    def test_writer_takes_a_document_only(self, tmp_path):
+        path = tmp_path / "scale.scl"
+        with pytest.raises(TuningError, match="must be of type ScaleDocument"):
+            write_scl(5, path)
+        assert not path.exists()
+
     def test_round_trip_is_identity_on_entries(self, tmp_path):
         for doc in (
             natural_scale_document(),
