@@ -15,10 +15,10 @@ from .equal import MAX_ET_DIGITS, generate_et, et_value
 from .errors import TuningError
 from .intervals import classify_chord
 from .natural import assemble_diatonic, build_core, find_si, solve_fa_la
+from .natural import compare_three_scales
 from .pythagorean import generate_fifths
 from .ratio import to_decimal
 from .scalefile import (
-    comparison_table,
     et_scale_document,
     export_table,
     natural_scale_document,
@@ -141,7 +141,7 @@ def _run_export(args) -> None:
             doc = natural_scale_document()
         text = render_scl(doc, path.name)
     else:
-        text = export_table(comparison_table(), args.format)
+        text = export_table(compare_three_scales(), args.format)
     path.write_text(text, encoding="utf-8", newline="\n")
     print(f"wrote {path}")
 

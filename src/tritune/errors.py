@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input contract that
-every public count, index and ratio argument passes through."""
+every public count, index, ratio and real argument passes through."""
 
+import sys
 from fractions import Fraction
 
 
@@ -53,3 +54,14 @@ def positive_fraction(x, what: str) -> Fraction:
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x > 0:
         return x if isinstance(x, Fraction) else Fraction(x)
     raise TuningError(f"{what} must be a positive int or Fraction, got {x!r}")
+
+
+def finite_real(x, what: str) -> float:
+    """``x`` as a float if it is an int, float or Fraction, not a bool, within
+    the finite float range; a TuningError otherwise, nan and inf included."""
+    real = isinstance(x, (int, float, Fraction)) and not isinstance(x, bool)
+    if real and abs(x) <= sys.float_info.max:
+        return float(x)
+    # an int or Fraction past the float range can be too long for repr()
+    shown = repr(x) if not real or isinstance(x, float) else "one past the float range"
+    raise TuningError(f"{what} must be a finite int, float or Fraction, got {shown}")

@@ -96,9 +96,6 @@ class Interval:
     def cents(self) -> float:
         return cents(self.ratio)
 
-    def __float__(self) -> float:
-        return float(self.ratio)
-
     def __str__(self) -> str:
         return str(self.ratio)
 

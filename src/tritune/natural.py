@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional, Union
+from typing import Optional
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import PropositionViolationError, TuningError, check_instance
@@ -58,11 +58,6 @@ class MeanTriple:
         if ok_n and ok_d:
             return Fraction(root_n, root_d)
         return None
-
-    @property
-    def geometric(self) -> Union[Fraction, float]:
-        exact = self.geometric_exact()
-        return exact if exact is not None else math.sqrt(float(self.geometric_squared))
 
 
 def means(a: RationalLike, b: RationalLike) -> MeanTriple:

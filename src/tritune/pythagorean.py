@@ -65,6 +65,13 @@ class PythEntry:
     ratio: Fraction
     step: Optional[FifthStep]
 
+    def __post_init__(self):
+        # 3-limit by provenance: the ratio of its fifth step, or an endpoint
+        if self.ratio not in ((self.step.ratio,) if self.step else (1, 2)):
+            raise TuningError(
+                f"{self.ratio} is neither its fifth step's ratio nor 1 or 2"
+            )
+
     @property
     def k(self) -> int:
         return self.step.k if self.step else 0
@@ -157,18 +164,14 @@ def pairing_table(
 
 @dataclass(frozen=True)
 class NamedPitch:
-    """A selected chromatic sound: name, exact ratio, and its provenance."""
+    """A selected chromatic sound: its name and the table entry it keeps."""
 
     name: NoteName
-    ratio: Fraction
-    step: Optional[FifthStep]
+    entry: PythEntry
 
-    def __post_init__(self):
-        # 3-limit by provenance: the ratio of its fifth step, or an endpoint
-        if self.ratio not in ((self.step.ratio,) if self.step else (1, 2)):
-            raise TuningError(
-                f"{self.ratio} is neither its fifth step's ratio nor 1 or 2"
-            )
+    @property
+    def ratio(self) -> Fraction:
+        return self.entry.ratio
 
 
 def select_chromatic(t: PythTable) -> list[NamedPitch]:
@@ -187,10 +190,10 @@ def select_chromatic(t: PythTable) -> list[NamedPitch]:
                     f"degree {degree}: iteration counts tie, selection undefined"
                 )
             keep = low if low.k < high.k else high
-            named.append(NamedPitch(note_name(degree), keep.ratio, keep.step))
+            named.append(NamedPitch(note_name(degree), keep))
         else:
-            named.append(NamedPitch(note_name(degree, "flat"), low.ratio, low.step))
-            named.append(NamedPitch(note_name(degree, "sharp"), high.ratio, high.step))
+            named.append(NamedPitch(note_name(degree, "flat"), low))
+            named.append(NamedPitch(note_name(degree, "sharp"), high))
     named.sort(key=lambda p: p.ratio)
     return named
 

@@ -256,18 +256,15 @@ def _fixed_point(scaled: int, width: int) -> str:
     return f"{s[:-width]}.{s[-width:]}"
 
 
-def monzo_form(r: Union[RationalLike, Monzo]) -> str:
+def monzo_form(r: RationalLike) -> str:
     """Factored rendering over {2, 3, 5}: 243/128 -> "3^5/2^7", 15/8 -> "3*5/2^3".
 
     Ratios outside the lattice fall back to plain "p/q".
     """
-    if isinstance(r, Monzo):
-        m = r
-    else:
-        m = rational_to_monzo(r)
-        if m is None:
-            f = Fraction(r)
-            return f"{f.numerator}/{f.denominator}"
+    m = rational_to_monzo(r)
+    if m is None:
+        f = Fraction(r)
+        return f"{f.numerator}/{f.denominator}"
 
     def side(exps: list[tuple[int, int]]) -> str:
         parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in exps if e > 0]

@@ -14,11 +14,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .equal import EtPitch, EtScale, compare_pitches, et_value
-from .errors import TuningError, check_instance
-from .natural import ScaleComparison, assemble_diatonic, compare_three_scales
+from .errors import TuningError, check_instance, positive_fraction
+from .natural import ScaleComparison, assemble_diatonic
 from .pythagorean import PythTable, select_chromatic
 from .ratio import _fixed_point, monzo_form, to_decimal
 
@@ -29,11 +29,15 @@ PitchValue = Union[Fraction, EtPitch]
 class ScaleEntry:
     """One pitch of a scale document: a ratio or an equal-division pitch.
 
-    Only the pitch is kept; a tuning file carries no note names or factored
-    forms.
+    Only the pitch is kept, a ratio as a Fraction; a tuning file carries no
+    note names or factored forms.
     """
 
     value: PitchValue
+
+    def __post_init__(self):
+        if not isinstance(self.value, EtPitch):
+            object.__setattr__(self, "value", positive_fraction(self.value, "a pitch"))
 
     def pitch_line(self) -> str:
         """Tuning-file rendering: p/q for rationals, 5-digit cents otherwise."""
@@ -50,6 +54,9 @@ class ScaleDocument:
     entries: tuple[ScaleEntry, ...]
 
     def __post_init__(self):
+        check_instance("a scale description", self.description, str)
+        for entry in check_instance("scale entries", self.entries, tuple):
+            check_instance("a scale entry", entry, ScaleEntry)
         if not self.entries:
             raise TuningError("a scale document needs at least one entry")
         values = [e.value for e in self.entries]
@@ -86,6 +93,7 @@ def pythagorean_chromatic_document(table: PythTable) -> ScaleDocument:
 def render_scl(doc: ScaleDocument, filename: str) -> str:
     """Tuning-file text: comment, description, count, one pitch per line."""
     check_instance("a scale document", doc, ScaleDocument)
+    check_instance("a file name", filename, str)
     lines = [f"! {filename}", doc.description, str(len(doc.entries))]
     lines += [e.pitch_line() for e in doc.entries]
     return "\n".join(lines) + "\n"
@@ -139,57 +147,36 @@ def parse_scl(text: str) -> tuple[str, list[Union[Fraction, float]]]:
     return description, pitches
 
 
-@dataclass(frozen=True)
-class TableCell:
-    exact: str
-    decimal: str
+#: the comparison's systems in column order: equal, Pythagorean, natural
+COLUMNS = ("E", "P", "N")
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Degree rows with one exact+decimal cell per scale system."""
-
-    columns: tuple[str, ...]
-    rows: tuple[tuple[str, dict[str, TableCell]], ...]
-
-
-def comparison_table(comp: Optional[ScaleComparison] = None) -> ComparisonTable:
-    comp = compare_three_scales() if comp is None else comp
-    check_instance("a comparison", comp, ScaleComparison)
-    rows = []
-    for row in comp.rows:
-        cells = {
-            "E": TableCell(row.equal.exact_form(), et_value(row.equal, 5)),
-            "P": TableCell(monzo_form(row.pythagorean), to_decimal(row.pythagorean, 5)),
-            "N": TableCell(monzo_form(row.natural), to_decimal(row.natural, 5)),
-        }
-        rows.append((row.degree, cells))
-    return ComparisonTable(columns=("E", "P", "N"), rows=tuple(rows))
+def comparison_table(comp: ScaleComparison) -> list[tuple[str, list[tuple[str, str]]]]:
+    """Per degree, the (exact form, 5-digit decimal) pair of E, P and N."""
+    return [
+        (
+            row.degree,
+            [
+                (row.equal.exact_form(), et_value(row.equal, 5)),
+                (monzo_form(row.pythagorean), to_decimal(row.pythagorean, 5)),
+                (monzo_form(row.natural), to_decimal(row.natural, 5)),
+            ],
+        )
+        for row in check_instance("a comparison", comp, ScaleComparison).rows
+    ]
 
 
-def export_table(table: ComparisonTable, format: str) -> str:
+def export_table(comp: ScaleComparison, format: str) -> str:
     """CSV (decimals only) or JSON (exact forms and decimals), UTF-8."""
-    check_instance("a comparison table", table, ComparisonTable)
+    rows = comparison_table(comp)
     if format == "csv":
-        lines = ["degree," + ",".join(table.columns)]
-        for degree, cells in table.rows:
-            lines.append(
-                degree + "," + ",".join(cells[c].decimal for c in table.columns)
-            )
+        lines = [",".join(("degree", *COLUMNS))]
+        lines += [",".join((degree, *(d for _, d in cells))) for degree, cells in rows]
         return "\n".join(lines) + "\n"
     if format == "json":
-        payload = {
-            "columns": list(table.columns),
-            "rows": [
-                {
-                    "degree": degree,
-                    **{
-                        c: {"exact": cells[c].exact, "decimal": cells[c].decimal}
-                        for c in table.columns
-                    },
-                }
-                for degree, cells in table.rows
-            ],
-        }
+        payload = {"columns": list(COLUMNS), "rows": []}
+        for degree, cells in rows:
+            pairs = {c: {"exact": e, "decimal": d} for c, (e, d) in zip(COLUMNS, cells)}
+            payload["rows"].append({"degree": degree, **pairs})
         return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     raise TuningError(f"unknown table format {format!r}")

@@ -13,7 +13,7 @@ from .errors import check_instance
 from .natural import compare_three_scales
 from .pythagorean import PythTable, pairing_table, select_chromatic
 from .ratio import monzo_form, to_decimal
-from .scalefile import comparison_table
+from .scalefile import COLUMNS, comparison_table
 
 
 def _aligned(rows: list[tuple[str, ...]]) -> str:
@@ -67,12 +67,9 @@ def chromatic_text(table: PythTable) -> str:
 def comparison_text() -> str:
     """The three-system diatonic table plus the exact orderings it implies."""
     comp = compare_three_scales()
-    table = comparison_table(comp)
-    rows = [("degree", *table.columns)]
-    for degree, cells in table.rows:
-        rows.append(
-            (degree, *(f"{cells[c].exact} = {cells[c].decimal}" for c in table.columns))
-        )
+    rows = [("degree", *COLUMNS)]
+    for degree, cells in comparison_table(comp):
+        rows.append((degree, *(f"{exact} = {decimal}" for exact, decimal in cells)))
     text = _aligned(rows)
     notes = [
         f"{degree}: {comp.orderings[degree]}" for degree in ("MI", "FA", "LA", "SI")

@@ -13,7 +13,7 @@ import math
 from collections.abc import Iterable
 from typing import Sequence
 
-from .errors import TuningError, check_instance, check_int
+from .errors import TuningError, check_instance, check_int, finite_real
 
 #: Most stimuli :func:`uniform_stimuli` produces; beyond it a TuningError, so
 #: one call builds at most this many floats.
@@ -23,16 +23,18 @@ MAX_STIMULI = 10_000
 def perception_increments(stimuli: Sequence[float], k: float) -> list[float]:
     """Perceived change at each step: dP_j = k * (S_{j+1} - S_j) / S_j.
 
-    ``k`` and at least two stimuli must be positive finite numbers, and every
-    increment must be finite; otherwise a TuningError.
+    ``k`` and at least two stimuli must be positive finite numbers (int,
+    float or Fraction, not bool), and every increment must be finite;
+    otherwise a TuningError.
     """
-    if not 0 < k < math.inf:
-        raise TuningError("the context constant k must be positive and finite")
-    values = [float(s) for s in check_instance("stimuli", stimuli, Iterable)]
+    if finite_real(k, "the context constant k") <= 0:
+        raise TuningError("the context constant k must be positive")
+    stimuli = check_instance("stimuli", stimuli, Iterable)
+    values = [finite_real(s, "a stimulus") for s in stimuli]
     if len(values) < 2:
         raise TuningError("a stimulus series needs at least two values")
-    if not all(0 < v < math.inf for v in values):
-        raise TuningError("stimuli must be positive and finite")
+    if not all(v > 0 for v in values):
+        raise TuningError("stimuli must be positive")
     increments = [k * (b - a) / a for a, b in zip(values, values[1:])]
     if not all(math.isfinite(d) for d in increments):
         raise TuningError("a perceived increment leaves the float range")
@@ -43,11 +45,11 @@ def uniform_stimuli(s1: float, c: float, k: float, n: int) -> list[float]:
     """The stimulus series whose perceived increments are constantly ``c``.
 
     Geometric with ratio 1 + c/k: S_j = s1 * (1 + c/k)**(j-1), j = 1..n.
-    ``s1``, ``c`` and ``k`` must be finite, 2 <= n <= MAX_STIMULI, and every
-    stimulus must stay a positive finite float; otherwise a TuningError.
+    ``s1``, ``c`` and ``k`` must be finite ints, floats or Fractions (not
+    bools), 2 <= n <= MAX_STIMULI, and every stimulus must stay a positive
+    finite float; otherwise a TuningError.
     """
-    if not all(math.isfinite(v) for v in (s1, c, k)):
-        raise TuningError("s1, c and k must be finite numbers")
+    s1, c, k = (finite_real(v, "each of s1, c and k") for v in (s1, c, k))
     if k <= 0:
         raise TuningError("the context constant k must be positive")
     if s1 <= 0:

@@ -26,8 +26,8 @@ from tritune.ratio import EXPONENT_BOUND, MAX_DIGITS, Monzo, integer_nth_root
 from tritune.ratio import is_five_smooth, is_nth_root_irrational, is_perfect_nth_power
 from tritune.ratio import monzo_form, octave_shift, rational_to_monzo, reduce_to_octave
 from tritune.ratio import cents, to_decimal
-from tritune.scalefile import comparison_table, et_scale_document, export_table, parse_scl
-from tritune.scalefile import render_scl
+from tritune.scalefile import ScaleDocument, ScaleEntry, comparison_table, et_scale_document
+from tritune.scalefile import export_table, parse_scl, render_scl
 from tritune.tables import fifth_generation_text
 from tritune.weber import MAX_STIMULI, perception_increments, uniform_stimuli
 
@@ -129,6 +129,7 @@ RATIO_PARAMETERS = {
     "natural.frequency_of_division:f_ac": lambda v: frequency_of_division(v, 1),
     "natural.frequency_of_division:f_ad": lambda v: frequency_of_division(1, v),
     "natural.dead_end_scan:found": lambda v: dead_end_scan([1, v]),
+    "scalefile.ScaleEntry:value": ScaleEntry,
 }
 
 
@@ -142,7 +143,12 @@ RECORD_PARAMETERS = {
     "pythagorean.base_dependence_demo:t": (base_dependence_demo, generate_fifths(12, 12)),
     "tables.fifth_generation_text:table": (fifth_generation_text, generate_fifths(12, 12)),
     "scalefile.render_scl:doc": (lambda v: render_scl(v, "x.scl"), et_scale_document(12)),
-    "scalefile.export_table:table": (lambda v: export_table(v, "csv"), comparison_table()),
+    "scalefile.render_scl:filename": (lambda v: render_scl(et_scale_document(12), v), "x.scl"),
+    "scalefile.ScaleDocument:description": (lambda v: ScaleDocument(v, (ScaleEntry(2),)), "d"),
+    "scalefile.ScaleDocument:entries": (lambda v: ScaleDocument("d", v), (ScaleEntry(2),)),
+    "scalefile.ScaleDocument:entries[0]": (lambda v: ScaleDocument("d", (v,)), ScaleEntry(2)),
+    "scalefile.comparison_table:comp": (comparison_table, compare_three_scales()),
+    "scalefile.export_table:comp": (lambda v: export_table(v, "csv"), compare_three_scales()),
     "scalefile.parse_scl:text": (parse_scl, "x\n1\n3/2\n"),
     "intervals.compose:i1": (lambda v: compose(v, Interval(2)), Interval(Fraction(3, 2))),
     "intervals.compose:i2": (lambda v: compose(Interval(2), v), Interval(Fraction(3, 2))),
@@ -254,12 +260,24 @@ def test_record_parameter_takes_its_type_only(key):
             call(value)
 
 
-def test_comparison_table_takes_a_comparison_or_none():
-    # None means the paper's comparison, so comp is not in RECORD_PARAMETERS
-    assert comparison_table(compare_three_scales()) == comparison_table(None)
-    for value in (Fraction(3, 2), 2, 12, 5, 1.5, 0):
-        with pytest.raises(TuningError, match="must be of type"):
-            comparison_table(value)
+#: "module.name:parameter" -> call taking a real: a finite int, float or Fraction
+FLOAT_PARAMETERS = {
+    "weber.uniform_stimuli:s1": lambda v: uniform_stimuli(v, 1.0, 1.0, 3),
+    "weber.uniform_stimuli:c": lambda v: uniform_stimuli(1.0, v, 1.0, 3),
+    "weber.uniform_stimuli:k": lambda v: uniform_stimuli(1.0, 1.0, v, 3),
+    "weber.perception_increments:k": lambda v: perception_increments([1.0, 2.0], v),
+    "weber.perception_increments:stimuli[0]": lambda v: perception_increments([v, 2.0], 1.0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FLOAT_PARAMETERS))
+def test_float_parameter_takes_finite_reals_only(key):
+    call = FLOAT_PARAMETERS[key]
+    for value in (1, 1.5, Fraction(3, 2)):
+        call(value)
+    for value in (None, "1", True, float("nan"), float("inf"), 1j, 10**400, 10**5000):
+        with pytest.raises(TuningError, match="must be a finite int, float or Fraction"):
+            call(value)
 
 
 @pytest.mark.parametrize(

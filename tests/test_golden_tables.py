@@ -1,6 +1,6 @@
-"""The four reference tables and the ``natural --trace`` derivation must
-render byte-identically to the checked-in golden files, whose numeric content
-is produced by the exact modules."""
+"""The four reference tables, the ``natural --trace`` derivation and the five
+``export`` files must render byte-identically to the checked-in golden files,
+whose numeric content is produced by the exact modules."""
 
 from pathlib import Path
 
@@ -46,6 +46,25 @@ def test_comparison_table():
 def test_natural_trace(capsys):
     assert cli.main(["natural", "--trace"]) == 0
     assert capsys.readouterr().out == golden("natural_trace.txt")
+
+
+#: each export golden with the arguments that write it; an scl file's comment
+#: line carries the file's basename, so each is written under its own name
+EXPORTS = {
+    "comparison.csv": ["--format", "csv"],
+    "comparison.json": ["--format", "json"],
+    "natural.scl": ["--format", "scl", "--scale", "natural"],
+    "pyth.scl": ["--format", "scl", "--scale", "pyth"],
+    "et12.scl": ["--format", "scl", "--scale", "et", "--n", "12"],
+}
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_export_file(name, tmp_path, capsys):
+    path = tmp_path / name
+    assert cli.main(["export", *EXPORTS[name], "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert path.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
 def test_goldens_carry_the_reference_values():

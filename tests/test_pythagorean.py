@@ -4,14 +4,14 @@ import pytest
 
 from tritune.equal import MAX_DIVISIONS, EtPitch, compare_fraction_to_et
 from tritune.errors import CoverageError, ExponentBoundError, TuningError
-from tritune.intervals import are_congruent, note_name
+from tritune.intervals import are_congruent
 from tritune.pythagorean import (
     APOTOME,
     LIMMA,
     PYTHAGOREAN_COMMA,
     TONE,
     FifthStep,
-    NamedPitch,
+    PythEntry,
     base_dependence_demo,
     classify_to_et,
     generate_fifths,
@@ -220,22 +220,22 @@ class TestChromaticSelection:
     def test_fewer_iterations_win_on_diatonic_degrees(self, table):
         by_name = {str(p.name): p for p in select_chromatic(table)}
         assert by_name["SOL"].ratio == Fraction(3, 2)
-        assert by_name["SOL"].step.k == 1
+        assert by_name["SOL"].entry.k == 1
 
     def test_endpoints_are_both_do(self, table):
         named = select_chromatic(table)
         assert str(named[0].name) == str(named[-1].name) == "DO"
         assert (named[0].ratio, named[-1].ratio) == (1, 2)
 
-    def test_named_pitch_checks_its_provenance(self):
+    def test_pyth_entry_checks_its_provenance(self):
         up = FifthStep("up", 1)
-        assert NamedPitch(note_name(7), Fraction(3, 2), up).step is up
-        assert NamedPitch(note_name(12), Fraction(2), None).ratio == 2
+        assert PythEntry(Fraction(3, 2), up).step is up
+        assert PythEntry(Fraction(2), None).ratio == 2
         with pytest.raises(ValueError):
-            NamedPitch(note_name(4), Fraction(5, 4), None)
+            PythEntry(Fraction(5, 4), None)
         for other in (Fraction(9, 8), Fraction(2)):
             with pytest.raises(ValueError):
-                NamedPitch(note_name(7), other, up)
+                PythEntry(other, up)
 
     def test_every_selected_sound_is_three_limit(self, table):
         from tritune.ratio import rational_to_monzo

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from tritune.equal import EtPitch
 from tritune.errors import TuningError
+from tritune.natural import ScaleComparison, compare_three_scales
 from tritune.pythagorean import generate_fifths
 from tritune.scalefile import (
-    ComparisonTable,
     ScaleDocument,
     ScaleEntry,
-    comparison_table,
     et_scale_document,
     export_table,
     natural_scale_document,
@@ -197,14 +196,14 @@ class TestSclWriter:
 
 class TestComparisonExport:
     def test_csv_rows(self):
-        csv = export_table(comparison_table(), "csv")
+        csv = export_table(compare_three_scales(), "csv")
         lines = csv.splitlines()
         assert lines[0] == "degree,E,P,N"
         assert "RE,1.12246,1.125,1.125" in lines
         assert len(lines) == 9
 
     def test_json_carries_exact_forms_and_decimals(self):
-        payload = json.loads(export_table(comparison_table(), "json"))
+        payload = json.loads(export_table(compare_three_scales(), "json"))
         assert payload["columns"] == ["E", "P", "N"]
         si = next(r for r in payload["rows"] if r["degree"] == "SI")
         assert si["P"]["exact"] == "3^5/2^7"
@@ -213,12 +212,17 @@ class TestComparisonExport:
         assert si["E"]["exact"] == "2^(11/12)"
 
     def test_empty_table_is_header_only(self):
-        empty = ComparisonTable(columns=("E", "P", "N"), rows=())
+        empty = ScaleComparison(rows=(), orderings={})
         assert export_table(empty, "csv") == "degree,E,P,N\n"
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            export_table(comparison_table(), "xml")
+            export_table(compare_three_scales(), "xml")
+
+
+def test_int_entry_renders_as_a_ratio():
+    assert ScaleEntry(2) == ScaleEntry(Fraction(2))
+    assert ScaleEntry(2).pitch_line() == "2/1"
 
 
 def test_et_pitch_lines_are_exact_for_any_division():
