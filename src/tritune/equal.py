@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .errors import TuningError, UnsupportedDivisionError, check_instance, check_int
-from .errors import positive_fraction
+from .errors import TuningError, UnsupportedDivisionError, _shown, check_instance
+from .errors import check_int, positive_fraction
 from .ratio import MAX_DIGITS, Monzo, _fixed_point, _floor_log2, _monzo_terms
 from .ratio import cents, integer_nth_root, is_nth_root_irrational, to_decimal
 
@@ -69,7 +69,7 @@ class EtPitch:
         if r is not _ONE and (isinstance(r, bool) or not (
             isinstance(r, (int, Fraction)) and r > 0 and r.numerator & r.denominator & 1
         )):
-            raise TuningError(f"r must be a positive ratio of odd integers, got {r!r}")
+            raise TuningError(f"r must be a positive ratio of odd integers, got {_shown(r)}")
 
     @classmethod
     def of(cls, x: Union[int, Fraction, Monzo, EtPitch]) -> EtPitch:
@@ -124,7 +124,7 @@ class EtPitch:
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
-            raise TuningError(f"{self.exact_form()} is irrational")
+            raise TuningError(f"{_shown(self)} is irrational")
         return self.r * Fraction(2) ** (self.k // self.n)
 
     def exact_form(self) -> str:
@@ -142,7 +142,7 @@ def _power_form(x) -> tuple[int, int, int, int]:
         return (*_monzo_terms(x), 0, 1)
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x > 0:
         return x.numerator, x.denominator, 0, 1
-    raise TuningError(f"pitches must be positive, got {x!r}")
+    raise TuningError(f"pitches must be positive, got {_shown(x)}")
 
 
 def _power_bracket(a: int, b: int, m: int) -> tuple[int, int, int]:
@@ -177,7 +177,7 @@ def _floor_log2_power(a: int, b: int, m: int) -> int:
     """
     bits = max(a, b).bit_length()
     if m * bits > MAX_POWER_BITS:
-        raise TuningError(f"a power of {m} x {bits} bits is over MAX_POWER_BITS")
+        raise TuningError(f"a power of {_shown(m)} x {bits} bits is over MAX_POWER_BITS")
     if m * bits > _EXACT_BITS:
         lo, hi, e = _power_bracket(a, b, m)
         if lo.bit_length() == hi.bit_length():
@@ -225,10 +225,10 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     check_instance("a pitch", p, EtPitch)
     check_int("digits", precision_digits, 1, MAX_DIGITS)
     if p.r != 1:
-        raise TuningError(f"only 2^(k/n) is printed, not {p.exact_form()}")
+        raise TuningError(f"only 2^(k/n) is printed, not {_shown(p)}")
     limit = sys.get_int_max_str_digits()
     if limit and 3 * (p.k // p.n) >= 10 * limit:
-        raise TuningError(f"2^({p.k}/{p.n}) has more than {limit} integer digits")
+        raise TuningError(f"{_shown(p)} has more than {limit} integer digits")
     if p.is_rational():
         return to_decimal(p.as_fraction(), precision_digits)
     e = p.exponent

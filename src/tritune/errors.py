@@ -30,6 +30,18 @@ class PropositionViolationError(TuningError):
     """An exhaustive search did not confirm a uniqueness claim it was asked to verify."""
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or its size when repr raises: an
+    int past the interpreter's int-to-str digit limit cannot be printed."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, (int, Fraction)):
+            bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+            return f"<{type(value).__name__} of {bits} bits>"
+        return f"<{type(value).__name__} too long to print>"
+
+
 def check_int(
     what: str, value, lo: int | None, hi: int | None = None, error=TuningError
 ) -> int:
@@ -38,14 +50,14 @@ def check_int(
     if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
         return value
     span = "" if lo is None else f" from {lo} to {hi}" if hi is not None else f" >= {lo}"
-    raise error(f"{what} must be an integer{span}, got {value!r}")
+    raise error(f"{what} must be an integer{span}, got {_shown(value)}")
 
 
 def check_instance(what: str, value, kind: type):
     """``value`` if it is an instance of ``kind``; a TuningError otherwise."""
     if isinstance(value, kind):
         return value
-    raise TuningError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    raise TuningError(f"{what} must be of type {kind.__name__}, got {_shown(value)}")
 
 
 def positive_fraction(x, what: str) -> Fraction:
@@ -53,7 +65,7 @@ def positive_fraction(x, what: str) -> Fraction:
     TuningError otherwise, floats and strings included."""
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x > 0:
         return x if isinstance(x, Fraction) else Fraction(x)
-    raise TuningError(f"{what} must be a positive int or Fraction, got {x!r}")
+    raise TuningError(f"{what} must be a positive int or Fraction, got {_shown(x)}")
 
 
 def finite_real(x, what: str) -> float:
@@ -62,6 +74,4 @@ def finite_real(x, what: str) -> float:
     real = isinstance(x, (int, float, Fraction)) and not isinstance(x, bool)
     if real and abs(x) <= sys.float_info.max:
         return float(x)
-    # an int or Fraction past the float range can be too long for repr()
-    shown = repr(x) if not real or isinstance(x, float) else "one past the float range"
-    raise TuningError(f"{what} must be a finite int, float or Fraction, got {shown}")
+    raise TuningError(f"{what} must be a finite int, float or Fraction, got {_shown(x)}")

@@ -18,7 +18,7 @@ from functools import cmp_to_key
 from typing import Optional, Sequence, Union
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
-from .errors import TuningError, check_instance, check_int
+from .errors import TuningError, _shown, check_instance, check_int
 from .ratio import Monzo, cents
 
 Pitch = Union[int, Fraction, float, Monzo, EtPitch]
@@ -58,9 +58,9 @@ class NoteName:
 
     def __post_init__(self):
         if self.letter not in LETTERS:
-            raise TuningError(f"unknown letter {self.letter!r}")
+            raise TuningError(f"unknown letter {_shown(self.letter)}")
         if self.accidental not in _ACCIDENTAL_MARK:
-            raise TuningError(f"unknown accidental {self.accidental!r}")
+            raise TuningError(f"unknown accidental {_shown(self.accidental)}")
 
     def __str__(self) -> str:
         return self.letter + _ACCIDENTAL_MARK[self.accidental]
@@ -85,13 +85,20 @@ def note_name(chromatic_index: int, preference: str = "sharp") -> NoteName:
 
 @dataclass(frozen=True)
 class Interval:
-    """A ratio >= 1 between two pitches; unison is 1, the octave is 2."""
+    """A ratio >= 1 between two pitches; unison is 1, the octave is 2.
+
+    The ratio is stored in one form whatever it was given as: a Fraction when
+    the interval is rational, else an exact ``EtPitch`` r * 2**(k/n).
+    """
 
     ratio: Union[Fraction, EtPitch]
 
     def __post_init__(self):
-        if compare_pitches(self.ratio, 1) < 0:
+        pitch = EtPitch.of(self.ratio)
+        if compare_pitches(pitch, 1) < 0:
             raise TuningError("interval ratios are >= 1")
+        ratio = pitch.as_fraction() if pitch.is_rational() else pitch
+        object.__setattr__(self, "ratio", ratio)
 
     def cents(self) -> float:
         return cents(self.ratio)
@@ -103,22 +110,17 @@ class Interval:
 def interval_between(f1: Pitch, f2: Pitch) -> Interval:
     """The distance between two sounds: the larger divided by the smaller.
 
-    Arguments are reordered if needed so the result is always >= 1.  It is
-    a Fraction when both pitches are rational, else an exact ``EtPitch``
-    r * 2**(k/n): 3/2 against 2^(7/12) is (3/4) * 2^(5/12) = 3 * 2^(-19/12).
+    Arguments are reordered if needed so the result is always >= 1: 3/2
+    against 2^(7/12) is (3/4) * 2^(5/12) = 3 * 2^(-19/12).
     """
     lo, hi = sorted(map(EtPitch.of, (f1, f2)), key=cmp_to_key(compare_pitches))
-    q = hi / lo
-    return Interval(q.as_fraction() if lo.is_rational() and hi.is_rational() else q)
+    return Interval(hi / lo)
 
 
 def compose(i1: Interval, i2: Interval) -> Interval:
-    """Chain two intervals: distances compose by multiplying ratios, to a
-    Fraction when both are Fractions and to an ``EtPitch`` otherwise."""
+    """Chain two intervals: distances compose by multiplying ratios."""
     for i in (i1, i2):
         check_instance("an interval", i, Interval)
-    if isinstance(i1.ratio, Fraction) and isinstance(i2.ratio, Fraction):
-        return Interval(i1.ratio * i2.ratio)
     return Interval(EtPitch.of(i1.ratio) * i2.ratio)
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import PropositionViolationError, TuningError, check_instance
-from .errors import positive_fraction
+from .errors import _shown, positive_fraction
 from .intervals import NoteName
 from .pythagorean import generate_fifths, select_chromatic
 from .ratio import RationalLike, is_five_smooth, is_perfect_nth_power
@@ -89,7 +89,7 @@ def harmonic_divide(ac: RationalLike, ad: RationalLike) -> HarmonicDivision:
     fac = positive_fraction(ac, "AC")
     fad = positive_fraction(ad, "AD")
     if fac >= fad:
-        raise TuningError(f"AC must be shorter than AD, got AC={fac}, AD={fad}")
+        raise TuningError(f"AC must be shorter than AD, got AC={_shown(fac)}, AD={_shown(fad)}")
     ab = means(fac, fad).harmonic
     cb = ab - fac
     bd = fad - ab

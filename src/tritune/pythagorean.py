@@ -2,20 +2,20 @@
 
 Walking k fifths up or down from the base and folding each result back into
 the octave with a power of two yields the family 2**h * (3/2)**(+/-k), all
-distinct rationals: the walk never closes.  Twelve steps each way produce 26
-sounds that bracket the twelve-division equal scale in pairs, from which the
-traditional 18-name chromatic selection is drawn.
+distinct rationals: the walk never closes.  Twelve steps each way and the
+zero-fifth endpoints 1 and 2 are 26 sounds that bracket the twelve-division
+equal scale in pairs, from which the traditional 18-name chromatic selection
+is drawn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_fraction_to_et, nearest_degree
 from .errors import CoverageError, ExponentBoundError, PropositionViolationError
-from .errors import TuningError, check_instance, check_int, positive_fraction
+from .errors import TuningError, _shown, check_instance, check_int, positive_fraction
 from .intervals import NoteName, note_name
 from .ratio import EXPONENT_BOUND, Monzo, _floor_log2, cents
 from .ratio import monzo_to_rational, reduce_to_octave
@@ -28,14 +28,15 @@ TONE = Fraction(9, 8)
 
 @dataclass(frozen=True)
 class FifthStep:
-    """One generated sound, set by a direction and a count k of fifths.
+    """One sound of the table, set by a direction and a count k of fifths.
 
-    ``h`` and ``ratio`` follow from those two: the walk reaches
-    (3/2)**(+/-k), never a power of two, and ``ratio.octave_shift`` gives
-    the h that folds it strictly inside (1, 2) as ratio = 2**h * (3/2)**(+/-k).
-    So h = -floor(k*log2(3/2)) going up and h = ceil(k*log2(3/2)) going down:
-    the fold is bounded by |h| <= ceil(k*log2(3/2)), at most 38 for k up to
-    ``EXPONENT_BOUND`` = 64, beyond which an ExponentBoundError is raised.
+    ``h`` and ``ratio`` follow from those two as ratio = 2**h * (3/2)**(+/-k):
+    going up the fold lands in [1, 2), h = -floor(k*log2(3/2)); going down in
+    (1, 2], h = 1 + floor(k*log2(3/2)).  So k = 0 gives the endpoints, DO = 1
+    up and DO' = 2 down, and every k >= 1 lands strictly inside (1, 2), never
+    on a power of two.  The fold is bounded by |h| <= ceil(k*log2(3/2)), at
+    most 38 for k up to ``EXPONENT_BOUND`` = 64; a k outside 0 to 64 is an
+    ExponentBoundError.
     """
 
     direction: str  # "up" or "down"
@@ -46,46 +47,28 @@ class FifthStep:
     def __post_init__(self):
         if self.direction not in ("up", "down"):
             raise TuningError("direction must be 'up' or 'down'")
-        check_int("a fifth count k", self.k, 1)
-        k = check_int("a fifth count k", self.k, 1, EXPONENT_BOUND, ExponentBoundError)
-        p, q = (3 ** k, 2 ** k) if self.direction == "up" else (2 ** k, 3 ** k)
-        h = -_floor_log2(p, q)  # as in ratio.octave_shift, on integers
+        k = check_int("a fifth count k", self.k, 0, EXPONENT_BOUND, ExponentBoundError)
+        up = self.direction == "up"
+        p, q = (3 ** k, 2 ** k) if up else (2 ** k, 3 ** k)
+        h = -_floor_log2(p, q) if up else 1 + _floor_log2(q, p)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "ratio", Fraction(p << max(h, 0), q << max(-h, 0)))
 
-
-@dataclass(frozen=True)
-class PythEntry:
-    """A row of the generated table: a sound plus how it was reached.
-
-    The two octave endpoints travel with the generated sounds; they carry
-    ``step=None`` and count as zero iterations.
-    """
-
-    ratio: Fraction
-    step: Optional[FifthStep]
-
-    def __post_init__(self):
-        # 3-limit by provenance: the ratio of its fifth step, or an endpoint
-        if self.ratio not in ((self.step.ratio,) if self.step else (1, 2)):
-            raise TuningError(
-                f"{self.ratio} is neither its fifth step's ratio nor 1 or 2"
-            )
-
-    @property
-    def k(self) -> int:
-        return self.step.k if self.step else 0
-
     def construction(self) -> str:
-        if self.step is None:
-            return str(self.ratio.numerator)  # "1" or "2"
-        sign = 1 if self.step.direction == "up" else -1
-        e = sign * self.step.k
+        """How the sound is reached: "1" or "2" at k = 0, else "3/2",
+        "2*(3/2)^-1", "2^-1*(3/2)^2" and so on."""
+        if self.k == 0:
+            return str(self.ratio.numerator)
+        e = self.k if self.direction == "up" else -self.k
         fifth = "3/2" if e == 1 else f"(3/2)^{e}"
-        if self.step.h == 0:
+        if self.h == 0:
             return fifth
-        two = "2" if self.step.h == 1 else f"2^{self.step.h}"
+        two = "2" if self.h == 1 else f"2^{self.h}"
         return f"{two}*{fifth}"
+
+
+#: the endpoints DO = 1 and DO' = 2, the zero-fifth steps every table holds
+_DO, _DO_OCTAVE = FifthStep("up", 0), FifthStep("down", 0)
 
 
 @dataclass(frozen=True)
@@ -95,14 +78,12 @@ class PythTable:
     down: tuple[FifthStep, ...]
     up: tuple[FifthStep, ...]
 
-    def entries(self) -> list[PythEntry]:
-        rows = [PythEntry(Fraction(1), None)]
-        rows += [PythEntry(s.ratio, s) for s in self.down + self.up]
-        rows.append(PythEntry(Fraction(2), None))
-        return rows
+    def entries(self) -> list[FifthStep]:
+        """DO, the steps down, the steps up and DO'."""
+        return [_DO, *self.down, *self.up, _DO_OCTAVE]
 
     def ratios(self) -> list[Fraction]:
-        return [e.ratio for e in self.entries()]
+        return [s.ratio for s in self.entries()]
 
 
 def generate_fifths(m1: int, m2: int) -> PythTable:
@@ -127,14 +108,14 @@ def classify_to_et(r: Fraction, n: int = 12) -> tuple[int, float]:
     """
     r = positive_fraction(r, "a pitch ratio")
     if not 1 <= r <= 2:
-        raise TuningError(f"ratio {r} is outside the reference octave [1, 2]")
+        raise TuningError(f"ratio {_shown(r)} is outside the reference octave [1, 2]")
     degree = nearest_degree(r, n)
     return degree, cents(r) - degree * 1200.0 / n
 
 
 def pairing_table(
     t: PythTable, n: int = 12
-) -> dict[int, tuple[PythEntry, PythEntry]]:
+) -> dict[int, tuple[FifthStep, FifthStep]]:
     """Group the generated sounds around the n+1 equal degrees, two apiece.
 
     Each degree must receive exactly one approximant from below and one from
@@ -142,12 +123,12 @@ def pairing_table(
     coverage error naming the offending degree.  n is an integer from 1 to
     ``equal.MAX_DIVISIONS``, as for ``equal.nearest_degree``.
     """
-    buckets: dict[int, list[PythEntry]] = {}
-    for entry in check_instance("a fifth table", t, PythTable).entries():
-        buckets.setdefault(nearest_degree(entry.ratio, n), []).append(entry)
+    buckets: dict[int, list[FifthStep]] = {}
+    for step in check_instance("a fifth table", t, PythTable).entries():
+        buckets.setdefault(nearest_degree(step.ratio, n), []).append(step)
     pairs = {}
     for degree in range(n + 1):
-        found = sorted(buckets.get(degree, []), key=lambda e: e.ratio)
+        found = sorted(buckets.get(degree, []), key=lambda s: s.ratio)
         if len(found) != 2:
             raise CoverageError(degree, len(found))
         low, high = found
@@ -164,14 +145,14 @@ def pairing_table(
 
 @dataclass(frozen=True)
 class NamedPitch:
-    """A selected chromatic sound: its name and the table entry it keeps."""
+    """A selected chromatic sound: its name and the fifth step it keeps."""
 
     name: NoteName
-    entry: PythEntry
+    step: FifthStep
 
     @property
     def ratio(self) -> Fraction:
-        return self.entry.ratio
+        return self.step.ratio
 
 
 def select_chromatic(t: PythTable) -> list[NamedPitch]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ExponentBoundError, TuningError, check_int, positive_fraction
+from .errors import ExponentBoundError, TuningError, _shown, check_int, positive_fraction
 
 #: Safety bound on prime exponents, and on the fifths ``pythagorean.FifthStep``
 #: stacks each way.  3**64 is far beyond any value a scale construction
@@ -235,7 +235,7 @@ def to_decimal(r: RationalLike, digits: int) -> str:
     """
     check_int("digits", digits, 1, MAX_DIGITS)
     if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r >= 0):
-        raise TuningError(f"a printed ratio must be an int or Fraction >= 0, got {r!r}")
+        raise TuningError(f"a printed ratio must be an int or Fraction >= 0, got {_shown(r)}")
     exact_len = _terminating_digits(r.denominator)
     width = exact_len if exact_len is not None and exact_len <= digits else digits
     return _fixed_point(r.numerator * 10 ** width // r.denominator, width)
@@ -293,6 +293,6 @@ def cents(r) -> float:
     if isinstance(r, float) and 0 < r < math.inf:
         return 1200.0 * math.log2(r)
     if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r > 0):
-        raise TuningError(f"cents takes a positive exact ratio or finite float, got {r!r}")
+        raise TuningError(f"cents takes a positive exact ratio or finite float, got {_shown(r)}")
     # split the log to stay accurate for very large numerator/denominator
     return 1200.0 * (math.log2(r.numerator) - math.log2(r.denominator))

@@ -13,11 +13,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Union
 
 from .equal import EtPitch, EtScale, compare_pitches, et_value
-from .errors import TuningError, check_instance, positive_fraction
+from .errors import TuningError, _shown, check_instance, positive_fraction
 from .natural import ScaleComparison, assemble_diatonic
 from .pythagorean import PythTable, select_chromatic
 from .ratio import _fixed_point, monzo_form, to_decimal
@@ -44,7 +43,7 @@ class ScaleEntry:
         if isinstance(self.value, Fraction):
             return f"{self.value.numerator}/{self.value.denominator}"
         if self.value.r != 1:
-            raise TuningError(f"no exact cents for {self.value.exact_form()}")
+            raise TuningError(f"no exact cents for {_shown(self.value)}")
         return _fixed_point(1200 * self.value.k * 10 ** 5 // self.value.n, 5)
 
 
@@ -54,7 +53,10 @@ class ScaleDocument:
     entries: tuple[ScaleEntry, ...]
 
     def __post_init__(self):
-        check_instance("a scale description", self.description, str)
+        d = check_instance("a scale description", self.description, str)
+        # a tuning file's description is one line, and "!" opens a comment
+        if d.splitlines() not in ([], [d]) or d.startswith("!"):
+            raise TuningError("a scale description must be one line not opening with '!'")
         for entry in check_instance("scale entries", self.entries, tuple):
             check_instance("a scale entry", entry, ScaleEntry)
         if not self.entries:
@@ -97,11 +99,6 @@ def render_scl(doc: ScaleDocument, filename: str) -> str:
     lines = [f"! {filename}", doc.description, str(len(doc.entries))]
     lines += [e.pitch_line() for e in doc.entries]
     return "\n".join(lines) + "\n"
-
-
-def write_scl(doc: ScaleDocument, path) -> None:
-    path = Path(path)
-    path.write_text(render_scl(doc, path.name), encoding="utf-8", newline="\n")
 
 
 #: a pitch token: cents when it holds a period, else a ratio p/q or p
@@ -179,4 +176,4 @@ def export_table(comp: ScaleComparison, format: str) -> str:
             pairs = {c: {"exact": e, "decimal": d} for c, (e, d) in zip(COLUMNS, cells)}
             payload["rows"].append({"degree": degree, **pairs})
         return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    raise TuningError(f"unknown table format {format!r}")
+    raise TuningError(f"unknown table format {_shown(format)}")

@@ -28,10 +28,10 @@ def _aligned(rows: list[tuple[str, ...]]) -> str:
 def fifth_generation_text(table: PythTable) -> str:
     """All generated sounds ascending: ratio, truncated decimal, construction."""
     lines = []
-    entries = check_instance("a fifth table", table, PythTable).entries()
-    for entry in sorted(entries, key=lambda e: e.ratio):
-        pq = f"{entry.ratio.numerator}/{entry.ratio.denominator}"
-        lines.append(f"{pq} {to_decimal(entry.ratio, 5)} {entry.construction()}")
+    steps = check_instance("a fifth table", table, PythTable).entries()
+    for step in sorted(steps, key=lambda s: s.ratio):
+        pq = f"{step.ratio.numerator}/{step.ratio.denominator}"
+        lines.append(f"{pq} {to_decimal(step.ratio, 5)} {step.construction()}")
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from tritune.equal import MAX_DIVISIONS, EtPitch, EtScale, compare_fraction_to_et
 from tritune.equal import diatonic_subset, et_semitone_count, et_value, generate_et
-from tritune.equal import nearest_degree
+from tritune.equal import compare_pitches, nearest_degree
 from tritune.errors import ExponentBoundError, TuningError
 from tritune.intervals import Interval, are_congruent, classify_chord, classify_et_interval
 from tritune.intervals import compose, flat, note_name, sharp, transpose_indices
@@ -90,7 +90,7 @@ INT_PARAMETERS = {
     "intervals.sharp:index": (lambda v: sharp(v), None, None),
     "intervals.flat:index": (lambda v: flat(v), None, None),
     "intervals.classify_et_interval:semitones": (lambda v: classify_et_interval(v), 0, None),
-    "pythagorean.FifthStep:k": (lambda v: FifthStep("up", v), 1, EXPONENT_BOUND),
+    "pythagorean.FifthStep:k": (lambda v: FifthStep("up", v), 0, EXPONENT_BOUND),
     "pythagorean.generate_fifths:m1": (lambda v: generate_fifths(v, 0), 0, EXPONENT_BOUND),
     "pythagorean.generate_fifths:m2": (lambda v: generate_fifths(0, v), 0, EXPONENT_BOUND),
     "pythagorean.classify_to_et:n": (lambda v: classify_to_et(Fraction(3, 2), v), 1, MAX_DIVISIONS),
@@ -319,3 +319,31 @@ def test_cents_rejects_what_has_no_finite_cents(value):
 def test_cents_takes_positive_finite_floats():
     assert cents(2.0) == 1200.0
     assert cents(1.5) == pytest.approx(cents(Fraction(3, 2)), abs=1e-9)
+
+
+#: an int too long for repr() (the interpreter's int-to-str limit is 4300 digits)
+HUGE = 10**5000
+
+#: calls whose error message would print such a value
+HUGE_VALUE_CALLS = {
+    "octave_shift": lambda: octave_shift(-HUGE),
+    "to_decimal:digits": lambda: to_decimal(Fraction(1, 3), HUGE),
+    "to_decimal:r": lambda: to_decimal(-HUGE, 5),
+    "cents": lambda: cents(-HUGE),
+    "EtPitch:r": lambda: EtPitch(1, 12, Fraction(2 * HUGE, 3)),
+    "compare_pitches": lambda: compare_pitches(-HUGE, 1),
+    "classify_to_et": lambda: classify_to_et(Fraction(3 * HUGE + 1, HUGE)),
+    "harmonic_divide": lambda: harmonic_divide(HUGE + 1, HUGE),
+    "et_value": lambda: et_value(EtPitch(1, 12, Fraction(3**10000)), 5),
+    "EtPitch.as_fraction": lambda: EtPitch(1, 12, Fraction(3**10000)).as_fraction(),
+    "pairing_table": lambda: pairing_table([HUGE]),
+    "note_name": lambda: note_name(Fraction(HUGE)),
+    "Monzo": lambda: Monzo(HUGE, 0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HUGE_VALUE_CALLS))
+def test_a_value_too_long_to_print_still_gets_a_typed_error(key):
+    error = ExponentBoundError if key == "Monzo" else TuningError
+    with pytest.raises(error, match="bits|too long to print"):
+        HUGE_VALUE_CALLS[key]()

@@ -67,6 +67,14 @@ class TestIntervalBetween:
         assert isinstance(i.ratio, EtPitch)
         assert i.ratio.exponent == Fraction(3, 12)
 
+    def test_ratio_form_follows_the_value_not_the_operands(self):
+        octave = interval_between(EtPitch(1, 12), EtPitch(13, 12))
+        assert isinstance(octave.ratio, Fraction) and octave.ratio == 2
+        assert isinstance(Interval(2).ratio, Fraction) and Interval(2).ratio == 2
+        assert isinstance(Interval(Monzo(1, 1)).ratio, Fraction)
+        third = interval_between(EtPitch(4, 12), EtPitch(7, 12))
+        assert isinstance(third.ratio, EtPitch) and third.ratio == EtPitch(3, 12)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             interval_between(Fraction(-1), Fraction(2))
@@ -101,8 +109,14 @@ class TestCompose:
         left = compose(interval_between(a, c), interval_between(c, b))
         whole = interval_between(a, b)
         assert EtPitch.of(left.ratio) == EtPitch.of(whole.ratio)
+        assert left.ratio == whole.ratio
         if all(isinstance(p, Fraction) for p in (x, y, z)):
-            assert left.ratio == whole.ratio and isinstance(left.ratio, Fraction)
+            assert isinstance(left.ratio, Fraction)
+
+    def test_octave_through_an_irrational_pitch_is_a_fraction(self):
+        i = compose(interval_between(1, EtPitch(5, 12)), interval_between(EtPitch(5, 12), 2))
+        assert i.ratio == interval_between(1, 2).ratio
+        assert isinstance(i.ratio, Fraction) and i.ratio == 2
 
     def test_mixed_et_and_octave(self):
         i = compose(Interval(EtPitch(7, 12)), Interval(Fraction(2)))

@@ -11,7 +11,6 @@ from tritune.pythagorean import (
     PYTHAGOREAN_COMMA,
     TONE,
     FifthStep,
-    PythEntry,
     base_dependence_demo,
     classify_to_et,
     generate_fifths,
@@ -104,7 +103,9 @@ class TestGeneration:
 
     @pytest.mark.parametrize("m1, m2", [(0, 0), (5, 3), (12, 12), (20, 1)])
     def test_entry_count(self, m1, m2):
-        assert len(generate_fifths(m1, m2).entries()) == m1 + m2 + 2
+        entries = generate_fifths(m1, m2).entries()
+        assert len(entries) == m1 + m2 + 2
+        assert all(isinstance(s, FifthStep) for s in entries)
 
     def test_all_sounds_distinct_and_inside_octave(self, table):
         ratios = table.ratios()
@@ -119,7 +120,7 @@ class TestGeneration:
             fits = [h for h in range(-20, 21) if 1 < Fraction(2) ** h * raw < 2]
             assert fits == [s.h]
 
-    @pytest.mark.parametrize("direction, k", [("sideways", 1), ("up", 0), ("down", -1)])
+    @pytest.mark.parametrize("direction, k", [("sideways", 1), ("up", -1), ("down", -1)])
     def test_step_rejects_bad_direction_or_count(self, direction, k):
         with pytest.raises(ValueError):
             FifthStep(direction, k)
@@ -220,22 +221,19 @@ class TestChromaticSelection:
     def test_fewer_iterations_win_on_diatonic_degrees(self, table):
         by_name = {str(p.name): p for p in select_chromatic(table)}
         assert by_name["SOL"].ratio == Fraction(3, 2)
-        assert by_name["SOL"].entry.k == 1
+        assert by_name["SOL"].step.k == 1
 
     def test_endpoints_are_both_do(self, table):
         named = select_chromatic(table)
         assert str(named[0].name) == str(named[-1].name) == "DO"
         assert (named[0].ratio, named[-1].ratio) == (1, 2)
 
-    def test_pyth_entry_checks_its_provenance(self):
-        up = FifthStep("up", 1)
-        assert PythEntry(Fraction(3, 2), up).step is up
-        assert PythEntry(Fraction(2), None).ratio == 2
-        with pytest.raises(ValueError):
-            PythEntry(Fraction(5, 4), None)
-        for other in (Fraction(9, 8), Fraction(2)):
-            with pytest.raises(ValueError):
-                PythEntry(other, up)
+    def test_endpoints_are_the_zero_fifth_steps(self):
+        do, octave = FifthStep("up", 0), FifthStep("down", 0)
+        assert (do.ratio, do.h, do.construction()) == (1, 0, "1")
+        assert (octave.ratio, octave.h, octave.construction()) == (2, 1, "2")
+        assert isinstance(do.ratio, Fraction) and isinstance(octave.ratio, Fraction)
+        assert generate_fifths(0, 0).entries() == [do, octave]
 
     def test_every_selected_sound_is_three_limit(self, table):
         from tritune.ratio import rational_to_monzo
