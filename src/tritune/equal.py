@@ -18,7 +18,8 @@ from typing import Union
 
 from .errors import TuningError, UnsupportedDivisionError, _shown, check_instance
 from .errors import check_int, positive_fraction
-from .ratio import MAX_DIGITS, Monzo, _fixed_point, _floor_log2, _monzo_terms
+from .ratio import _EXACT_BITS, _GUARD_BITS, MAX_DIGITS, Monzo, _fixed_point, _floor_log2
+from .ratio import _fraction_text, _monzo_terms, _power_bracket
 from .ratio import cents, integer_nth_root, is_nth_root_irrational, to_decimal
 
 #: Chromatic indices of the major diatonic subset of the 12-division scale.
@@ -40,10 +41,9 @@ MAX_ET_DIGITS = 48_000
 #: formed only on a near-tie, takes about 65 ms at the bound on a 2-vCPU Xeon VM.
 MAX_POWER_BITS = 2 ** 20
 
-#: ``_power_bracket`` keeps _GUARD_BITS + bits(m) bits (relative width < 2**-60).
-#: Powers of at most _EXACT_BITS bits are formed exactly: on a 2-vCPU Xeon VM
-#: forming both is faster than one bracket below about 2000 to 2500 bits.
-_EXACT_BITS, _GUARD_BITS = 2048, 64
+#: Bits ``et_value`` reads past the last printed digit: its one root decides
+#: the digits unless they straddle a unit, about once in 2**16 values.
+_ET_GUARD_BITS = 16
 
 _ONE = Fraction(1)
 
@@ -129,8 +129,9 @@ class EtPitch:
 
     def exact_form(self) -> str:
         if self.is_rational():
-            return str(self.as_fraction())
-        return ("" if self.r == 1 else f"{self.r}*") + f"2^({self.k}/{self.n})"
+            return _fraction_text(self.as_fraction())
+        form = f"2^({_fixed_point(self.k, 0)}/{_fixed_point(self.n, 0)})"
+        return form if self.r == 1 else f"{_fraction_text(self.r)}*{form}"
 
 
 def _power_form(x) -> tuple[int, int, int, int]:
@@ -143,24 +144,6 @@ def _power_form(x) -> tuple[int, int, int, int]:
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x > 0:
         return x.numerator, x.denominator, 0, 1
     raise TuningError(f"pitches must be positive, got {_shown(x)}")
-
-
-def _power_bracket(a: int, b: int, m: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2**e <= (a/b)**m <= hi * 2**e, for a, b, m >= 1:
-    interval arithmetic (R. E. Moore, 1966), square-and-multiply on t-bit
-    bounds of a/b and of every product, lo rounded down and hi up."""
-    t = _GUARD_BITS + m.bit_length()
-    k = t - a.bit_length() + b.bit_length()  # a * 2**k / b has t or t+1 bits
-    num, den = (a << k, b) if k >= 0 else (a, b << -k)
-    q_lo, q_hi = num // den, -(-num // den)
-    lo, hi, e = q_lo, q_hi, -k
-    for bit in bin(m)[3:]:
-        lo, hi, e = lo * lo, hi * hi, 2 * e
-        if bit == "1":
-            lo, hi, e = lo * q_lo, hi * q_hi, e - k
-        drop = max(lo.bit_length() - t, 0)
-        lo, hi, e = lo >> drop, -(-hi >> drop), e + drop
-    return lo, hi, e
 
 
 def _powers(a: int, b: int, m: int) -> tuple[int, int]:
@@ -179,7 +162,7 @@ def _floor_log2_power(a: int, b: int, m: int) -> int:
     if m * bits > MAX_POWER_BITS:
         raise TuningError(f"a power of {_shown(m)} x {bits} bits is over MAX_POWER_BITS")
     if m * bits > _EXACT_BITS:
-        lo, hi, e = _power_bracket(a, b, m)
+        lo, hi, e = _power_bracket(a, b, m, _GUARD_BITS + m.bit_length())
         if lo.bit_length() == hi.bit_length():
             return lo.bit_length() - 1 + e
     return _floor_log2(*_powers(a, b, m))
@@ -209,18 +192,21 @@ def _sign(a: int, b: int, s: int, m: int) -> int:
 def et_value(p: EtPitch, precision_digits: int) -> str:
     """Truncated decimal of 2**(k/n), every emitted digit exact.
 
-    floor(2**(k/n) * 10**d) equals the integer n-th root of 2**k * 10**(d*n),
-    so the truncation is computed without any floating point at all.
-    Expansions that terminate early (rational cases like 2**(0/12)) are
-    emitted in full without padding.  Only r = 1 is printed (TuningError).
+    With k/n reduced, q, s = divmod(k, n) and P = bits(10**d) + max(q, 0) +
+    ``_ET_GUARD_BITS``, the root b of 2**(s + n*P), built by a shift, puts
+    2**(k/n) * 10**d strictly between b and b + 1 times 10**d * 2**(q-P),
+    under a unit apart.  Their floors agree on the digits but about once in
+    2**16 values, when the root of 2**k * 10**(d*n) gives them; no float enters.
+    Terminating expansions (2**(0/12)) are emitted in full without padding.
+    Only r = 1 is printed (TuningError).
 
     ``precision_digits`` is capped at ``ratio.MAX_DIGITS``, and k // n, before
     any power, below 10/3 of the interpreter's int-to-str digit limit L, as
     2**(10L/3) > 10**L has too many digits to print (TuningError beyond
-    either).  With k/n reduced, one call takes a single certified root of an
-    integer of about k + 3.33*d*n bits, two big-integer powers of that size:
-    5**(d*n) and the root's a**(n-1) (on a 2-vCPU Xeon VM: 0.012 s for
-    n = 12, 1.2 s for n = 311 and 8 s for n = 1200 at the digit cap, k < n).
+    either).  One call takes a root of about 3.33*d + 16 bits, at that
+    precision (on a 2-vCPU Xeon VM at the digit cap, k < n: 4 ms for n = 12,
+    7 ms for n = 311, 9-13 ms for n = 1200); a fallback adds 5**(d*n) (1 ms,
+    0.18 s, 1.7 s) and a root of about k + 3.33*d*n bits (3-10 ms).
     """
     check_instance("a pitch", p, EtPitch)
     check_int("digits", precision_digits, 1, MAX_DIGITS)
@@ -231,14 +217,20 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
         raise TuningError(f"{_shown(p)} has more than {limit} integer digits")
     if p.is_rational():
         return to_decimal(p.as_fraction(), precision_digits)
-    e = p.exponent
-    d = precision_digits
+    (k, n), d = p.exponent.as_integer_ratio(), precision_digits
+    q, s = divmod(k, n)
+    ten = 10 ** d
+    # b = floor(2**(s/n + j + q)): 2**(k/n) * 10**d is in (b, b+1) * 10**d / 2**j
+    j = ten.bit_length() + max(q, 0) + _ET_GUARD_BITS - q
+    b = integer_nth_root(1 << s + n * (j + q), n)
+    lo = b * ten >> j
+    if lo == ((b + 1) * ten - 1) >> j:
+        return _fixed_point(lo, d)
     # 2**k * 10**(d*n) = 5**(d*n) * 2**(d*n + k); a negative shift count
     # floors, and floor(root(x)) == floor(root(floor(x))) for x >= 0
-    dn = d * e.denominator
-    shift = dn + e.numerator
-    radicand = 5 ** dn << shift if shift >= 0 else 5 ** dn >> -shift
-    return _fixed_point(integer_nth_root(radicand, e.denominator), d)
+    shift = d * n + k
+    radicand = 5 ** (d * n) << shift if shift >= 0 else 5 ** (d * n) >> -shift
+    return _fixed_point(integer_nth_root(radicand, n), d)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ class Interval:
         return cents(self.ratio)
 
     def __str__(self) -> str:
-        return str(self.ratio)
+        return EtPitch.of(self.ratio).exact_form()
 
 
 def interval_between(f1: Pitch, f2: Pitch) -> Interval:

@@ -10,16 +10,13 @@ Pitch ratios live in three exact representations:
   round) so that printed digits are always exact.
 
 Irrational values such as 2**(k/n) are printed through
-:func:`integer_nth_root`, the exact floor of an n-th root.  It runs Newton's
-iteration on integers (Brent & Zimmermann, *Modern Computer Arithmetic*,
-section 1.5), started from a float estimate or from the root at half length.
-The start only decides how many steps are needed: each step lands at or
-above the floor root and from above it descends, so the iteration stops at
-the floor root.  The result is returned only after the certificate
-``a**n <= x < (a+1)**n`` has been checked in integers, from the power
-``a**(n-1)`` that the last step formed: the binomial bound
-``(a+1)**n >= (a+n) * a**(n-1)`` proves the upper half, and ``(a+1)**n``
-itself is formed only when that bound does not decide.
+:func:`integer_nth_root`, the exact floor of an n-th root.  Its candidate
+comes from Newton's iteration on integers (Brent & Zimmermann, *Modern
+Computer Arithmetic*, section 1.5) at the root's own precision: a step reads
+``a**(n-1)`` from an outward-rounded bracket (:func:`_power_bracket`; R. E.
+Moore, *Interval Analysis*, 1966) instead of forming it.  The certificate
+``a**n <= x < (a+1)**n`` is read from such a bracket too, and a full power
+is formed only on a near-tie.
 
 Everything here is immutable and pure.
 """
@@ -46,7 +43,15 @@ EXPONENT_BOUND = 64
 #: ``equal.et_value``).
 MAX_DIGITS = 4000
 
-#: Root sizes, in bits, that the float seed of :func:`integer_nth_root` gets
+#: Powers of at most _EXACT_BITS bits are formed exactly, longer ones bracketed
+#: with _GUARD_BITS bits past the precision a decision needs: on a 2-vCPU Xeon
+#: VM a bracket is slower below about 2000 to 4000 bits.
+_EXACT_BITS, _GUARD_BITS = 2048, 64
+
+#: Most one-unit moves :func:`integer_nth_root` makes from its candidate.
+_CORRECTIONS = 1
+
+#: Root sizes, in bits, that the float start of ``_root_candidate`` gets
 #: nearly right; longer roots are first taken at half their length.
 _SEED_BITS = 48
 
@@ -129,73 +134,98 @@ def reduce_to_octave(r: RationalLike) -> Fraction:
     return r * Fraction(2) ** octave_shift(r)
 
 
+def _power_bracket(a: int, b: int, m: int, t: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2**e <= (a/b)**m <= hi * 2**e, for a, b, m, t >= 1:
+    interval arithmetic (R. E. Moore, 1966), square-and-multiply on t-bit
+    bounds of a/b and of every product, lo rounded down and hi up.  Past
+    t = bits(m) + 3 the relative width (hi - lo) / lo is below m * 2**(3-t)."""
+    k = t - a.bit_length() + b.bit_length()  # a * 2**k / b has t or t+1 bits
+    num, den = (a << k, b) if k >= 0 else (a, b << -k)
+    q_lo, q_hi = num // den, -(-num // den)
+    lo, hi, e = q_lo, q_hi, -k
+    for bit in bin(m)[3:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi, e = lo * q_lo, hi * q_hi, e - k
+        drop = max(lo.bit_length() - t, 0)
+        lo, hi, e = lo >> drop, -(-hi >> drop), e + drop
+    return lo, hi, e
+
+
 def integer_nth_root(x: int, n: int) -> int:
     """floor(x ** (1/n)), certified by ``a**n <= x < (a+1)**n`` in integers.
 
-    Newton's iteration ``a <- ((n-1)*a + x // a**(n-1)) // n`` lands at or
-    above the floor root from any positive ``a`` (by the mean inequality),
-    and from an ``a`` with ``a**n > x`` it strictly descends, so it stops at
-    the first ``a`` with ``a**n <= x``: the floor root.  The start only sets
-    the step count.  A root of up to ``_SEED_BITS`` bits starts from
-    ``math.log2`` of the top 64 bits of ``x`` plus the dropped bit count,
-    divided by n and lifted by a relative 2**-30; the lift is checked in
-    integers and doubled should it fall short.  A longer root starts with
-    one step from ``r << half``, where ``r`` is the root of ``x`` with
-    ``n*half`` low bits dropped (a little under half of the root's bits):
-    that start is at or below the root, its power ``a**(n-1)`` is the inner
-    root's power shifted, and the step lands within a unit of the root.  For
-    n = 2 ``math.isqrt`` does the same job.
-
-    The certificate is checked before returning, from the witness
-    ``p = a**(n-1)`` that the iteration's last test formed: ``p * a <= x``
-    is the lower half, and ``x < (a + n) * p`` proves the upper half, since
-    ``(a+1)**n >= a**n + n * a**(n-1)`` by the binomial theorem.  That bound
-    leaves about a share (n-1)/(2a) of the bracket undecided, so only for
-    roots within a small multiple of n is ``(a+1)**n`` ever formed.  If the
-    certificate failed, ``ArithmeticError`` is raised instead of returning
-    an inexact root.
+    The candidate, from ``math.isqrt`` or :func:`_root_candidate`, is the
+    floor root give or take one.  The certificate compares a bracket lo * 2**e
+    <= a**(n-1) <= hi * 2**e (``_power_bounds``) with ``x >> e``: ``lo * a``
+    and ``hi * a`` bound a**n, and ``(a + n) * lo`` bounds (a+1)**n from below
+    by the binomial theorem.  a**n is formed only when its bounds hold
+    ``x >> e``, (a+1)**n only when x lies above that lower bound, about a
+    share (n-1)/(2a) of [a**n, (a+1)**n).  A failed candidate moves one
+    towards the root, at most ``_CORRECTIONS`` times; past that bound
+    ``ArithmeticError`` is raised instead of returning an uncertified root.
     """
     check_int("x", x, 0)
-    if check_int("n", n, 1) == 1:
-        a, p = x, 1
-    elif n == 2:
-        a = p = math.isqrt(x)
-    else:
-        a, p = _newton_root(x, n)
-    if not (p * a <= x and (x < (a + n) * p or x < (a + 1) ** n)):
-        raise ArithmeticError(
-            f"root certificate failed: {n}-th root of a {x.bit_length()}-bit integer"
-        )
-    return a
+    if check_int("n", n, 1) == 1 or x < 2:
+        return x
+    a = math.isqrt(x) if n == 2 else _root_candidate(x, n)
+    for _ in range(_CORRECTIONS + 1):
+        lo, hi, e = _power_bounds(a, n - 1, a.bit_length() + n.bit_length() + _GUARD_BITS)
+        top = x >> e
+        if lo * a > top or hi * a > top and a ** n > x:
+            a -= 1
+        elif (a + n) * lo > top or (a + 1) ** n > x:
+            return a
+        else:
+            a += 1
+    raise ArithmeticError(
+        f"root certificate failed: {n}-th root of a {x.bit_length()}-bit integer"
+    )
 
 
-def _newton_root(x: int, n: int) -> tuple[int, int]:
-    """(a, p) with a = floor(x ** (1/n)) and p = a**(n-1), for n >= 3, by
-    integer Newton steps (uncertified)."""
+def _power_bounds(a: int, m: int, t: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2**e <= a**m <= hi * 2**e, for a >= 0 and m, t
+    >= 1: the power itself when it has at most about ``_EXACT_BITS`` or 2t
+    bits, else its t-bit bracket, where e >= 0 as the power has over 2t bits."""
+    if m * (a.bit_length() - 1) <= max(_EXACT_BITS, 2 * t):
+        p = a ** m
+        return p, p, 0
+    return _power_bracket(a, 1, m, t)
+
+
+def _root_candidate(x: int, n: int) -> int:
+    """floor(x ** (1/n)) give or take one, for x >= 2 and n >= 3 (uncertified).
+
+    Newton's step ``a <- (m*a + x // a**m) // n``, m = n - 1, lands at or
+    above the floor root from any a >= 1 and descends from above it; here
+    ``x // a**m`` is read as ``(x >> e) // hi`` from ``_power_bounds`` at
+    bits(root) + bits(n) + _GUARD_BITS bits, at most a unit below it near the
+    root.  A root of over about ``_SEED_BITS`` bits takes one step from ``r <<
+    half``, r being this candidate with ``n*half`` low bits of x dropped (a
+    little under half the root's bits), within 2**(half+1) of the root, so
+    it lands under a unit above the root.  A shorter one starts from the
+    float root of x lifted by a relative 2**-30, doubled should it fall short,
+    and descends until a step does not or steps down by u with 2n * u**2 < a.
+    """
     m = n - 1
-    if x < 2:
-        return x, x ** m
-    half = (x.bit_length() // n - n.bit_length()) // 2
-    # drop a little under half of the root's bits: a start right in the top
-    # half plus log2(n) bits is within a unit after one step, which squares
-    # the relative error and scales it by about n/2
+    t = x.bit_length() // n + n.bit_length() + _GUARD_BITS
+
+    def step(a: int, shift: int = 0) -> int:  # from a << shift
+        lo, hi, e = _power_bounds(a, m, t)
+        return (m * (a << shift) + (x >> shift * m + e) // hi) // n
+
+    half = (x.bit_length() // n - n.bit_length()) // 2 - 1
     if half > _SEED_BITS // 2:
-        # r << half is at or below root(x) and its power is q << half*m, so
-        # the step from it needs no power of its own
-        r, q = _newton_root(x >> (n * half), n)
-        a = (m * (r << half) + (x >> (half * m)) // q) // n
-        p = a ** m
-    else:
-        drop = max(x.bit_length() - 64, 0)
-        a = int(2.0 ** ((math.log2(x >> drop) + drop) / n + 2.0 ** -30)) + 1
-        p = a ** m
-        while p * a <= x:  # only if the float estimate fell short
-            a <<= 1
-            p = a ** m
-    while p * a > x:
-        a = (m * a + x // p) // n
-        p = a ** m
-    return a, p
+        return step(_root_candidate(x >> n * half, n), half)
+    drop = max(x.bit_length() - 64, 0)
+    a = int(2.0 ** ((math.log2(x >> drop) + drop) / n + 2.0 ** -30)) + 1
+    while (b := step(a)) >= a:
+        a <<= 1
+    # from a above the root, a step down by u with 2n * u**2 < a lands
+    # within 2(n-1) * u**2 / a < 1 above it
+    while 2 * n * (a - b) ** 2 >= a and (c := step(b)) < b:
+        a, b = b, c
+    return b
 
 
 def is_perfect_nth_power(m: int, n: int) -> tuple[bool, Optional[int]]:
@@ -248,12 +278,18 @@ def _fixed_point(scaled: int, width: int) -> str:
         s = str(scaled)
     except ValueError:
         raise TuningError(
-            f"a {scaled.bit_length()}-bit value has too many digits to print"
+            f"a value of {scaled.bit_length()} bits has too many digits to print"
         ) from None
     if width == 0:
         return s
     s = s.rjust(width + 1, "0")
     return f"{s[:-width]}.{s[-width:]}"
+
+
+def _fraction_text(r: RationalLike) -> str:
+    """``str(r)`` for an int or Fraction, TuningError past the digit limit."""
+    p = _fixed_point(r.numerator, 0)
+    return p if r.denominator == 1 else f"{p}/{_fixed_point(r.denominator, 0)}"
 
 
 def monzo_form(r: RationalLike) -> str:
@@ -264,7 +300,7 @@ def monzo_form(r: RationalLike) -> str:
     m = rational_to_monzo(r)
     if m is None:
         f = Fraction(r)
-        return f"{f.numerator}/{f.denominator}"
+        return f"{_fixed_point(f.numerator, 0)}/{_fixed_point(f.denominator, 0)}"
 
     def side(exps: list[tuple[int, int]]) -> str:
         parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in exps if e > 0]

@@ -40,11 +40,12 @@ class ScaleEntry:
 
     def pitch_line(self) -> str:
         """Tuning-file rendering: p/q for rationals, 5-digit cents otherwise."""
-        if isinstance(self.value, Fraction):
-            return f"{self.value.numerator}/{self.value.denominator}"
-        if self.value.r != 1:
-            raise TuningError(f"no exact cents for {_shown(self.value)}")
-        return _fixed_point(1200 * self.value.k * 10 ** 5 // self.value.n, 5)
+        v = self.value
+        if isinstance(v, Fraction):
+            return f"{_fixed_point(v.numerator, 0)}/{_fixed_point(v.denominator, 0)}"
+        if v.r != 1:
+            raise TuningError(f"no exact cents for {_shown(v)}")
+        return _fixed_point(1200 * v.k * 10 ** 5 // v.n, 5)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tritune import equal
 from tritune.equal import (
+    MAX_ET_DIGITS,
     MAX_DIVISIONS,
     MAX_POWER_BITS,
     EtPitch,
@@ -27,7 +28,7 @@ from tritune.equal import (
 from tritune.errors import TuningError, UnsupportedDivisionError
 from tritune.intervals import Interval, compose, interval_between
 from tritune.pythagorean import FifthStep, classify_to_et
-from tritune.ratio import MAX_DIGITS, Monzo, integer_nth_root, monzo_to_rational
+from tritune.ratio import MAX_DIGITS, Monzo, _fixed_point, integer_nth_root, monzo_to_rational
 
 
 def decimal_power_of_two(k: int, n: int, digits: int) -> str:
@@ -36,6 +37,36 @@ def decimal_power_of_two(k: int, n: int, digits: int) -> str:
         ctx.prec = 50
         value = (Decimal(2).ln() * k / n).exp()
         return str(value.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_DOWN))
+
+
+def decimal_radicand_value(k: int, n: int, digits: int) -> str:
+    """The reference for an irrational 2**(k/n), k/n reduced: floor(2**(k/n) *
+    10**d) as the root of the decimal radicand 2**k * 10**(d*n) =
+    5**(d*n) * 2**(d*n + k), floored when the shift is negative."""
+    dn = digits * n
+    x = 5 ** dn << dn + k if dn + k >= 0 else 5 ** dn >> -(dn + k)
+    return _fixed_point(integer_nth_root(x, n), digits)
+
+
+def irrational_pitches(n: int):
+    """(k, n) reduced for every k in -n..2n whose 2**(k/n) is irrational."""
+    for k in range(-n, 2 * n + 1):
+        e = Fraction(k, n)
+        if e.denominator > 1:
+            yield e.numerator, e.denominator
+
+
+@contextmanager
+def counted_roots():
+    """The degree n of every root ``et_value`` takes, in call order."""
+    calls = []
+
+    def counting(x, n):
+        calls.append(n)
+        return integer_nth_root(x, n)
+
+    with mock.patch.object(equal, "integer_nth_root", counting):
+        yield calls
 
 
 @contextmanager
@@ -207,6 +238,31 @@ class TestEtValue:
         # 2**20000 has 6021 integer digits, past the interpreter's limit
         with pytest.raises(TuningError):
             et_value(EtPitch(20000, 1), 5)
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 311, 1200])
+    def test_power_of_two_radicand_against_the_decimal_one(self, n):
+        # every k of an octave and its neighbours, the digit counts cycling
+        # up to the cap an et table of n steps takes
+        cap = min(MAX_DIGITS, MAX_ET_DIGITS // n)
+        for i, (k, m) in enumerate(irrational_pitches(n)):
+            digits = (cap, 1, 5, max(cap // 3, 1))[i % 4]
+            with counted_roots() as calls:
+                value = et_value(EtPitch(k, m), digits)
+            # one root of a power of two decides every one of these values
+            assert calls == [m] and value == decimal_radicand_value(k, m, digits)
+
+    @pytest.mark.parametrize("guard_bits", [0, 1, 2])
+    def test_undecided_digits_fall_back_to_the_decimal_radicand(self, guard_bits):
+        fallbacks = 0
+        with mock.patch.object(equal, "_ET_GUARD_BITS", guard_bits), counted_roots() as calls:
+            for n, digits in ((12, 5), (31, 50), (53, 100), (311, 20)):
+                for k, m in irrational_pitches(n):
+                    calls.clear()
+                    value = et_value(EtPitch(k, m), digits)
+                    assert calls in ([m], [m, m])
+                    fallbacks += len(calls) == 2
+                    assert value == decimal_radicand_value(k, m, digits)
+        assert fallbacks > 0
 
     def test_53_divisions_at_200_digits_is_certified(self):
         text = et_value(EtPitch(7, 53), 200)

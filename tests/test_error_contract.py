@@ -17,7 +17,7 @@ from tritune.equal import diatonic_subset, et_semitone_count, et_value, generate
 from tritune.equal import compare_pitches, nearest_degree
 from tritune.errors import ExponentBoundError, TuningError
 from tritune.intervals import Interval, are_congruent, classify_chord, classify_et_interval
-from tritune.intervals import compose, flat, note_name, sharp, transpose_indices
+from tritune.intervals import compose, flat, interval_between, note_name, sharp, transpose_indices
 from tritune.natural import compare_three_scales, dead_end_scan, frequency_of_division
 from tritune.natural import harmonic_divide, means
 from tritune.pythagorean import FifthStep, base_dependence_demo, classify_to_et
@@ -324,7 +324,7 @@ def test_cents_takes_positive_finite_floats():
 #: an int too long for repr() (the interpreter's int-to-str limit is 4300 digits)
 HUGE = 10**5000
 
-#: calls whose error message would print such a value
+#: calls whose error message or printed output would hold such a value
 HUGE_VALUE_CALLS = {
     "octave_shift": lambda: octave_shift(-HUGE),
     "to_decimal:digits": lambda: to_decimal(Fraction(1, 3), HUGE),
@@ -339,6 +339,13 @@ HUGE_VALUE_CALLS = {
     "pairing_table": lambda: pairing_table([HUGE]),
     "note_name": lambda: note_name(Fraction(HUGE)),
     "Monzo": lambda: Monzo(HUGE, 0),
+    "ScaleEntry.pitch_line": lambda: render_scl(
+        ScaleDocument("x", (ScaleEntry(Fraction(HUGE)),)), "x"
+    ),
+    "monzo_form": lambda: monzo_form(Fraction(HUGE + 1, 3)),
+    "EtPitch.exact_form": lambda: EtPitch(1, 12, Fraction(3**10000)).exact_form(),
+    "EtPitch.exact_form:k": lambda: EtPitch(HUGE, 3).exact_form(),
+    "Interval.__str__": lambda: str(interval_between(1, HUGE)),
 }
 
 

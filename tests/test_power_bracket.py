@@ -1,11 +1,12 @@
 """The outward-rounded power brackets behind the one exact decision.
 
-``equal._power_bracket(a, b, m)`` bounds (a/b)**m between lo * 2**e and
-hi * 2**e.  ``equal._floor_log2_power``, which both ``_sign`` and
-``nearest_degree`` read, gives floor(log2((a/b)**m)) from it when lo and hi
-have one bit length, and forms the exact powers (``equal._powers``) only on a
-near-tie with a power of two or at most ``equal._EXACT_BITS`` bits.  Every
-answer must equal the exact powers' one.
+``ratio._power_bracket(a, b, m, t)`` bounds (a/b)**m between lo * 2**e and
+hi * 2**e at a precision of t bits.  ``equal._floor_log2_power``, which both
+``_sign`` and ``nearest_degree`` read, takes it at ``equal._GUARD_BITS`` +
+bits(m) bits and gives floor(log2((a/b)**m)) from it when lo and hi have one
+bit length, and forms the exact powers (``equal._powers``) only on a near-tie
+with a power of two or at most ``equal._EXACT_BITS`` bits.  Every answer must
+equal the exact powers' one.
 """
 
 import math
@@ -21,7 +22,7 @@ from tritune import equal
 from tritune.equal import MAX_POWER_BITS, EtPitch, compare_pitches, nearest_degree
 from tritune.errors import CoverageError, TuningError
 from tritune.pythagorean import classify_to_et, generate_fifths, pairing_table
-from tritune.ratio import _floor_log2, integer_nth_root
+from tritune.ratio import _floor_log2, _power_bracket, integer_nth_root
 
 THOUSAND = settings(max_examples=1000, deadline=None)
 
@@ -75,8 +76,7 @@ class TestBracket:
     @given(st.integers(1, 2 ** 300), st.integers(1, 1300), st.sampled_from([1, 2, 5, 64]))
     @settings(deadline=None)
     def test_bracket_of_a_power_holds(self, a, m, guard_bits):
-        with mock.patch.object(equal, "_GUARD_BITS", guard_bits):
-            lo, hi, e = equal._power_bracket(a, 1, m)
+        lo, hi, e = _power_bracket(a, 1, m, guard_bits + m.bit_length())
         assert 1 <= lo <= hi and in_bracket(lo, hi, e, a, 1, m)
 
     @given(
@@ -87,18 +87,34 @@ class TestBracket:
     )
     @settings(deadline=None)
     def test_bracket_of_a_ratio_holds(self, a, b, m, guard_bits):
-        with mock.patch.object(equal, "_GUARD_BITS", guard_bits):
-            lo, hi, e = equal._power_bracket(a, b, m)
+        lo, hi, e = _power_bracket(a, b, m, guard_bits + m.bit_length())
         assert 1 <= lo <= hi and in_bracket(lo, hi, e, a, b, m)
 
     @given(st.integers(1, 2 ** 300), st.integers(1, 2 ** 300), st.integers(1, 1300))
     def test_bracket_is_narrow(self, a, b, m):
-        lo, hi, _ = equal._power_bracket(a, b, m)
+        lo, hi, _ = _power_bracket(a, b, m, equal._GUARD_BITS + m.bit_length())
         assert (hi - lo) << 60 <= lo
+
+    @given(
+        st.integers(1, 2 ** 300),
+        st.integers(1, 2 ** 300),
+        st.integers(1, 1300),
+        st.integers(1, 400),
+        st.integers(0, 200),
+    )
+    @settings(deadline=None)
+    def test_bracket_at_any_precision_holds_and_narrows_as_it_grows(self, a, b, m, t, more):
+        lo, hi, e = _power_bracket(a, b, m, t)
+        assert 1 <= lo <= hi and in_bracket(lo, hi, e, a, b, m)
+        # past bits(m) + 3 bits the relative width is below m * 2**(3 - t),
+        # a bound that halves with every further bit
+        t = m.bit_length() + 4 + more
+        lo, hi, e = _power_bracket(a, b, m, t)
+        assert in_bracket(lo, hi, e, a, b, m) and (hi - lo) << (t - 3) <= m * lo
 
     @pytest.mark.parametrize("a, m", [(3, 5), (1, 1200), (2 ** 64 + 1, 1)])
     def test_short_powers_are_exact(self, a, m):
-        lo, hi, e = equal._power_bracket(a, 1, m)
+        lo, hi, e = _power_bracket(a, 1, m, equal._GUARD_BITS + m.bit_length())
         assert lo == hi and in_bracket(lo, hi, e, a, 1, m)
 
 

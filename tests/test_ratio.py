@@ -2,6 +2,7 @@ from decimal import Decimal, ROUND_DOWN, localcontext
 from fractions import Fraction
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -217,31 +218,45 @@ class TestIntegerRoot:
             assert certified(integer_nth_root(x, n), x, n)
 
     def test_failed_certificate_raises(self, monkeypatch):
-        monkeypatch.setattr(ratio, "_newton_root", lambda x, n: (1, 1))
+        monkeypatch.setattr(ratio, "_root_candidate", lambda x, n: 1)
         with pytest.raises(ArithmeticError):
             integer_nth_root(10 ** 9, 3)
 
-    @pytest.mark.parametrize(
-        "x, n", [(10 ** 9 - 1, 3), (10 ** 9, 3), (2 ** 7 * 10 ** 100, 12), (3 ** 500, 53)]
-    )
+    #: roots next to an exact power (10**9 = 1000**3) and a bracketed one
+    NEIGHBOURS = [
+        (10 ** 9 - 1, 3), (10 ** 9, 3), (2 ** 7 * 10 ** 100, 12), (3 ** 500, 53), (1 << 12_000, 53)
+    ]
+
+    @pytest.mark.parametrize("x, n", NEIGHBOURS)
     @pytest.mark.parametrize("off", [-1, 1])
-    def test_neighbour_of_the_root_fails_its_certificate(self, monkeypatch, x, n, off):
-        # a wrong root with its own exact power: the lower bound catches the
-        # one above, the upper bound the one below, also right next to a^n
-        a = integer_nth_root(x, n) + off
-        monkeypatch.setattr(ratio, "_newton_root", lambda x, n: (a, a ** (n - 1)))
+    def test_a_candidate_off_by_one_is_corrected(self, monkeypatch, x, n, off):
+        # the lower half of the certificate rejects the one above, the upper
+        # half the one below, and one move gives the certified root
+        a = integer_nth_root(x, n)
+        assert certified(a, x, n)
+        monkeypatch.setattr(ratio, "_root_candidate", lambda x, n: a + off)
+        assert integer_nth_root(x, n) == a
+
+    @pytest.mark.parametrize("x, n", NEIGHBOURS)
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_a_candidate_past_the_correction_bound_raises(self, monkeypatch, x, n, off):
+        a = integer_nth_root(x, n) + off * (ratio._CORRECTIONS + 1)
+        monkeypatch.setattr(ratio, "_root_candidate", lambda x, n: a)
         with pytest.raises(ArithmeticError):
             integer_nth_root(x, n)
 
     @given(
-        st.integers(min_value=0, max_value=4_000).flatmap(
-            lambda bits: st.integers(min_value=0, max_value=(1 << bits) - 1)
+        st.integers(min_value=2, max_value=4_000).flatmap(
+            lambda bits: st.integers(min_value=2, max_value=(1 << bits) - 1)
         ),
         st.integers(min_value=3, max_value=311),
     )
-    def test_newton_returns_its_witness(self, x, n):
+    def test_candidate_is_within_the_correction_bound(self, x, n):
         a = integer_nth_root(x, n)
-        assert ratio._newton_root(x, n) == (a, a ** (n - 1))
+        assert abs(ratio._root_candidate(x, n) - a) <= ratio._CORRECTIONS == 1
+        # with every power formed exactly the steps are integer Newton steps
+        with mock.patch.object(ratio, "_EXACT_BITS", 1 << 40):
+            assert abs(ratio._root_candidate(x, n) - a) <= 1
 
     @pytest.mark.parametrize(
         "x, n, a",
