@@ -17,7 +17,7 @@ from .intervals import classify_chord
 from .natural import assemble_diatonic, build_core, find_si, solve_fa_la
 from .natural import compare_three_scales
 from .pythagorean import generate_fifths
-from .ratio import to_decimal
+from .ratio import _pq_text, to_decimal
 from .scalefile import (
     et_scale_document,
     export_table,
@@ -102,8 +102,7 @@ def _run_pyth(args) -> None:
 
 def _run_natural(args) -> None:
     if args.trace:
-        for step in build_core().trace:
-            print(step)
+        print("\n".join(build_core().trace))
         fa_la = solve_fa_la()
         print(f"system FA, LA -> {fa_la.f1}, {fa_la.f2}")
         si = find_si()
@@ -113,8 +112,7 @@ def _run_natural(args) -> None:
             f"{len(si.rejected)} candidates rejected"
         )
     for name, ratio in assemble_diatonic().degrees:
-        pq = f"{ratio.numerator}/{ratio.denominator}"
-        print(f"{name} {pq} {to_decimal(ratio, 5)}")
+        print(f"{name} {_pq_text(ratio)} {to_decimal(ratio, 5)}")
 
 
 def _run_weber(args) -> None:

@@ -118,9 +118,11 @@ class EtPitch:
         return self.k % self.n == 0
 
     def is_irrational(self) -> bool:
-        """Checked through the perfect-power test, not assumed."""
-        e = abs(self.exponent)
-        return e.denominator > 1 and is_nth_root_irrational(2 ** e.numerator, e.denominator)
+        """Checked through the perfect-power test, not assumed: with k/n
+        reduced, 2**(k/n) is 2**(k // n) times the n-th root of 2**(k % n),
+        a radicand under n bits, so one is rational exactly when the other is."""
+        k, n = self.exponent.as_integer_ratio()
+        return n > 1 and is_nth_root_irrational(2 ** (k % n), n)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -143,7 +145,7 @@ def _power_form(x) -> tuple[int, int, int, int]:
         return (*_monzo_terms(x), 0, 1)
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x > 0:
         return x.numerator, x.denominator, 0, 1
-    raise TuningError(f"pitches must be positive, got {_shown(x)}")
+    raise TuningError(f"a pitch must be a positive exact ratio, got {_shown(x)}")
 
 
 def _powers(a: int, b: int, m: int) -> tuple[int, int]:
@@ -200,24 +202,27 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     Terminating expansions (2**(0/12)) are emitted in full without padding.
     Only r = 1 is printed (TuningError).
 
-    ``precision_digits`` is capped at ``ratio.MAX_DIGITS``, and k // n, before
-    any power, below 10/3 of the interpreter's int-to-str digit limit L, as
-    2**(10L/3) > 10**L has too many digits to print (TuningError beyond
-    either).  One call takes a root of about 3.33*d + 16 bits, at that
-    precision (on a 2-vCPU Xeon VM at the digit cap, k < n: 4 ms for n = 12,
-    7 ms for n = 311, 9-13 ms for n = 1200); a fallback adds 5**(d*n) (1 ms,
-    0.18 s, 1.7 s) and a root of about k + 3.33*d*n bits (3-10 ms).
+    ``precision_digits`` is capped at ``ratio.MAX_DIGITS``, the reduced n at
+    ``MAX_DIVISIONS``, and k // n below 10/3 of the interpreter's int-to-str
+    digit limit L, as 2**(10L/3) > 10**L has too many digits to print; all
+    three are checked before any power (TuningError beyond any).  One call
+    takes a root of about 3.33*d + 16 bits, at that precision, of a radicand
+    of about n times as many (on a 2-vCPU Xeon VM at the digit cap, k < n:
+    4 ms for n = 12, 7 ms for n = 311, 9-13 ms for n = 1200); a fallback adds
+    5**(d*n) (1 ms, 0.18 s, 1.7 s) and a root of about k + 3.33*d*n bits
+    (3-10 ms).
     """
     check_instance("a pitch", p, EtPitch)
     check_int("digits", precision_digits, 1, MAX_DIGITS)
     if p.r != 1:
         raise TuningError(f"only 2^(k/n) is printed, not {_shown(p)}")
+    (k, n), d = p.exponent.as_integer_ratio(), precision_digits
+    check_int("the reduced n of a printed pitch", n, 1, MAX_DIVISIONS)
     limit = sys.get_int_max_str_digits()
-    if limit and 3 * (p.k // p.n) >= 10 * limit:
+    if limit and 3 * (k // n) >= 10 * limit:
         raise TuningError(f"{_shown(p)} has more than {limit} integer digits")
     if p.is_rational():
         return to_decimal(p.as_fraction(), precision_digits)
-    (k, n), d = p.exponent.as_integer_ratio(), precision_digits
     q, s = divmod(k, n)
     ten = 10 ** d
     # b = floor(2**(s/n + j + q)): 2**(k/n) * 10**d is in (b, b+1) * 10**d / 2**j

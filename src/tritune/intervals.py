@@ -3,27 +3,24 @@
 The distance between two pitches is the ratio of their frequencies, so equal
 musical distances are equal ratios, adjacent intervals compose by
 multiplication, and two ordered sound sets are congruent when their
-consecutive ratios agree.  Every exact pitch is read as one ``EtPitch``
-r * 2**(k/n), so intervals between any of them are exact; only a float
-drops a congruence test to cents with a 1e-6 tolerance.
+consecutive ratios agree.  Every pitch is exact and read as one ``EtPitch``
+r * 2**(k/n), so intervals and congruence between any of them are exact; a
+float is a TuningError.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import TuningError, _shown, check_instance, check_int
 from .ratio import Monzo, cents
 
-Pitch = Union[int, Fraction, float, Monzo, EtPitch]
-
-CENTS_TOLERANCE = 1e-6
+Pitch = Union[int, Fraction, Monzo, EtPitch]
 
 LETTERS = ("DO", "RE", "MI", "FA", "SOL", "LA", "SI")
 
@@ -124,34 +121,19 @@ def compose(i1: Interval, i2: Interval) -> Interval:
     return Interval(EtPitch.of(i1.ratio) * i2.ratio)
 
 
-def _steps_equal(lo1: Pitch, hi1: Pitch, lo2: Pitch, hi2: Pitch) -> bool:
-    """Whether hi1/lo1 == hi2/lo2: exactly unless a float is involved."""
-    if not any(isinstance(p, float) for p in (lo1, hi1, lo2, hi2)):
-        return EtPitch.of(hi1) / lo1 == EtPitch.of(hi2) / lo2
-    step_a = cents(hi1) - cents(lo1)
-    step_b = cents(hi2) - cents(lo2)
-    return abs(step_a - step_b) <= CENTS_TOLERANCE
-
-
 def are_congruent(a, b) -> bool:
     """Whether two ordered sound sets develop along identical ratios.
 
-    Each set must be non-empty and hold positive exact pitches or positive
-    finite floats (TuningError otherwise); sets of different length are
-    simply not congruent.  Comparison is exact unless a float is involved,
-    and then in cents within 1e-6.
+    Each set must be non-empty and hold positive exact pitches (TuningError
+    otherwise, floats included); sets of different length are simply not
+    congruent.  Each step p[i+1] / p[i] is compared exactly.
     """
-    pa, pb = (tuple(check_instance("a pitch set", s, Iterable)) for s in (a, b))
-    for p in pa + pb:
-        if not (isinstance(p, float) and 0 < p < math.inf):
-            EtPitch.of(p)  # raises unless p is a positive exact pitch
+    pa, pb = (tuple(map(EtPitch.of, check_instance("a pitch set", s, Iterable))) for s in (a, b))
     if not (pa and pb):
         raise TuningError("a pitch sequence cannot be empty")
     if len(pa) != len(pb):
         return False
-    return all(
-        _steps_equal(pa[i], pa[i + 1], pb[i], pb[i + 1]) for i in range(len(pa) - 1)
-    )
+    return all(x1 / x0 == y1 / y0 for x0, x1, y0, y1 in zip(pa, pa[1:], pb, pb[1:]))
 
 
 def transpose_indices(indices: Sequence[int], k: int) -> list[int]:
@@ -171,45 +153,24 @@ def flat(index: int) -> int:
     return check_int("an index", index, None) - 1
 
 
-@dataclass(frozen=True)
-class EtIntervalName:
-    """An interval size on the 12-division scale and its name, if it has one."""
-
-    semitones: int
-    name: Optional[str]
-
-    def __str__(self) -> str:
-        return self.name if self.name else f"{self.semitones} semitones"
-
-
-def classify_et_interval(semitones: int) -> EtIntervalName:
-    """Name an interval by its step count: 0 unison, 5 fourth, 7 fifth, ..."""
+def classify_et_interval(semitones: int) -> str:
+    """Name an interval by its step count: 0 unison, 5 fourth, 7 fifth, ...;
+    a size with no name is "N semitones"."""
     check_int("a step count", semitones, 0)
-    return EtIntervalName(semitones, _SEMITONE_NAMES.get(semitones))
+    return _SEMITONE_NAMES.get(semitones, f"{semitones} semitones")
 
 
-@dataclass(frozen=True)
-class ChordClassification:
-    quality: str
-    root: NoteName
-
-    def __str__(self) -> str:
-        if self.quality == "unknown":
-            return "unknown"
-        return f"{self.root} {self.quality}"
-
-
-def classify_chord(indices, preference: str = "sharp") -> ChordClassification:
+def classify_chord(indices, preference: str = "sharp") -> str:
     """Classify a stack of chromatic indices as one of the named triads.
 
     The pattern is read relative to the lowest sound, which also names the
-    chord.  Anything but the three named shapes comes back as "unknown".
+    chord: "DO major", "RE minor", "MI major seventh".  Anything but the three
+    named shapes comes back as "unknown".
     """
     check_instance("chord indices", indices, Iterable)
     distinct = sorted({check_int("a chord index", i, None) for i in indices})
     if len(distinct) < 3:
         raise TuningError("a chord needs at least three distinct sounds")
-    root = distinct[0]
-    pattern = tuple(i - root for i in distinct)
-    quality = _CHORD_PATTERNS.get(pattern, "unknown")
-    return ChordClassification(quality, note_name(root, preference))
+    root = note_name(distinct[0], preference)
+    quality = _CHORD_PATTERNS.get(tuple(i - distinct[0] for i in distinct))
+    return f"{root} {quality}" if quality else "unknown"

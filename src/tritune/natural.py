@@ -108,22 +108,12 @@ def frequency_of_division(f_ac: RationalLike, f_ad: RationalLike) -> Fraction:
 
 
 @dataclass(frozen=True)
-class DerivationStep:
-    inputs: tuple[str, str]
-    result_name: str
-    result: Fraction
-
-    def __str__(self) -> str:
-        a, b = self.inputs
-        return f"mean({a}, {b}) -> {self.result_name} = {self.result}"
-
-
-@dataclass(frozen=True)
 class CoreScale:
-    """The sounds reachable by iterating harmonic division from the octave."""
+    """The sounds reachable by iterating harmonic division from the octave,
+    and the derivation, one line per mean: "mean(DO, 2DO) -> SOL = 3/2"."""
 
     degrees: tuple[Fraction, ...]
-    trace: tuple[DerivationStep, ...]
+    trace: tuple[str, ...]
 
 
 def build_core() -> CoreScale:
@@ -133,9 +123,9 @@ def build_core() -> CoreScale:
     mi = frequency_of_division(do, sol)
     re = frequency_of_division(do, mi)
     trace = (
-        DerivationStep(("DO", "2DO"), "SOL", sol),
-        DerivationStep(("DO", "SOL"), "MI", mi),
-        DerivationStep(("DO", "MI"), "RE", re),
+        f"mean(DO, 2DO) -> SOL = {sol}",
+        f"mean(DO, SOL) -> MI = {mi}",
+        f"mean(DO, MI) -> RE = {re}",
     )
     return CoreScale(degrees=(do, re, mi, sol, do2), trace=trace)
 

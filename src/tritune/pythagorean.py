@@ -179,51 +179,27 @@ def select_chromatic(t: PythTable) -> list[NamedPitch]:
     return named
 
 
-@dataclass(frozen=True)
-class ToneSplitReport:
-    """How the whole tone DO-RE splits into the two unequal semitones."""
+def tone_split_analysis() -> None:
+    """Verify the exact split of the 9/8 tone DO-RE into limma and apotome.
 
-    product_is_tone: bool
-    limma_below_equal_semitone: bool
-    apotome_above_equal_semitone: bool
-    equal_tone_below_tone: bool
-    flat_to_re: Fraction  # I(REb, RE)
-    sharp_to_re: Fraction  # I(DOs, RE)
-    tone_cents: float
-    note: str
-
-
-def tone_split_analysis() -> ToneSplitReport:
-    """Verify the exact split of the 9/8 tone into limma and apotome."""
+    LIMMA * APOTOME == TONE, the limma lies below the equal semitone
+    2**(1/12) and the apotome above it, and two equal semitones fall short of
+    the tone.  I(REb,RE) = TONE / LIMMA equals the apotome I(DO,DO#) and
+    I(DO#,RE) = TONE / APOTOME equals the limma I(DO,REb): each semitone
+    completes the tone with one of the other kind.  Classical summaries
+    sometimes label both complements I(DO,REb); these exact identities are
+    what holds.  A failed check is a PropositionViolationError.
+    """
     semitone = EtPitch(1, 12)
-    two_semitones = EtPitch(2, 12)
-    flat_to_re = TONE / LIMMA
-    sharp_to_re = TONE / APOTOME
-    report = ToneSplitReport(
-        product_is_tone=LIMMA * APOTOME == TONE,
-        limma_below_equal_semitone=compare_fraction_to_et(LIMMA, semitone) < 0,
-        apotome_above_equal_semitone=compare_fraction_to_et(APOTOME, semitone) > 0,
-        equal_tone_below_tone=compare_fraction_to_et(TONE, two_semitones) > 0,
-        flat_to_re=flat_to_re,
-        sharp_to_re=sharp_to_re,
-        tone_cents=cents(TONE),
-        note=(
-            "I(REb,RE) equals the apotome I(DO,DO#) and I(DO#,RE) equals the "
-            "limma I(DO,REb): each semitone completes the tone with one of "
-            "the other kind.  Classical summaries sometimes label both "
-            "complements I(DO,REb); the exact identities above are what holds."
-        ),
-    )
     if not (
-        report.product_is_tone
-        and report.limma_below_equal_semitone
-        and report.apotome_above_equal_semitone
-        and report.equal_tone_below_tone
-        and flat_to_re == APOTOME
-        and sharp_to_re == LIMMA
+        LIMMA * APOTOME == TONE
+        and compare_fraction_to_et(LIMMA, semitone) < 0
+        and compare_fraction_to_et(APOTOME, semitone) > 0
+        and compare_fraction_to_et(TONE, EtPitch(2, 12)) > 0
+        and TONE / LIMMA == APOTOME
+        and TONE / APOTOME == LIMMA
     ):
         raise PropositionViolationError("tone split identities failed")
-    return report
 
 
 @dataclass(frozen=True)

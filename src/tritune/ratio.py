@@ -286,10 +286,14 @@ def _fixed_point(scaled: int, width: int) -> str:
     return f"{s[:-width]}.{s[-width:]}"
 
 
+def _pq_text(r: RationalLike) -> str:
+    """"p/q" for an int or Fraction, 2 as "2/1"; TuningError past the digit limit."""
+    return f"{_fixed_point(r.numerator, 0)}/{_fixed_point(r.denominator, 0)}"
+
+
 def _fraction_text(r: RationalLike) -> str:
     """``str(r)`` for an int or Fraction, TuningError past the digit limit."""
-    p = _fixed_point(r.numerator, 0)
-    return p if r.denominator == 1 else f"{p}/{_fixed_point(r.denominator, 0)}"
+    return _fixed_point(r.numerator, 0) if r.denominator == 1 else _pq_text(r)
 
 
 def monzo_form(r: RationalLike) -> str:
@@ -299,8 +303,7 @@ def monzo_form(r: RationalLike) -> str:
     """
     m = rational_to_monzo(r)
     if m is None:
-        f = Fraction(r)
-        return f"{_fixed_point(f.numerator, 0)}/{_fixed_point(f.denominator, 0)}"
+        return _pq_text(r)
 
     def side(exps: list[tuple[int, int]]) -> str:
         parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in exps if e > 0]
@@ -318,17 +321,15 @@ def monzo_form(r: RationalLike) -> str:
 def cents(r) -> float:
     """Interval size of a ratio in cents: 1200 * log2(r).
 
-    Accepts a positive int or Fraction (not a bool), a positive finite float,
-    a Monzo, or an object exposing ``cents()`` itself (symbolic equal-division
-    pitches); anything else is a TuningError.
+    Accepts a positive int or Fraction (not a bool), a Monzo, or an object
+    exposing ``cents()`` itself (symbolic equal-division pitches); anything
+    else, a float included, is a TuningError.
     """
     if hasattr(r, "cents"):
         return r.cents()
     if isinstance(r, Monzo):
         r = monzo_to_rational(r)
-    if isinstance(r, float) and 0 < r < math.inf:
-        return 1200.0 * math.log2(r)
     if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r > 0):
-        raise TuningError(f"cents takes a positive exact ratio or finite float, got {_shown(r)}")
+        raise TuningError(f"cents takes a positive exact ratio, got {_shown(r)}")
     # split the log to stay accurate for very large numerator/denominator
     return 1200.0 * (math.log2(r.numerator) - math.log2(r.denominator))

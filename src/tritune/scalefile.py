@@ -19,7 +19,7 @@ from .equal import EtPitch, EtScale, compare_pitches, et_value
 from .errors import TuningError, _shown, check_instance, positive_fraction
 from .natural import ScaleComparison, assemble_diatonic
 from .pythagorean import PythTable, select_chromatic
-from .ratio import _fixed_point, monzo_form, to_decimal
+from .ratio import _fixed_point, _pq_text, monzo_form, to_decimal
 
 PitchValue = Union[Fraction, EtPitch]
 
@@ -42,7 +42,7 @@ class ScaleEntry:
         """Tuning-file rendering: p/q for rationals, 5-digit cents otherwise."""
         v = self.value
         if isinstance(v, Fraction):
-            return f"{_fixed_point(v.numerator, 0)}/{_fixed_point(v.denominator, 0)}"
+            return _pq_text(v)
         if v.r != 1:
             raise TuningError(f"no exact cents for {_shown(v)}")
         return _fixed_point(1200 * v.k * 10 ** 5 // v.n, 5)

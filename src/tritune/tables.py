@@ -12,7 +12,7 @@ from .equal import DIATONIC_INDICES, EtPitch, et_value
 from .errors import check_instance
 from .natural import compare_three_scales
 from .pythagorean import PythTable, pairing_table, select_chromatic
-from .ratio import monzo_form, to_decimal
+from .ratio import _pq_text, monzo_form, to_decimal
 from .scalefile import COLUMNS, comparison_table
 
 
@@ -30,8 +30,7 @@ def fifth_generation_text(table: PythTable) -> str:
     lines = []
     steps = check_instance("a fifth table", table, PythTable).entries()
     for step in sorted(steps, key=lambda s: s.ratio):
-        pq = f"{step.ratio.numerator}/{step.ratio.denominator}"
-        lines.append(f"{pq} {to_decimal(step.ratio, 5)} {step.construction()}")
+        lines.append(f"{_pq_text(step.ratio)} {to_decimal(step.ratio, 5)} {step.construction()}")
     return "\n".join(lines) + "\n"
 
 
@@ -59,8 +58,7 @@ def chromatic_text(table: PythTable) -> str:
     """The 18 named sounds ascending: name, factored form, ratio, decimal."""
     rows = []
     for p in select_chromatic(table):
-        pq = f"{p.ratio.numerator}/{p.ratio.denominator}"
-        rows.append((str(p.name), monzo_form(p.ratio), pq, to_decimal(p.ratio, 5)))
+        rows.append((str(p.name), monzo_form(p.ratio), _pq_text(p.ratio), to_decimal(p.ratio, 5)))
     return _aligned(rows)
 
 

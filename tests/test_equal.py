@@ -29,6 +29,7 @@ from tritune.errors import TuningError, UnsupportedDivisionError
 from tritune.intervals import Interval, compose, interval_between
 from tritune.pythagorean import FifthStep, classify_to_et
 from tritune.ratio import MAX_DIGITS, Monzo, _fixed_point, integer_nth_root, monzo_to_rational
+from tritune.ratio import is_nth_root_irrational
 
 
 def decimal_power_of_two(k: int, n: int, digits: int) -> str:
@@ -103,6 +104,23 @@ class TestEtPitch:
         for k in range(1, 12):
             assert EtPitch(k, 12).is_irrational()
         assert not EtPitch(12, 12).is_irrational()
+
+    def test_irrationality_reads_a_radicand_under_n_bits(self):
+        # 2**(k/n) = 2**(k // n) * 2**((k % n) / n): the perfect-power test
+        # takes the n-th root of 2**(k % n), never of 2**|k|
+        radicands = []
+
+        def recording(m, n):
+            radicands.append((m, n))
+            return is_nth_root_irrational(m, n)
+
+        with mock.patch.object(equal, "is_nth_root_irrational", recording):
+            assert EtPitch(10**7 + 1, 3).is_irrational()
+            assert EtPitch(-(10**7 + 1), 3).is_irrational()
+            for n in range(1, 25):
+                for k in range(-3 * n, 3 * n + 1):
+                    assert EtPitch(k, n).is_irrational() == (k % n != 0)
+        assert radicands and all(m < 2**n for m, n in radicands)
 
     def test_exact_form(self):
         assert EtPitch(0, 12).exact_form() == "1"
@@ -219,6 +237,22 @@ class TestEtValue:
         for k in (value + 1, 10 ** 12):
             with pytest.raises(TuningError, match="integer digits"):
                 et_value(EtPitch(k, n), 1)
+
+    def test_division_cap_on_the_reduced_n(self, monkeypatch):
+        top = EtPitch(1, MAX_DIVISIONS)
+        assert et_value(top, 5) == decimal_radicand_value(1, MAX_DIVISIONS, 5)
+        assert et_value(EtPitch(2, 2 * MAX_DIVISIONS), 5) == et_value(top, 5)
+        # unreduced past the cap, reduced to n = 1 under it
+        assert et_value(EtPitch(2 * (MAX_DIVISIONS + 1), 2 * (MAX_DIVISIONS + 1)), 5) == "2"
+
+        def no_power(*args):
+            raise AssertionError("a power was built")
+
+        monkeypatch.setattr(equal, "integer_nth_root", no_power)
+        monkeypatch.setattr(equal, "to_decimal", no_power)
+        for p in (EtPitch(1, MAX_DIVISIONS + 1), EtPitch(2, 2 * MAX_DIVISIONS + 2), EtPitch(1, 10**9)):
+            with pytest.raises(TuningError, match="reduced n"):
+                et_value(p, 5)
 
     def test_longest_printable_power_is_still_printed(self):
         limit = sys.get_int_max_str_digits()

@@ -101,7 +101,6 @@ INT_PARAMETERS = {
 
 #: int parameters outside the contract, with the reason
 EXEMPT = {
-    "intervals.EtIntervalName:semitones": "a result record, built by classify_et_interval",
     "errors.CoverageError:degree": "an error record, raised by pairing_table",
     "errors.CoverageError:count": "an error record, raised by pairing_table",
 }
@@ -130,6 +129,8 @@ RATIO_PARAMETERS = {
     "natural.frequency_of_division:f_ad": lambda v: frequency_of_division(1, v),
     "natural.dead_end_scan:found": lambda v: dead_end_scan([1, v]),
     "scalefile.ScaleEntry:value": ScaleEntry,
+    "intervals.are_congruent:a[0]": lambda v: are_congruent([v, 2], [1, 2]),
+    "intervals.are_congruent:b[0]": lambda v: are_congruent([1, 2], [v, 2]),
 }
 
 
@@ -309,16 +310,11 @@ def test_to_decimal_takes_exact_ratios_from_zero_only(value, printed):
 
 @pytest.mark.parametrize(
     "value",
-    [float("nan"), float("inf"), -1.5, 0.0, Fraction(0), 0, -1, None, True, "3/2"],
+    [float("nan"), float("inf"), -1.5, 0.0, 2.0, 1.5, Fraction(0), 0, -1, None, True, "3/2"],
 )
 def test_cents_rejects_what_has_no_finite_cents(value):
     with pytest.raises(TuningError):
         cents(value)
-
-
-def test_cents_takes_positive_finite_floats():
-    assert cents(2.0) == 1200.0
-    assert cents(1.5) == pytest.approx(cents(Fraction(3, 2)), abs=1e-9)
 
 
 #: an int too long for repr() (the interpreter's int-to-str limit is 4300 digits)

@@ -147,7 +147,7 @@ class TestCongruence:
     def test_length_mismatch_is_false(self):
         assert not are_congruent([Fraction(1)], [Fraction(1), Fraction(2)])
 
-    def test_mixed_exact_and_equal_uses_cents(self):
+    def test_mixed_exact_and_equal_octave_and_fifth(self):
         assert are_congruent(
             [Fraction(1), Fraction(2)], [EtPitch(0, 12), EtPitch(12, 12)]
         )
@@ -164,8 +164,6 @@ class TestCongruence:
             [Monzo(0, 0), Monzo(1, 0)], [EtPitch(5, 12), EtPitch(17, 12)]
         )
         assert not are_congruent([1, 2], [EtPitch(5, 12), EtPitch(16, 12)])
-        # a float still compares in cents
-        assert are_congruent([1.0, 2 ** (7 / 12)], [EtPitch(0, 12), EtPitch(7, 12)])
 
     def test_monzo_sequences_compare_exactly(self):
         walk = [Monzo(0, 0, 0), Monzo(-1, 1, 0), Monzo(-2, 2, 0)]
@@ -213,17 +211,15 @@ class TestIndexOperators:
 
 class TestNaming:
     def test_interval_names(self):
-        assert classify_et_interval(7).name == "fifth"
-        assert classify_et_interval(0).name == "unison"
-        assert classify_et_interval(5).name == "fourth"
-        assert classify_et_interval(4).name == "major third"
-        assert classify_et_interval(12).name == "octave"
+        assert classify_et_interval(7) == "fifth"
+        assert classify_et_interval(0) == "unison"
+        assert classify_et_interval(5) == "fourth"
+        assert classify_et_interval(4) == "major third"
+        assert classify_et_interval(12) == "octave"
 
     def test_unnamed_sizes_carry_their_count(self):
         for size in (3, 6, 8, 9, 10, 11, 13):
-            named = classify_et_interval(size)
-            assert named.name is None
-            assert str(named) == f"{size} semitones"
+            assert classify_et_interval(size) == f"{size} semitones"
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -242,21 +238,18 @@ class TestNaming:
 
 class TestChords:
     def test_examples(self):
-        major = classify_chord({0, 4, 7})
-        assert (major.quality, str(major.root)) == ("major", "DO")
-        minor = classify_chord({2, 5, 9})
-        assert (minor.quality, str(minor.root)) == ("minor", "RE")
-        seventh = classify_chord({4, 8, 11, 15})
-        assert (seventh.quality, str(seventh.root)) == ("major seventh", "MI")
+        assert classify_chord({0, 4, 7}) == "DO major"
+        assert classify_chord({2, 5, 9}) == "RE minor"
+        assert classify_chord({4, 8, 11, 15}) == "MI major seventh"
 
     def test_transposition_invariance(self):
         for k in range(-24, 25):
-            assert classify_chord({0 + k, 4 + k, 7 + k}).quality == "major"
-            assert classify_chord({0 + k, 3 + k, 7 + k}).quality == "minor"
+            assert classify_chord({0 + k, 4 + k, 7 + k}) == f"{note_name(k)} major"
+            assert classify_chord({0 + k, 3 + k, 7 + k}) == f"{note_name(k)} minor"
 
     def test_unknown_and_errors(self):
-        assert classify_chord({0, 1, 2}).quality == "unknown"
-        assert classify_chord({0, 2, 4, 6}).quality == "unknown"
+        assert classify_chord({0, 1, 2}) == "unknown"
+        assert classify_chord({0, 2, 4, 6}) == "unknown"
         with pytest.raises(TuningError):
             classify_chord({0, 4})
         with pytest.raises(TuningError):

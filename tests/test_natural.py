@@ -119,9 +119,11 @@ class TestCoreConstruction:
             Fraction(3, 2),
             Fraction(2),
         )
-        assert [s.result_name for s in core.trace] == ["SOL", "MI", "RE"]
-        assert core.trace[0].result == Fraction(3, 2)
-        assert core.trace[2].result == Fraction(9, 8)
+        assert core.trace == (
+            "mean(DO, 2DO) -> SOL = 3/2",
+            "mean(DO, SOL) -> MI = 5/4",
+            "mean(DO, MI) -> RE = 9/8",
+        )
 
     def test_next_iteration_falls_off_the_lattice(self):
         next_candidate = frequency_of_division(1, Fraction(9, 8))

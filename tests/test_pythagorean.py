@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from tritune.equal import MAX_DIVISIONS, EtPitch, compare_fraction_to_et
-from tritune.errors import CoverageError, ExponentBoundError, TuningError
+from tritune import pythagorean
+from tritune.errors import CoverageError, ExponentBoundError, PropositionViolationError
+from tritune.errors import TuningError
 from tritune.intervals import are_congruent
 from tritune.pythagorean import (
     APOTOME,
@@ -18,7 +20,7 @@ from tritune.pythagorean import (
     select_chromatic,
     tone_split_analysis,
 )
-from tritune.ratio import EXPONENT_BOUND, octave_shift, to_decimal
+from tritune.ratio import EXPONENT_BOUND, cents, octave_shift, to_decimal
 
 # the classical 26-sound generation, twelve fifths each way:
 # (direction, k, h, ratio, five-digit truncation)
@@ -251,18 +253,24 @@ class TestChromaticSelection:
 
 class TestToneSplit:
     def test_semitone_identities(self):
-        report = tone_split_analysis()
+        assert tone_split_analysis() is None  # every check passed
         # rational multiplication oracle
         assert Fraction(256, 243) * Fraction(2187, 2048) == Fraction(9, 8)
-        assert report.product_is_tone
-        assert report.flat_to_re == TONE / LIMMA == APOTOME
-        assert report.sharp_to_re == TONE / APOTOME == LIMMA
-        assert report.limma_below_equal_semitone
-        assert report.apotome_above_equal_semitone
-        assert report.equal_tone_below_tone
-        assert report.tone_cents == pytest.approx(203.91, abs=1e-2)
-        assert report.tone_cents > 200.0
-        assert report.note
+        assert LIMMA * APOTOME == TONE
+        assert TONE / LIMMA == APOTOME
+        assert TONE / APOTOME == LIMMA
+        semitone = EtPitch(1, 12)
+        assert compare_fraction_to_et(LIMMA, semitone) < 0
+        assert compare_fraction_to_et(APOTOME, semitone) > 0
+        assert compare_fraction_to_et(TONE, EtPitch(2, 12)) > 0
+        assert cents(TONE) == pytest.approx(203.91, abs=1e-2)
+        assert cents(TONE) > 200.0
+
+    def test_a_failed_identity_is_a_proposition_violation(self, monkeypatch):
+        # the just semitone 16/15 does not complete the tone with the apotome
+        monkeypatch.setattr(pythagorean, "LIMMA", Fraction(16, 15))
+        with pytest.raises(PropositionViolationError, match="tone split"):
+            tone_split_analysis()
 
 
 class TestBaseDependence:
