@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from typing import Union
 
 from .errors import TuningError, UnsupportedDivisionError, _shown, check_instance
@@ -46,6 +47,23 @@ MAX_POWER_BITS = 2 ** 20
 _ET_GUARD_BITS = 16
 
 _ONE = Fraction(1)
+
+
+def _in_float_range(method):
+    """A pitch's float-valued ``method``, whose value past the float range is
+    a TuningError naming the pitch, not an OverflowError or an inf."""
+
+    @wraps(method)
+    def checked(self) -> float:
+        try:
+            value = method(self)
+            if math.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+        raise TuningError(f"{_shown(self)} is past the float range")
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -104,14 +122,16 @@ class EtPitch:
     def __hash__(self):
         return hash(("EtPitch", self.exponent, self.r))
 
+    @_in_float_range
     def __float__(self) -> float:
         return self.r * 2.0 ** (self.k / self.n)
 
     def __str__(self) -> str:
         return self.exact_form()
 
+    @_in_float_range
     def cents(self) -> float:
-        return 1200.0 * self.k / self.n + cents(self.r)
+        return 1200 * self.k / self.n + cents(self.r)
 
     def is_rational(self) -> bool:
         """r * 2**(k/n) is rational iff the reduced exponent is an integer."""

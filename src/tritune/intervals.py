@@ -17,7 +17,7 @@ from functools import cmp_to_key
 from typing import Sequence, Union
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
-from .errors import TuningError, _shown, check_instance, check_int
+from .errors import TuningError, check_instance, check_int
 from .ratio import Monzo, cents
 
 Pitch = Union[int, Fraction, Monzo, EtPitch]
@@ -26,8 +26,6 @@ LETTERS = ("DO", "RE", "MI", "FA", "SOL", "LA", "SI")
 
 #: chromatic index -> diatonic letter, for the 12-division octave
 _DIATONIC_LETTER = dict(zip(DIATONIC_INDICES, LETTERS))
-
-_ACCIDENTAL_MARK = {"natural": "", "sharp": "♯", "flat": "♭"}
 
 _SEMITONE_NAMES = {
     0: "unison",
@@ -46,38 +44,21 @@ _CHORD_PATTERNS = {
 }
 
 
-@dataclass(frozen=True)
-class NoteName:
-    """A degree name: letter DO..SI plus an accidental."""
+def note_name(chromatic_index: int, preference: str = "sharp") -> str:
+    """Name of a chromatic degree of the 12-division scale, as text.
 
-    letter: str
-    accidental: str = "natural"
-
-    def __post_init__(self):
-        if self.letter not in LETTERS:
-            raise TuningError(f"unknown letter {_shown(self.letter)}")
-        if self.accidental not in _ACCIDENTAL_MARK:
-            raise TuningError(f"unknown accidental {_shown(self.accidental)}")
-
-    def __str__(self) -> str:
-        return self.letter + _ACCIDENTAL_MARK[self.accidental]
-
-
-def note_name(chromatic_index: int, preference: str = "sharp") -> NoteName:
-    """Name of a chromatic degree of the 12-division scale.
-
-    Diatonic degrees get their plain letter; the five altered degrees are
-    spelled as the sharp of the letter below or the flat of the letter above,
-    per ``preference``.
+    Diatonic degrees get their plain letter ("SOL"); the five altered degrees
+    are spelled as the sharp of the letter below ("DO♯") or the flat of the
+    letter above ("RE♭"), per ``preference``.
     """
     if preference not in ("sharp", "flat"):
         raise TuningError("preference must be 'sharp' or 'flat'")
     i = check_int("a chromatic index", chromatic_index, None) % 12
     if i in _DIATONIC_LETTER:
-        return NoteName(_DIATONIC_LETTER[i])
+        return _DIATONIC_LETTER[i]
     if preference == "sharp":
-        return NoteName(_DIATONIC_LETTER[i - 1], "sharp")
-    return NoteName(_DIATONIC_LETTER[(i + 1) % 12], "flat")
+        return _DIATONIC_LETTER[i - 1] + "♯"
+    return _DIATONIC_LETTER[(i + 1) % 12] + "♭"
 
 
 @dataclass(frozen=True)

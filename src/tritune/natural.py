@@ -21,20 +21,14 @@ from typing import Optional
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import PropositionViolationError, TuningError, check_instance
 from .errors import _shown, positive_fraction
-from .intervals import NoteName
+from .intervals import LETTERS, note_name
 from .pythagorean import generate_fifths, select_chromatic
 from .ratio import RationalLike, is_five_smooth, is_perfect_nth_power
 
-#: the just diatonic degrees, ascending, with their names
-DIATONIC_DEGREES = (
-    ("DO", Fraction(1)),
-    ("RE", Fraction(9, 8)),
-    ("MI", Fraction(5, 4)),
-    ("FA", Fraction(4, 3)),
-    ("SOL", Fraction(3, 2)),
-    ("LA", Fraction(5, 3)),
-    ("SI", Fraction(15, 8)),
-    ("DO", Fraction(2)),
+#: the just diatonic degrees DO..DO, ascending, that the assembly must reach
+JUST_DIATONIC = (
+    Fraction(1), Fraction(9, 8), Fraction(5, 4), Fraction(4, 3),
+    Fraction(3, 2), Fraction(5, 3), Fraction(15, 8), Fraction(2),
 )
 
 
@@ -200,11 +194,14 @@ def find_si() -> SiSearch:
 
     For every ordered pair (f_n1, f_n2) of distinct known degrees the
     candidate is f3 = 2*f_n1 - f_n2 (so that f_n1 is the mean of f_n2 and
-    f3).  Exactly one candidate survives the range and lattice tests; any
-    other outcome raises, because uniqueness is the whole point.
+    f3), over the degrees derived so far, those of :func:`build_core` and
+    :func:`solve_fa_la`.  Exactly one candidate survives the range and
+    lattice tests; any other outcome raises, because uniqueness is the whole
+    point.
     """
-    known = [ratio for name, ratio in DIATONIC_DEGREES if name != "SI"]
-    lo, hi = Fraction(5, 3), Fraction(2)
+    fa_la = solve_fa_la()
+    known = sorted(set(build_core().degrees) | {fa_la.f1, fa_la.f2})
+    lo, hi = fa_la.f2, known[-1]
     accepted = []
     rejected = []
     for f_n1 in known:
@@ -229,22 +226,18 @@ def find_si() -> SiSearch:
 class NaturalScale:
     """The eight named degrees and the seven steps between them."""
 
-    degrees: tuple[tuple[NoteName, Fraction], ...]
+    degrees: tuple[tuple[str, Fraction], ...]
     steps: tuple[Fraction, ...]
 
 
 def assemble_diatonic() -> NaturalScale:
-    """Assemble DO..DO from the three constructions and check octave closure."""
-    core = build_core()
-    fa_la = solve_fa_la()
-    si = find_si().accepted.value
-    values = sorted(set(core.degrees) | {fa_la.f1, fa_la.f2, si})
-    expected = [ratio for _, ratio in DIATONIC_DEGREES]
-    if values != expected:
+    """Assemble DO..DO from the three constructions and check octave closure:
+    the SI search pairs every degree derived before it, then accepts SI."""
+    si = find_si()
+    values = sorted({c.f_n1 for c in (si.accepted, *si.rejected)} | {si.accepted.value})
+    if values != list(JUST_DIATONIC):
         raise PropositionViolationError(f"diatonic assembly produced {values}")
-    degrees = tuple(
-        (NoteName(letter), ratio) for letter, ratio in DIATONIC_DEGREES
-    )
+    degrees = tuple(zip(map(note_name, DIATONIC_INDICES), values))
     steps = tuple(values[i + 1] / values[i] for i in range(len(values) - 1))
     if math.prod(steps) != 2:
         raise PropositionViolationError("scale steps do not close the octave")
@@ -287,11 +280,11 @@ def _ordering(row: ComparisonRow) -> str:
 def compare_three_scales() -> ScaleComparison:
     """The diatonic degrees of the equal, fifth-built and just scales."""
     chromatic = select_chromatic(generate_fifths(12, 12))
-    pyth = [p.ratio for p in chromatic if p.name.accidental == "natural"]
+    pyth = [p.ratio for p in chromatic if p.name in LETTERS]
     natural = assemble_diatonic()
     rows = tuple(
         ComparisonRow(
-            degree=str(name),
+            degree=name,
             equal=EtPitch(k, 12),
             pythagorean=p,
             natural=n,

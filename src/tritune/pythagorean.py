@@ -16,7 +16,7 @@ from fractions import Fraction
 from .equal import DIATONIC_INDICES, EtPitch, compare_fraction_to_et, nearest_degree
 from .errors import CoverageError, ExponentBoundError, PropositionViolationError
 from .errors import TuningError, _shown, check_instance, check_int, positive_fraction
-from .intervals import NoteName, note_name
+from .intervals import note_name
 from .ratio import EXPONENT_BOUND, Monzo, _floor_log2, cents
 from .ratio import monzo_to_rational, reduce_to_octave
 
@@ -145,9 +145,9 @@ def pairing_table(
 
 @dataclass(frozen=True)
 class NamedPitch:
-    """A selected chromatic sound: its name and the fifth step it keeps."""
+    """A selected chromatic sound: its name ("RE♭") and the fifth step it keeps."""
 
-    name: NoteName
+    name: str
     step: FifthStep
 
     @property

@@ -96,7 +96,9 @@ def pythagorean_chromatic_document(table: PythTable) -> ScaleDocument:
 def render_scl(doc: ScaleDocument, filename: str) -> str:
     """Tuning-file text: comment, description, count, one pitch per line."""
     check_instance("a scale document", doc, ScaleDocument)
-    check_instance("a file name", filename, str)
+    # the comment line carries the file name, so it is one line too
+    if check_instance("a file name", filename, str).splitlines() not in ([], [filename]):
+        raise TuningError(f"a file name must be one line, got {_shown(filename)}")
     lines = [f"! {filename}", doc.description, str(len(doc.entries))]
     lines += [e.pitch_line() for e in doc.entries]
     return "\n".join(lines) + "\n"

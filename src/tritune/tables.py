@@ -58,7 +58,7 @@ def chromatic_text(table: PythTable) -> str:
     """The 18 named sounds ascending: name, factored form, ratio, decimal."""
     rows = []
     for p in select_chromatic(table):
-        rows.append((str(p.name), monzo_form(p.ratio), _pq_text(p.ratio), to_decimal(p.ratio, 5)))
+        rows.append((p.name, monzo_form(p.ratio), _pq_text(p.ratio), to_decimal(p.ratio, 5)))
     return _aligned(rows)
 
 

@@ -190,6 +190,13 @@ class TestExport:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_file_name_of_two_lines_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        argv = ("export", "--format", "scl", "--out", str(tmp_path / "a\nb.scl"))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("error: a file name must be one line")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCaps:
     """Each documented input cap, at its value and one past it."""

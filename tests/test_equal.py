@@ -28,8 +28,8 @@ from tritune.equal import (
 from tritune.errors import TuningError, UnsupportedDivisionError
 from tritune.intervals import Interval, compose, interval_between
 from tritune.pythagorean import FifthStep, classify_to_et
-from tritune.ratio import MAX_DIGITS, Monzo, _fixed_point, integer_nth_root, monzo_to_rational
-from tritune.ratio import is_nth_root_irrational
+from tritune.ratio import MAX_DIGITS, Monzo, _fixed_point, cents, integer_nth_root
+from tritune.ratio import is_nth_root_irrational, monzo_to_rational
 
 
 def decimal_power_of_two(k: int, n: int, digits: int) -> str:
@@ -146,6 +146,30 @@ class TestEtPitch:
         assert EtPitch(24, 12, Fraction(3, 5)).as_fraction() == Fraction(12, 5)
         assert EtPitch(0, 1, 3).exact_form() == "3"
         assert p.cents() == pytest.approx(1200 * (math.log2(3) - 19 / 12))
+
+    @pytest.mark.parametrize(
+        "call, pitch",
+        [
+            (lambda: float(EtPitch(2000, 1)), "k=2000"),
+            (lambda: float(EtPitch(0, 1, Fraction(3**1000))), "r=Fraction(1322"),
+            (lambda: float(EtPitch(1000, 1, Fraction(3**100))), "k=1000"),
+            (lambda: cents(EtPitch(10**400, 1)), "k=1000"),
+            (lambda: EtPitch(10**400, 3).cents(), "k=1000"),
+            (lambda: EtPitch(10**306, 1).cents(), "k=1000"),
+            (lambda: Interval(EtPitch(10**400, 3)).cents(), "k=1000"),
+        ],
+        ids=["float-k", "float-r", "float-inf", "cents", "method", "method-inf", "interval"],
+    )
+    def test_past_the_float_range_is_a_tuning_error(self, call, pitch):
+        # an OverflowError, or an inf where only the product overflows
+        with pytest.raises(TuningError, match="past the float range") as caught:
+            call()
+        assert str(caught.value).startswith("EtPitch(k=") and pitch in str(caught.value)
+
+    def test_values_at_the_edges_of_the_float_range(self):
+        assert float(EtPitch(-2000, 1)) == 0.0 and float(EtPitch(1020, 1)) == 2.0**1020
+        assert EtPitch(-(10**300), 1).cents() == pytest.approx(-1.2e303)
+        assert EtPitch(1, 10**400).cents() == 0.0 and float(EtPitch(1, 10**400)) == 1.0
 
     @pytest.mark.parametrize(
         "r", [2, Fraction(3, 4), Fraction(4, 3), 0, -3, Fraction(-1, 3), 1.5, "3"]

@@ -9,7 +9,6 @@ from tritune.equal import EtPitch, compare_pitches, generate_et
 from tritune.errors import TuningError
 from tritune.intervals import (
     Interval,
-    NoteName,
     are_congruent,
     classify_chord,
     classify_et_interval,
@@ -227,7 +226,7 @@ class TestNaming:
 
     def test_note_names(self):
         assert str(note_name(7, "sharp")) == "SOL"
-        assert note_name(1, "flat") == NoteName("RE", "flat")
+        assert note_name(1, "flat") == "RE♭"
         assert str(note_name(1, "flat")) == "RE♭"
         assert str(note_name(13, "sharp")) == "DO♯"
 

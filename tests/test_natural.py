@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tritune import natural
 from tritune.equal import EtPitch
-from tritune.errors import TuningError
+from tritune.errors import PropositionViolationError, TuningError
 from tritune.natural import (
+    CoreScale,
     assemble_diatonic,
     build_core,
     compare_three_scales,
@@ -202,6 +204,14 @@ class TestFindSi:
         search = find_si()
         values = {c.value for c in search.rejected} | {search.accepted.value}
         assert Fraction(35, 12) not in values
+
+    def test_searches_the_derived_degrees(self, monkeypatch):
+        # without RE no pair lands a 5-limit sound between LA and the octave
+        # (15/8 needs 9/8), so a search over the derivation finds none
+        core = CoreScale(tuple(map(Fraction, (1, "5/4", "3/2", 2))), ())
+        monkeypatch.setattr(natural, "build_core", lambda: core)
+        with pytest.raises(PropositionViolationError, match="found 0"):
+            find_si()
 
     def test_every_rejection_has_a_reason(self):
         for c in find_si().rejected:

@@ -191,6 +191,13 @@ class TestSclWriter:
         with pytest.raises(TuningError, match="one line"):
             ScaleDocument(description, natural_scale_document().entries)
 
+    @pytest.mark.parametrize("filename", ["a\nb.scl", "a\rb.scl", "a\u2028b.scl"])
+    def test_file_name_must_be_one_line(self, filename):
+        # the name fills the comment line; a break would push its rest into
+        # the description's place and the description into the count's
+        with pytest.raises(TuningError, match="file name must be one line"):
+            render_scl(natural_scale_document(), filename)
+
     @pytest.mark.parametrize("description", ["", "a b"])
     def test_description_round_trips(self, description):
         doc = ScaleDocument(description, natural_scale_document().entries)
