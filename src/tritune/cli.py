@@ -14,8 +14,7 @@ from pathlib import Path
 from .equal import MAX_ET_DIGITS, generate_et, et_value
 from .errors import TuningError
 from .intervals import classify_chord
-from .natural import assemble_diatonic, build_core, find_si, solve_fa_la
-from .natural import compare_three_scales
+from .natural import assemble_diatonic, compare_three_scales
 from .pythagorean import generate_fifths
 from .ratio import _pq_text, to_decimal
 from .scalefile import (
@@ -101,17 +100,17 @@ def _run_pyth(args) -> None:
 
 
 def _run_natural(args) -> None:
+    scale = assemble_diatonic()
     if args.trace:
-        print("\n".join(build_core().trace))
-        fa_la = solve_fa_la()
-        print(f"system FA, LA -> {fa_la.f1}, {fa_la.f2}")
-        si = find_si()
+        si = scale.search
+        print("\n".join(si.core.trace))
+        print(f"system FA, LA -> {si.fa_la.f1}, {si.fa_la.f2}")
         print(
             f"search SI -> {si.accepted.value} from "
             f"({si.accepted.f_n1}, {si.accepted.f_n2}); "
             f"{len(si.rejected)} candidates rejected"
         )
-    for name, ratio in assemble_diatonic().degrees:
+    for name, ratio in scale.degrees:
         print(f"{name} {_pq_text(ratio)} {to_decimal(ratio, 5)}")
 
 

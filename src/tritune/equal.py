@@ -124,7 +124,12 @@ class EtPitch:
 
     @_in_float_range
     def __float__(self) -> float:
-        return self.r * 2.0 ** (self.k / self.n)
+        # r = m * 2**e with 1/2 < m < 2, as math.frexp splits: r may pass the float range
+        p, q = self.r.numerator, self.r.denominator
+        e = p.bit_length() - q.bit_length()
+        m = p / (q << e) if e >= 0 else (p << -e) / q
+        h, k = divmod(self.k, self.n)
+        return math.ldexp(m * 2.0 ** (k / self.n), e + h)
 
     def __str__(self) -> str:
         return self.exact_form()

@@ -184,6 +184,11 @@ def solve_fa_la() -> FaLaSolution:
 
 @dataclass(frozen=True)
 class SiSearch:
+    """The core and FA/LA searched, their common denominator, every verdict."""
+
+    core: CoreScale
+    fa_la: FaLaSolution
+    denominator: int
     accepted: Candidate
     rejected: tuple[Candidate, ...]
 
@@ -195,46 +200,51 @@ def find_si() -> SiSearch:
     For every ordered pair (f_n1, f_n2) of distinct known degrees the
     candidate is f3 = 2*f_n1 - f_n2 (so that f_n1 is the mean of f_n2 and
     f3), over the degrees derived so far, those of :func:`build_core` and
-    :func:`solve_fa_la`.  Exactly one candidate survives the range and
-    lattice tests; any other outcome raises, because uniqueness is the whole
-    point.
+    :func:`solve_fa_la`, in integers: over their common denominator d, f3 is
+    2a - b for numerators a, b, and LA < f3 < octave compares numerators; only
+    an in-range f3 is tested for the 5-limit.  Exactly one candidate survives;
+    any other outcome raises, because uniqueness is the whole point.
     """
-    fa_la = solve_fa_la()
-    known = sorted(set(build_core().degrees) | {fa_la.f1, fa_la.f2})
-    lo, hi = fa_la.f2, known[-1]
-    accepted = []
-    rejected = []
-    for f_n1 in known:
-        for f_n2 in known:
-            if f_n1 == f_n2:
+    core, fa_la = build_core(), solve_fa_la()
+    known = sorted(set(core.degrees) | {fa_la.f1, fa_la.f2})
+    d = math.lcm(*(f.denominator for f in known))
+    numerators = [f.numerator * (d // f.denominator) for f in known]
+    lo, hi = fa_la.f2.numerator * (d // fa_la.f2.denominator), numerators[-1]
+    accepted, rejected = [], []
+    for f_n1, a in zip(known, numerators):
+        for f_n2, b in zip(known, numerators):
+            if a == b:
                 continue
-            f3 = 2 * f_n1 - f_n2
+            f3 = 2 * a - b
+            value = Fraction(f3, d)
             if not lo < f3 < hi:
-                rejected.append(Candidate(f_n1, f_n2, f3, "out-of-range"))
-            elif not is_five_smooth(f3):
-                rejected.append(Candidate(f_n1, f_n2, f3, "not-5-limit"))
+                rejected.append(Candidate(f_n1, f_n2, value, "out-of-range"))
+            elif not is_five_smooth(value):
+                rejected.append(Candidate(f_n1, f_n2, value, "not-5-limit"))
             else:
-                accepted.append(Candidate(f_n1, f_n2, f3, "accepted"))
+                accepted.append(Candidate(f_n1, f_n2, value, "accepted"))
     if len(accepted) != 1:
         raise PropositionViolationError(
             f"expected exactly one admissible SI, found {len(accepted)}"
         )
-    return SiSearch(accepted=accepted[0], rejected=tuple(rejected))
+    return SiSearch(core, fa_la, d, accepted[0], tuple(rejected))
 
 
 @dataclass(frozen=True)
 class NaturalScale:
-    """The eight named degrees and the seven steps between them."""
+    """The eight named degrees, the seven steps between them, their SI search."""
 
     degrees: tuple[tuple[str, Fraction], ...]
     steps: tuple[Fraction, ...]
+    search: SiSearch
 
 
 def assemble_diatonic() -> NaturalScale:
-    """Assemble DO..DO from the three constructions and check octave closure:
-    the SI search pairs every degree derived before it, then accepts SI."""
-    si = find_si()
-    values = sorted({c.f_n1 for c in (si.accepted, *si.rejected)} | {si.accepted.value})
+    """DO..DO from one :func:`find_si` chain (its core, FA/LA and SI), checked
+    to be the just ratios, to close the octave and to stay 5-limit."""
+    search = find_si()
+    fa_la, si = search.fa_la, search.accepted.value
+    values = sorted({*search.core.degrees, fa_la.f1, fa_la.f2, si})
     if values != list(JUST_DIATONIC):
         raise PropositionViolationError(f"diatonic assembly produced {values}")
     degrees = tuple(zip(map(note_name, DIATONIC_INDICES), values))
@@ -243,7 +253,7 @@ def assemble_diatonic() -> NaturalScale:
         raise PropositionViolationError("scale steps do not close the octave")
     if not all(is_five_smooth(v) for v in values):
         raise PropositionViolationError("a degree escaped the 5-limit lattice")
-    return NaturalScale(degrees=degrees, steps=steps)
+    return NaturalScale(degrees=degrees, steps=steps, search=search)
 
 
 @dataclass(frozen=True)
@@ -283,12 +293,7 @@ def compare_three_scales() -> ScaleComparison:
     pyth = [p.ratio for p in chromatic if p.name in LETTERS]
     natural = assemble_diatonic()
     rows = tuple(
-        ComparisonRow(
-            degree=name,
-            equal=EtPitch(k, 12),
-            pythagorean=p,
-            natural=n,
-        )
+        ComparisonRow(degree=name, equal=EtPitch(k, 12), pythagorean=p, natural=n)
         for (name, n), p, k in zip(natural.degrees, pyth, DIATONIC_INDICES)
     )
     orderings = {row.degree: _ordering(row) for row in rows}

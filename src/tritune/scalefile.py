@@ -69,28 +69,18 @@ class ScaleDocument:
 
 def natural_scale_document() -> ScaleDocument:
     entries = tuple(ScaleEntry(r) for _, r in assemble_diatonic().degrees if r != 1)
-    return ScaleDocument(
-        description="Just diatonic scale on DO (5-limit, harmonic divisions)",
-        entries=entries,
-    )
+    return ScaleDocument("Just diatonic scale on DO (5-limit, harmonic divisions)", entries)
 
 
 def et_scale_document(n: int) -> ScaleDocument:
     entries = tuple(ScaleEntry(p) for p in EtScale(n=n).pitches if p.k > 0)
-    return ScaleDocument(
-        description=f"Equal division of the octave in {n} steps",
-        entries=entries,
-    )
+    return ScaleDocument(f"Equal division of the octave in {n} steps", entries)
 
 
 def pythagorean_chromatic_document(table: PythTable) -> ScaleDocument:
-    entries = tuple(
-        ScaleEntry(p.ratio) for p in select_chromatic(table) if p.ratio != 1
-    )
-    return ScaleDocument(
-        description="Pythagorean chromatic scale on DO (18 sounds, 12 fifths each way)",
-        entries=entries,
-    )
+    entries = tuple(ScaleEntry(p.ratio) for p in select_chromatic(table) if p.ratio != 1)
+    description = "Pythagorean chromatic scale on DO (18 sounds, 12 fifths each way)"
+    return ScaleDocument(description, entries)
 
 
 def render_scl(doc: ScaleDocument, filename: str) -> str:

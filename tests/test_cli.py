@@ -2,14 +2,16 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritune import cli
+from tritune import cli, natural
 from tritune.cli import main
 from tritune.equal import MAX_DIVISIONS, MAX_ET_DIGITS
 from tritune.errors import TuningError
@@ -41,6 +43,44 @@ class TestNatural:
         assert "mean(DO, 2DO) -> SOL = 3/2" in out
         assert "system FA, LA -> 4/3, 5/3" in out
         assert "search SI -> 15/8" in out
+
+
+#: the just scale's derivation, each step of which one command runs once
+DERIVATION = ("build_core", "solve_fa_la", "find_si", "assemble_diatonic")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["natural"],
+        ["natural", "--trace"],
+        ["compare"],
+        ["export", "--format", "csv"],
+        ["export", "--format", "json"],
+        ["export", "--format", "scl", "--scale", "natural"],
+    ],
+    ids=" ".join,
+)
+def test_one_derivation_per_command(argv, tmp_path, capsys, monkeypatch):
+    # every tritune module attribute holding a step is counted, as the
+    # benchmark's span recorder wraps them
+    calls = Counter()
+    for name in DERIVATION:
+        step = getattr(natural, name)
+
+        def counted(*args, _step=step, _name=name, **kwargs):
+            calls[_name] += 1
+            return _step(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("tritune.") and getattr(module, name, None) is step:
+                monkeypatch.setattr(module, name, counted)
+    if argv[0] == "export":
+        argv = [*argv, "--out", str(tmp_path / "out.scl")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == Counter(dict.fromkeys(DERIVATION, 1))
+    assert not {"build_core", "solve_fa_la", "find_si"} & set(vars(cli))
 
 
 class TestPyth:

@@ -172,6 +172,22 @@ class TestEtPitch:
         assert EtPitch(1, 10**400).cents() == 0.0 and float(EtPitch(1, 10**400)) == 1.0
 
     @pytest.mark.parametrize(
+        "pitch, exact, root",
+        [
+            (EtPitch(-2000, 1, Fraction(3**1000)), Fraction(3**1000, 2**2000), 1),
+            (EtPitch(2000, 1, Fraction(1, 3**1000)), Fraction(2**2000, 3**1000), 1),
+            (EtPitch(-6001, 3, Fraction(3**1000)), Fraction(3**1000, 2**2000), 2 ** (-1 / 3)),
+        ],
+        ids=["r-over", "r-under", "irrational"],
+    )
+    def test_a_coefficient_past_the_float_range_with_a_value_inside_it(self, pitch, exact, root):
+        # r = 3**1000 alone is past the float range; r * 2**(k/n) is not
+        assert float(pitch) == pytest.approx(float(exact) * root, rel=1e-15)
+        if root == 1:
+            assert float(pitch) == float(exact)
+        assert pitch.cents() == pytest.approx(1200 * math.log2(float(exact) * root))
+
+    @pytest.mark.parametrize(
         "r", [2, Fraction(3, 4), Fraction(4, 3), 0, -3, Fraction(-1, 3), 1.5, "3"]
     )
     def test_non_odd_coefficient_rejected(self, r):

@@ -103,6 +103,7 @@ INT_PARAMETERS = {
 EXEMPT = {
     "errors.CoverageError:degree": "an error record, raised by pairing_table",
     "errors.CoverageError:count": "an error record, raised by pairing_table",
+    "natural.SiSearch:denominator": "a derivation record, built only by find_si",
 }
 
 #: index lists: each element is an int index, checked like an int parameter

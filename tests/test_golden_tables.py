@@ -48,6 +48,12 @@ def test_natural_trace(capsys):
     assert capsys.readouterr().out == golden("natural_trace.txt")
 
 
+def test_natural_is_the_last_eight_lines_of_the_trace(capsys):
+    assert cli.main(["natural"]) == 0
+    last_eight = golden("natural_trace.txt").splitlines(keepends=True)[-8:]
+    assert capsys.readouterr().out == "".join(last_eight)
+
+
 #: each export golden with the arguments that write it; an scl file's comment
 #: line carries the file's basename, so each is written under its own name
 EXPORTS = {

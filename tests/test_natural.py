@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -213,6 +214,44 @@ class TestFindSi:
         with pytest.raises(PropositionViolationError, match="found 0"):
             find_si()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [None, Fraction(16, 15), Fraction(10, 9), Fraction(32, 25), Fraction(7, 5)],
+        ids=["derived", "lcm-120", "lcm-72", "lcm-600", "two-accepted"],
+    )
+    def test_integer_search_matches_fraction_arithmetic(self, monkeypatch, extra):
+        # the search runs on numerators over the lcm of the degrees'
+        # denominators; each verdict is recomputed here with Fractions, also
+        # on cores with one more degree (other denominators, or two SIs)
+        core = build_core()
+        if extra is not None:
+            core = CoreScale(tuple(sorted({*core.degrees, extra})), core.trace)
+            monkeypatch.setattr(natural, "build_core", lambda: core)
+        fa_la = solve_fa_la()
+        known = sorted({*core.degrees, fa_la.f1, fa_la.f2})
+        expected = {}
+        for a in known:
+            for b in known:
+                if a != b:
+                    v = 2 * a - b
+                    if not fa_la.f2 < v < known[-1]:
+                        expected[(a, b)] = (v, "out-of-range")
+                    else:
+                        expected[(a, b)] = (v, "accepted" if is_five_smooth(v) else "not-5-limit")
+        accepted = sum(reason == "accepted" for _, reason in expected.values())
+        if accepted != 1:
+            with pytest.raises(PropositionViolationError, match=f"found {accepted}"):
+                find_si()
+            return
+        search = find_si()
+        assert (search.core, search.fa_la) == (core, fa_la)
+        assert search.denominator == math.lcm(*(f.denominator for f in known))
+        candidates = (search.accepted, *search.rejected)
+        assert len(candidates) == len(known) * (len(known) - 1)
+        assert all(type(c.value) is Fraction for c in candidates)
+        assert {(c.f_n1, c.f_n2): (c.value, c.reason) for c in candidates} == expected
+        assert search.accepted.reason == "accepted"
+
     def test_every_rejection_has_a_reason(self):
         for c in find_si().rejected:
             assert c.reason in ("out-of-range", "not-5-limit")
@@ -244,6 +283,23 @@ class TestDiatonicAssembly:
             Fraction(16, 15),
         ]
         assert math.prod(scale.steps) == 2
+
+    def test_keeps_the_chain_it_was_assembled_from(self):
+        scale = assemble_diatonic()
+        search = scale.search
+        assert (search.core, search.fa_la) == (build_core(), solve_fa_la())
+        assert search.denominator == 24 and len(search.rejected) == 41
+        assert scale.degrees[6] == ("SI", search.accepted.value)
+
+    def test_the_just_ratios_check_the_chain(self, monkeypatch):
+        # an SI of 16/9 still closes the octave on the 5-limit lattice, so
+        # only the check against the eight just ratios refuses it
+        search = find_si()
+        accepted = dataclasses.replace(search.accepted, value=Fraction(16, 9))
+        wrong = dataclasses.replace(search, accepted=accepted)
+        monkeypatch.setattr(natural, "find_si", lambda: wrong)
+        with pytest.raises(PropositionViolationError, match="diatonic assembly produced"):
+            assemble_diatonic()
 
     def test_names(self):
         names = [str(name) for name, _ in assemble_diatonic().degrees]
