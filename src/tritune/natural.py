@@ -15,7 +15,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
@@ -273,17 +272,18 @@ class ScaleComparison:
 
 
 def _ordering(row: ComparisonRow) -> str:
-    """Ascending order of the three values, decided exactly.
+    """Ascending order of the three values, each pair compared once, exactly.
 
-    Rational-vs-equal comparisons go through integer powers, never floats.
-    The sort is stable, so ties list N first, then E, then P.
+    A value's rank counts the values strictly below it, so equal values share
+    a rank and the stable sort lists ties N first, then E, then P.
     """
-    labelled = [("N", row.natural), ("E", row.equal), ("P", row.pythagorean)]
-    ordered = sorted(labelled, key=cmp_to_key(lambda a, b: compare_pitches(a[1], b[1])))
-    parts = [ordered[0][0]]
-    for (_, prev), (label, value) in zip(ordered, ordered[1:]):
-        parts.append("<" if compare_pitches(prev, value) < 0 else "=")
-        parts.append(label)
+    n, e, p = row.natural, row.equal, row.pythagorean
+    ne, np_, ep = compare_pitches(n, e), compare_pitches(n, p), compare_pitches(e, p)
+    rank = {"N": (ne > 0) + (np_ > 0), "E": (ne < 0) + (ep > 0), "P": (np_ < 0) + (ep < 0)}
+    order = sorted(rank, key=rank.get)
+    parts = [order[0]]
+    for a, b in zip(order, order[1:]):
+        parts += ["<" if rank[a] < rank[b] else "=", b]
     return " ".join(parts)
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .equal import DIATONIC_INDICES, EtPitch, compare_fraction_to_et, nearest_degree
+from .equal import DIATONIC_INDICES, MAX_DIVISIONS, EtPitch, _floor_log2_power
+from .equal import compare_fraction_to_et, nearest_degree
 from .errors import CoverageError, ExponentBoundError, PropositionViolationError
 from .errors import TuningError, _shown, check_instance, check_int, positive_fraction
 from .intervals import note_name
@@ -113,29 +114,31 @@ def classify_to_et(r: Fraction, n: int = 12) -> tuple[int, float]:
     return degree, cents(r) - degree * 1200.0 / n
 
 
-def pairing_table(
-    t: PythTable, n: int = 12
-) -> dict[int, tuple[FifthStep, FifthStep]]:
+def pairing_table(t: PythTable, n: int = 12) -> dict[int, tuple[FifthStep, FifthStep]]:
     """Group the generated sounds around the n+1 equal degrees, two apiece.
 
     Each degree must receive exactly one approximant from below and one from
-    above (the endpoints sit exactly on degrees 0 and n).  Anything else is a
-    coverage error naming the offending degree.  n is an integer from 1 to
-    ``equal.MAX_DIVISIONS``, as for ``equal.nearest_degree``.
+    above (the endpoints sit exactly on degrees 0 and n); anything else is a
+    coverage error naming the offending degree, and n runs from 1 to
+    ``equal.MAX_DIVISIONS``.  One exact decision per sound, m = floor(log2
+    r**(2n)), gives its degree d = (m + 1) // 2 and side: m = 2d - 1 is below
+    2**(d/n), m = 2d at or above.  Only powers of two lie on a degree, so only
+    a low sound of even m (DO in a valid table) is compared once more.
     """
-    buckets: dict[int, list[FifthStep]] = {}
-    for step in check_instance("a fifth table", t, PythTable).entries():
-        buckets.setdefault(nearest_degree(step.ratio, n), []).append(step)
+    entries = check_instance("a fifth table", t, PythTable).entries()
+    check_int("steps per octave n", n, 1, MAX_DIVISIONS)
+    buckets: dict[int, list[tuple[int, FifthStep]]] = {}
+    for step in entries:
+        m = _floor_log2_power(step.ratio.numerator, step.ratio.denominator, 2 * n)
+        buckets.setdefault((m + 1) // 2, []).append((m, step))
     pairs = {}
     for degree in range(n + 1):
-        found = sorted(buckets.get(degree, []), key=lambda s: s.ratio)
+        found = sorted(buckets.get(degree, []), key=lambda e: e[1].ratio)
         if len(found) != 2:
             raise CoverageError(degree, len(found))
-        low, high = found
-        et = EtPitch(degree, n)
-        if compare_fraction_to_et(low.ratio, et) > 0 or compare_fraction_to_et(
-            high.ratio, et
-        ) < 0:
+        (m_low, low), (m_high, high) = found
+        low_ok = m_low % 2 or compare_fraction_to_et(low.ratio, EtPitch(degree, n)) <= 0
+        if m_high % 2 or not low_ok:
             raise PropositionViolationError(
                 f"degree {degree} approximants do not bracket the equal value"
             )

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tritune.equal import MAX_DIVISIONS, EtPitch, compare_fraction_to_et
+from tritune.equal import MAX_DIVISIONS, EtPitch, compare_fraction_to_et, nearest_degree
+from tritune.equal import _floor_log2_power
 from tritune import pythagorean
 from tritune.errors import CoverageError, ExponentBoundError, PropositionViolationError
 from tritune.errors import TuningError
@@ -13,6 +16,7 @@ from tritune.pythagorean import (
     PYTHAGOREAN_COMMA,
     TONE,
     FifthStep,
+    PythTable,
     base_dependence_demo,
     classify_to_et,
     generate_fifths,
@@ -208,6 +212,105 @@ class TestPairing:
             pairing_table(generate_fifths(11, 12))
         with pytest.raises(CoverageError):
             pairing_table(generate_fifths(12, 11))
+
+
+def bracket_pairing(t, n):
+    """The pairing decided sound by sound and degree by degree: each sound
+    bucketed by ``nearest_degree``, then each degree's two sounds checked
+    against it by two ``compare_fraction_to_et`` calls."""
+    buckets = {}
+    for step in t.entries():
+        buckets.setdefault(nearest_degree(step.ratio, n), []).append(step)
+    pairs = {}
+    for degree in range(n + 1):
+        found = sorted(buckets.get(degree, []), key=lambda s: s.ratio)
+        if len(found) != 2:
+            raise CoverageError(degree, len(found))
+        low, high = found
+        et = EtPitch(degree, n)
+        if compare_fraction_to_et(low.ratio, et) > 0 or compare_fraction_to_et(
+            high.ratio, et
+        ) < 0:
+            raise PropositionViolationError(
+                f"degree {degree} approximants do not bracket the equal value"
+            )
+        pairs[degree] = (low, high)
+    return pairs
+
+
+def outcome(pairing, t, n):
+    """The pairing's dict, or the type and message of what it raised."""
+    try:
+        return pairing(t, n)
+    except TuningError as exc:
+        return type(exc), str(exc)
+
+
+# (m1, m2) walks, valid at some n and short or lopsided at others
+WALKS = [(0, 0), (1, 1), (2, 2), (3, 2), (5, 5), (7, 5), (11, 12), (12, 11), (12, 12),
+         (24, 24), (41, 41), (30, 53), (53, 53), (64, 9), (64, 64)]
+
+
+class TestPairingParity:
+    @pytest.mark.parametrize("m1, m2", WALKS)
+    def test_one_decision_per_sound_matches_the_brackets(self, m1, m2):
+        t = generate_fifths(m1, m2)
+        valid = 0
+        for n in range(1, 81):
+            got = outcome(pairing_table, t, n)
+            assert got == outcome(bracket_pairing, t, n), (m1, m2, n)
+            valid += isinstance(got, dict)
+        # up to 80 divisions, only n fifths each way pair the n-division
+        # scale, and only at these n; every other case raises, a
+        # PropositionViolationError where a degree gets two sounds on one side
+        # (12 fifths each way at n = 10, 11, 13, 14, 15), else a CoverageError
+        assert valid == (m1 == m2 and m1 in (1, 2, 5, 12, 24, 53))
+
+    def test_two_sounds_on_one_side_violate_the_proposition(self, table):
+        # degree 7 keeps 3/2 and gets 3**13/2**20 in place of 2**18/3**11:
+        # both above 2**(7/12), the low one of even m, compared once more
+        down = tuple(s for s in table.down if s.k != 11)
+        above = PythTable(down, table.up + (FifthStep("up", 13),))
+        # degree 5 gets 4/3 twice in place of 3**11/2**17: both below 2**(5/12)
+        up = tuple(s for s in table.up if s.k != 11)
+        below = PythTable(table.down + (FifthStep("down", 1),), up)
+        for t, degree in ((above, 7), (below, 5)):
+            message = f"degree {degree} approximants do not bracket the equal value"
+            with pytest.raises(PropositionViolationError) as exc:
+                pairing_table(t, 12)
+            assert str(exc.value) == message
+            assert outcome(bracket_pairing, t, 12) == (PropositionViolationError, message)
+
+    @given(
+        st.one_of(
+            st.sampled_from(generate_fifths(64, 64).ratios()),
+            st.fractions(min_value=1, max_value=2, max_denominator=10 ** 9),
+        ),
+        st.integers(min_value=1, max_value=311),
+    )
+    def test_the_parity_of_the_floor_is_the_side(self, r, n):
+        p, q = r.numerator, r.denominator
+        m = _floor_log2_power(p, q, 2 * n)
+        d = (m + 1) // 2
+        side = compare_fraction_to_et(r, EtPitch(d, n))
+        assert 0 <= d <= n
+        # r <=> 2**(d/n)  iff  p**n <=> q**n * 2**d
+        assert side == (p ** n > q ** n << d) - (p ** n < q ** n << d)
+        assert (m % 2 == 1) == (side < 0)
+        assert (side == 0) == (r in (1, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 24, 53])
+    def test_a_valid_pairing_decides_each_sound_once(self, n, monkeypatch):
+        t, calls = generate_fifths(n, n), []
+
+        def counting(a, b, m):
+            calls.append(m)
+            return _floor_log2_power(a, b, m)
+
+        monkeypatch.setattr(pythagorean, "_floor_log2_power", counting)
+        pairs = pairing_table(t, n)
+        assert sorted(pairs) == list(range(n + 1))
+        assert calls == [2 * n] * (2 * n + 2)
 
 
 class TestChromaticSelection:
