@@ -23,7 +23,8 @@ class CoverageError(TuningError):
     def __init__(self, degree: int, count: int):
         self.degree = degree
         self.count = count
-        super().__init__(f"degree {degree} has {count} approximants, expected 2")
+        noun = "approximant" if count == 1 else "approximants"
+        super().__init__(f"degree {degree} has {count} {noun}, expected 2")
 
 
 class PropositionViolationError(TuningError):

@@ -240,18 +240,18 @@ class NaturalScale:
 
 def assemble_diatonic() -> NaturalScale:
     """DO..DO from one :func:`find_si` chain (its core, FA/LA and SI), checked
-    to be the just ratios, to close the octave and to stay 5-limit."""
+    to close the octave, to stay 5-limit and then to be the just ratios."""
     search = find_si()
     fa_la, si = search.fa_la, search.accepted.value
     values = sorted({*search.core.degrees, fa_la.f1, fa_la.f2, si})
-    if values != list(JUST_DIATONIC):
-        raise PropositionViolationError(f"diatonic assembly produced {values}")
-    degrees = tuple(zip(map(note_name, DIATONIC_INDICES), values))
     steps = tuple(values[i + 1] / values[i] for i in range(len(values) - 1))
     if math.prod(steps) != 2:
         raise PropositionViolationError("scale steps do not close the octave")
     if not all(is_five_smooth(v) for v in values):
         raise PropositionViolationError("a degree escaped the 5-limit lattice")
+    if values != list(JUST_DIATONIC):
+        raise PropositionViolationError(f"diatonic assembly produced {values}")
+    degrees = tuple(zip(map(note_name, DIATONIC_INDICES), values))
     return NaturalScale(degrees=degrees, steps=steps, search=search)
 
 

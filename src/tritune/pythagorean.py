@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .equal import DIATONIC_INDICES, MAX_DIVISIONS, EtPitch, _floor_log2_power
-from .equal import compare_fraction_to_et, nearest_degree
+from .equal import DIATONIC_INDICES, MAX_DIVISIONS, EtPitch, compare_fraction_to_et
+from .equal import nearest_degree
 from .errors import CoverageError, ExponentBoundError, PropositionViolationError
 from .errors import TuningError, _shown, check_instance, check_int, positive_fraction
 from .intervals import note_name
-from .ratio import EXPONENT_BOUND, Monzo, _floor_log2, cents
+from .ratio import EXPONENT_BOUND, Monzo, _floor_log2, _floor_log2_3, cents
 from .ratio import monzo_to_rational, reduce_to_octave
 
 PYTHAGOREAN_COMMA = Fraction(531441, 524288)  # (3/2)**12 / 2**7
@@ -120,16 +120,17 @@ def pairing_table(t: PythTable, n: int = 12) -> dict[int, tuple[FifthStep, Fifth
     Each degree must receive exactly one approximant from below and one from
     above (the endpoints sit exactly on degrees 0 and n); anything else is a
     coverage error naming the offending degree, and n runs from 1 to
-    ``equal.MAX_DIVISIONS``.  One exact decision per sound, m = floor(log2
-    r**(2n)), gives its degree d = (m + 1) // 2 and side: m = 2d - 1 is below
-    2**(d/n), m = 2d at or above.  Only powers of two lie on a degree, so only
-    a low sound of even m (DO in a valid table) is compared once more.
+    ``equal.MAX_DIVISIONS``.  A sound 2**h * (3/2)**e, e = +/-k, has m = 2n(h
+    - e) + floor(2ne * log2 3) = floor(log2 r**(2n)), read from one bracket of
+    log2 3: its degree d = (m + 1) // 2, below 2**(d/n) at m = 2d - 1, at or
+    above at m = 2d.  Only the k = 0 sounds, 1 and 2, lie on a degree.
     """
     entries = check_instance("a fifth table", t, PythTable).entries()
     check_int("steps per octave n", n, 1, MAX_DIVISIONS)
     buckets: dict[int, list[tuple[int, FifthStep]]] = {}
     for step in entries:
-        m = _floor_log2_power(step.ratio.numerator, step.ratio.denominator, 2 * n)
+        e = step.k if step.direction == "up" else -step.k
+        m = 2 * n * (step.h - e) + _floor_log2_3(2 * n * e)
         buckets.setdefault((m + 1) // 2, []).append((m, step))
     pairs = {}
     for degree in range(n + 1):
@@ -137,8 +138,7 @@ def pairing_table(t: PythTable, n: int = 12) -> dict[int, tuple[FifthStep, Fifth
         if len(found) != 2:
             raise CoverageError(degree, len(found))
         (m_low, low), (m_high, high) = found
-        low_ok = m_low % 2 or compare_fraction_to_et(low.ratio, EtPitch(degree, n)) <= 0
-        if m_high % 2 or not low_ok:
+        if m_high % 2 or not (m_low % 2 or low.k == 0):
             raise PropositionViolationError(
                 f"degree {degree} approximants do not bracket the equal value"
             )

@@ -152,6 +152,23 @@ def _power_bracket(a: int, b: int, m: int, t: int) -> tuple[int, int, int]:
     return lo, hi, e
 
 
+#: floor(2**64 * log2 3) = L - 1 + e, L the bit length of both bracket ends
+_lo, _hi, _e = _power_bracket(3, 1, 1 << 64, 128)
+if _lo.bit_length() != _hi.bit_length():
+    raise ArithmeticError("the bracket of 3**(2**64) straddles a power of two")
+_LOG2_3 = _lo.bit_length() - 1 + _e
+
+
+def _floor_log2_3(j: int) -> int:
+    """floor(j * log2 3), at least lo >> 64 and at most (lo + |j| - 1) >> 64 for
+    lo = min(j*c, j*(c+1)), c = ``_LOG2_3``; ArithmeticError where the two
+    differ, as for no |j| up to 2 * ``equal.MAX_DIVISIONS`` * ``EXPONENT_BOUND``."""
+    lo = j * _LOG2_3 + min(j, 0)
+    if j and lo >> 64 != (lo + abs(j) - 1) >> 64:
+        raise ArithmeticError(f"floor({j} * log2 3) is undecided at 64 bits")
+    return lo >> 64
+
+
 def integer_nth_root(x: int, n: int) -> int:
     """floor(x ** (1/n)), certified by ``a**n <= x < (a+1)**n`` in integers.
 

@@ -301,6 +301,25 @@ class TestDiatonicAssembly:
         with pytest.raises(PropositionViolationError, match="diatonic assembly produced"):
             assemble_diatonic()
 
+    def test_the_octave_closure_checks_the_chain(self, monkeypatch):
+        # a core without the octave leaves steps from DO to SI, whose product
+        # is 15/8: the closure check refuses it before the just ratios do
+        search = find_si()
+        core = dataclasses.replace(search.core, degrees=search.core.degrees[:-1])
+        wrong = dataclasses.replace(search, core=core)
+        monkeypatch.setattr(natural, "find_si", lambda: wrong)
+        with pytest.raises(PropositionViolationError, match="do not close the octave"):
+            assemble_diatonic()
+
+    def test_the_five_limit_checks_the_chain(self, monkeypatch):
+        # an SI of 7/4 still closes the octave, off the 5-limit lattice
+        search = find_si()
+        accepted = dataclasses.replace(search.accepted, value=Fraction(7, 4))
+        wrong = dataclasses.replace(search, accepted=accepted)
+        monkeypatch.setattr(natural, "find_si", lambda: wrong)
+        with pytest.raises(PropositionViolationError, match="escaped the 5-limit lattice"):
+            assemble_diatonic()
+
     def test_names(self):
         names = [str(name) for name, _ in assemble_diatonic().degrees]
         assert names == ["DO", "RE", "MI", "FA", "SOL", "LA", "SI", "DO"]

@@ -6,11 +6,13 @@ hi * 2**e at a precision of t bits.  ``equal._floor_log2_power``, which both
 bits(m) bits and gives floor(log2((a/b)**m)) from it when lo and hi have one
 bit length, and forms the exact powers (``equal._powers``) only on a near-tie
 with a power of two or at most ``equal._EXACT_BITS`` bits.  Every answer must
-equal the exact powers' one.
+equal the exact powers' one.  ``ratio._floor_log2_3(j)``, which pairs the
+fifth table, reads floor(j * log2 3) from one such bracket of 3**(2**64).
 """
 
 import math
 from contextlib import contextmanager
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -18,11 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritune import equal
-from tritune.equal import MAX_POWER_BITS, EtPitch, compare_pitches, nearest_degree
+from tritune import equal, ratio
+from tritune.equal import MAX_DIVISIONS, MAX_POWER_BITS, EtPitch, compare_pitches
+from tritune.equal import nearest_degree
 from tritune.errors import CoverageError, TuningError
 from tritune.pythagorean import classify_to_et, generate_fifths, pairing_table
-from tritune.ratio import _floor_log2, _power_bracket, integer_nth_root
+from tritune.ratio import EXPONENT_BOUND, _floor_log2, _floor_log2_3, _power_bracket
+from tritune.ratio import integer_nth_root
 
 THOUSAND = settings(max_examples=1000, deadline=None)
 
@@ -242,3 +246,31 @@ class TestLargeDivisions:
         d, _ = classify_to_et(r, 311)
         assert d == exact_degree(r, 311)
         assert math.isclose(d, 311 * math.log2(r), abs_tol=0.5)
+
+
+class TestFloorLog2Of3:
+    def test_every_exponent_a_pairing_asks_for_is_decided(self):
+        # j = +/-2nk for n up to MAX_DIVISIONS and k up to EXPONENT_BOUND, each
+        # checked against the bit length b of 3**j, one multiplication a step:
+        # j * log2 3 lies strictly between b - 1 and b
+        assert _floor_log2_3(0) == 0
+        power = 1
+        for j in range(1, 2 * MAX_DIVISIONS * EXPONENT_BOUND + 1):
+            power *= 3
+            b = power.bit_length()
+            assert (_floor_log2_3(j), _floor_log2_3(-j)) == (b - 1, -b), j
+        # c = floor(2**64 * log2 3) against correctly rounded 60-digit logs
+        with localcontext() as ctx:
+            ctx.prec = 60
+            scaled = Decimal(3).ln() / Decimal(2).ln() * 2 ** 64
+        assert Decimal("1e-30") < scaled - ratio._LOG2_3 < 1 - Decimal("1e-30")
+
+    def test_an_undecided_exponent_raises(self, monkeypatch):
+        # 6c = 2**67 - 2 with this c, so 6c >> 64 = 7 and (6(c+1) - 1) >> 64 = 8
+        monkeypatch.setattr(ratio, "_LOG2_3", 2 ** 64 + (2 ** 64 - 1) // 3)
+        for j in (6, -6):
+            with pytest.raises(ArithmeticError, match="undecided"):
+                _floor_log2_3(j)
+        # j = 2n(+/-k) = +/-6 at n = 3 for one fifth each way
+        with pytest.raises(ArithmeticError, match="undecided"):
+            pairing_table(generate_fifths(1, 1), 3)

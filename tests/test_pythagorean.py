@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from tritune.equal import MAX_DIVISIONS, EtPitch, compare_fraction_to_et, nearest_degree
 from tritune.equal import _floor_log2_power
-from tritune import pythagorean
+from tritune import equal, pythagorean, ratio
 from tritune.errors import CoverageError, ExponentBoundError, PropositionViolationError
 from tritune.errors import TuningError
 from tritune.intervals import are_congruent
@@ -213,6 +214,18 @@ class TestPairing:
         with pytest.raises(CoverageError):
             pairing_table(generate_fifths(12, 11))
 
+    @pytest.mark.parametrize(
+        "m1, m2, message",
+        [
+            (12, 5, "degree 0 has 1 approximant, expected 2"),
+            (53, 53, "degree 0 has 6 approximants, expected 2"),
+        ],
+    )
+    def test_coverage_message_counts_in_the_singular_and_plural(self, m1, m2, message):
+        with pytest.raises(CoverageError) as exc:
+            pairing_table(generate_fifths(m1, m2))
+        assert str(exc.value) == message
+
 
 def bracket_pairing(t, n):
     """The pairing decided sound by sound and degree by degree: each sound
@@ -256,11 +269,11 @@ class TestPairingParity:
     def test_one_decision_per_sound_matches_the_brackets(self, m1, m2):
         t = generate_fifths(m1, m2)
         valid = 0
-        for n in range(1, 81):
+        for n in [*range(1, 81), 311, 665, 1200]:
             got = outcome(pairing_table, t, n)
             assert got == outcome(bracket_pairing, t, n), (m1, m2, n)
             valid += isinstance(got, dict)
-        # up to 80 divisions, only n fifths each way pair the n-division
+        # at these divisions, only n fifths each way pair the n-division
         # scale, and only at these n; every other case raises, a
         # PropositionViolationError where a degree gets two sounds on one side
         # (12 fifths each way at n = 10, 11, 13, 14, 15), else a CoverageError
@@ -300,17 +313,14 @@ class TestPairingParity:
         assert (side == 0) == (r in (1, 2))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 24, 53])
-    def test_a_valid_pairing_decides_each_sound_once(self, n, monkeypatch):
-        t, calls = generate_fifths(n, n), []
-
-        def counting(a, b, m):
-            calls.append(m)
-            return _floor_log2_power(a, b, m)
-
-        monkeypatch.setattr(pythagorean, "_floor_log2_power", counting)
-        pairs = pairing_table(t, n)
-        assert sorted(pairs) == list(range(n + 1))
-        assert calls == [2 * n] * (2 * n + 2)
+    def test_a_valid_pairing_forms_no_power(self, n, monkeypatch):
+        # each sound's m comes from its step's exponents and one bracket of
+        # log2 3, taken at import: no power, bracket or comparison per sound
+        t = generate_fifths(n, n)
+        for module, name in ((equal, "_floor_log2_power"), (equal, "_power_bracket"),
+                             (ratio, "_power_bracket"), (equal, "compare_pitches")):
+            monkeypatch.setattr(module, name, mock.Mock(side_effect=AssertionError(name)))
+        assert sorted(pairing_table(t, n)) == list(range(n + 1))
 
 
 class TestChromaticSelection:
