@@ -68,8 +68,11 @@ class FifthStep:
         return f"{two}*{fifth}"
 
 
-#: the endpoints DO = 1 and DO' = 2, the zero-fifth steps every table holds
-_DO, _DO_OCTAVE = FifthStep("up", 0), FifthStep("down", 0)
+#: the whole walk, k = 0 to ``EXPONENT_BOUND`` each way, built once: every
+#: table is a slice of it, and its k = 0 steps are the endpoints DO = 1 and DO' = 2
+_DOWN = tuple(FifthStep("down", k) for k in range(EXPONENT_BOUND + 1))
+_UP = tuple(FifthStep("up", k) for k in range(EXPONENT_BOUND + 1))
+_DO, _DO_OCTAVE = _UP[0], _DOWN[0]
 
 
 @dataclass(frozen=True)
@@ -90,14 +93,13 @@ class PythTable:
 def generate_fifths(m1: int, m2: int) -> PythTable:
     """Walk m1 fifths down and m2 fifths up, folding into the base octave.
 
-    m1 and m2 run from 0 to ``EXPONENT_BOUND``; beyond it the first step
-    past the bound raises ExponentBoundError.
+    m1 and m2 run from 0 to ``EXPONENT_BOUND``, checked before anything else
+    (ExponentBoundError outside); the steps are shared slices of the walk
+    built once at import, safe to share since a ``FifthStep`` is frozen.
     """
-    check_int("fifths down m1", m1, 0)
-    check_int("fifths up m2", m2, 0)
-    down = tuple(FifthStep("down", k) for k in range(1, m1 + 1))
-    up = tuple(FifthStep("up", k) for k in range(1, m2 + 1))
-    return PythTable(down, up)
+    check_int("fifths down m1", m1, 0, EXPONENT_BOUND, ExponentBoundError)
+    check_int("fifths up m2", m2, 0, EXPONENT_BOUND, ExponentBoundError)
+    return PythTable(_DOWN[1 : m1 + 1], _UP[1 : m2 + 1])
 
 
 def classify_to_et(r: Fraction, n: int = 12) -> tuple[int, float]:
@@ -134,7 +136,8 @@ def pairing_table(t: PythTable, n: int = 12) -> dict[int, tuple[FifthStep, Fifth
         buckets.setdefault((m + 1) // 2, []).append((m, step))
     pairs = {}
     for degree in range(n + 1):
-        found = sorted(buckets.get(degree, []), key=lambda e: e[1].ratio)
+        # m never decreases as the ratio grows: ratios break only its ties
+        found = sorted(buckets.get(degree, []), key=lambda e: (e[0], e[1].ratio))
         if len(found) != 2:
             raise CoverageError(degree, len(found))
         (m_low, low), (m_high, high) = found

@@ -153,11 +153,33 @@ class TestGeneration:
     def test_fifth_count_cap(self):
         t = generate_fifths(EXPONENT_BOUND, EXPONENT_BOUND)
         assert len(t.entries()) == 2 * EXPONENT_BOUND + 2
-        for m1, m2 in ((EXPONENT_BOUND + 1, 0), (0, EXPONENT_BOUND + 1)):
-            with pytest.raises(ExponentBoundError):
+        for m1, m2, message in (
+            (EXPONENT_BOUND + 1, 0, "fifths down m1 must be an integer from 0 to 64, got 65"),
+            (0, EXPONENT_BOUND + 1, "fifths up m2 must be an integer from 0 to 64, got 65"),
+            (-1, 0, "fifths down m1 must be an integer from 0 to 64, got -1"),
+            (0, -1, "fifths up m2 must be an integer from 0 to 64, got -1"),
+        ):
+            with pytest.raises(ExponentBoundError) as exc:
                 generate_fifths(m1, m2)
+            assert str(exc.value) == message
         with pytest.raises(ExponentBoundError):
             FifthStep("up", EXPONENT_BOUND + 1)
+
+    def test_tables_share_one_walk(self):
+        for m in range(EXPONENT_BOUND + 1):
+            t = generate_fifths(m, m)
+            # a FifthStep compares by direction, k, h and ratio
+            for got, direction in ((t.down, "down"), (t.up, "up")):
+                assert got == tuple(FifthStep(direction, k) for k in range(1, m + 1))
+            entries = t.entries()
+            assert (entries[0].ratio, entries[-1].ratio) == (1, 2)
+            assert (entries[0].direction, entries[-1].direction) == ("up", "down")
+
+    def test_count_checked_before_any_step_is_built(self, monkeypatch):
+        built = mock.Mock(side_effect=AssertionError("a step was built"))
+        monkeypatch.setattr(pythagorean, "FifthStep", built)
+        with pytest.raises(ExponentBoundError):
+            generate_fifths(10 ** 12, 0)
 
 
 class TestClassification:
