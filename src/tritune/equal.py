@@ -17,11 +17,11 @@ from fractions import Fraction
 from functools import wraps
 from typing import Union
 
-from .errors import TuningError, UnsupportedDivisionError, _shown, check_instance
+from .errors import TuningError, _shown, check_instance
 from .errors import check_int, positive_fraction
 from .ratio import _EXACT_BITS, _GUARD_BITS, MAX_DIGITS, Monzo, _fixed_point, _floor_log2
 from .ratio import _fraction_text, _monzo_terms, _power_bracket
-from .ratio import cents, integer_nth_root, is_nth_root_irrational, to_decimal
+from .ratio import cents, integer_nth_root, to_decimal
 
 #: Chromatic indices of the major diatonic subset of the 12-division scale.
 DIATONIC_INDICES = (0, 2, 4, 5, 7, 9, 11, 12)
@@ -141,13 +141,6 @@ class EtPitch:
     def is_rational(self) -> bool:
         """r * 2**(k/n) is rational iff the reduced exponent is an integer."""
         return self.k % self.n == 0
-
-    def is_irrational(self) -> bool:
-        """Checked through the perfect-power test, not assumed: with k/n
-        reduced, 2**(k/n) is 2**(k // n) times the n-th root of 2**(k % n),
-        a radicand under n bits, so one is rational exactly when the other is."""
-        k, n = self.exponent.as_integer_ratio()
-        return n > 1 and is_nth_root_irrational(2 ** (k % n), n)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -284,20 +277,6 @@ class EtScale:
 def generate_et(n: int) -> EtScale:
     """Equal scale with n steps: the unique geometric ladder closing at 2."""
     return EtScale(n=n)
-
-
-def et_semitone_count(i1: int, i2: int) -> int:
-    """Number of scale steps spanned by two indices."""
-    return abs(check_int("i2", i2, None) - check_int("i1", i1, None))
-
-
-def diatonic_subset(scale: EtScale) -> list[EtPitch]:
-    """The eight-degree major subset DO..DO of the 12-division scale."""
-    if check_instance("a scale", scale, EtScale).n != 12:
-        raise UnsupportedDivisionError(
-            f"the diatonic subset is defined on 12 divisions, got {scale.n}"
-        )
-    return [scale.pitch(k) for k in DIATONIC_INDICES]
 
 
 def compare_fraction_to_et(r: Fraction, p: EtPitch) -> int:

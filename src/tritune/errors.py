@@ -13,10 +13,6 @@ class ExponentBoundError(TuningError):
     """A prime exponent fell outside the configured safety bound."""
 
 
-class UnsupportedDivisionError(TuningError):
-    """An operation required a specific octave division (e.g. 12) and got another."""
-
-
 class CoverageError(TuningError):
     """A degree of the reference equal scale did not receive exactly two approximants."""
 

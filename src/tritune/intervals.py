@@ -27,16 +27,6 @@ LETTERS = ("DO", "RE", "MI", "FA", "SOL", "LA", "SI")
 #: chromatic index -> diatonic letter, for the 12-division octave
 _DIATONIC_LETTER = dict(zip(DIATONIC_INDICES, LETTERS))
 
-_SEMITONE_NAMES = {
-    0: "unison",
-    1: "semitone",
-    2: "tone",
-    4: "major third",
-    5: "fourth",
-    7: "fifth",
-    12: "octave",
-}
-
 _CHORD_PATTERNS = {
     (0, 4, 7): "major",
     (0, 3, 7): "minor",
@@ -122,23 +112,6 @@ def transpose_indices(indices: Sequence[int], k: int) -> list[int]:
     check_int("a shift k", k, None)
     check_instance("indices", indices, Iterable)
     return [check_int("an index", i, None) + k for i in indices]
-
-
-def sharp(index: int) -> int:
-    """One step up the chromatic ladder."""
-    return check_int("an index", index, None) + 1
-
-
-def flat(index: int) -> int:
-    """One step down the chromatic ladder."""
-    return check_int("an index", index, None) - 1
-
-
-def classify_et_interval(semitones: int) -> str:
-    """Name an interval by its step count: 0 unison, 5 fourth, 7 fifth, ...;
-    a size with no name is "N semitones"."""
-    check_int("a step count", semitones, 0)
-    return _SEMITONE_NAMES.get(semitones, f"{semitones} semitones")
 
 
 def classify_chord(indices, preference: str = "sharp") -> str:

@@ -12,17 +12,14 @@ SI.  The result is the eight-degree just diatonic scale.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
-from .errors import PropositionViolationError, TuningError, check_instance
-from .errors import _shown, positive_fraction
+from .errors import PropositionViolationError, TuningError, _shown, positive_fraction
 from .intervals import LETTERS, note_name
 from .pythagorean import generate_fifths, select_chromatic
-from .ratio import RationalLike, is_five_smooth, is_perfect_nth_power
+from .ratio import RationalLike, is_five_smooth
 
 #: the just diatonic degrees DO..DO, ascending, that the assembly must reach
 JUST_DIATONIC = (
@@ -33,35 +30,21 @@ JUST_DIATONIC = (
 
 @dataclass(frozen=True)
 class MeanTriple:
-    """Arithmetic, geometric and harmonic means of a positive pair.
+    """The arithmetic and harmonic means of a positive pair a, b.
 
-    The geometric mean is kept as its radicand a*b, which is all the
-    mean-proportional identity m_g**2 == m_a * m_h ever needs; an exact
-    rational value is available iff the radicand is a perfect square.
+    Their product is a*b, the square of the geometric mean, so the mean
+    proportional m_a * m_h == a*b needs no third field.
     """
 
     arithmetic: Fraction
     harmonic: Fraction
-    geometric_squared: Fraction
-
-    def geometric_exact(self) -> Optional[Fraction]:
-        sq = self.geometric_squared
-        ok_n, root_n = is_perfect_nth_power(sq.numerator, 2)
-        ok_d, root_d = is_perfect_nth_power(sq.denominator, 2)
-        if ok_n and ok_d:
-            return Fraction(root_n, root_d)
-        return None
 
 
 def means(a: RationalLike, b: RationalLike) -> MeanTriple:
-    """The three classical means of two positive rationals."""
+    """The arithmetic and harmonic means of two positive rationals."""
     fa = positive_fraction(a, "a")
     fb = positive_fraction(b, "b")
-    return MeanTriple(
-        arithmetic=(fa + fb) / 2,
-        harmonic=2 * fa * fb / (fa + fb),
-        geometric_squared=fa * fb,
-    )
+    return MeanTriple(arithmetic=(fa + fb) / 2, harmonic=2 * fa * fb / (fa + fb))
 
 
 @dataclass(frozen=True)
@@ -130,29 +113,7 @@ class Candidate:
     f_n1: Fraction
     f_n2: Fraction
     value: Fraction
-    reason: str  # "accepted" | "already-present" | "out-of-range" | "not-5-limit"
-
-
-def dead_end_scan(found) -> list[Candidate]:
-    """Take means over all ordered pairs of known sounds; list the rejects.
-
-    Rejects are values that are either already in the scale or outside the
-    5-limit lattice.  Both orientations of every pair are scanned so the
-    stall is certified exhaustively.
-    """
-    check_instance("the found pitches", found, Iterable)
-    pitches = [positive_fraction(p, "a found pitch") for p in found]
-    rejects = []
-    for a in pitches:
-        for b in pitches:
-            if a == b:
-                continue
-            value = frequency_of_division(a, b)
-            if value in pitches:
-                rejects.append(Candidate(a, b, value, "already-present"))
-            elif not is_five_smooth(value):
-                rejects.append(Candidate(a, b, value, "not-5-limit"))
-    return rejects
+    reason: str  # "accepted" | "out-of-range" | "not-5-limit"
 
 
 @dataclass(frozen=True)

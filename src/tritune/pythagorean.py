@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .equal import DIATONIC_INDICES, MAX_DIVISIONS, EtPitch, compare_fraction_to_et
-from .equal import nearest_degree
+from .equal import DIATONIC_INDICES, MAX_DIVISIONS, nearest_degree
 from .errors import CoverageError, ExponentBoundError, PropositionViolationError
 from .errors import TuningError, _shown, check_instance, check_int, positive_fraction
 from .intervals import note_name
@@ -22,9 +21,6 @@ from .ratio import EXPONENT_BOUND, Monzo, _floor_log2, _floor_log2_3, cents
 from .ratio import monzo_to_rational, reduce_to_octave
 
 PYTHAGOREAN_COMMA = Fraction(531441, 524288)  # (3/2)**12 / 2**7
-LIMMA = Fraction(256, 243)  # the diatonic semitone, 2**8 / 3**5
-APOTOME = Fraction(2187, 2048)  # the chromatic semitone, 3**7 / 2**11
-TONE = Fraction(9, 8)
 
 
 @dataclass(frozen=True)
@@ -183,29 +179,6 @@ def select_chromatic(t: PythTable) -> list[NamedPitch]:
             named.append(NamedPitch(note_name(degree, "sharp"), high))
     named.sort(key=lambda p: p.ratio)
     return named
-
-
-def tone_split_analysis() -> None:
-    """Verify the exact split of the 9/8 tone DO-RE into limma and apotome.
-
-    LIMMA * APOTOME == TONE, the limma lies below the equal semitone
-    2**(1/12) and the apotome above it, and two equal semitones fall short of
-    the tone.  I(REb,RE) = TONE / LIMMA equals the apotome I(DO,DO#) and
-    I(DO#,RE) = TONE / APOTOME equals the limma I(DO,REb): each semitone
-    completes the tone with one of the other kind.  Classical summaries
-    sometimes label both complements I(DO,REb); these exact identities are
-    what holds.  A failed check is a PropositionViolationError.
-    """
-    semitone = EtPitch(1, 12)
-    if not (
-        LIMMA * APOTOME == TONE
-        and compare_fraction_to_et(LIMMA, semitone) < 0
-        and compare_fraction_to_et(APOTOME, semitone) > 0
-        and compare_fraction_to_et(TONE, EtPitch(2, 12)) > 0
-        and TONE / LIMMA == APOTOME
-        and TONE / APOTOME == LIMMA
-    ):
-        raise PropositionViolationError("tone split identities failed")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Scale documents and their interchange renderings.
 
 A scale document is the base-normalized pitch list of one octave, without
-the implicit unison.  It can be written as a Scala tuning file (rationals as
-p/q, equal-division pitches as cents with five fraction digits), and the
-three-system comparison can be written as CSV or JSON.
+the implicit unison: its entries rise strictly from above 1.  It can be
+written as a Scala tuning file (rationals as p/q, equal-division pitches as
+cents with five fraction digits), and the three-system comparison can be
+written as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ class ScaleDocument:
             check_instance("a scale entry", entry, ScaleEntry)
         if not self.entries:
             raise TuningError("a scale document needs at least one entry")
-        values = [e.value for e in self.entries]
+        # the implicit unison 1 comes first, so no entry is 1 or below it
+        values = [1, *(e.value for e in self.entries)]
         if any(compare_pitches(a, b) >= 0 for a, b in zip(values, values[1:])):
-            raise TuningError("scale entries must be strictly ascending")
+            raise TuningError("scale entries must ascend strictly from above the unison 1")
 
 
 def natural_scale_document() -> ScaleDocument:

@@ -19,17 +19,15 @@ from tritune.equal import (
     EtScale,
     compare_fraction_to_et,
     compare_pitches,
-    diatonic_subset,
-    et_semitone_count,
     et_value,
     generate_et,
     nearest_degree,
 )
-from tritune.errors import TuningError, UnsupportedDivisionError
+from tritune.errors import TuningError
 from tritune.intervals import Interval, compose, interval_between
 from tritune.pythagorean import FifthStep, classify_to_et
 from tritune.ratio import MAX_DIGITS, Monzo, _fixed_point, cents, integer_nth_root
-from tritune.ratio import is_nth_root_irrational, monzo_to_rational
+from tritune.ratio import monzo_to_rational
 
 
 def decimal_power_of_two(k: int, n: int, digits: int) -> str:
@@ -102,25 +100,8 @@ class TestEtPitch:
 
     def test_interior_pitches_are_irrational(self):
         for k in range(1, 12):
-            assert EtPitch(k, 12).is_irrational()
-        assert not EtPitch(12, 12).is_irrational()
-
-    def test_irrationality_reads_a_radicand_under_n_bits(self):
-        # 2**(k/n) = 2**(k // n) * 2**((k % n) / n): the perfect-power test
-        # takes the n-th root of 2**(k % n), never of 2**|k|
-        radicands = []
-
-        def recording(m, n):
-            radicands.append((m, n))
-            return is_nth_root_irrational(m, n)
-
-        with mock.patch.object(equal, "is_nth_root_irrational", recording):
-            assert EtPitch(10**7 + 1, 3).is_irrational()
-            assert EtPitch(-(10**7 + 1), 3).is_irrational()
-            for n in range(1, 25):
-                for k in range(-3 * n, 3 * n + 1):
-                    assert EtPitch(k, n).is_irrational() == (k % n != 0)
-        assert radicands and all(m < 2**n for m, n in radicands)
+            assert not EtPitch(k, 12).is_rational()
+        assert EtPitch(12, 12).is_rational()
 
     def test_exact_form(self):
         assert EtPitch(0, 12).exact_form() == "1"
@@ -140,7 +121,7 @@ class TestEtPitch:
 
     def test_coefficient(self):
         p = EtPitch(-19, 12, 3)
-        assert p.exact_form() == "3*2^(-19/12)" and p.is_irrational()
+        assert p.exact_form() == "3*2^(-19/12)" and not p.is_rational()
         assert p == EtPitch(-38, 24, Fraction(3)) and hash(p) == hash(EtPitch(-38, 24, 3))
         assert p != EtPitch(-19, 12) and p != EtPitch(-19, 12, 5)
         assert EtPitch(24, 12, Fraction(3, 5)).as_fraction() == Fraction(12, 5)
@@ -235,7 +216,7 @@ class TestEtValue:
     def test_against_decimal_oracle(self, k, n, digits):
         # the ln/exp oracle can land a hair under exact powers of two, so it
         # is only authoritative where the true value is irrational
-        assume(EtPitch(k, n).is_irrational())
+        assume(not EtPitch(k, n).is_rational())
         ours = et_value(EtPitch(k, n), digits)
         oracle = decimal_power_of_two(k, n, digits)
         assert Decimal(ours) == Decimal(oracle)
@@ -396,25 +377,6 @@ class TestGeneration:
         for _ in range(n):
             total = compose(total, Interval(EtPitch(1, n)))
         assert isinstance(total.ratio, Fraction) and total.ratio == 2
-
-
-class TestDiatonicSubset:
-    def test_indices(self):
-        subset = diatonic_subset(generate_et(12))
-        assert [p.k for p in subset] == [0, 2, 4, 5, 7, 9, 11, 12]
-        assert len(subset) == 8
-        assert subset[0].as_fraction() == 1
-
-    def test_unsupported_division(self):
-        with pytest.raises(UnsupportedDivisionError):
-            diatonic_subset(generate_et(7))
-
-
-class TestSemitoneCount:
-    def test_examples(self):
-        assert et_semitone_count(0, 7) == 7
-        assert et_semitone_count(3, 10) == 7
-        assert et_semitone_count(5, 5) == 0
 
 
 class TestExactComparison:

@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 
 from tritune.equal import MAX_DIVISIONS, EtPitch, EtScale, compare_fraction_to_et
-from tritune.equal import diatonic_subset, et_semitone_count, et_value, generate_et
+from tritune.equal import et_value, generate_et
 from tritune.equal import compare_pitches, nearest_degree
 from tritune.errors import ExponentBoundError, TuningError
-from tritune.intervals import Interval, are_congruent, classify_chord, classify_et_interval
-from tritune.intervals import compose, flat, interval_between, note_name, sharp, transpose_indices
-from tritune.natural import compare_three_scales, dead_end_scan, frequency_of_division
+from tritune.intervals import Interval, are_congruent, classify_chord, compose, interval_between
+from tritune.intervals import note_name, transpose_indices
+from tritune.natural import compare_three_scales, frequency_of_division
 from tritune.natural import harmonic_divide, means
 from tritune.pythagorean import FifthStep, base_dependence_demo, classify_to_et
 from tritune.pythagorean import generate_fifths, pairing_table
@@ -82,14 +82,9 @@ INT_PARAMETERS = {
     "equal.EtScale:n": (lambda v: EtScale(v), 1, MAX_DIVISIONS),
     "equal.EtScale.pitch:k": (lambda v: EtScale(12).pitch(v), None, None),
     "equal.generate_et:n": (lambda v: generate_et(v), 1, MAX_DIVISIONS),
-    "equal.et_semitone_count:i1": (lambda v: et_semitone_count(v, 0), None, None),
-    "equal.et_semitone_count:i2": (lambda v: et_semitone_count(0, v), None, None),
     "equal.nearest_degree:n": (lambda v: nearest_degree(Fraction(3, 2), v), 1, MAX_DIVISIONS),
     "intervals.note_name:chromatic_index": (lambda v: note_name(v), None, None),
     "intervals.transpose_indices:k": (lambda v: transpose_indices([0, 4], v), None, None),
-    "intervals.sharp:index": (lambda v: sharp(v), None, None),
-    "intervals.flat:index": (lambda v: flat(v), None, None),
-    "intervals.classify_et_interval:semitones": (lambda v: classify_et_interval(v), 0, None),
     "pythagorean.FifthStep:k": (lambda v: FifthStep("up", v), 0, EXPONENT_BOUND),
     "pythagorean.generate_fifths:m1": (lambda v: generate_fifths(v, 0), 0, EXPONENT_BOUND),
     "pythagorean.generate_fifths:m2": (lambda v: generate_fifths(0, v), 0, EXPONENT_BOUND),
@@ -128,7 +123,6 @@ RATIO_PARAMETERS = {
     "natural.harmonic_divide:ad": lambda v: harmonic_divide(Fraction(1, 1000), v),
     "natural.frequency_of_division:f_ac": lambda v: frequency_of_division(v, 1),
     "natural.frequency_of_division:f_ad": lambda v: frequency_of_division(1, v),
-    "natural.dead_end_scan:found": lambda v: dead_end_scan([1, v]),
     "scalefile.ScaleEntry:value": ScaleEntry,
     "intervals.are_congruent:a[0]": lambda v: are_congruent([v, 2], [1, 2]),
     "intervals.are_congruent:b[0]": lambda v: are_congruent([1, 2], [v, 2]),
@@ -138,7 +132,6 @@ RATIO_PARAMETERS = {
 #: "module.name:parameter" -> (call taking a record or collection, a valid value)
 RECORD_PARAMETERS = {
     "equal.et_value:p": (lambda v: et_value(v, 5), EtPitch(1, 12)),
-    "equal.diatonic_subset:scale": (diatonic_subset, EtScale(12)),
     "intervals.classify_chord:indices": (classify_chord, (0, 4, 7)),
     "intervals.transpose_indices:indices": (lambda v: transpose_indices(v, 1), [0, 4]),
     "pythagorean.pairing_table:t": (lambda v: pairing_table(v, 12), generate_fifths(12, 12)),
@@ -156,7 +149,6 @@ RECORD_PARAMETERS = {
     "intervals.compose:i2": (lambda v: compose(Interval(2), v), Interval(Fraction(3, 2))),
     "intervals.are_congruent:a": (lambda v: are_congruent(v, [1, 2]), [1, Fraction(3, 2)]),
     "intervals.are_congruent:b": (lambda v: are_congruent([1, 2], v), [1, Fraction(3, 2)]),
-    "natural.dead_end_scan:found": (dead_end_scan, [1, Fraction(3, 2)]),
     "weber.perception_increments:stimuli": (
         lambda v: perception_increments(v, 1.0),
         [1.0, 2.0],

@@ -11,12 +11,9 @@ from tritune.intervals import (
     Interval,
     are_congruent,
     classify_chord,
-    classify_et_interval,
     compose,
-    flat,
     interval_between,
     note_name,
-    sharp,
     transpose_indices,
 )
 from tritune.ratio import Monzo
@@ -202,28 +199,8 @@ class TestIndexOperators:
         assert transpose_indices([5, 7, 11], -5) == [0, 2, 6]
         assert transpose_indices([4, 4, 5, 7], 12) == [16, 16, 17, 19]
 
-    def test_sharp_flat(self):
-        assert sharp(0) == 1
-        assert flat(2) == 1
-        assert flat(sharp(5)) == 5
-
 
 class TestNaming:
-    def test_interval_names(self):
-        assert classify_et_interval(7) == "fifth"
-        assert classify_et_interval(0) == "unison"
-        assert classify_et_interval(5) == "fourth"
-        assert classify_et_interval(4) == "major third"
-        assert classify_et_interval(12) == "octave"
-
-    def test_unnamed_sizes_carry_their_count(self):
-        for size in (3, 6, 8, 9, 10, 11, 13):
-            assert classify_et_interval(size) == f"{size} semitones"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            classify_et_interval(-1)
-
     def test_note_names(self):
         assert str(note_name(7, "sharp")) == "SOL"
         assert note_name(1, "flat") == "RE♭"

@@ -14,7 +14,6 @@ from tritune.natural import (
     assemble_diatonic,
     build_core,
     compare_three_scales,
-    dead_end_scan,
     find_si,
     frequency_of_division,
     harmonic_divide,
@@ -24,11 +23,6 @@ from tritune.natural import (
 from tritune.ratio import is_five_smooth
 
 positive_fractions = st.fractions(min_value=Fraction(1, 1000), max_value=1000)
-
-
-@pytest.fixture(scope="module")
-def rejects():
-    return dead_end_scan(build_core().degrees)
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +38,6 @@ class TestMeans:
     def test_degenerate_pair(self):
         t = means(Fraction(7, 5), Fraction(7, 5))
         assert t.arithmetic == t.harmonic == Fraction(7, 5)
-        assert t.geometric_exact() == Fraction(7, 5)
-
-    def test_geometric_exact_only_for_squares(self):
-        assert means(1, 4).geometric_exact() == 2
-        assert means(Fraction(1, 2), Fraction(9, 2)).geometric_exact() == Fraction(3, 2)
-        assert means(1, 2).geometric_exact() is None
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
@@ -58,18 +46,18 @@ class TestMeans:
     @given(positive_fractions, positive_fractions)
     def test_mean_proportional_identity(self, a, b):
         t = means(a, b)
-        assert t.arithmetic * t.harmonic == a * b == t.geometric_squared
+        assert t.arithmetic * t.harmonic == a * b
 
     @given(positive_fractions, positive_fractions)
     def test_ordering_with_equality_iff_equal(self, a, b):
         t = means(a, b)
         # compare through squares so the geometric mean never leaves the
         # rationals: h <= g <= a  iff  h^2 <= ab <= a^2
-        assert t.harmonic ** 2 <= t.geometric_squared <= t.arithmetic ** 2
+        assert t.harmonic ** 2 <= a * b <= t.arithmetic ** 2
         if a == b:
             assert t.harmonic == t.arithmetic
         else:
-            assert t.harmonic ** 2 < t.geometric_squared < t.arithmetic ** 2
+            assert t.harmonic ** 2 < a * b < t.arithmetic ** 2
 
 
 class TestHarmonicDivision:
@@ -132,26 +120,6 @@ class TestCoreConstruction:
         next_candidate = frequency_of_division(1, Fraction(9, 8))
         assert next_candidate == Fraction(17, 16)
         assert not is_five_smooth(next_candidate)
-
-
-class TestDeadEndScan:
-    def test_quoted_rejects(self, rejects):
-        by_pair = {(r.f_n1, r.f_n2): r for r in rejects}
-        eleven_eighths = by_pair[(Fraction(5, 4), Fraction(3, 2))]
-        assert (eleven_eighths.value, eleven_eighths.reason) == (
-            Fraction(11, 8),
-            "not-5-limit",
-        )
-        seventeen = by_pair[(Fraction(1), Fraction(9, 8))]
-        assert (seventeen.value, seventeen.reason) == (Fraction(17, 16), "not-5-limit")
-        present = by_pair[(Fraction(1), Fraction(2))]
-        assert (present.value, present.reason) == (Fraction(3, 2), "already-present")
-
-    def test_reasons_are_well_formed(self, rejects):
-        assert rejects
-        assert {r.reason for r in rejects} == {"not-5-limit", "already-present"}
-        for r in rejects:
-            assert r.value == (r.f_n1 + r.f_n2) / 2
 
 
 class TestFaLa:

@@ -1,0 +1,96 @@
+"""The public surface.  Every public module-level function, class, method and
+constant of ``src/tritune`` is named somewhere that the package, the
+benchmark or the acceptance suite reads: in ``src/tritune`` outside its own
+definition, in ``bench/*.py`` or in ``tests/test_acceptance.py``.  A name
+that only its own unit tests reach is dead weight, so it fails here."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "tritune").glob("*.py"))
+READERS = sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _uses(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every name read, attribute read or name imported."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            found.append((node.name.rsplit(".", 1)[-1], getattr(node, "lineno", 0)))
+    return found
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of each public module-level function, class and
+    constant, and each public method of a module-level class."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(q, n) for q, n in found if not q.rsplit(".", 1)[-1].startswith("_")]
+
+
+def unreached_names(source_paths=SOURCES, reader_paths=READERS) -> list[str]:
+    """"module.name" of each public definition named nowhere it should be."""
+    sources = {path.stem: _parse(path) for path in source_paths}
+    uses = {stem: _uses(tree) for stem, tree in sources.items()}
+    outside = {name for path in reader_paths for name, _ in _uses(_parse(path))}
+    unreached = []
+    for stem, tree in sources.items():
+        for qualname, node in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name in outside:
+                continue
+            span = range(node.lineno, node.end_lineno + 1)
+            if any(
+                used == name and not (module == stem and line in span)
+                for module, found in uses.items()
+                for used, line in found
+            ):
+                continue
+            unreached.append(f"{stem}.{qualname}")
+    return unreached
+
+
+def test_sources_and_readers_found():
+    assert {p.name for p in SOURCES} >= {"cli.py", "equal.py", "ratio.py"}
+    assert {p.name for p in READERS} >= {"workloads.py", "test_acceptance.py"}
+
+
+def test_every_public_name_is_reached():
+    unreached = unreached_names()
+    assert not unreached, f"reached by no command, benchmark or acceptance test: {unreached}"
+
+
+def test_the_scan_sees_an_unreached_name(tmp_path):
+    # a method and a constant that only their own definitions name
+    module = tmp_path / "lonely.py"
+    module.write_text(
+        "LONELY = 1\n\n"
+        "class Kept:\n"
+        "    def alone(self):\n"
+        "        return self.alone\n\n"
+        "def used():\n"
+        "    return Kept()\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("from lonely import used\n")
+    assert unreached_names([module], [reader]) == ["lonely.LONELY", "lonely.Kept.alone"]

@@ -12,10 +12,7 @@ from tritune.errors import CoverageError, ExponentBoundError, PropositionViolati
 from tritune.errors import TuningError
 from tritune.intervals import are_congruent
 from tritune.pythagorean import (
-    APOTOME,
-    LIMMA,
     PYTHAGOREAN_COMMA,
-    TONE,
     FifthStep,
     PythTable,
     base_dependence_demo,
@@ -23,7 +20,6 @@ from tritune.pythagorean import (
     generate_fifths,
     pairing_table,
     select_chromatic,
-    tone_split_analysis,
 )
 from tritune.ratio import EXPONENT_BOUND, cents, octave_shift, to_decimal
 
@@ -388,24 +384,18 @@ class TestChromaticSelection:
 
 class TestToneSplit:
     def test_semitone_identities(self):
-        assert tone_split_analysis() is None  # every check passed
-        # rational multiplication oracle
-        assert Fraction(256, 243) * Fraction(2187, 2048) == Fraction(9, 8)
-        assert LIMMA * APOTOME == TONE
-        assert TONE / LIMMA == APOTOME
-        assert TONE / APOTOME == LIMMA
+        # the 9/8 tone DO-RE splits into the limma 2**8/3**5 and the apotome
+        # 3**7/2**11, one below and one above the equal semitone; each
+        # completes the tone with the other, and two equal semitones fall short
+        limma, apotome, tone = Fraction(256, 243), Fraction(2187, 2048), Fraction(9, 8)
+        assert limma * apotome == tone
+        assert tone / limma == apotome and tone / apotome == limma
         semitone = EtPitch(1, 12)
-        assert compare_fraction_to_et(LIMMA, semitone) < 0
-        assert compare_fraction_to_et(APOTOME, semitone) > 0
-        assert compare_fraction_to_et(TONE, EtPitch(2, 12)) > 0
-        assert cents(TONE) == pytest.approx(203.91, abs=1e-2)
-        assert cents(TONE) > 200.0
-
-    def test_a_failed_identity_is_a_proposition_violation(self, monkeypatch):
-        # the just semitone 16/15 does not complete the tone with the apotome
-        monkeypatch.setattr(pythagorean, "LIMMA", Fraction(16, 15))
-        with pytest.raises(PropositionViolationError, match="tone split"):
-            tone_split_analysis()
+        assert compare_fraction_to_et(limma, semitone) < 0
+        assert compare_fraction_to_et(apotome, semitone) > 0
+        assert compare_fraction_to_et(tone, EtPitch(2, 12)) > 0
+        assert cents(tone) == pytest.approx(203.91, abs=1e-2)
+        assert cents(tone) > 200.0
 
 
 class TestBaseDependence:

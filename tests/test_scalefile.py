@@ -184,6 +184,22 @@ class TestSclWriter:
                 entries=(ScaleEntry(low), ScaleEntry(high)),
             )
 
+    @pytest.mark.parametrize(
+        "first",
+        [
+            EtPitch(-1, 10**8),  # its cents line would print as "0.000-2"
+            EtPitch(-1, 7),  # and this one as "-171.42858", floored
+            Fraction(1, 2),
+            Fraction(1),
+            EtPitch(0, 12),
+        ],
+    )
+    def test_document_opens_above_the_unison(self, first):
+        # the unison is implicit, so a first entry at or below 1 is refused
+        # before it can be written as a line that parse_scl rejects or misreads
+        with pytest.raises(TuningError, match="above the unison 1"):
+            ScaleDocument("d", (ScaleEntry(first), ScaleEntry(Fraction(2))))
+
 
     @pytest.mark.parametrize("description", ["a\nb", "a\rb", "a\x85b", "a\u2028b", "!a"])
     def test_document_rejects_a_description_the_file_cannot_carry(self, description):
