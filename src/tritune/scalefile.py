@@ -46,7 +46,11 @@ class ScaleEntry:
             return _pq_text(v)
         if v.r != 1:
             raise TuningError(f"no exact cents for {_shown(v)}")
-        return _fixed_point(1200 * v.k * 10 ** 5 // v.n, 5)
+        units = 1200 * v.k * 10 ** 5 // v.n
+        # a line of 0.00000 or below reads back as the unison or under it
+        if units <= 0:
+            raise TuningError(f"{_shown(v)} has no cents line above the unison")
+        return _fixed_point(units, 5)
 
 
 @dataclass(frozen=True)

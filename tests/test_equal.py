@@ -27,7 +27,7 @@ from tritune.errors import TuningError
 from tritune.intervals import Interval, compose, interval_between
 from tritune.pythagorean import FifthStep, classify_to_et
 from tritune.ratio import MAX_DIGITS, Monzo, _fixed_point, cents, integer_nth_root
-from tritune.ratio import monzo_to_rational
+from tritune.ratio import is_nth_root_irrational, monzo_to_rational
 
 
 def decimal_power_of_two(k: int, n: int, digits: int) -> str:
@@ -102,6 +102,17 @@ class TestEtPitch:
         for k in range(1, 12):
             assert not EtPitch(k, 12).is_rational()
         assert EtPitch(12, 12).is_rational()
+
+    def test_irrationality_reads_a_radicand_under_n_bits(self):
+        # 2**(k/n) = 2**(k // n) * 2**((k % n) / n): it is irrational exactly
+        # when the n-th root of the radicand 2**(k % n), under n bits, is
+        for k, n in [(10**7 + 1, 3), (-(10**7 + 1), 3)] + [
+            (k, n) for n in range(1, 25) for k in range(-3 * n, 3 * n + 1)
+        ]:
+            radicand = 2 ** (k % n)
+            irrational = radicand > 1 and is_nth_root_irrational(radicand, n)
+            assert EtPitch(k, n).is_rational() != irrational, (k, n)
+            assert irrational == (k % n != 0)
 
     def test_exact_form(self):
         assert EtPitch(0, 12).exact_form() == "1"

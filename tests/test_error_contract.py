@@ -21,14 +21,14 @@ from tritune.intervals import note_name, transpose_indices
 from tritune.natural import compare_three_scales, frequency_of_division
 from tritune.natural import harmonic_divide, means
 from tritune.pythagorean import FifthStep, base_dependence_demo, classify_to_et
-from tritune.pythagorean import generate_fifths, pairing_table
+from tritune.pythagorean import generate_fifths, pairing_table, select_chromatic
 from tritune.ratio import EXPONENT_BOUND, MAX_DIGITS, Monzo, integer_nth_root
 from tritune.ratio import is_five_smooth, is_nth_root_irrational, is_perfect_nth_power
 from tritune.ratio import monzo_form, octave_shift, rational_to_monzo, reduce_to_octave
 from tritune.ratio import cents, to_decimal
 from tritune.scalefile import ScaleDocument, ScaleEntry, comparison_table, et_scale_document
-from tritune.scalefile import export_table, parse_scl, render_scl
-from tritune.tables import fifth_generation_text
+from tritune.scalefile import export_table, parse_scl, pythagorean_chromatic_document, render_scl
+from tritune.tables import chromatic_text, fifth_generation_text, pairing_text
 from tritune.weber import MAX_STIMULI, perception_increments, uniform_stimuli
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "tritune").glob("*.py"))
@@ -126,6 +126,11 @@ RATIO_PARAMETERS = {
     "scalefile.ScaleEntry:value": ScaleEntry,
     "intervals.are_congruent:a[0]": lambda v: are_congruent([v, 2], [1, 2]),
     "intervals.are_congruent:b[0]": lambda v: are_congruent([1, 2], [v, 2]),
+    "intervals.Interval:ratio": Interval,
+    "intervals.interval_between:f1": lambda v: interval_between(v, 2),
+    "intervals.interval_between:f2": lambda v: interval_between(1, v),
+    "equal.compare_pitches:x": lambda v: compare_pitches(v, 1),
+    "equal.compare_pitches:y": lambda v: compare_pitches(1, v),
 }
 
 
@@ -137,6 +142,13 @@ RECORD_PARAMETERS = {
     "pythagorean.pairing_table:t": (lambda v: pairing_table(v, 12), generate_fifths(12, 12)),
     "pythagorean.base_dependence_demo:t": (base_dependence_demo, generate_fifths(12, 12)),
     "tables.fifth_generation_text:table": (fifth_generation_text, generate_fifths(12, 12)),
+    "tables.pairing_text:table": (pairing_text, generate_fifths(12, 12)),
+    "tables.chromatic_text:table": (chromatic_text, generate_fifths(12, 12)),
+    "pythagorean.select_chromatic:t": (select_chromatic, generate_fifths(12, 12)),
+    "scalefile.pythagorean_chromatic_document:table": (
+        pythagorean_chromatic_document,
+        generate_fifths(12, 12),
+    ),
     "scalefile.render_scl:doc": (lambda v: render_scl(v, "x.scl"), et_scale_document(12)),
     "scalefile.render_scl:filename": (lambda v: render_scl(et_scale_document(12), v), "x.scl"),
     "scalefile.ScaleDocument:description": (lambda v: ScaleDocument(v, (ScaleEntry(2),)), "d"),
@@ -251,6 +263,31 @@ def test_record_parameter_takes_its_type_only(key):
     call(valid)
     for value in (Fraction(3, 2), 2, 12, 5, None, 1.5):
         with pytest.raises(TuningError, match="must be of type"):
+            call(value)
+
+
+#: "module.name:parameter" -> (call taking one of a few names, the names)
+CHOICE_PARAMETERS = {
+    "intervals.note_name:preference": (lambda v: note_name(1, v), ("sharp", "flat")),
+    "intervals.classify_chord:preference": (
+        lambda v: classify_chord([0, 4, 7], v),
+        ("sharp", "flat"),
+    ),
+    "pythagorean.FifthStep:direction": (lambda v: FifthStep(v, 1), ("up", "down")),
+    "scalefile.export_table:format": (
+        lambda v: export_table(compare_three_scales(), v),
+        ("csv", "json"),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHOICE_PARAMETERS))
+def test_choice_parameter_takes_its_names_only(key):
+    call, names = CHOICE_PARAMETERS[key]
+    for name in names:
+        call(name)
+    for value in ("", "x", names[0].upper(), f" {names[0]}", None, 1, True):
+        with pytest.raises(TuningError):
             call(value)
 
 

@@ -200,6 +200,29 @@ class TestSclWriter:
         with pytest.raises(TuningError, match="above the unison 1"):
             ScaleDocument("d", (ScaleEntry(first), ScaleEntry(Fraction(2))))
 
+    @pytest.mark.parametrize(
+        "first",
+        [
+            EtPitch(1, 10**8),  # 0.000012 cents, written as "0.00001"
+            EtPitch(1, 1200),
+            EtPitch(1, 7),
+            Fraction(10**9 + 1, 10**9),
+            Fraction(81, 80),
+        ],
+    )
+    def test_document_opening_just_above_the_unison_reads_back_above_it(self, first):
+        (value,) = parse_scl(render_scl(ScaleDocument("d", (ScaleEntry(first),)), "d.scl"))[1]
+        if isinstance(first, Fraction):
+            assert value == first
+        else:
+            assert 0 < value <= 1200 * first.k / first.n
+
+    def test_a_pitch_whose_cents_truncate_to_the_unison_has_no_line(self):
+        # 2**(1/10**9) is 0.0000012 cents: "0.00000" would read back as 1
+        doc = ScaleDocument("d", (ScaleEntry(EtPitch(1, 10**9)),))
+        with pytest.raises(TuningError, match="no cents line above the unison"):
+            render_scl(doc, "d.scl")
+
 
     @pytest.mark.parametrize("description", ["a\nb", "a\rb", "a\x85b", "a\u2028b", "!a"])
     def test_document_rejects_a_description_the_file_cannot_carry(self, description):
