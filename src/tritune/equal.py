@@ -106,8 +106,7 @@ class EtPitch:
 
     def __truediv__(self, other) -> EtPitch:
         o = EtPitch.of(other)
-        e = Fraction(self.k, self.n) - Fraction(o.k, o.n)
-        return EtPitch(e.numerator, e.denominator, Fraction(self.r) / o.r)
+        return self * EtPitch(-o.k, o.n, 1 / Fraction(o.r))
 
     @property
     def exponent(self) -> Fraction:
@@ -308,6 +307,14 @@ def compare_pitches(
     (p1*q2) / (q1*p2) <=> 2**((k2*n1 - k1*n2) / (n1*n2)), which the integer
     kernel ``_sign`` decides, with a TuningError for a power past ``MAX_POWER_BITS``.
     """
-    p1, q1, k1, n1 = _power_form(x)
-    p2, q2, k2, n2 = _power_form(y)
-    return _sign(p1 * q2, q1 * p2, k2 * n1 - k1 * n2, n1 * n2)
+    return next(_neighbour_signs((x, y)))
+
+
+def _neighbour_signs(pitches):
+    """``compare_pitches`` of each neighbour pair of the exact pitches, lazily:
+    each pitch's form is read once, and all are read before any pair is decided."""
+    forms = [*map(_power_form, pitches)]
+    return (
+        _sign(p1 * q2, q1 * p2, k2 * n1 - k1 * n2, n1 * n2)
+        for (p1, q1, k1, n1), (p2, q2, k2, n2) in zip(forms, forms[1:])
+    )

@@ -42,8 +42,7 @@ class MeanTriple:
 
 def means(a: RationalLike, b: RationalLike) -> MeanTriple:
     """The arithmetic and harmonic means of two positive rationals."""
-    fa = positive_fraction(a, "a")
-    fb = positive_fraction(b, "b")
+    fa, fb = positive_fraction(a, "a"), positive_fraction(b, "b")
     return MeanTriple(arithmetic=(fa + fb) / 2, harmonic=2 * fa * fb / (fa + fb))
 
 
@@ -62,13 +61,11 @@ def harmonic_divide(ac: RationalLike, ad: RationalLike) -> HarmonicDivision:
     The defining proportion AC/CB == AD/BD is re-checked exactly on the
     result before it is returned.
     """
-    fac = positive_fraction(ac, "AC")
-    fad = positive_fraction(ad, "AD")
+    fac, fad = positive_fraction(ac, "AC"), positive_fraction(ad, "AD")
     if fac >= fad:
         raise TuningError(f"AC must be shorter than AD, got AC={_shown(fac)}, AD={_shown(fad)}")
     ab = means(fac, fad).harmonic
-    cb = ab - fac
-    bd = fad - ab
+    cb, bd = ab - fac, fad - ab
     if not (cb > 0 and bd > 0 and fac * bd == fad * cb):
         raise PropositionViolationError("harmonic division proportion failed")
     return HarmonicDivision(fac, fad, ab)

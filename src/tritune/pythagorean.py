@@ -106,7 +106,7 @@ def classify_to_et(r: Fraction, n: int = 12) -> tuple[int, float]:
     ``equal.MAX_DIVISIONS``, as for ``equal.nearest_degree``.
     """
     r = positive_fraction(r, "a pitch ratio")
-    if not 1 <= r <= 2:
+    if not r.denominator <= r.numerator <= 2 * r.denominator:
         raise TuningError(f"ratio {_shown(r)} is outside the reference octave [1, 2]")
     degree = nearest_degree(r, n)
     return degree, cents(r) - degree * 1200.0 / n

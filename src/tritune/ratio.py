@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ExponentBoundError, TuningError, _shown, check_int, positive_fraction
+from .errors import ExponentBoundError, TuningError, _shown, check_instance, check_int
+from .errors import positive_fraction
 
 #: Safety bound on prime exponents, and on the fifths ``pythagorean.FifthStep``
 #: stacks each way.  3**64 is far beyond any value a scale construction
@@ -87,7 +88,7 @@ def _monzo_terms(m: Monzo) -> tuple[int, int]:
 
 def monzo_to_rational(m: Monzo) -> Fraction:
     """Return the reduced fraction 2**exp2 * 3**exp3 * 5**exp5."""
-    return Fraction(*_monzo_terms(m))
+    return Fraction(*_monzo_terms(check_instance("a monzo", m, Monzo)))
 
 
 def rational_to_monzo(r: RationalLike) -> Optional[Monzo]:
@@ -249,9 +250,7 @@ def is_perfect_nth_power(m: int, n: int) -> tuple[bool, Optional[int]]:
     """Whether a**n == m for some integer a; returns (flag, a or None)."""
     check_int("m", m, 1)
     a = integer_nth_root(m, check_int("n", n, 2))
-    if a ** n == m:
-        return True, a
-    return False, None
+    return (True, a) if a ** n == m else (False, None)
 
 
 def is_nth_root_irrational(m: int, n: int) -> bool:
@@ -328,11 +327,7 @@ def monzo_form(r: RationalLike) -> str:
 
     num = side([(2, m.exp2), (3, m.exp3), (5, m.exp5)])
     den = side([(2, -m.exp2), (3, -m.exp3), (5, -m.exp5)])
-    if not num and not den:
-        return "1"
-    if not den:
-        return num
-    return f"{num or '1'}/{den}"
+    return f"{num or '1'}/{den}" if den else num or "1"
 
 
 def cents(r) -> float:
@@ -342,7 +337,7 @@ def cents(r) -> float:
     exposing ``cents()`` itself (symbolic equal-division pitches); anything
     else, a float included, is a TuningError.
     """
-    if hasattr(r, "cents"):
+    if not isinstance(r, (int, Fraction)) and hasattr(r, "cents"):
         return r.cents()
     if isinstance(r, Monzo):
         r = monzo_to_rational(r)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .equal import EtPitch, EtScale, compare_pitches, et_value
+from .equal import _ONE, EtPitch, EtScale, _neighbour_signs, et_value
 from .errors import TuningError, _shown, check_instance, positive_fraction
 from .natural import ScaleComparison, assemble_diatonic
 from .pythagorean import PythTable, select_chromatic
@@ -42,9 +42,9 @@ class ScaleEntry:
     def pitch_line(self) -> str:
         """Tuning-file rendering: p/q for rationals, 5-digit cents otherwise."""
         v = self.value
-        if isinstance(v, Fraction):
+        if not isinstance(v, EtPitch):
             return _pq_text(v)
-        if v.r != 1:
+        if v.r is not _ONE and v.r != 1:
             raise TuningError(f"no exact cents for {_shown(v)}")
         units = 1200 * v.k * 10 ** 5 // v.n
         # a line of 0.00000 or below reads back as the unison or under it
@@ -55,6 +55,9 @@ class ScaleEntry:
 
 @dataclass(frozen=True)
 class ScaleDocument:
+    """A one-line description and entries rising strictly from above 1, checked with
+    one exact-form read per entry and one ``equal._sign`` per neighbour pair."""
+
     description: str
     entries: tuple[ScaleEntry, ...]
 
@@ -63,13 +66,11 @@ class ScaleDocument:
         # a tuning file's description is one line, and "!" opens a comment
         if d.splitlines() not in ([], [d]) or d.startswith("!"):
             raise TuningError("a scale description must be one line not opening with '!'")
-        for entry in check_instance("scale entries", self.entries, tuple):
-            check_instance("a scale entry", entry, ScaleEntry)
-        if not self.entries:
+        if not check_instance("scale entries", self.entries, tuple):
             raise TuningError("a scale document needs at least one entry")
         # the implicit unison 1 comes first, so no entry is 1 or below it
-        values = [1, *(e.value for e in self.entries)]
-        if any(compare_pitches(a, b) >= 0 for a, b in zip(values, values[1:])):
+        values = (check_instance("a scale entry", e, ScaleEntry).value for e in self.entries)
+        if any(sign >= 0 for sign in _neighbour_signs((1, *values))):
             raise TuningError("scale entries must ascend strictly from above the unison 1")
 
 
@@ -79,7 +80,7 @@ def natural_scale_document() -> ScaleDocument:
 
 
 def et_scale_document(n: int) -> ScaleDocument:
-    entries = tuple(ScaleEntry(p) for p in EtScale(n=n).pitches if p.k > 0)
+    entries = tuple(ScaleEntry(p) for p in EtScale(n=n).pitches[1:])
     return ScaleDocument(f"Equal division of the octave in {n} steps", entries)
 
 
@@ -110,8 +111,8 @@ def _parse_pitch(line: str) -> Union[Fraction, float]:
     token = line.split()[0]
     try:
         if "." in token:
-            if _CENTS.fullmatch(token) and math.isfinite(float(token)):
-                return float(token)
+            if _CENTS.fullmatch(token) and math.isfinite(cents := float(token)):
+                return cents
         elif ratio := _RATIO.fullmatch(token):
             num, den = int(ratio[1]), int(ratio[2] or 1)
             if num > 0 and den > 0:

@@ -24,7 +24,8 @@ from tritune.pythagorean import FifthStep, base_dependence_demo, classify_to_et
 from tritune.pythagorean import generate_fifths, pairing_table, select_chromatic
 from tritune.ratio import EXPONENT_BOUND, MAX_DIGITS, Monzo, integer_nth_root
 from tritune.ratio import is_five_smooth, is_nth_root_irrational, is_perfect_nth_power
-from tritune.ratio import monzo_form, octave_shift, rational_to_monzo, reduce_to_octave
+from tritune.ratio import monzo_form, monzo_to_rational, octave_shift, rational_to_monzo
+from tritune.ratio import reduce_to_octave
 from tritune.ratio import cents, to_decimal
 from tritune.scalefile import ScaleDocument, ScaleEntry, comparison_table, et_scale_document
 from tritune.scalefile import export_table, parse_scl, pythagorean_chromatic_document, render_scl
@@ -116,6 +117,7 @@ RATIO_PARAMETERS = {
     "ratio.monzo_form:r": monzo_form,
     "equal.nearest_degree:r": lambda v: nearest_degree(v, 12),
     "equal.compare_fraction_to_et:r": lambda v: compare_fraction_to_et(v, EtPitch(1, 12)),
+    "equal.compare_fraction_to_et:p": lambda v: compare_fraction_to_et(1, v),
     "pythagorean.classify_to_et:r": lambda v: classify_to_et(v, 12),
     "natural.means:a": lambda v: means(v, 1),
     "natural.means:b": lambda v: means(1, v),
@@ -137,6 +139,7 @@ RATIO_PARAMETERS = {
 #: "module.name:parameter" -> (call taking a record or collection, a valid value)
 RECORD_PARAMETERS = {
     "equal.et_value:p": (lambda v: et_value(v, 5), EtPitch(1, 12)),
+    "ratio.monzo_to_rational:m": (monzo_to_rational, Monzo(-1, 1)),
     "intervals.classify_chord:indices": (classify_chord, (0, 4, 7)),
     "intervals.transpose_indices:indices": (lambda v: transpose_indices(v, 1), [0, 4]),
     "pythagorean.pairing_table:t": (lambda v: pairing_table(v, 12), generate_fifths(12, 12)),

@@ -2,10 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tritune.equal import EtPitch
+from tritune.equal import EtPitch, compare_pitches
 from tritune.errors import TuningError
 from tritune.natural import ScaleComparison, compare_three_scales
 from tritune.pythagorean import generate_fifths
@@ -34,6 +34,48 @@ def _scl_texts(draw):
     pitches = draw(st.lists(_SCL_LINE, max_size=6))
     count = draw(st.one_of(st.just(str(len(pitches))), _SCL_LINE))
     return "\n".join([draw(st.text()), count, *pitches])
+
+
+#: a pitch r * 2**(k/n) with n up to 1200 and r a ratio of odd integers
+#: (often not 1), or a Fraction, mostly in the first two octaves
+_ODD = st.integers(min_value=0, max_value=30).map(lambda i: 2 * i + 1)
+#: half from 1000 up, where two neighbours in one octave band can need a
+#: power past MAX_POWER_BITS
+_DIVISIONS = st.one_of(
+    st.integers(min_value=1, max_value=1200), st.integers(min_value=1000, max_value=1200)
+)
+_ENTRY_PITCH = st.one_of(
+    st.fractions(min_value=Fraction(1, 2), max_value=4, max_denominator=10**4),
+    _DIVISIONS.flatmap(
+        lambda n: st.builds(
+            EtPitch,
+            st.integers(min_value=0, max_value=2 * n),
+            st.just(n),
+            st.one_of(st.just(Fraction(1)), st.builds(Fraction, _ODD, _ODD)),
+        )
+    ),
+)
+
+
+ASCENDING_MESSAGE = "scale entries must ascend strictly from above the unison 1"
+
+
+@st.composite
+def _order_cases(draw):
+    """Scale entry values, often ascending, often with a value followed by
+    itself in another form: k/n unreduced, or a rational pitch as a Fraction."""
+    values = draw(st.lists(_ENTRY_PITCH, min_size=1, max_size=6))
+    if draw(st.booleans()):  # ascending but for near-ties, from above 1
+        values = sorted((v for v in values if float(v) > 1), key=float) or [Fraction(2)]
+    i = draw(st.integers(min_value=0, max_value=len(values) - 1))
+    c = EtPitch.of(values[i])
+    tie = draw(st.sampled_from(["none", "fraction", "unreduced"]))
+    if tie == "fraction" and c.is_rational():
+        values.insert(i + 1, c.as_fraction())
+    elif tie == "unreduced" and c.n <= 600:
+        m = draw(st.integers(min_value=2, max_value=1200 // c.n))
+        values.insert(i + 1, EtPitch(c.k * m, c.n * m, c.r))
+    return values
 
 
 # hand-written expected file: first line comment with the file name, then the
@@ -223,6 +265,28 @@ class TestSclWriter:
         with pytest.raises(TuningError, match="no cents line above the unison"):
             render_scl(doc, "d.scl")
 
+    @given(_order_cases())
+    @example([EtPitch(1, 12), EtPitch(2, 24)])
+    @example([Fraction(3, 2), EtPitch(12, 12), Fraction(2)])
+    @example([EtPitch(7, 12), EtPitch(12, 12, Fraction(1, 1)), EtPitch(13, 12)])
+    @example([EtPitch(-1199, 1200, 3), EtPitch(700, 1199)])  # a power of 1438800 x 2 bits
+    @example([EtPitch(700, 1199), EtPitch(-1199, 1200, 3)])
+    @settings(deadline=None)
+    def test_document_order_is_compare_pitches_on_neighbours(self, values):
+        # a document is accepted exactly when compare_pitches puts every
+        # neighbour pair of [1, *values] below zero, and raises its error
+        # when a comparison passes MAX_POWER_BITS
+        try:
+            ascending = all(compare_pitches(a, b) < 0 for a, b in zip([1, *values], values))
+            expected = None if ascending else ASCENDING_MESSAGE
+        except TuningError as e:
+            expected = str(e)
+        try:
+            ScaleDocument("d", tuple(ScaleEntry(v) for v in values))
+            got = None
+        except TuningError as e:
+            got = str(e)
+        assert got == expected
 
     @pytest.mark.parametrize("description", ["a\nb", "a\rb", "a\x85b", "a\u2028b", "!a"])
     def test_document_rejects_a_description_the_file_cannot_carry(self, description):
