@@ -225,9 +225,9 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     three are checked before any power (TuningError beyond any).  One call
     takes a root of about 3.33*d + 16 bits, at that precision, of a radicand
     of about n times as many (on a 2-vCPU Xeon VM at the digit cap, k < n:
-    4 ms for n = 12, 7 ms for n = 311, 9-13 ms for n = 1200); a fallback adds
-    5**(d*n) (1 ms, 0.18 s, 1.7 s) and a root of about k + 3.33*d*n bits
-    (3-10 ms).
+    3-4 ms for n = 12, 5-8 ms for n = 311, 6-11 ms for n = 1200); a fallback
+    adds 5**(d*n) (2 ms, 0.2-0.3 s, 1.7-2.7 s) and a root of about k +
+    3.33*d*n bits (2-10 ms).
     """
     check_instance("a pitch", p, EtPitch)
     check_int("digits", precision_digits, 1, MAX_DIGITS)

@@ -13,8 +13,8 @@ Irrational values such as 2**(k/n) are printed through
 :func:`integer_nth_root`, the exact floor of an n-th root.  Its candidate
 comes from Newton's iteration on integers (Brent & Zimmermann, *Modern
 Computer Arithmetic*, section 1.5) at the root's own precision: a step reads
-``a**(n-1)`` from an outward-rounded bracket (:func:`_power_bracket`; R. E.
-Moore, *Interval Analysis*, 1966) instead of forming it.  The certificate
+``a**(n-1)`` from a bracket instead of forming it (:func:`_power_bracket`: the
+power rounded down and a proven bound above it).  The certificate
 ``a**n <= x < (a+1)**n`` is read from such a bracket too, and a full power
 is formed only on a near-tie.
 
@@ -136,21 +136,27 @@ def reduce_to_octave(r: RationalLike) -> Fraction:
 
 
 def _power_bracket(a: int, b: int, m: int, t: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2**e <= (a/b)**m <= hi * 2**e, for a, b, m, t >= 1:
-    interval arithmetic (R. E. Moore, 1966), square-and-multiply on t-bit
-    bounds of a/b and of every product, lo rounded down and hi up.  Past
-    t = bits(m) + 3 the relative width (hi - lo) / lo is below m * 2**(3-t)."""
+    """(lo, hi, e) with lo * 2**e <= (a/b)**m <= hi * 2**e for a, b, m, t >= 1,
+    hi - lo <= m * lo * 2**(3-t), and lo == hi if no rounding occurred.  Only
+    lo is a chain (Moore's interval arithmetic would round a second one up):
+    square-and-multiply on q = floor(a * 2**k / b), each product floored to t
+    >= bits(m) + 4 bits (a smaller t is raised).  A floor to t bits or more
+    drops a relative u < 2**(1-t), of weight m for q and 2**(L-i) after loop
+    step i of L = bits(m) - 1, which sum to 2**L - 1 < m.  So (a/b)**m <= lo *
+    2**e / (1-u)**(2m) <= lo * 2**e / (1-z) for z = m * 2**(2-t) <= 1/4, and
+    1/(1-z) <= 1 + 4z/3 < 1 + 3m * 2**(1-t) < hi / lo; with lo >= 2**(t-1),
+    that keeps the width."""
+    t = max(t, m.bit_length() + 4)
     k = t - a.bit_length() + b.bit_length()  # a * 2**k / b has t or t+1 bits
-    num, den = (a << k, b) if k >= 0 else (a, b << -k)
-    q_lo, q_hi = num // den, -(-num // den)
-    lo, hi, e = q_lo, q_hi, -k
+    q, rounded = divmod(a << k, b) if k >= 0 else divmod(a, b << -k)
+    lo, shift = q, 0  # (a/b)**p ~ lo * 2**(shift - k*p), p the bits of m read so far
     for bit in bin(m)[3:]:
-        lo, hi, e = lo * lo, hi * hi, 2 * e
-        if bit == "1":
-            lo, hi, e = lo * q_lo, hi * q_hi, e - k
-        drop = max(lo.bit_length() - t, 0)
-        lo, hi, e = lo >> drop, -(-hi >> drop), e + drop
-    return lo, hi, e
+        lo = lo * lo * q if bit == "1" else lo * lo
+        drop = lo.bit_length() - t  # > 0, as lo had t bits or more
+        if not rounded:
+            rounded = lo & ((1 << drop) - 1)
+        lo, shift = lo >> drop, 2 * shift + drop
+    return lo, lo + (3 * lo * m >> t - 1) + 1 if rounded else lo, shift - k * m
 
 
 #: floor(2**64 * log2 3) = L - 1 + e, L the bit length of both bracket ends
@@ -175,13 +181,13 @@ def integer_nth_root(x: int, n: int) -> int:
 
     The candidate, from ``math.isqrt`` or :func:`_root_candidate`, is the
     floor root give or take one.  The certificate compares a bracket lo * 2**e
-    <= a**(n-1) <= hi * 2**e (``_power_bounds``) with ``x >> e``: ``lo * a``
-    and ``hi * a`` bound a**n, and ``(a + n) * lo`` bounds (a+1)**n from below
-    by the binomial theorem.  a**n is formed only when its bounds hold
-    ``x >> e``, (a+1)**n only when x lies above that lower bound, about a
-    share (n-1)/(2a) of [a**n, (a+1)**n).  A failed candidate moves one
-    towards the root, at most ``_CORRECTIONS`` times; past that bound
-    ``ArithmeticError`` is raised instead of returning an uncertified root.
+    <= a**(n-1) <= hi * 2**e (``_power_bounds``: lo rounded down, hi a bound)
+    with ``x >> e``: ``lo * a`` and ``hi * a`` bound a**n, ``(a + n) * lo``
+    bounds (a+1)**n from below by the binomial theorem.  a**n is formed only
+    when its bounds hold ``x >> e``, (a+1)**n only when x lies above that
+    lower bound, about a share (n-1)/(2a) of [a**n, (a+1)**n).  A failed
+    candidate moves one towards the root, at most ``_CORRECTIONS`` times; past
+    that bound ``ArithmeticError`` is raised instead of an uncertified root.
     """
     check_int("x", x, 0)
     if check_int("n", n, 1) == 1 or x < 2:
@@ -218,12 +224,13 @@ def _root_candidate(x: int, n: int) -> int:
     above the floor root from any a >= 1 and descends from above it; here
     ``x // a**m`` is read as ``(x >> e) // hi`` from ``_power_bounds`` at
     bits(root) + bits(n) + _GUARD_BITS bits, at most a unit below it near the
-    root.  A root of over about ``_SEED_BITS`` bits takes one step from ``r <<
-    half``, r being this candidate with ``n*half`` low bits of x dropped (a
-    little under half the root's bits), within 2**(half+1) of the root, so
-    it lands under a unit above the root.  A shorter one starts from the
-    float root of x lifted by a relative 2**-30, doubled should it fall short,
-    and descends until a step does not or steps down by u with 2n * u**2 < a.
+    root, as hi exceeds a**m by a relative 2**-60 at most.  A root of over
+    about ``_SEED_BITS`` bits takes one step from ``r << half``, r being this
+    candidate with ``n*half`` low bits of x dropped (a little under half the
+    root's bits), within 2**(half+1) of the root, so it lands under a unit
+    above the root.  A shorter one starts from the float root of x lifted by
+    a relative 2**-30, doubled should it fall short, and descends until a
+    step does not or steps down by u with 2n * u**2 < a.
     """
     m = n - 1
     t = x.bit_length() // n + n.bit_length() + _GUARD_BITS

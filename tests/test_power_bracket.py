@@ -1,4 +1,4 @@
-"""The outward-rounded power brackets behind the one exact decision.
+"""The certified power brackets behind the one exact decision.
 
 ``ratio._power_bracket(a, b, m, t)`` bounds (a/b)**m between lo * 2**e and
 hi * 2**e at a precision of t bits.  ``equal._floor_log2_power``, which both
@@ -8,6 +8,9 @@ bit length, and forms the exact powers (``equal._powers``) only on a near-tie
 with a power of two or at most ``equal._EXACT_BITS`` bits.  Every answer must
 equal the exact powers' one.  ``ratio._floor_log2_3(j)``, which pairs the
 fifth table, reads floor(j * log2 3) from one such bracket of 3**(2**64).
+Only the lower end is a chain of products; the upper end is a bound on its
+roundings, checked here at its lowest precision and against the two-sided
+interval loop that computed both ends.
 """
 
 import math
@@ -76,6 +79,45 @@ def in_bracket(lo, hi, e, a, b, m):
     return lo * q <= p <= hi * q
 
 
+def two_sided_bracket(a, b, m, t):
+    """Interval square-and-multiply (R. E. Moore, 1966) on both ends, lo
+    rounded down and hi up after every product: the reference lower end."""
+    k = t - a.bit_length() + b.bit_length()
+    num, den = (a << k, b) if k >= 0 else (a, b << -k)
+    q_lo, q_hi = num // den, -(-num // den)
+    lo, hi, e = q_lo, q_hi, -k
+    for bit in bin(m)[3:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi, e = lo * q_lo, hi * q_hi, e - k
+        drop = max(lo.bit_length() - t, 0)
+        lo, hi, e = lo >> drop, -(-hi >> drop), e + drop
+    return lo, hi, e
+
+
+def just_under_an_integer(m, b):
+    """a with a / b = Q + 1 - 1/b, Q the least integer with Q * b >= 2**(t - 1
+    + bits(b)) at t = bits(m) + 4: _power_bracket reads q = Q at k = 0, a floor
+    that drops nearly a relative 2**(1-t) when b is just under a power of two."""
+    t, bits = m.bit_length() + 4, b.bit_length()
+    q = -(-(1 << t + bits - 1) // b)
+    a = (q + 1) * b - 1
+    assert a.bit_length() - bits == t and a % b == b - 1
+    return a
+
+
+#: (a, b, m) whose bracket at t = bits(m) + 4 rounds near its worst
+LOWEST_PRECISION_CASES = [
+    (just_under_an_integer(m, b), b, m)
+    for m in (2, 3, 31, 100, 310, 311)
+    for b in (3, 1033481, 2 ** 61 - 1, 10 ** 30 + 1)
+] + [
+    # found by search: (a/b)**m lies 0.43 * m * 2**(3-t) above lo * 2**e, past
+    # an allowance of 3 * lo * m >> t, half the one _power_bracket adds
+    (4346821085, 1033481, 310),
+]
+
+
 class TestBracket:
     @given(st.integers(1, 2 ** 300), st.integers(1, 1300), st.sampled_from([1, 2, 5, 64]))
     @settings(deadline=None)
@@ -120,6 +162,25 @@ class TestBracket:
     def test_short_powers_are_exact(self, a, m):
         lo, hi, e = _power_bracket(a, 1, m, equal._GUARD_BITS + m.bit_length())
         assert lo == hi and in_bracket(lo, hi, e, a, 1, m)
+
+    @given(
+        st.integers(1, 2 ** 300) | st.integers(1, 2 ** 8),
+        st.just(1) | st.integers(1, 2 ** 300) | st.integers(0, 40).map(lambda j: 1 << j),
+        st.integers(1, 1300),
+        st.integers(0, 200),
+    )
+    def test_lower_end_is_the_two_sided_loops(self, a, b, m, more):
+        t = m.bit_length() + 4 + more
+        lo, hi, e = _power_bracket(a, b, m, t)
+        ref_lo, ref_hi, ref_e = two_sided_bracket(a, b, m, t)
+        assert (lo, e) == (ref_lo, ref_e)
+        assert (lo == hi) == (ref_lo == ref_hi)
+
+    @pytest.mark.parametrize("a, b, m", LOWEST_PRECISION_CASES)
+    def test_bracket_holds_at_its_lowest_precision(self, a, b, m):
+        t = m.bit_length() + 4
+        lo, hi, e = _power_bracket(a, b, m, t)
+        assert in_bracket(lo, hi, e, a, b, m) and (hi - lo) << (t - 3) <= m * lo
 
 
 in_band = st.tuples(
