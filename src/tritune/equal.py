@@ -160,7 +160,7 @@ def _power_form(x) -> tuple[int, int, int, int]:
         return x.r.numerator, x.r.denominator, x.k, x.n
     if isinstance(x, Monzo):
         return (*_monzo_terms(x), 0, 1)
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x > 0:
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x.numerator > 0:
         return x.numerator, x.denominator, 0, 1
     raise TuningError(f"a pitch must be a positive exact ratio, got {_shown(x)}")
 
@@ -233,7 +233,8 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     check_int("digits", precision_digits, 1, MAX_DIGITS)
     if p.r != 1:
         raise TuningError(f"only 2^(k/n) is printed, not {_shown(p)}")
-    (k, n), d = p.exponent.as_integer_ratio(), precision_digits
+    g, d = math.gcd(p.k, p.n), precision_digits
+    k, n = p.k // g, p.n // g
     check_int("the reduced n of a printed pitch", n, 1, MAX_DIVISIONS)
     limit = sys.get_int_max_str_digits()
     if limit and 3 * (k // n) >= 10 * limit:

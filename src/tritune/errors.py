@@ -58,9 +58,9 @@ def check_instance(what: str, value, kind: type):
 
 
 def positive_fraction(x, what: str) -> Fraction:
-    """``x`` as a Fraction if it is a positive int or Fraction, not a bool; a
-    TuningError otherwise, floats and strings included."""
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x > 0:
+    """``x`` as a Fraction if it is an int or Fraction, not a bool, with a
+    positive numerator; a TuningError otherwise, floats and strings included."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x.numerator > 0:
         return x if isinstance(x, Fraction) else Fraction(x)
     raise TuningError(f"{what} must be a positive int or Fraction, got {_shown(x)}")
 

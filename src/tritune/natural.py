@@ -19,7 +19,7 @@ from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import PropositionViolationError, TuningError, _shown, positive_fraction
 from .intervals import LETTERS, note_name
 from .pythagorean import generate_fifths, select_chromatic
-from .ratio import RationalLike, is_five_smooth
+from .ratio import RationalLike, _ascending, is_five_smooth
 
 #: the just diatonic degrees DO..DO, ascending, that the assembly must reach
 JUST_DIATONIC = (
@@ -77,7 +77,7 @@ def frequency_of_division(f_ac: RationalLike, f_ad: RationalLike) -> Fraction:
     Inverse proportionality between string length and frequency turns the
     harmonic mean of lengths into the arithmetic mean of frequencies.
     """
-    return means(f_ac, f_ad).arithmetic
+    return (positive_fraction(f_ac, "a") + positive_fraction(f_ad, "b")) / 2
 
 
 @dataclass(frozen=True)
@@ -124,19 +124,18 @@ class FaLaSolution:
 def solve_fa_la() -> FaLaSolution:
     """Solve f1 = (f0 + f2)/2, f2 = (f1 + 2 f0)/2 exactly, with f0 = 1.
 
-    In matrix form (2 -1; -1 2) (f1 f2) = (1, 2); Cramer's rule keeps every
-    step rational.
+    In matrix form (2 -1; -1 2) (f1 f2) = (1, 2); Cramer's rule on integers
+    gives f1 = n1/det and f2 = n2/det, det = 3 > 0, and both checks read n1,
+    n2 and det before the two Fractions are built.
     """
-    a11, a12, b1 = Fraction(2), Fraction(-1), Fraction(1)
-    a21, a22, b2 = Fraction(-1), Fraction(2), Fraction(2)
+    (a11, a12, b1), (a21, a22, b2) = (2, -1, 1), (-1, 2, 2)
     det = a11 * a22 - a12 * a21
-    f1 = (b1 * a22 - a12 * b2) / det
-    f2 = (a11 * b2 - b1 * a21) / det
-    if not (2 * f1 == 1 + f2 and 2 * f2 == f1 + 2):
+    n1, n2 = b1 * a22 - a12 * b2, a11 * b2 - b1 * a21
+    if not (2 * n1 == det + n2 and 2 * n2 == n1 + 2 * det):
         raise PropositionViolationError("FA/LA system solution failed substitution")
-    if not (Fraction(5, 4) < f1 < Fraction(3, 2) < f2 < 2):
+    if not (5 * det < 4 * n1 and 2 * n1 < 3 * det < 2 * n2 and n2 < 2 * det):
         raise PropositionViolationError("FA/LA fell outside the expected gaps")
-    return FaLaSolution(f1=f1, f2=f2)
+    return FaLaSolution(f1=Fraction(n1, det), f2=Fraction(n2, det))
 
 
 @dataclass(frozen=True)
@@ -163,13 +162,11 @@ def find_si() -> SiSearch:
     any other outcome raises, because uniqueness is the whole point.
     """
     core, fa_la = build_core(), solve_fa_la()
-    known = sorted(set(core.degrees) | {fa_la.f1, fa_la.f2})
-    d = math.lcm(*(f.denominator for f in known))
-    numerators = [f.numerator * (d // f.denominator) for f in known]
-    lo, hi = fa_la.f2.numerator * (d // fa_la.f2.denominator), numerators[-1]
+    d, known = _ascending([*{*core.degrees, fa_la.f1, fa_la.f2}])
+    lo, hi = fa_la.f2.numerator * (d // fa_la.f2.denominator), known[-1][0]
     accepted, rejected = [], []
-    for f_n1, a in zip(known, numerators):
-        for f_n2, b in zip(known, numerators):
+    for a, f_n1 in known:
+        for b, f_n2 in known:
             if a == b:
                 continue
             f3 = 2 * a - b
@@ -201,7 +198,7 @@ def assemble_diatonic() -> NaturalScale:
     to close the octave, to stay 5-limit and then to be the just ratios."""
     search = find_si()
     fa_la, si = search.fa_la, search.accepted.value
-    values = sorted({*search.core.degrees, fa_la.f1, fa_la.f2, si})
+    values = [v for _, v in _ascending([*{*search.core.degrees, fa_la.f1, fa_la.f2, si}])[1]]
     steps = tuple(values[i + 1] / values[i] for i in range(len(values) - 1))
     if math.prod(steps) != 2:
         raise PropositionViolationError("scale steps do not close the octave")

@@ -177,8 +177,7 @@ def select_chromatic(t: PythTable) -> list[NamedPitch]:
         else:
             named.append(NamedPitch(note_name(degree, "flat"), low))
             named.append(NamedPitch(note_name(degree, "sharp"), high))
-    named.sort(key=lambda p: p.ratio)
-    return named
+    return named  # ascending: the pairing's degree bands rise, each lower sound first
 
 
 @dataclass(frozen=True)

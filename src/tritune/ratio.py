@@ -12,11 +12,11 @@ Pitch ratios live in three exact representations:
 Irrational values such as 2**(k/n) are printed through
 :func:`integer_nth_root`, the exact floor of an n-th root.  Its candidate
 comes from Newton's iteration on integers (Brent & Zimmermann, *Modern
-Computer Arithmetic*, section 1.5) at the root's own precision: a step reads
-``a**(n-1)`` from a bracket instead of forming it (:func:`_power_bracket`: the
-power rounded down and a proven bound above it).  The certificate
-``a**n <= x < (a+1)**n`` is read from such a bracket too, and a full power
-is formed only on a near-tie.
+Computer Arithmetic*, section 1.5) at the root's own precision: past
+``_EXACT_BITS`` bits a step reads ``a**(n-1)`` from a bracket instead of
+forming it (:func:`_power_bracket`: the power rounded down and a proven bound
+above it).  The certificate ``a**n <= x < (a+1)**n`` is read from such a
+bracket too, and a full power is formed only on a near-tie.
 
 Everything here is immutable and pure.
 """
@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from operator import itemgetter
+from typing import Callable, Optional, Union
 
 from .errors import ExponentBoundError, TuningError, _shown, check_instance, check_int
 from .errors import positive_fraction
@@ -91,29 +92,49 @@ def monzo_to_rational(m: Monzo) -> Fraction:
     return Fraction(*_monzo_terms(check_instance("a monzo", m, Monzo)))
 
 
+def _five_exponents(r: RationalLike) -> Optional[tuple[int, ...]]:
+    """(e2, e3, e5) with r = 2**e2 * 3**e3 * 5**e5 (e2 from the lowest set bits),
+    None off the 5-limit; TuningError unless ``r`` is a positive int or Fraction,
+    ExponentBoundError for a 5-smooth ``r`` with an exponent past the bound."""
+    r = positive_fraction(r, "a pitch ratio")
+    num, den = r.numerator, r.denominator
+    a, b = num & -num, den & -den
+    num, den, exps = num // a, den // b, [a.bit_length() - b.bit_length()]
+    for p in (3, 5):
+        e = 0
+        while num % p == 0:
+            num, e = num // p, e + 1
+        while den % p == 0:
+            den, e = den // p, e - 1
+        exps.append(e)
+    if num != 1 or den != 1:
+        return None
+    bound = EXPONENT_BOUND
+    return tuple(check_int("exponent", e, -bound, bound, ExponentBoundError) for e in exps)
+
+
 def rational_to_monzo(r: RationalLike) -> Optional[Monzo]:
-    """Factor ``r`` over {2, 3, 5}; None when it is not 5-smooth.
+    """Factor ``r`` over {2, 3, 5} with :func:`_five_exponents`; None if not 5-smooth.
 
     None is a membership signal, not an error: callers use it to test whether
     a sound belongs to the prime lattice at all.
     """
-    r = positive_fraction(r, "a pitch ratio")
-    exps = {2: 0, 3: 0, 5: 0}
-    num, den = r.numerator, r.denominator
-    for p in (2, 3, 5):
-        while num % p == 0:
-            num //= p
-            exps[p] += 1
-        while den % p == 0:
-            den //= p
-            exps[p] -= 1
-    if num != 1 or den != 1:
-        return None
-    return Monzo(exps[2], exps[3], exps[5])
+    exps = _five_exponents(r)
+    return None if exps is None else Monzo(*exps)
 
 
 def is_five_smooth(r: RationalLike) -> bool:
-    return rational_to_monzo(r) is not None
+    return _five_exponents(r) is not None
+
+
+def _ascending(items: list, ratio: Optional[Callable] = None) -> tuple[int, list[tuple]]:
+    """(d, [(r * d, item), ...]) ascending in r = ``ratio(item)``, or the item,
+    ties in the order given, d the lcm of the denominators: integer keys that
+    sort exactly as the ints or Fractions r do."""
+    ratios = items if ratio is None else [*map(ratio, items)]
+    d = math.lcm(*(r.denominator for r in ratios))
+    keyed = ((r.numerator * (d // r.denominator), x) for r, x in zip(ratios, items))
+    return d, sorted(keyed, key=itemgetter(0))
 
 
 def _floor_log2(a: int, b: int) -> int:
@@ -179,15 +200,17 @@ def _floor_log2_3(j: int) -> int:
 def integer_nth_root(x: int, n: int) -> int:
     """floor(x ** (1/n)), certified by ``a**n <= x < (a+1)**n`` in integers.
 
-    The candidate, from ``math.isqrt`` or :func:`_root_candidate`, is the
-    floor root give or take one.  The certificate compares a bracket lo * 2**e
-    <= a**(n-1) <= hi * 2**e (``_power_bounds``: lo rounded down, hi a bound)
-    with ``x >> e``: ``lo * a`` and ``hi * a`` bound a**n, ``(a + n) * lo``
-    bounds (a+1)**n from below by the binomial theorem.  a**n is formed only
-    when its bounds hold ``x >> e``, (a+1)**n only when x lies above that
-    lower bound, about a share (n-1)/(2a) of [a**n, (a+1)**n).  A failed
-    candidate moves one towards the root, at most ``_CORRECTIONS`` times; past
-    that bound ``ArithmeticError`` is raised instead of an uncertified root.
+    The candidate, from ``math.isqrt`` or the Newton steps of
+    :func:`_root_candidate` (on exact powers for x of up to ``_EXACT_BITS``
+    bits), is the floor root give or take one.  The certificate compares a
+    bracket lo * 2**e <= a**(n-1) <= hi * 2**e (``_power_bounds``: lo rounded
+    down, hi a bound) with ``x >> e``: ``lo * a`` and ``hi * a`` bound a**n,
+    ``(a + n) * lo`` bounds (a+1)**n from below by the binomial theorem.  a**n
+    is formed only when its bounds hold ``x >> e``, (a+1)**n only when x lies
+    above that lower bound, about a share (n-1)/(2a) of [a**n, (a+1)**n).  A
+    failed candidate moves one towards the root, at most ``_CORRECTIONS``
+    times; past that bound ``ArithmeticError`` is raised instead of an
+    uncertified root.
     """
     check_int("x", x, 0)
     if check_int("n", n, 1) == 1 or x < 2:
@@ -230,20 +253,28 @@ def _root_candidate(x: int, n: int) -> int:
     root's bits), within 2**(half+1) of the root, so it lands under a unit
     above the root.  A shorter one starts from the float root of x lifted by
     a relative 2**-30, doubled should it fall short, and descends until a
-    step does not or steps down by u with 2n * u**2 < a.
+    step does not or steps down by u with 2n * u**2 < a; its steps form a**m
+    itself, with no bracket, while x has at most ``_EXACT_BITS`` bits.
     """
-    m = n - 1
-    t = x.bit_length() // n + n.bit_length() + _GUARD_BITS
+    m, bits = n - 1, x.bit_length()
+    half = (bits // n - n.bit_length()) // 2 - 1
+    if half <= _SEED_BITS // 2:
+        drop = max(bits - 64, 0)
+        a = int(2.0 ** ((math.log2(x >> drop) + drop) / n + 2.0 ** -30)) + 1
+        if bits <= _EXACT_BITS:  # Newton's step itself: every a**m here is short
+            while (b := (m * a + x // a ** m) // n) >= a:
+                a <<= 1
+            while 2 * n * (a - b) ** 2 >= a and (c := (m * b + x // b ** m) // n) < b:
+                a, b = b, c
+            return b
+    t = bits // n + n.bit_length() + _GUARD_BITS
 
     def step(a: int, shift: int = 0) -> int:  # from a << shift
         lo, hi, e = _power_bounds(a, m, t)
         return (m * (a << shift) + (x >> shift * m + e) // hi) // n
 
-    half = (x.bit_length() // n - n.bit_length()) // 2 - 1
     if half > _SEED_BITS // 2:
         return step(_root_candidate(x >> n * half, n), half)
-    drop = max(x.bit_length() - 64, 0)
-    a = int(2.0 ** ((math.log2(x >> drop) + drop) / n + 2.0 ** -30)) + 1
     while (b := step(a)) >= a:
         a <<= 1
     # from a above the root, a step down by u with 2n * u**2 < a lands
@@ -268,13 +299,10 @@ def is_nth_root_irrational(m: int, n: int) -> bool:
 
 def _terminating_digits(den: int) -> Optional[int]:
     """Length of the exact decimal expansion for 1/den, or None if infinite."""
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    twos, fives = (den & -den).bit_length() - 1, 0
+    den >>= twos
     while den % 5 == 0:
-        den //= 5
-        fives += 1
+        den, fives = den // 5, fives + 1
     return max(twos, fives) if den == 1 else None
 
 
@@ -287,7 +315,7 @@ def to_decimal(r: RationalLike, digits: int) -> str:
     >= 0, not a bool (TuningError otherwise, floats and strings included).
     """
     check_int("digits", digits, 1, MAX_DIGITS)
-    if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r >= 0):
+    if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r.numerator >= 0):
         raise TuningError(f"a printed ratio must be an int or Fraction >= 0, got {_shown(r)}")
     exact_len = _terminating_digits(r.denominator)
     width = exact_len if exact_len is not None and exact_len <= digits else digits
@@ -324,16 +352,12 @@ def monzo_form(r: RationalLike) -> str:
 
     Ratios outside the lattice fall back to plain "p/q".
     """
-    m = rational_to_monzo(r)
-    if m is None:
+    exps = _five_exponents(r)
+    if exps is None:
         return _pq_text(r)
-
-    def side(exps: list[tuple[int, int]]) -> str:
-        parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in exps if e > 0]
-        return "*".join(parts)
-
-    num = side([(2, m.exp2), (3, m.exp3), (5, m.exp5)])
-    den = side([(2, -m.exp2), (3, -m.exp3), (5, -m.exp5)])
+    parts = [f"{p}^{abs(e)}" if abs(e) > 1 else str(p) for p, e in zip((2, 3, 5), exps)]
+    num = "*".join(part for part, e in zip(parts, exps) if e > 0)
+    den = "*".join(part for part, e in zip(parts, exps) if e < 0)
     return f"{num or '1'}/{den}" if den else num or "1"
 
 
@@ -348,7 +372,7 @@ def cents(r) -> float:
         return r.cents()
     if isinstance(r, Monzo):
         r = monzo_to_rational(r)
-    if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r > 0):
+    if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r.numerator > 0):
         raise TuningError(f"cents takes a positive exact ratio, got {_shown(r)}")
     # split the log to stay accurate for very large numerator/denominator
     return 1200.0 * (math.log2(r.numerator) - math.log2(r.denominator))

@@ -12,7 +12,7 @@ from .equal import DIATONIC_INDICES, EtPitch, et_value
 from .errors import check_instance
 from .natural import compare_three_scales
 from .pythagorean import PythTable, pairing_table, select_chromatic
-from .ratio import _pq_text, monzo_form, to_decimal
+from .ratio import _ascending, _pq_text, monzo_form, to_decimal
 from .scalefile import COLUMNS, comparison_table
 
 
@@ -29,7 +29,7 @@ def fifth_generation_text(table: PythTable) -> str:
     """All generated sounds ascending: ratio, truncated decimal, construction."""
     lines = []
     steps = check_instance("a fifth table", table, PythTable).entries()
-    for step in sorted(steps, key=lambda s: s.ratio):
+    for _, step in _ascending(steps, lambda s: s.ratio)[1]:
         lines.append(f"{_pq_text(step.ratio)} {to_decimal(step.ratio, 5)} {step.construction()}")
     return "\n".join(lines) + "\n"
 

@@ -15,7 +15,7 @@ import pytest
 from tritune.equal import MAX_DIVISIONS, EtPitch, EtScale, compare_fraction_to_et
 from tritune.equal import et_value, generate_et
 from tritune.equal import compare_pitches, nearest_degree
-from tritune.errors import ExponentBoundError, TuningError
+from tritune.errors import ExponentBoundError, TuningError, positive_fraction
 from tritune.intervals import Interval, are_congruent, classify_chord, compose, interval_between
 from tritune.intervals import note_name, transpose_indices
 from tritune.natural import compare_three_scales, frequency_of_division
@@ -339,6 +339,42 @@ def test_to_decimal_takes_exact_ratios_from_zero_only(value, printed):
             to_decimal(value, 3)
     else:
         assert to_decimal(value, 3) == printed
+
+
+#: "module.name:parameter" -> (call, its message for a rejected value, up to ", got")
+REJECTION_MESSAGES = {
+    "errors.positive_fraction:x": (
+        lambda v: positive_fraction(v, "a pitch ratio"),
+        "a pitch ratio must be a positive int or Fraction",
+    ),
+    "ratio.to_decimal:r": (
+        lambda v: to_decimal(v, 5),
+        "a printed ratio must be an int or Fraction >= 0",
+    ),
+    "equal.compare_pitches:x": (
+        lambda v: compare_pitches(v, 1),
+        "a pitch must be a positive exact ratio",
+    ),
+    "equal.compare_pitches:y": (
+        lambda v: compare_pitches(Fraction(3, 2), v),
+        "a pitch must be a positive exact ratio",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [0, Fraction(0), -1, Fraction(-3, 2), True, False, 1.5, 0.0, "3/2"], ids=repr
+)
+@pytest.mark.parametrize("key", sorted(REJECTION_MESSAGES))
+def test_a_rejected_ratio_keeps_its_error_type_and_message(key, value):
+    call, message = REJECTION_MESSAGES[key]
+    if key == "ratio.to_decimal:r" and type(value) in (int, Fraction) and value == 0:
+        assert call(value) == "0"  # zero prints; a negative ratio is refused
+        return
+    with pytest.raises(TuningError) as caught:
+        call(value)
+    assert type(caught.value) is TuningError
+    assert str(caught.value) == f"{message}, got {value!r}"
 
 
 @pytest.mark.parametrize(

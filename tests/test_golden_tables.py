@@ -1,6 +1,7 @@
-"""The four reference tables, the ``natural --trace`` derivation and the five
-``export`` files must render byte-identically to the checked-in golden files,
-whose numeric content is produced by the exact modules."""
+"""The four reference tables, the ``natural --trace`` derivation, the ``et``
+and ``weber`` lines and the five ``export`` files must render byte-identically
+to the checked-in golden files, whose numeric content is produced by the exact
+modules."""
 
 from pathlib import Path
 
@@ -52,6 +53,20 @@ def test_natural_is_the_last_eight_lines_of_the_trace(capsys):
     assert cli.main(["natural"]) == 0
     last_eight = golden("natural_trace.txt").splitlines(keepends=True)[-8:]
     assert capsys.readouterr().out == "".join(last_eight)
+
+
+#: command lines whose whole output has a golden file: ``et`` prints eleven
+#: roots from the float start of ``ratio._root_candidate``
+COMMANDS = {
+    "et12.txt": ["et", "--n", "12"],
+    "weber13.txt": ["weber", "--s1", "1", "--c", "1", "--k", "1", "--n", "13"],
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_output(name, capsys):
+    assert cli.main(COMMANDS[name]) == 0
+    assert capsys.readouterr() == (golden(name), "")
 
 
 #: each export golden with the arguments that write it; an scl file's comment

@@ -32,6 +32,20 @@ monzos = st.builds(Monzo, exponents, exponents, exponents)
 positive_fractions = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)
 
 
+def trial_division_exponents(r: Fraction):
+    """(e2, e3, e5) with r = 2**e2 * 3**e3 * 5**e5 by trial division, with no
+    exponent bound, or None when r is not 5-smooth."""
+    num, den, exps = r.numerator, r.denominator, []
+    for p in (2, 3, 5):
+        e = 0
+        while num % p == 0:
+            num, e = num // p, e + 1
+        while den % p == 0:
+            den, e = den // p, e - 1
+        exps.append(e)
+    return tuple(exps) if num == den == 1 else None
+
+
 def high_precision_cents(f: Fraction) -> float:
     """Independent log oracle via Decimal natural logs at 50 digits."""
     with localcontext() as ctx:
@@ -62,6 +76,28 @@ class TestMonzo:
         with pytest.raises(ValueError):
             rational_to_monzo(Fraction(0))
 
+    @given(
+        *[st.integers(min_value=-70, max_value=70)] * 3,
+        st.sampled_from([1, 7, 11]),
+        st.booleans(),
+    )
+    def test_factoring_matches_trial_division(self, a, b, c, other, above):
+        r = Fraction(2) ** a * Fraction(3) ** b * Fraction(5) ** c
+        r = r * other if above else r / other
+        expected = trial_division_exponents(r)
+        if expected is not None and max(map(abs, expected)) > EXPONENT_BOUND:
+            bound = f"exponent must be an integer from -{EXPONENT_BOUND} to {EXPONENT_BOUND}"
+            with pytest.raises(ExponentBoundError, match=bound):
+                ratio._five_exponents(r)
+        else:
+            assert ratio._five_exponents(r) == expected
+            assert is_five_smooth(r) is (expected is not None)
+
+    def test_a_smooth_ratio_past_the_bound_raises_and_a_rough_one_is_not_smooth(self):
+        with pytest.raises(ExponentBoundError, match="got 100"):
+            is_five_smooth(2 ** 100)
+        assert is_five_smooth(7 * 2 ** 100) is False
+
     @given(monzos)
     def test_round_trip(self, m):
         assert rational_to_monzo(monzo_to_rational(m)) == m
@@ -89,6 +125,18 @@ class TestMonzo:
             if Fraction(2) ** m * Fraction(3) ** n == 2
         ]
         assert hits == []
+
+
+class TestExactSortKey:
+    @given(
+        st.lists(positive_fractions | st.integers(1, 10**6), min_size=1, max_size=8).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=20)
+        )
+    )
+    def test_orders_as_fractions_do_ties_included(self, ratios):
+        d, keyed = ratio._ascending([*range(len(ratios))], ratios.__getitem__)
+        assert [i for _, i in keyed] == sorted(range(len(ratios)), key=ratios.__getitem__)
+        assert [key for key, _ in keyed] == [ratios[i] * d for _, i in keyed]
 
 
 class TestOctaveReduction:
