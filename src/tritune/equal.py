@@ -5,7 +5,7 @@ symbolic as the pair (k, n) meaning 2**(k/n).  Identities like "n steps
 compose to one octave" then hold exactly, and decimal values are produced on
 demand by integer root extraction so that every printed digit is exact.
 With a rational coefficient, r * 2**(k/n), the same :class:`EtPitch` holds
-every exact pitch of the three systems, ordered by one integer comparison.
+every exact pitch of the three systems, ordered by ``ratio._sign``.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from typing import Union
 
 from .errors import TuningError, _shown, check_instance
 from .errors import check_int, positive_fraction
-from .ratio import _EXACT_BITS, _GUARD_BITS, MAX_DIGITS, Monzo, _fixed_point, _floor_log2
-from .ratio import _fraction_text, _monzo_terms, _power_bracket
-from .ratio import cents, integer_nth_root, to_decimal
+from .ratio import MAX_DIGITS, Monzo, _fixed_point, _floor_log2_power, _fraction_text
+from .ratio import _monzo_terms, _sign, cents, integer_nth_root, to_decimal
 
 #: Chromatic indices of the major diatonic subset of the 12-division scale.
 DIATONIC_INDICES = (0, 2, 4, 5, 7, 9, 11, 12)
@@ -34,13 +33,6 @@ MAX_DIVISIONS = 1200
 #: so the paper's 12-step scale takes every digit count.  Each cap alone
 #: leaves the product, and with it the roots of one table, unbounded.
 MAX_ET_DIGITS = 48_000
-
-#: Most bits of a power b**e, counted as e * bits(b), that an exact comparison
-#: may form, checked before any work (TuningError beyond); only
-#: :func:`nearest_degree` and :func:`compare_pitches` of an irrational ratio in
-#: one octave band form one, so two rationals always compare.  A full power,
-#: formed only on a near-tie, takes about 65 ms at the bound on a 2-vCPU Xeon VM.
-MAX_POWER_BITS = 2 ** 20
 
 #: Bits ``et_value`` reads past the last printed digit: its one root decides
 #: the digits unless they straddle a unit, about once in 2**16 values.
@@ -165,49 +157,6 @@ def _power_form(x) -> tuple[int, int, int, int]:
     raise TuningError(f"a pitch must be a positive exact ratio, got {_shown(x)}")
 
 
-def _powers(a: int, b: int, m: int) -> tuple[int, int]:
-    """a**m and b**m: the only full powers the comparisons form."""
-    return a ** m, b ** m
-
-
-def _floor_log2_power(a: int, b: int, m: int) -> int:
-    """floor(log2((a/b)**m)) for positive integers a, b and m, the one exact
-    decision of both comparisons; TuningError first if m * bits(max(a, b))
-    passes ``MAX_POWER_BITS``.  Past ``_EXACT_BITS``, ends of one bit length L
-    of a bracket lo * 2**e <= (a/b)**m <= hi * 2**e give L - 1 + e, so only a
-    near-tie with a power of two (within about 2**-60) forms the full powers.
-    """
-    bits = max(a, b).bit_length()
-    if m * bits > MAX_POWER_BITS:
-        raise TuningError(f"a power of {_shown(m)} x {bits} bits is over MAX_POWER_BITS")
-    if m * bits > _EXACT_BITS:
-        lo, hi, e = _power_bracket(a, b, m, _GUARD_BITS + m.bit_length())
-        if lo.bit_length() == hi.bit_length():
-            return lo.bit_length() - 1 + e
-    return _floor_log2(*_powers(a, b, m))
-
-
-def _sign(a: int, b: int, s: int, m: int) -> int:
-    """sign(a/b - 2**(s/m)) for positive integers a, b and m.
-
-    Octaves first: a/b lies in [2**f, 2**(f+1)) for f = floor(log2(a/b)), and
-    2**(s/m) in [2**e, 2**(e+1)) for e = s // m, so f != e decides with no
-    power.  Within one octave band, with s/m reduced, a/b >= 2**s at m = 1,
-    equal or not by one shift; at m > 1 a tie is impossible and a/b > 2**(s/m)
-    iff ``_floor_log2_power(a, b, m)`` >= s (TuningError past MAX_POWER_BITS).
-    """
-    if a == b:
-        return (s < 0) - (s > 0)
-    f, e = _floor_log2(a, b), s // m
-    if f != e:
-        return (f > e) - (f < e)
-    g = math.gcd(s, m)
-    s, m = s // g, m // g
-    if m == 1:
-        return int(a << max(-s, 0) != b << max(s, 0))
-    return 1 if _floor_log2_power(a, b, m) >= s else -1
-
-
 def et_value(p: EtPitch, precision_digits: int) -> str:
     """Truncated decimal of 2**(k/n), every emitted digit exact.
 
@@ -287,10 +236,10 @@ def compare_fraction_to_et(r: Fraction, p: EtPitch) -> int:
 def nearest_degree(r: Fraction, n: int) -> int:
     """Index of the n-division pitch closest to ratio r = a/b, half rounding up;
     n is an integer from 1 to MAX_DIVISIONS and a**(2n), b**(2n) have at most
-    ``MAX_POWER_BITS`` bits (TuningError otherwise, checked first).
+    ``ratio.MAX_POWER_BITS`` bits (TuningError otherwise, checked first).
 
     The answer is the d with b**(2n) * 2**(2d-1) <= a**(2n) < b**(2n) * 2**(2d+1):
-    d = (m + 1) // 2 for m = ``_floor_log2_power(a, b, 2n)``, which forms the
+    d = (m + 1) // 2 for m = ``ratio._floor_log2_power(a, b, 2n)``, which forms
     powers only for r near a degree or half-way.  A tie needs r a power of
     2**(1/2n); the half-up rule makes the function total.
     """
@@ -305,8 +254,8 @@ def compare_pitches(
     """Exact three-way comparison of two pitches: -1, 0 or +1.
 
     Each pitch is read as (p/q) * 2**(k/n), and x <=> y iff
-    (p1*q2) / (q1*p2) <=> 2**((k2*n1 - k1*n2) / (n1*n2)), which the integer
-    kernel ``_sign`` decides, with a TuningError for a power past ``MAX_POWER_BITS``.
+    (p1*q2) / (q1*p2) <=> 2**((k2*n1 - k1*n2) / (n1*n2)), which ``ratio._sign``
+    decides, with a TuningError for a power past ``ratio.MAX_POWER_BITS``.
     """
     return next(_neighbour_signs((x, y)))
 

@@ -16,7 +16,8 @@ Computer Arithmetic*, section 1.5) at the root's own precision: past
 ``_EXACT_BITS`` bits a step reads ``a**(n-1)`` from a bracket instead of
 forming it (:func:`_power_bracket`: the power rounded down and a proven bound
 above it).  The certificate ``a**n <= x < (a+1)**n`` is read from such a
-bracket too, and a full power is formed only on a near-tie.
+bracket too, and a full power is formed only on a near-tie, as in
+:func:`_floor_log2_power`, the one exact decision of ``equal``'s comparisons.
 
 Everything here is immutable and pure.
 """
@@ -49,6 +50,13 @@ MAX_DIGITS = 4000
 #: with _GUARD_BITS bits past the precision a decision needs: on a 2-vCPU Xeon
 #: VM a bracket is slower below about 2000 to 4000 bits.
 _EXACT_BITS, _GUARD_BITS = 2048, 64
+
+#: Most bits of a power b**e, counted as e * bits(b), that an exact comparison
+#: may form, checked first (TuningError beyond); only ``equal.nearest_degree``
+#: and ``equal.compare_pitches`` of an irrational ratio in one octave band form
+#: one, so two rationals always compare.  A full power, formed only on a
+#: near-tie, takes about 65 ms at the bound on a 2-vCPU Xeon VM.
+MAX_POWER_BITS = 2 ** 20
 
 #: Most one-unit moves :func:`integer_nth_root` makes from its candidate.
 _CORRECTIONS = 1
@@ -197,6 +205,48 @@ def _floor_log2_3(j: int) -> int:
     return lo >> 64
 
 
+def _powers(a: int, b: int, m: int) -> tuple[int, int]:
+    """a**m and b**m: the only full powers the comparisons form."""
+    return a ** m, b ** m
+
+
+def _floor_log2_power(a: int, b: int, m: int) -> int:
+    """floor(log2((a/b)**m)) for positive integers a, b and m, the one exact
+    decision of every comparison; TuningError first if m * bits(max(a, b))
+    passes ``MAX_POWER_BITS``.  Past ``_EXACT_BITS``, ends of one bit length L
+    of a bracket lo * 2**e <= (a/b)**m <= hi * 2**e give L - 1 + e, so only a
+    near-tie with a power of two (within about 2**-60) forms the full powers."""
+    bits = max(a, b).bit_length()
+    if m * bits > MAX_POWER_BITS:
+        raise TuningError(f"a power of {_shown(m)} x {bits} bits is over MAX_POWER_BITS")
+    if m * bits > _EXACT_BITS:
+        lo, hi, e = _power_bracket(a, b, m, _GUARD_BITS + m.bit_length())
+        if lo.bit_length() == hi.bit_length():
+            return lo.bit_length() - 1 + e
+    return _floor_log2(*_powers(a, b, m))
+
+
+def _sign(a: int, b: int, s: int, m: int) -> int:
+    """sign(a/b - 2**(s/m)) for positive integers a, b and m.
+
+    Octaves first: a/b lies in [2**f, 2**(f+1)) for f = floor(log2(a/b)), and
+    2**(s/m) in [2**e, 2**(e+1)) for e = s // m, so f != e decides with no
+    power.  Within one octave band, with s/m reduced, a/b >= 2**s at m = 1,
+    equal or not by one shift; at m > 1 a tie is impossible and a/b > 2**(s/m)
+    iff ``_floor_log2_power(a, b, m)`` >= s (TuningError past MAX_POWER_BITS).
+    """
+    if a == b:
+        return (s < 0) - (s > 0)
+    f, e = _floor_log2(a, b), s // m
+    if f != e:
+        return (f > e) - (f < e)
+    g = math.gcd(s, m)
+    s, m = s // g, m // g
+    if m == 1:
+        return int(a << max(-s, 0) != b << max(s, 0))
+    return 1 if _floor_log2_power(a, b, m) >= s else -1
+
+
 def integer_nth_root(x: int, n: int) -> int:
     """floor(x ** (1/n)), certified by ``a**n <= x < (a+1)**n`` in integers.
 
@@ -210,11 +260,14 @@ def integer_nth_root(x: int, n: int) -> int:
     above that lower bound, about a share (n-1)/(2a) of [a**n, (a+1)**n).  A
     failed candidate moves one towards the root, at most ``_CORRECTIONS``
     times; past that bound ``ArithmeticError`` is raised instead of an
-    uncertified root.
+    uncertified root.  An x of at most n bits has the root 1, returned before
+    any power, so no power formed has many more bits than x, whatever n.
     """
     check_int("x", x, 0)
     if check_int("n", n, 1) == 1 or x < 2:
         return x
+    if x.bit_length() <= n:
+        return 1
     a = math.isqrt(x) if n == 2 else _root_candidate(x, n)
     for _ in range(_CORRECTIONS + 1):
         lo, hi, e = _power_bounds(a, n - 1, a.bit_length() + n.bit_length() + _GUARD_BITS)

@@ -56,7 +56,7 @@ class ScaleEntry:
 @dataclass(frozen=True)
 class ScaleDocument:
     """A one-line description and entries rising strictly from above 1, checked with
-    one exact-form read per entry and one ``equal._sign`` per neighbour pair."""
+    one exact-form read per entry and one ``ratio._sign`` per neighbour pair."""
 
     description: str
     entries: tuple[ScaleEntry, ...]

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from tritune import equal
+from tritune import equal, ratio
 from tritune.equal import (
     MAX_ET_DIGITS,
     MAX_DIVISIONS,
-    MAX_POWER_BITS,
     EtPitch,
     EtScale,
     compare_fraction_to_et,
@@ -26,8 +25,8 @@ from tritune.equal import (
 from tritune.errors import TuningError
 from tritune.intervals import Interval, compose, interval_between
 from tritune.pythagorean import FifthStep, classify_to_et
-from tritune.ratio import MAX_DIGITS, Monzo, _fixed_point, cents, integer_nth_root
-from tritune.ratio import is_nth_root_irrational, monzo_to_rational
+from tritune.ratio import MAX_DIGITS, MAX_POWER_BITS, Monzo, _fixed_point, cents
+from tritune.ratio import integer_nth_root, is_nth_root_irrational, monzo_to_rational
 
 
 def decimal_power_of_two(k: int, n: int, digits: int) -> str:
@@ -627,7 +626,7 @@ class TestPowerBound:
     def test_nearest_degree_raises_exactly_past_the_bound(self, n, r):
         # a lowered bound puts both sides of it within reach of cheap draws
         power = 2 * n * max(r.numerator, r.denominator).bit_length()
-        with mock.patch.object(equal, "MAX_POWER_BITS", 1024):
+        with mock.patch.object(ratio, "MAX_POWER_BITS", 1024):
             if power > 1024:
                 with pytest.raises(TuningError):
                     nearest_degree(r, n)
@@ -647,7 +646,7 @@ class TestPowerBound:
         n, k = nk
         r = Fraction(2 ** (bits - 1) + low % 2 ** (bits - 1), 2 ** (bits - 1))
         power = n // math.gcd(k, n) * max(r.numerator, r.denominator).bit_length()
-        with mock.patch.object(equal, "MAX_POWER_BITS", 1024):
+        with mock.patch.object(ratio, "MAX_POWER_BITS", 1024):
             if power > 1024:
                 with pytest.raises(TuningError):
                     compare_pitches(r, EtPitch(k, n))

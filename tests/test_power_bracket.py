@@ -1,11 +1,12 @@
 """The certified power brackets behind the one exact decision.
 
 ``ratio._power_bracket(a, b, m, t)`` bounds (a/b)**m between lo * 2**e and
-hi * 2**e at a precision of t bits.  ``equal._floor_log2_power``, which both
-``_sign`` and ``nearest_degree`` read, takes it at ``equal._GUARD_BITS`` +
-bits(m) bits and gives floor(log2((a/b)**m)) from it when lo and hi have one
-bit length, and forms the exact powers (``equal._powers``) only on a near-tie
-with a power of two or at most ``equal._EXACT_BITS`` bits.  Every answer must
+hi * 2**e at a precision of t bits.  ``ratio._floor_log2_power``, which both
+``ratio._sign`` and ``equal.nearest_degree`` read, takes it at
+``ratio._GUARD_BITS`` + bits(m) bits and gives floor(log2((a/b)**m)) from it
+when lo and hi have one bit length, and forms the exact powers
+(``ratio._powers``) only on a near-tie with a power of two or at most
+``ratio._EXACT_BITS`` bits, so every patch below is of ``ratio`` alone.  Every answer must
 equal the exact powers' one.  ``ratio._floor_log2_3(j)``, which pairs the
 fifth table, reads floor(j * log2 3) from one such bracket of 3**(2**64).
 Only the lower end is a chain of products; the upper end is a bound on its
@@ -23,13 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritune import equal, ratio
-from tritune.equal import MAX_DIVISIONS, MAX_POWER_BITS, EtPitch, compare_pitches
-from tritune.equal import nearest_degree
+from tritune import ratio
+from tritune.equal import MAX_DIVISIONS, EtPitch, compare_pitches, nearest_degree
 from tritune.errors import CoverageError, TuningError
 from tritune.pythagorean import classify_to_et, generate_fifths, pairing_table
-from tritune.ratio import EXPONENT_BOUND, _floor_log2, _floor_log2_3, _power_bracket
-from tritune.ratio import integer_nth_root
+from tritune.ratio import EXPONENT_BOUND, MAX_POWER_BITS, _floor_log2, _floor_log2_3
+from tritune.ratio import _power_bracket, integer_nth_root
 
 THOUSAND = settings(max_examples=1000, deadline=None)
 
@@ -46,10 +46,10 @@ def exact_degree(r, n):
 
 @contextmanager
 def counted_powers(limit=None):
-    """Count the calls of ``equal._powers`` (the exact branch); with a limit,
+    """Count the calls of ``ratio._powers`` (the exact branch); with a limit,
     fail any call whose larger power has more than ``limit`` bits."""
     calls = []
-    forms = equal._powers
+    forms = ratio._powers
 
     def counting(a, b, m):
         bits = m * max(a, b).bit_length()
@@ -57,15 +57,15 @@ def counted_powers(limit=None):
         calls.append(bits)
         return forms(a, b, m)
 
-    with mock.patch.object(equal, "_powers", counting):
+    with mock.patch.object(ratio, "_powers", counting):
         yield calls
 
 
 @contextmanager
 def bracketed(guard_bits):
     """Bracket every power, at ``guard_bits`` + bits(m) bits."""
-    with mock.patch.object(equal, "_EXACT_BITS", 0):
-        with mock.patch.object(equal, "_GUARD_BITS", guard_bits):
+    with mock.patch.object(ratio, "_EXACT_BITS", 0):
+        with mock.patch.object(ratio, "_GUARD_BITS", guard_bits):
             yield
 
 
@@ -138,7 +138,7 @@ class TestBracket:
 
     @given(st.integers(1, 2 ** 300), st.integers(1, 2 ** 300), st.integers(1, 1300))
     def test_bracket_is_narrow(self, a, b, m):
-        lo, hi, _ = _power_bracket(a, b, m, equal._GUARD_BITS + m.bit_length())
+        lo, hi, _ = _power_bracket(a, b, m, ratio._GUARD_BITS + m.bit_length())
         assert (hi - lo) << 60 <= lo
 
     @given(
@@ -160,7 +160,7 @@ class TestBracket:
 
     @pytest.mark.parametrize("a, m", [(3, 5), (1, 1200), (2 ** 64 + 1, 1)])
     def test_short_powers_are_exact(self, a, m):
-        lo, hi, e = _power_bracket(a, 1, m, equal._GUARD_BITS + m.bit_length())
+        lo, hi, e = _power_bracket(a, 1, m, ratio._GUARD_BITS + m.bit_length())
         assert lo == hi and in_bracket(lo, hi, e, a, 1, m)
 
     @given(
@@ -198,7 +198,7 @@ class TestKernelsAgainstExactPowers:
         # s // m == floor(log2(a/b)): the one-band case the brackets decide
         s = _floor_log2(a, b) * m + nudge % m
         with bracketed(guard_bits):
-            assert equal._sign(a, b, s, m) == exact_sign(a, b, s, m)
+            assert ratio._sign(a, b, s, m) == exact_sign(a, b, s, m)
 
     @THOUSAND
     @given(
@@ -218,7 +218,7 @@ class TestKernelsAgainstExactPowers:
             for m in range(2, 300):
                 for a, b in ((3, 2), (5, 4), (7, 4), (3 ** 20, 2 ** 31)):
                     s = _floor_log2(a, b) * m + m // 2
-                    assert equal._sign(a, b, s, m) == exact_sign(a, b, s, m)
+                    assert ratio._sign(a, b, s, m) == exact_sign(a, b, s, m)
                     decided += 1
         assert 0 < len(calls) < decided
 
@@ -236,7 +236,7 @@ class TestNearTies:
             for s in (1, 7, m // 2, m - 1):
                 a = root_approximation(s, m, bits)
                 for x, want in ((a - 1, -1), (a, -1), (a + 1, 1), (a + 2, 1)):
-                    assert equal._sign(x, 1 << bits, s, m) == want
+                    assert ratio._sign(x, 1 << bits, s, m) == want
                     p, k = Fraction(x, 1 << bits), EtPitch(s, m)
                     assert compare_pitches(p, k) == want == -compare_pitches(k, p)
         if bits == 100:  # closer than any bracket: the exact powers decide
@@ -275,8 +275,8 @@ def five_limit_ratios():
 class TestLargeDivisions:
     def test_classify_and_pair_form_no_power_past_the_threshold(self):
         pool = generate_fifths(60, 60).ratios() + five_limit_ratios()
-        with counted_powers(equal._EXACT_BITS), mock.patch.object(
-            equal, "_power_bracket", wraps=equal._power_bracket
+        with counted_powers(ratio._EXACT_BITS), mock.patch.object(
+            ratio, "_power_bracket", wraps=ratio._power_bracket
         ) as brackets:
             for n in (12, 31, 53, 311):
                 for r in pool:
@@ -288,14 +288,14 @@ class TestLargeDivisions:
 
     def test_the_guard_sees_a_near_tie_past_the_threshold(self):
         a = root_approximation(1, 1200, 100)
-        with counted_powers(equal._EXACT_BITS), pytest.raises(AssertionError):
-            equal._sign(a, 1 << 100, 1, 1200)
+        with counted_powers(ratio._EXACT_BITS), pytest.raises(AssertionError):
+            ratio._sign(a, 1 << 100, 1, 1200)
 
     def test_power_bound_is_checked_before_any_bracket(self):
         # one bit past MAX_POWER_BITS, in one octave band as in TestPowerBound
         n, bits = 1024, MAX_POWER_BITS // 1024 + 1
         r = Fraction(2 ** (bits - 1) + 1, 2 ** (bits - 1))
-        with mock.patch.object(equal, "_power_bracket", side_effect=AssertionError):
+        with mock.patch.object(ratio, "_power_bracket", side_effect=AssertionError):
             with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
                 nearest_degree(r, n)
             with pytest.raises(TuningError, match="over MAX_POWER_BITS"):

@@ -2,7 +2,11 @@
 constant of ``src/tritune`` is named somewhere that the package, the
 benchmark or the acceptance suite reads: in ``src/tritune`` outside its own
 definition, in ``bench/*.py`` or in ``tests/test_acceptance.py``.  A name
-that only its own unit tests reach is dead weight, so it fails here."""
+that only its own unit tests reach is dead weight, so it fails here.
+
+The exact-power policy is bound in one module: only ``ratio`` binds the names
+that choose between forming a power and bracketing it, and only ``ratio``
+defines the comparison kernel that applies that choice."""
 
 import ast
 from pathlib import Path
@@ -94,3 +98,64 @@ def test_the_scan_sees_an_unreached_name(tmp_path):
     reader = tmp_path / "reader.py"
     reader.write_text("from lonely import used\n")
     assert unreached_names([module], [reader]) == ["lonely.LONELY", "lonely.Kept.alone"]
+
+
+#: Which powers are formed, which bracketed and how wide: bound in ratio alone.
+POLICY = {
+    "_EXACT_BITS", "_GUARD_BITS", "_power_bracket", "_power_bounds", "_powers", "MAX_POWER_BITS"
+}
+#: The comparison kernel: defined in ratio alone, imported where it is called.
+KERNEL = {"_floor_log2_power", "_sign"}
+
+
+def _bindings(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(names assigned, defined or stored as an attribute; names imported,
+    by their own names and their aliases)."""
+    assigned, imported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            assigned.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            assigned.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            assigned.add(node.attr)
+        elif isinstance(node, ast.alias):
+            imported |= {node.name.rsplit(".", 1)[-1], node.asname or node.name}
+    return assigned, imported
+
+
+def misplaced_policy(source_paths=SOURCES) -> list[str]:
+    """"module.name" of each policy name bound or imported, and each kernel
+    name defined, outside ``ratio``."""
+    misplaced = []
+    for path in source_paths:
+        if path.stem == "ratio":
+            continue
+        assigned, imported = _bindings(_parse(path))
+        names = (assigned | imported) & POLICY | assigned & KERNEL
+        misplaced += [f"{path.stem}.{name}" for name in sorted(names)]
+    return misplaced
+
+
+def test_ratio_binds_the_policy_and_defines_the_kernel():
+    assigned, _ = _bindings(_parse(ROOT / "src" / "tritune" / "ratio.py"))
+    assert POLICY | KERNEL <= assigned
+
+
+def test_the_power_policy_is_bound_in_ratio_alone():
+    misplaced = misplaced_policy()
+    assert not misplaced, f"exact-power policy or kernel outside ratio: {misplaced}"
+
+
+def test_the_scan_sees_a_policy_name_outside_its_home(tmp_path):
+    # importing the kernel is allowed; an alias does not hide a policy name
+    module = tmp_path / "stray.py"
+    module.write_text(
+        "from .ratio import _sign, _GUARD_BITS as guard\n"
+        "MAX_POWER_BITS = 2 ** 20\n\n"
+        "def _floor_log2_power(a, b, m):\n"
+        "    return guard\n"
+    )
+    assert misplaced_policy([module]) == [
+        "stray.MAX_POWER_BITS", "stray._GUARD_BITS", "stray._floor_log2_power"
+    ]

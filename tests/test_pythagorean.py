@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tritune.equal import MAX_DIVISIONS, EtPitch, compare_fraction_to_et, nearest_degree
-from tritune.equal import _floor_log2_power
 from tritune import equal, pythagorean, ratio
 from tritune.errors import CoverageError, ExponentBoundError, PropositionViolationError
 from tritune.errors import TuningError
@@ -21,7 +20,7 @@ from tritune.pythagorean import (
     pairing_table,
     select_chromatic,
 )
-from tritune.ratio import EXPONENT_BOUND, cents, octave_shift, to_decimal
+from tritune.ratio import EXPONENT_BOUND, _floor_log2_power, cents, octave_shift, to_decimal
 
 # the classical 26-sound generation, twelve fifths each way:
 # (direction, k, h, ratio, five-digit truncation)
@@ -333,10 +332,12 @@ class TestPairingParity:
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 24, 53])
     def test_a_valid_pairing_forms_no_power(self, n, monkeypatch):
         # each sound's m comes from its step's exponents and one bracket of
-        # log2 3, taken at import: no power, bracket or comparison per sound
+        # log2 3, taken at import: no power, bracket or comparison per sound,
+        # whether through a kernel in ratio or a binding of it in equal
         t = generate_fifths(n, n)
-        for module, name in ((equal, "_floor_log2_power"), (equal, "_power_bracket"),
-                             (ratio, "_power_bracket"), (equal, "compare_pitches")):
+        for module, name in ((ratio, "_floor_log2_power"), (equal, "_floor_log2_power"),
+                             (ratio, "_power_bracket"), (equal, "compare_pitches"),
+                             (ratio, "_sign"), (equal, "_sign")):
             monkeypatch.setattr(module, name, mock.Mock(side_effect=AssertionError(name)))
         assert sorted(pairing_table(t, n)) == list(range(n + 1))
 

@@ -312,9 +312,23 @@ class TestIntegerRoot:
         + [((a + 1) ** n - 1, n, a) for n in (3, 12, 53, 311) for a in (1, 2, n // 2, n)],
     )
     def test_root_where_the_binomial_bound_does_not_decide(self, x, n, a):
-        # x >= (a + n) * a**(n-1): only (a+1)**n itself closes the bracket
+        # x >= (a + n) * a**(n-1): only (a+1)**n itself closes the bracket.
+        # The a = 1 rows have at most n bits and return before the
+        # certificate; the a >= 2 rows, past 2**n, are the ones that reach it
         assert x >= (a + n) * a ** (n - 1)
+        assert (x.bit_length() > n) == (a >= 2)
         assert integer_nth_root(x, n) == a
+
+    def test_an_x_of_at_most_n_bits_has_the_root_one_at_any_n(self):
+        # returned before any power: a float start of 2 would form 2**n.  The
+        # a = 2 rows of test_boundaries_of_exact_powers hold x = 2**n - 1 and
+        # 2**n at small n; these n are past _EXACT_BITS
+        assert integer_nth_root(3, 1 << 40) == 1
+        assert is_nth_root_irrational(3, 1 << 40)
+        assert is_perfect_nth_power(3, 1 << 40) == (False, None)
+        for n in (4096, 10 ** 5):
+            assert integer_nth_root((1 << n) - 1, n) == 1
+            assert integer_nth_root(1 << n, n) == 2
 
     def test_domain(self):
         with pytest.raises(ValueError):
