@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from typing import Union
 
-from .errors import TuningError, _shown, check_instance
+from .errors import _DERIVED, TuningError, _record, _shown, check_instance
 from .errors import check_int, positive_fraction
 from .ratio import MAX_DIGITS, Monzo, _fixed_point, _floor_log2_power, _fraction_text
 from .ratio import _monzo_terms, _sign, cents, integer_nth_root, to_decimal
@@ -58,7 +56,7 @@ def _in_float_range(method):
     return checked
 
 
-@dataclass(frozen=True)
+@_record
 class EtPitch:
     """The ratio r * 2**(k/n) relative to a scale base, kept symbolic.
 
@@ -82,7 +80,7 @@ class EtPitch:
             raise TuningError(f"r must be a positive ratio of odd integers, got {_shown(r)}")
 
     @classmethod
-    def of(cls, x: Union[int, Fraction, Monzo, EtPitch]) -> EtPitch:
+    def of(cls, x: int | Fraction | Monzo | EtPitch) -> EtPitch:
         """x as r * 2**(k/n), the powers of two of an int, Fraction or Monzo
         moved into k; TuningError for anything but a positive exact pitch."""
         if isinstance(x, EtPitch):
@@ -205,12 +203,12 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     return _fixed_point(integer_nth_root(radicand, n), d)
 
 
-@dataclass(frozen=True)
+@_record
 class EtScale:
     """n+1 pitches 2**(k/n), k = 0..n, over one octave; 1 <= n <= MAX_DIVISIONS."""
 
     n: int
-    pitches: tuple[EtPitch, ...] = field(init=False)
+    pitches: tuple[EtPitch, ...] = _DERIVED
 
     def __post_init__(self):
         check_int("steps per octave n", self.n, 1, MAX_DIVISIONS)
@@ -249,7 +247,7 @@ def nearest_degree(r: Fraction, n: int) -> int:
 
 
 def compare_pitches(
-    x: Union[int, Fraction, Monzo, EtPitch], y: Union[int, Fraction, Monzo, EtPitch]
+    x: int | Fraction | Monzo | EtPitch, y: int | Fraction | Monzo | EtPitch
 ) -> int:
     """Exact three-way comparison of two pitches: -1, 0 or +1.
 

@@ -1,8 +1,55 @@
-"""Exception types shared across the package, and the input contract that
-every public count, index, ratio and real argument passes through."""
+"""Exception types shared across the package, the input contract that every
+public count, index, ratio and real argument passes through, and the frozen
+record every module declares its values with."""
 
 import sys
 from fractions import Fraction
+
+_DERIVED = object()  # a record field's default where __post_init__, not __init__, sets it
+
+
+def _values(self) -> tuple:
+    return tuple([getattr(self, f) for f in self._fields])
+
+
+def _eq(self, other):
+    return _values(self) == _values(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _repr(self) -> str:
+    shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, _values(self)))
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _record(cls):
+    """``cls`` made a frozen record of its annotated fields, as by ``dataclass(frozen=True)``:
+    ``__init__`` takes the fields not ``_DERIVED`` and runs ``__post_init__``; ``==``, ``hash``
+    and ``repr`` read every field unless the class defines its own (an implicit None does not)."""
+    own, cls._fields = vars(cls), tuple(cls.__annotations__)
+    init = [f for f in cls._fields if own.get(f) is not _DERIVED]
+    body = "".join(f"\n object.__setattr__(self, {f!r}, {f})" for f in init)
+    body += "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    module, scope = vars(sys.modules[cls.__module__]), {}  # the globals of __init__
+    exec(f"def __init__(self, {', '.join(init)}):{body}", module, scope)
+    init_fn = cls.__init__ = scope["__init__"]
+    init_fn.__qualname__ = f"{cls.__qualname__}.__init__"
+    init_fn.__defaults__ = tuple(own[f] for f in init if f in own)
+    init_fn.__annotations__ = {**{f: cls.__annotations__[f] for f in init}, "return": None}
+    for f in set(cls._fields) - set(init):
+        delattr(cls, f)
+    for name, method in ("__hash__", _hash), ("__eq__", _eq), ("__repr__", _repr):
+        if name not in own or name == "__hash__" and own[name] is None and "__eq__" in own:
+            setattr(cls, name, method)
+    cls.__setattr__, cls.__delattr__, cls.__match_args__ = _frozen, _frozen, tuple(init)
+    return cls
 
 
 class TuningError(ValueError):

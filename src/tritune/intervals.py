@@ -10,17 +10,15 @@ float is a TuningError.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Sequence, Union
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
-from .errors import TuningError, check_instance, check_int
+from .errors import TuningError, _record, check_instance, check_int
 from .ratio import Monzo, cents
 
-Pitch = Union[int, Fraction, Monzo, EtPitch]
+Pitch = int | Fraction | Monzo | EtPitch
 
 LETTERS = ("DO", "RE", "MI", "FA", "SOL", "LA", "SI")
 
@@ -51,7 +49,7 @@ def note_name(chromatic_index: int, preference: str = "sharp") -> str:
     return _DIATONIC_LETTER[(i + 1) % 12] + "♭"
 
 
-@dataclass(frozen=True)
+@_record
 class Interval:
     """A ratio >= 1 between two pitches; unison is 1, the octave is 2.
 
@@ -59,7 +57,7 @@ class Interval:
     the interval is rational, else an exact ``EtPitch`` r * 2**(k/n).
     """
 
-    ratio: Union[Fraction, EtPitch]
+    ratio: Fraction | EtPitch
 
     def __post_init__(self):
         pitch = EtPitch.of(self.ratio)

@@ -12,11 +12,10 @@ SI.  The result is the eight-degree just diatonic scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
-from .errors import PropositionViolationError, TuningError, _shown, positive_fraction
+from .errors import PropositionViolationError, TuningError, _record, _shown, positive_fraction
 from .intervals import LETTERS, note_name
 from .pythagorean import generate_fifths, select_chromatic
 from .ratio import RationalLike, _ascending, is_five_smooth
@@ -28,7 +27,7 @@ JUST_DIATONIC = (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class MeanTriple:
     """The arithmetic and harmonic means of a positive pair a, b.
 
@@ -46,7 +45,7 @@ def means(a: RationalLike, b: RationalLike) -> MeanTriple:
     return MeanTriple(arithmetic=(fa + fb) / 2, harmonic=2 * fa * fb / (fa + fb))
 
 
-@dataclass(frozen=True)
+@_record
 class HarmonicDivision:
     """Lengths AC < AB < AD with AB the harmonic mean of AC and AD."""
 
@@ -80,7 +79,7 @@ def frequency_of_division(f_ac: RationalLike, f_ad: RationalLike) -> Fraction:
     return (positive_fraction(f_ac, "a") + positive_fraction(f_ad, "b")) / 2
 
 
-@dataclass(frozen=True)
+@_record
 class CoreScale:
     """The sounds reachable by iterating harmonic division from the octave,
     and the derivation, one line per mean: "mean(DO, 2DO) -> SOL = 3/2"."""
@@ -103,7 +102,7 @@ def build_core() -> CoreScale:
     return CoreScale(degrees=(do, re, mi, sol, do2), trace=trace)
 
 
-@dataclass(frozen=True)
+@_record
 class Candidate:
     """A value built from the ordered pair (f_n1, f_n2) and its verdict."""
 
@@ -113,7 +112,7 @@ class Candidate:
     reason: str  # "accepted" | "out-of-range" | "not-5-limit"
 
 
-@dataclass(frozen=True)
+@_record
 class FaLaSolution:
     """The unique pair closing both octave proportions: FA and LA."""
 
@@ -138,7 +137,7 @@ def solve_fa_la() -> FaLaSolution:
     return FaLaSolution(f1=Fraction(n1, det), f2=Fraction(n2, det))
 
 
-@dataclass(frozen=True)
+@_record
 class SiSearch:
     """The core and FA/LA searched, their common denominator, every verdict."""
 
@@ -184,7 +183,7 @@ def find_si() -> SiSearch:
     return SiSearch(core, fa_la, d, accepted[0], tuple(rejected))
 
 
-@dataclass(frozen=True)
+@_record
 class NaturalScale:
     """The eight named degrees, the seven steps between them, their SI search."""
 
@@ -210,7 +209,7 @@ def assemble_diatonic() -> NaturalScale:
     return NaturalScale(degrees=degrees, steps=steps, search=search)
 
 
-@dataclass(frozen=True)
+@_record
 class ComparisonRow:
     """One diatonic degree across the three systems."""
 
@@ -220,8 +219,11 @@ class ComparisonRow:
     natural: Fraction
 
 
-@dataclass(frozen=True)
+@_record
 class ScaleComparison:
+    """The diatonic degrees across the three systems, one row each, and each
+    degree's name mapped to its three values in ascending order ("N < E < P")."""
+
     rows: tuple[ComparisonRow, ...]
     orderings: dict[str, str]
 

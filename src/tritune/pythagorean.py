@@ -10,12 +10,11 @@ is drawn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .equal import DIATONIC_INDICES, MAX_DIVISIONS, nearest_degree
-from .errors import CoverageError, ExponentBoundError, PropositionViolationError
-from .errors import TuningError, _shown, check_instance, check_int, positive_fraction
+from .errors import _DERIVED, CoverageError, ExponentBoundError, PropositionViolationError
+from .errors import TuningError, _record, _shown, check_instance, check_int, positive_fraction
 from .intervals import note_name
 from .ratio import EXPONENT_BOUND, Monzo, _floor_log2, _floor_log2_3, cents
 from .ratio import monzo_to_rational, reduce_to_octave
@@ -23,7 +22,7 @@ from .ratio import monzo_to_rational, reduce_to_octave
 PYTHAGOREAN_COMMA = Fraction(531441, 524288)  # (3/2)**12 / 2**7
 
 
-@dataclass(frozen=True)
+@_record
 class FifthStep:
     """One sound of the table, set by a direction and a count k of fifths.
 
@@ -38,8 +37,8 @@ class FifthStep:
 
     direction: str  # "up" or "down"
     k: int
-    h: int = field(init=False)
-    ratio: Fraction = field(init=False)
+    h: int = _DERIVED
+    ratio: Fraction = _DERIVED
 
     def __post_init__(self):
         if self.direction not in ("up", "down"):
@@ -71,7 +70,7 @@ _UP = tuple(FifthStep("up", k) for k in range(EXPONENT_BOUND + 1))
 _DO, _DO_OCTAVE = _UP[0], _DOWN[0]
 
 
-@dataclass(frozen=True)
+@_record
 class PythTable:
     """Sounds generated by m1 fifths down and m2 fifths up."""
 
@@ -145,7 +144,7 @@ def pairing_table(t: PythTable, n: int = 12) -> dict[int, tuple[FifthStep, Fifth
     return pairs
 
 
-@dataclass(frozen=True)
+@_record
 class NamedPitch:
     """A selected chromatic sound: its name ("RE♭") and the fifth step it keeps."""
 
@@ -180,7 +179,7 @@ def select_chromatic(t: PythTable) -> list[NamedPitch]:
     return named  # ascending: the pairing's degree bands rise, each lower sound first
 
 
-@dataclass(frozen=True)
+@_record
 class BaseDependenceDemo:
     """Witness that the finite selection depends on the starting sound."""
 

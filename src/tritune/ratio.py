@@ -25,13 +25,12 @@ Everything here is immutable and pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Optional, Union
 
 from .errors import ExponentBoundError, TuningError, _shown, check_instance, check_int
-from .errors import positive_fraction
+from .errors import _record, positive_fraction
 
 #: Safety bound on prime exponents, and on the fifths ``pythagorean.FifthStep``
 #: stacks each way.  3**64 is far beyond any value a scale construction
@@ -65,10 +64,10 @@ _CORRECTIONS = 1
 #: nearly right; longer roots are first taken at half their length.
 _SEED_BITS = 48
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
-@dataclass(frozen=True)
+@_record
 class Monzo:
     """A positive rational 2**exp2 * 3**exp3 * 5**exp5 as its exponent vector.
 
@@ -100,7 +99,7 @@ def monzo_to_rational(m: Monzo) -> Fraction:
     return Fraction(*_monzo_terms(check_instance("a monzo", m, Monzo)))
 
 
-def _five_exponents(r: RationalLike) -> Optional[tuple[int, ...]]:
+def _five_exponents(r: RationalLike) -> tuple[int, ...] | None:
     """(e2, e3, e5) with r = 2**e2 * 3**e3 * 5**e5 (e2 from the lowest set bits),
     None off the 5-limit; TuningError unless ``r`` is a positive int or Fraction,
     ExponentBoundError for a 5-smooth ``r`` with an exponent past the bound."""
@@ -121,7 +120,7 @@ def _five_exponents(r: RationalLike) -> Optional[tuple[int, ...]]:
     return tuple(check_int("exponent", e, -bound, bound, ExponentBoundError) for e in exps)
 
 
-def rational_to_monzo(r: RationalLike) -> Optional[Monzo]:
+def rational_to_monzo(r: RationalLike) -> Monzo | None:
     """Factor ``r`` over {2, 3, 5} with :func:`_five_exponents`; None if not 5-smooth.
 
     None is a membership signal, not an error: callers use it to test whether
@@ -135,7 +134,7 @@ def is_five_smooth(r: RationalLike) -> bool:
     return _five_exponents(r) is not None
 
 
-def _ascending(items: list, ratio: Optional[Callable] = None) -> tuple[int, list[tuple]]:
+def _ascending(items: list, ratio: Callable | None = None) -> tuple[int, list[tuple]]:
     """(d, [(r * d, item), ...]) ascending in r = ``ratio(item)``, or the item,
     ties in the order given, d the lcm of the denominators: integer keys that
     sort exactly as the ints or Fractions r do."""
@@ -337,7 +336,7 @@ def _root_candidate(x: int, n: int) -> int:
     return b
 
 
-def is_perfect_nth_power(m: int, n: int) -> tuple[bool, Optional[int]]:
+def is_perfect_nth_power(m: int, n: int) -> tuple[bool, int | None]:
     """Whether a**n == m for some integer a; returns (flag, a or None)."""
     check_int("m", m, 1)
     a = integer_nth_root(m, check_int("n", n, 2))
@@ -350,7 +349,7 @@ def is_nth_root_irrational(m: int, n: int) -> bool:
     return not is_perfect_nth_power(m, n)[0]
 
 
-def _terminating_digits(den: int) -> Optional[int]:
+def _terminating_digits(den: int) -> int | None:
     """Length of the exact decimal expansion for 1/den, or None if infinite."""
     twos, fives = (den & -den).bit_length() - 1, 0
     den >>= twos

@@ -12,20 +12,18 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .equal import _ONE, EtPitch, EtScale, _neighbour_signs, et_value
-from .errors import TuningError, _shown, check_instance, positive_fraction
+from .errors import TuningError, _record, _shown, check_instance, positive_fraction
 from .natural import ScaleComparison, assemble_diatonic
 from .pythagorean import PythTable, select_chromatic
 from .ratio import _fixed_point, _pq_text, monzo_form, to_decimal
 
-PitchValue = Union[Fraction, EtPitch]
+PitchValue = Fraction | EtPitch
 
 
-@dataclass(frozen=True)
+@_record
 class ScaleEntry:
     """One pitch of a scale document: a ratio or an equal-division pitch.
 
@@ -53,7 +51,7 @@ class ScaleEntry:
         return _fixed_point(units, 5)
 
 
-@dataclass(frozen=True)
+@_record
 class ScaleDocument:
     """A one-line description and entries rising strictly from above 1, checked with
     one exact-form read per entry and one ``ratio._sign`` per neighbour pair."""
@@ -106,7 +104,7 @@ _CENTS = re.compile(r"[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+)")
 _RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_pitch(line: str) -> Union[Fraction, float]:
+def _parse_pitch(line: str) -> Fraction | float:
     """The pitch at the start of a Scala pitch line; text after it is ignored."""
     token = line.split()[0]
     try:
@@ -122,7 +120,7 @@ def _parse_pitch(line: str) -> Union[Fraction, float]:
     raise TuningError(f"not a positive ratio or a cents value: {line.strip()!r}")
 
 
-def parse_scl(text: str) -> tuple[str, list[Union[Fraction, float]]]:
+def parse_scl(text: str) -> tuple[str, list[Fraction | float]]:
     """Reader for Scala tuning files: (description, pitch values).
 
     Per https://www.huygens-fokker.org/scala/scl_format.html, "!" lines are

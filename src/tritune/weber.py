@@ -10,8 +10,7 @@ relation over real-valued stimuli, not lattice arithmetic.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from typing import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import TuningError, check_instance, check_int, finite_real
 

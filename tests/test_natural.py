@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,7 +9,9 @@ from tritune import natural
 from tritune.equal import EtPitch
 from tritune.errors import PropositionViolationError, TuningError
 from tritune.natural import (
+    Candidate,
     CoreScale,
+    SiSearch,
     assemble_diatonic,
     build_core,
     compare_three_scales,
@@ -263,8 +264,9 @@ class TestDiatonicAssembly:
         # an SI of 16/9 still closes the octave on the 5-limit lattice, so
         # only the check against the eight just ratios refuses it
         search = find_si()
-        accepted = dataclasses.replace(search.accepted, value=Fraction(16, 9))
-        wrong = dataclasses.replace(search, accepted=accepted)
+        si = search.accepted
+        accepted = Candidate(si.f_n1, si.f_n2, Fraction(16, 9), si.reason)
+        wrong = SiSearch(search.core, search.fa_la, search.denominator, accepted, search.rejected)
         monkeypatch.setattr(natural, "find_si", lambda: wrong)
         with pytest.raises(PropositionViolationError, match="diatonic assembly produced"):
             assemble_diatonic()
@@ -273,8 +275,8 @@ class TestDiatonicAssembly:
         # a core without the octave leaves steps from DO to SI, whose product
         # is 15/8: the closure check refuses it before the just ratios do
         search = find_si()
-        core = dataclasses.replace(search.core, degrees=search.core.degrees[:-1])
-        wrong = dataclasses.replace(search, core=core)
+        core = CoreScale(search.core.degrees[:-1], search.core.trace)
+        wrong = SiSearch(core, search.fa_la, search.denominator, search.accepted, search.rejected)
         monkeypatch.setattr(natural, "find_si", lambda: wrong)
         with pytest.raises(PropositionViolationError, match="do not close the octave"):
             assemble_diatonic()
@@ -282,8 +284,9 @@ class TestDiatonicAssembly:
     def test_the_five_limit_checks_the_chain(self, monkeypatch):
         # an SI of 7/4 still closes the octave, off the 5-limit lattice
         search = find_si()
-        accepted = dataclasses.replace(search.accepted, value=Fraction(7, 4))
-        wrong = dataclasses.replace(search, accepted=accepted)
+        si = search.accepted
+        accepted = Candidate(si.f_n1, si.f_n2, Fraction(7, 4), si.reason)
+        wrong = SiSearch(search.core, search.fa_la, search.denominator, accepted, search.rejected)
         monkeypatch.setattr(natural, "find_si", lambda: wrong)
         with pytest.raises(PropositionViolationError, match="escaped the 5-limit lattice"):
             assemble_diatonic()

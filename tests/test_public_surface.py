@@ -6,10 +6,18 @@ that only its own unit tests reach is dead weight, so it fails here.
 
 The exact-power policy is bound in one module: only ``ratio`` binds the names
 that choose between forming a power and bracketing it, and only ``ratio``
-defines the comparison kernel that applies that choice."""
+defines the comparison kernel that applies that choice.
+
+Every ``tritune`` process imports the whole package, so no module imports
+``dataclasses``, ``inspect`` or ``typing``: together they cost tens of
+milliseconds at each start, several times the work of a paper-sized command."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+import tritune
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "tritune").glob("*.py"))
@@ -159,3 +167,53 @@ def test_the_scan_sees_a_policy_name_outside_its_home(tmp_path):
     assert misplaced_policy([module]) == [
         "stray.MAX_POWER_BITS", "stray._GUARD_BITS", "stray._floor_log2_power"
     ]
+
+
+#: Standard-library modules that no module under ``src/tritune`` imports.
+SLOW_IMPORTS = {"dataclasses", "inspect", "typing"}
+
+
+def slow_imports(source_paths=SOURCES) -> list[str]:
+    """"module: imported" of each import of a module in SLOW_IMPORTS."""
+    found = []
+    for path in source_paths:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.stem}: {n}" for n in names if n.split(".")[0] in SLOW_IMPORTS]
+    return found
+
+
+def test_no_module_imports_a_slow_start_module():
+    found = slow_imports()
+    assert not found, f"imports that slow every start: {found}"
+
+
+def test_the_scan_sees_each_form_of_import(tmp_path):
+    module = tmp_path / "slow.py"
+    module.write_text(
+        "import json, typing\n"
+        "from dataclasses import dataclass\n"
+        "import inspect as i\n"
+        "from .typing import x\n"
+        "from collections.abc import Sequence\n"
+    )
+    assert slow_imports([module]) == ["slow: typing", "slow: dataclasses", "slow: inspect"]
+
+
+def test_importing_the_command_line_loads_no_slow_module():
+    # -S keeps the interpreter's own site, which may import typing, out of the count
+    code = f"import sys, tritune.cli; print(sorted({SLOW_IMPORTS!r} & set(sys.modules)))"
+    package_root = str(Path(tritune.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={"PYTHONPATH": package_root},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
