@@ -171,10 +171,10 @@ def et_value(p: EtPitch, precision_digits: int) -> str:
     digit limit L, as 2**(10L/3) > 10**L has too many digits to print; all
     three are checked before any power (TuningError beyond any).  One call
     takes a root of about 3.33*d + 16 bits, at that precision, of a radicand
-    of about n times as many (on a 2-vCPU Xeon VM at the digit cap, k < n:
-    3-4 ms for n = 12, 5-8 ms for n = 311, 6-11 ms for n = 1200); a fallback
-    adds 5**(d*n) (2 ms, 0.2-0.3 s, 1.7-2.7 s) and a root of about k +
-    3.33*d*n bits (2-10 ms).
+    of about n times as many (on a 2-vCPU Xeon VM at the digit cap, k < n,
+    best of 5: 1.7-1.9 ms for n = 12, 3.1-3.2 ms for n = 311, 4.1-4.3 ms for
+    n = 1200); a fallback adds 5**(d*n) (1 ms, 0.16 s, 1.6 s) and a root of
+    about k + 3.33*d*n bits (1.5-6 ms).
     """
     check_instance("a pitch", p, EtPitch)
     check_int("digits", precision_digits, 1, MAX_DIGITS)

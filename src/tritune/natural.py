@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import PropositionViolationError, TuningError, _record, _shown, positive_fraction
@@ -225,7 +226,7 @@ class ScaleComparison:
     degree's name mapped to its three values in ascending order ("N < E < P")."""
 
     rows: tuple[ComparisonRow, ...]
-    orderings: dict[str, str]
+    orderings: MappingProxyType[str, str]
 
 
 def _ordering(row: ComparisonRow) -> str:
@@ -253,5 +254,5 @@ def compare_three_scales() -> ScaleComparison:
         ComparisonRow(degree=name, equal=EtPitch(k, 12), pythagorean=p, natural=n)
         for (name, n), p, k in zip(natural.degrees, pyth, DIATONIC_INDICES)
     )
-    orderings = {row.degree: _ordering(row) for row in rows}
+    orderings = MappingProxyType({row.degree: _ordering(row) for row in rows})
     return ScaleComparison(rows=rows, orderings=orderings)

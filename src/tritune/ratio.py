@@ -11,12 +11,12 @@ Pitch ratios live in three exact representations:
 
 Irrational values such as 2**(k/n) are printed through
 :func:`integer_nth_root`, the exact floor of an n-th root.  Its candidate
-comes from Newton's iteration on integers (Brent & Zimmermann, *Modern
-Computer Arithmetic*, section 1.5) at the root's own precision: past
-``_EXACT_BITS`` bits a step reads ``a**(n-1)`` from a bracket instead of
-forming it (:func:`_power_bracket`: the power rounded down and a proven bound
-above it).  The certificate ``a**n <= x < (a+1)**n`` is read from such a
-bracket too, and a full power is formed only on a near-tie, as in
+comes from Halley's iteration (Brent & Zimmermann, *Modern Computer
+Arithmetic*, section 4.2), which triples a root's correct bits with the one
+power ``a**(n-1)`` a step that Newton's takes to double them, read past
+``_EXACT_BITS`` bits from a bracket (:func:`_power_bracket`: the power rounded
+down and a proven bound above it).  So is the certificate ``a**n <= x <
+(a+1)**n``, and a full power is formed only on a near-tie, as in
 :func:`_floor_log2_power`, the one exact decision of ``equal``'s comparisons.
 
 Everything here is immutable and pure.
@@ -60,10 +60,6 @@ MAX_POWER_BITS = 2 ** 20
 #: Most one-unit moves :func:`integer_nth_root` makes from its candidate.
 _CORRECTIONS = 1
 
-#: Root sizes, in bits, that the float start of ``_root_candidate`` gets
-#: nearly right; longer roots are first taken at half their length.
-_SEED_BITS = 48
-
 RationalLike = int | Fraction
 
 
@@ -100,24 +96,34 @@ def monzo_to_rational(m: Monzo) -> Fraction:
 
 
 def _five_exponents(r: RationalLike) -> tuple[int, ...] | None:
-    """(e2, e3, e5) with r = 2**e2 * 3**e3 * 5**e5 (e2 from the lowest set bits),
-    None off the 5-limit; TuningError unless ``r`` is a positive int or Fraction,
-    ExponentBoundError for a 5-smooth ``r`` with an exponent past the bound."""
+    """(e2, e3, e5) with r = 2**e2 * 3**e3 * 5**e5, None off the 5-limit; TuningError
+    unless ``r`` is a positive int or Fraction, ExponentBoundError for a 5-smooth r
+    with an exponent past the bound (3 and 5 divide out singly to one past it)."""
     r = positive_fraction(r, "a pitch ratio")
     num, den = r.numerator, r.denominator
     a, b = num & -num, den & -den
     num, den, exps = num // a, den // b, [a.bit_length() - b.bit_length()]
+    bound = EXPONENT_BOUND
     for p in (3, 5):
         e = 0
-        while num % p == 0:
+        while num % p == 0 and e <= bound:
             num, e = num // p, e + 1
-        while den % p == 0:
+        while den % p == 0 and e >= -bound:
             den, e = den // p, e - 1
         exps.append(e)
-    if num != 1 or den != 1:
+    if (num != 1 or den != 1) and _strip(_strip(num * den, 3)[0], 5)[0] != 1:
         return None
-    bound = EXPONENT_BOUND
     return tuple(check_int("exponent", e, -bound, bound, ExponentBoundError) for e in exps)
+
+
+def _strip(v: int, p: int) -> tuple[int, int]:
+    """(w, e), v = w * p**e with p not dividing w, in about 2 * log2(e) divisions."""
+    q, rest = divmod(v, p)
+    if rest:
+        return v, 0
+    w, e = _strip(q, p * p)
+    q, rest = divmod(w, p)
+    return (w, 2 * e + 1) if rest else (q, 2 * e + 2)
 
 
 def rational_to_monzo(r: RationalLike) -> Monzo | None:
@@ -249,18 +255,17 @@ def _sign(a: int, b: int, s: int, m: int) -> int:
 def integer_nth_root(x: int, n: int) -> int:
     """floor(x ** (1/n)), certified by ``a**n <= x < (a+1)**n`` in integers.
 
-    The candidate, from ``math.isqrt`` or the Newton steps of
-    :func:`_root_candidate` (on exact powers for x of up to ``_EXACT_BITS``
-    bits), is the floor root give or take one.  The certificate compares a
-    bracket lo * 2**e <= a**(n-1) <= hi * 2**e (``_power_bounds``: lo rounded
-    down, hi a bound) with ``x >> e``: ``lo * a`` and ``hi * a`` bound a**n,
-    ``(a + n) * lo`` bounds (a+1)**n from below by the binomial theorem.  a**n
-    is formed only when its bounds hold ``x >> e``, (a+1)**n only when x lies
-    above that lower bound, about a share (n-1)/(2a) of [a**n, (a+1)**n).  A
-    failed candidate moves one towards the root, at most ``_CORRECTIONS``
-    times; past that bound ``ArithmeticError`` is raised instead of an
-    uncertified root.  An x of at most n bits has the root 1, returned before
-    any power, so no power formed has many more bits than x, whatever n.
+    The candidate, from ``math.isqrt`` or the Halley steps of :func:`_root_candidate`,
+    is the floor root give or take one.  The certificate compares a bracket lo *
+    2**e <= a**(n-1) <= hi * 2**e (``_power_bounds``: lo rounded down, hi a bound)
+    with ``x >> e``: ``lo * a`` and ``hi * a`` bound a**n, ``(a + n) * lo`` bounds
+    (a+1)**n from below by the binomial theorem.  a**n is formed only when its
+    bounds hold ``x >> e``, (a+1)**n only when x lies above that lower bound,
+    about a share (n-1)/(2a) of [a**n, (a+1)**n).  A failed candidate moves one
+    towards the root, at most ``_CORRECTIONS`` times; past that bound
+    ``ArithmeticError`` is raised instead of an uncertified root.  An x of at most
+    n bits has the root 1, returned before any power, so no power formed has many
+    more bits than x, whatever n.
     """
     check_int("x", x, 0)
     if check_int("n", n, 1) == 1 or x < 2:
@@ -295,43 +300,37 @@ def _power_bounds(a: int, m: int, t: int) -> tuple[int, int, int]:
 def _root_candidate(x: int, n: int) -> int:
     """floor(x ** (1/n)) give or take one, for x >= 2 and n >= 3 (uncertified).
 
-    Newton's step ``a <- (m*a + x // a**m) // n``, m = n - 1, lands at or
-    above the floor root from any a >= 1 and descends from above it; here
-    ``x // a**m`` is read as ``(x >> e) // hi`` from ``_power_bounds`` at
-    bits(root) + bits(n) + _GUARD_BITS bits, at most a unit below it near the
-    root, as hi exceeds a**m by a relative 2**-60 at most.  A root of over
-    about ``_SEED_BITS`` bits takes one step from ``r << half``, r being this
-    candidate with ``n*half`` low bits of x dropped (a little under half the
-    root's bits), within 2**(half+1) of the root, so it lands under a unit
-    above the root.  A shorter one starts from the float root of x lifted by
-    a relative 2**-30, doubled should it fall short, and descends until a
-    step does not or steps down by u with 2n * u**2 < a; its steps form a**m
-    itself, with no bracket, while x has at most ``_EXACT_BITS`` bits.
+    Halley's step from a = s * root, a + 2a(X - A) / ((n+1)A + (n-1)X) for
+    A = a**n and X = x, is phi(s) * root on a's side of the root, where for C =
+    (n*n-1)/12, phi(s) - 1 <= C * s**(n-2) * (s-1)**3 at s >= 1 and
+    |phi(s) - 1| < 1.65C * |s-1|**3 at |s-1| <= 1/(2n).  A is ``lo * a`` from
+    ``_power_bounds(a, n-1, t)``; A and X truncated to t = bits(root) + bits(n)
+    + _GUARD_BITS bits move a step by under 2**-60 before its floor.  A root of
+    over 114 - 2*bits(n) bits, past one step from the float start, first takes
+    the candidate for x >> n*h, within 2 + 1/n of root / 2**h; for 2**(3h) <=
+    root**2 / (4n*n) (so h >= 4 at n < 2**35) the step from it lands within
+    1.75n*n * 2**(3h) / root**2 < 1/2 of the root.  A shorter one starts from the
+    float root lifted by 2**-40 past its rounding, doubled until a step descends,
+    and steps down until a step does not or moves by u with 4n*n * u**3 < a**2:
+    then u < a/(2n), a**n < 2x, a - root < 5u/3, the step lands < 0.31 above.
     """
     m, bits = n - 1, x.bit_length()
-    half = (bits // n - n.bit_length()) // 2 - 1
-    if half <= _SEED_BITS // 2:
-        drop = max(bits - 64, 0)
-        a = int(2.0 ** ((math.log2(x >> drop) + drop) / n + 2.0 ** -30)) + 1
-        if bits <= _EXACT_BITS:  # Newton's step itself: every a**m here is short
-            while (b := (m * a + x // a ** m) // n) >= a:
-                a <<= 1
-            while 2 * n * (a - b) ** 2 >= a and (c := (m * b + x // b ** m) // n) < b:
-                a, b = b, c
-            return b
     t = bits // n + n.bit_length() + _GUARD_BITS
+    big_x = x >> (drop := max(bits - t, 0))
 
-    def step(a: int, shift: int = 0) -> int:  # from a << shift
-        lo, hi, e = _power_bounds(a, m, t)
-        return (m * (a << shift) + (x >> shift * m + e) // hi) // n
+    def step(a: int, shift: int = 0) -> int:  # Halley's step from a << shift
+        lo, _, e = _power_bounds(a, m, t)
+        e += n * shift - drop  # (a << shift)**n / 2**drop is about lo * a * 2**e
+        big_a = lo * a << e if e >= 0 else lo * a >> -e
+        return (a << shift) + (2 * a * (big_x - big_a) << shift) // ((n + 1) * big_a + m * big_x)
 
-    if half > _SEED_BITS // 2:
-        return step(_root_candidate(x >> n * half, n), half)
+    if bits > n * (114 - 2 * n.bit_length()):
+        h = (2 * (bits - 1) // n - 2 * n.bit_length() - 2) // 3
+        return step(_root_candidate(x >> n * h, n), h)
+    a = int(2.0 ** ((math.log2(big_x) + drop) / n + 2.0 ** -40)) + 1
     while (b := step(a)) >= a:
         a <<= 1
-    # from a above the root, a step down by u with 2n * u**2 < a lands
-    # within 2(n-1) * u**2 / a < 1 above it
-    while 2 * n * (a - b) ** 2 >= a and (c := step(b)) < b:
+    while 4 * n * n * (a - b) ** 3 >= a * a and (c := step(b)) < b:
         a, b = b, c
     return b
 

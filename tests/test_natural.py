@@ -329,6 +329,13 @@ class TestComparison:
         assert comp.orderings["SI"] == "N < E < P"
         assert comp.orderings["DO"] == "N = E = P"
 
+    def test_orderings_are_read_only(self, comp):
+        with pytest.raises(TypeError):
+            comp.orderings["MI"] = "x"
+        with pytest.raises(TypeError):
+            del comp.orderings["MI"]
+        assert comp.orderings["MI"] == "N < E < P"
+
     def test_shape(self, comp):
         assert [row.degree for row in comp.rows] == [
             "DO",

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tritune import ratio
+from tritune.equal import MAX_ET_DIGITS, EtPitch, et_value
 from tritune.errors import ExponentBoundError, TuningError
 from tritune.ratio import (
     EXPONENT_BOUND,
@@ -97,6 +98,30 @@ class TestMonzo:
         with pytest.raises(ExponentBoundError, match="got 100"):
             is_five_smooth(2 ** 100)
         assert is_five_smooth(7 * 2 ** 100) is False
+
+    def test_threes_and_fives_are_divided_out_one_past_the_bound_and_no_further(self):
+        # the error names the count where the division stopped, not the
+        # exponent of a 158 497-bit (232 193-bit) argument
+        past = EXPONENT_BOUND + 1
+        with pytest.raises(ExponentBoundError, match=f"got {past}$"):
+            is_five_smooth(3 ** 100_000)
+        with pytest.raises(ExponentBoundError, match=f"got -{past}$"):
+            rational_to_monzo(Fraction(1, 5 ** 100_000))
+        with pytest.raises(ExponentBoundError, match=f"got {past}$"):
+            monzo_form(Fraction(3 ** 100_000, 5 ** 100_000))
+        # a rough rest past the stop is still not 5-smooth
+        assert is_five_smooth(7 * 3 ** 100_000) is False
+        assert rational_to_monzo(Fraction(3 ** past, 7 * 5 ** 100_000)) is None
+
+    @given(
+        st.integers(min_value=1, max_value=10 ** 30),
+        st.sampled_from([2, 3, 5, 7, 3 ** 5]),
+        st.integers(min_value=0, max_value=3000),
+    )
+    def test_strip(self, rest, p, e):
+        while rest % p == 0:
+            rest //= p
+        assert ratio._strip(rest * p ** e, p) == (rest, e)
 
     @given(monzos)
     def test_round_trip(self, m):
@@ -302,7 +327,7 @@ class TestIntegerRoot:
     def test_candidate_is_within_the_correction_bound(self, x, n):
         a = integer_nth_root(x, n)
         assert abs(ratio._root_candidate(x, n) - a) <= ratio._CORRECTIONS == 1
-        # with every power formed exactly the steps are integer Newton steps
+        # with every power formed exactly the Halley steps read no bracket
         with mock.patch.object(ratio, "_EXACT_BITS", 1 << 40):
             assert abs(ratio._root_candidate(x, n) - a) <= 1
 
@@ -335,6 +360,71 @@ class TestIntegerRoot:
             integer_nth_root(-1, 3)
         with pytest.raises(ValueError):
             integer_nth_root(8, 0)
+
+
+def newton_root(x: int, n: int) -> int:
+    """floor(x ** (1/n)) for a power of two x = 2**(s + n*p), 0 <= s < n, by
+    Newton's iteration on exact integers: from a start above the root each
+    step descends, until the floor root, from which a step does not."""
+    p, s = divmod(x.bit_length() - 1, n)
+    assert x == 1 << s + n * p
+    c = int(2 ** (s / n) * (1 + 2 ** -40) * 2 ** 52) + 1  # above 2**(s/n) * 2**52
+    a = c << p - 52 if p >= 52 else -(-c >> 52 - p)
+    assert a ** n > x
+    while (b := ((n - 1) * a + x // a ** (n - 1)) // n) < a:
+        a = b
+    return a
+
+
+def et_radicands(n: int, digits: int, ks) -> list[int]:
+    """The radicand ``et_value(EtPitch(k, n), digits)`` roots, 2**(k + n*P) for
+    0 < k < n, with P the bits of 10**digits and 16 more."""
+    return [1 << k + n * ((10 ** digits).bit_length() + 16) for k in ks]
+
+
+#: the divisions of the et roots differentiated here, each with its digit cap
+DIVISIONS = {n: min(MAX_DIGITS, MAX_ET_DIGITS // n) for n in (3, 12, 31, 53, 311, 665, 1200)}
+
+
+class TestHalleyCandidate:
+    @pytest.mark.parametrize("n, digits, most", [(311, 20, 2), (311, 50, 3)])
+    def test_brackets_per_value(self, n, digits, most):
+        # one for each Halley step past the float start and one for the
+        # certificate: Newton's steps took 3 at 20 digits and 5 at 50
+        with mock.patch.object(ratio, "_power_bracket", wraps=ratio._power_bracket) as brackets:
+            for k in range(1, n):
+                brackets.reset_mock()
+                et_value(EtPitch(k, n), digits)
+                assert brackets.call_count <= most, k
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    @pytest.mark.parametrize("n", sorted(DIVISIONS))
+    def test_a_step_from_the_worst_inner_candidate_lands_within_one(self, monkeypatch, n, off):
+        # the inner candidate one off the inner floor root, the edge of the
+        # bound the step's proof assumes: within 2 + 1/n below root / 2**h,
+        # within 1 above it
+        top = ratio._root_candidate
+        inner = []
+
+        def worst(y, m):
+            inner.append(y)
+            return newton_root(y, m) + off
+
+        monkeypatch.setattr(ratio, "_root_candidate", worst)
+        for digits in {DIVISIONS[n], 100, 40} & set(range(1, DIVISIONS[n] + 1)):
+            for x in et_radicands(n, digits, {1, 2, n // 2, n - 2, n - 1}):
+                inner.clear()
+                assert abs(top(x, n) - newton_root(x, n)) <= 1
+                assert len(inner) == 1  # past one step from the float start
+
+    @pytest.mark.parametrize("n", sorted(DIVISIONS))
+    def test_against_integer_newton_on_et_radicands(self, n):
+        cap = DIVISIONS[n]
+        for digits in sorted({1, 5, 20, 50, cap // 2, cap} & set(range(1, cap + 1))):
+            for x in et_radicands(n, digits, {1, n // 3, n // 2, n - 1}):
+                a = newton_root(x, n)
+                assert integer_nth_root(x, n) == a
+                assert abs(ratio._root_candidate(x, n) - a) <= 1
 
 
 class TestDecimalRendering:

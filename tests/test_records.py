@@ -96,7 +96,7 @@ def test_equality_and_hash_follow_the_field_tuple(name):
     assert record == twin and not record != twin
     try:
         expected = hash(values)
-    except TypeError:  # a dict field, as in ScaleComparison.orderings
+    except TypeError:  # an unhashable field, as the read-only ScaleComparison.orderings
         with pytest.raises(TypeError):
             hash(record)
     else:
