@@ -32,6 +32,9 @@ MAX_DIVISIONS = 1200
 #: leaves the product, and with it the roots of one table, unbounded.
 MAX_ET_DIGITS = 48_000
 
+#: Most |k // n| of a rational pitch whose power of two ``EtPitch.as_fraction`` forms
+MAX_OCTAVES = 2 ** 20
+
 #: Bits ``et_value`` reads past the last printed digit: its one root decides
 #: the digits unless they straddle a unit, about once in 2**16 values.
 _ET_GUARD_BITS = 16
@@ -134,7 +137,8 @@ class EtPitch:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise TuningError(f"{_shown(self)} is irrational")
-        return self.r * Fraction(2) ** (self.k // self.n)
+        octaves = check_int("the octaves k // n", self.k // self.n, -MAX_OCTAVES, MAX_OCTAVES)
+        return self.r * Fraction(2) ** octaves
 
     def exact_form(self) -> str:
         if self.is_rational():

@@ -54,7 +54,8 @@ class Interval:
     """A ratio >= 1 between two pitches; unison is 1, the octave is 2.
 
     The ratio is stored in one form whatever it was given as: a Fraction when
-    the interval is rational, else an exact ``EtPitch`` r * 2**(k/n).
+    the interval is rational, of at most ``equal.MAX_OCTAVES`` octaves (checked
+    before any power, TuningError beyond), else an exact ``EtPitch`` r * 2**(k/n).
     """
 
     ratio: Fraction | EtPitch
@@ -63,8 +64,7 @@ class Interval:
         pitch = EtPitch.of(self.ratio)
         if compare_pitches(pitch, 1) < 0:
             raise TuningError("interval ratios are >= 1")
-        ratio = pitch.as_fraction() if pitch.is_rational() else pitch
-        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "ratio", pitch.as_fraction() if pitch.is_rational() else pitch)
 
     def cents(self) -> float:
         return cents(self.ratio)
@@ -77,7 +77,8 @@ def interval_between(f1: Pitch, f2: Pitch) -> Interval:
     """The distance between two sounds: the larger divided by the smaller.
 
     Arguments are reordered if needed so the result is always >= 1: 3/2
-    against 2^(7/12) is (3/4) * 2^(5/12) = 3 * 2^(-19/12).
+    against 2^(7/12) is (3/4) * 2^(5/12) = 3 * 2^(-19/12).  A rational result
+    of more than ``equal.MAX_OCTAVES`` octaves is a TuningError, as for ``Interval``.
     """
     lo, hi = sorted(map(EtPitch.of, (f1, f2)), key=cmp_to_key(compare_pitches))
     return Interval(hi / lo)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import permutations
 from types import MappingProxyType
 
-from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
+from .equal import DIATONIC_INDICES, EtPitch
 from .errors import PropositionViolationError, TuningError, _record, _shown, positive_fraction
-from .intervals import LETTERS, note_name
-from .pythagorean import generate_fifths, select_chromatic
-from .ratio import RationalLike, _ascending, is_five_smooth
+from .intervals import note_name
+from .pythagorean import _fewer_fifths, generate_fifths, pairing_table
+from .ratio import RationalLike, _ascending, _sign, _strip, is_five_smooth
 
 #: the just diatonic degrees DO..DO, ascending, that the assembly must reach
 JUST_DIATONIC = (
@@ -165,18 +166,14 @@ def find_si() -> SiSearch:
     d, known = _ascending([*{*core.degrees, fa_la.f1, fa_la.f2}])
     lo, hi = fa_la.f2.numerator * (d // fa_la.f2.denominator), known[-1][0]
     accepted, rejected = [], []
-    for a, f_n1 in known:
-        for b, f_n2 in known:
-            if a == b:
-                continue
-            f3 = 2 * a - b
-            value = Fraction(f3, d)
-            if not lo < f3 < hi:
-                rejected.append(Candidate(f_n1, f_n2, value, "out-of-range"))
-            elif not is_five_smooth(value):
-                rejected.append(Candidate(f_n1, f_n2, value, "not-5-limit"))
-            else:
-                accepted.append(Candidate(f_n1, f_n2, value, "accepted"))
+    for (a, f_n1), (b, f_n2) in permutations(known, 2):
+        value = Fraction(f3 := 2 * a - b, d)
+        if not lo < f3 < hi:
+            rejected.append(Candidate(f_n1, f_n2, value, "out-of-range"))
+        elif not is_five_smooth(value):
+            rejected.append(Candidate(f_n1, f_n2, value, "not-5-limit"))
+        else:
+            accepted.append(Candidate(f_n1, f_n2, value, "accepted"))
     if len(accepted) != 1:
         raise PropositionViolationError(
             f"expected exactly one admissible SI, found {len(accepted)}"
@@ -198,14 +195,18 @@ def assemble_diatonic() -> NaturalScale:
     to close the octave, to stay 5-limit and then to be the just ratios."""
     search = find_si()
     fa_la, si = search.fa_la, search.accepted.value
-    values = [v for _, v in _ascending([*{*search.core.degrees, fa_la.f1, fa_la.f2, si}])[1]]
-    steps = tuple(values[i + 1] / values[i] for i in range(len(values) - 1))
-    if math.prod(steps) != 2:
+    d, keyed = _ascending([*{*search.core.degrees, fa_la.f1, fa_la.f2, si}])
+    nums, values = [a for a, _ in keyed], [v for _, v in keyed]
+    if math.prod(nums[1:]) != 2 * math.prod(nums[:-1]):  # step i is a_(i+1)/a_i
         raise PropositionViolationError("scale steps do not close the octave")
-    if not all(is_five_smooth(v) for v in values):
+    # the a_i/d, d the lcm of their denominators, are 5-smooth iff d and all a_i are:
+    # if d is, so are g = gcd(a_i, d) and d/g, and a_i/d = (a_i/g)/(d/g) is iff a_i/g
+    # is, iff a_i is; if d is not, a prime p > 5 divides d, hence some denominator
+    if any(_strip(_strip(_strip(a, 2)[0], 3)[0], 5)[0] != 1 for a in (d, *nums)):
         raise PropositionViolationError("a degree escaped the 5-limit lattice")
     if values != list(JUST_DIATONIC):
         raise PropositionViolationError(f"diatonic assembly produced {values}")
+    steps = tuple(Fraction(b, a) for a, b in zip(nums, nums[1:]))
     degrees = tuple(zip(map(note_name, DIATONIC_INDICES), values))
     return NaturalScale(degrees=degrees, steps=steps, search=search)
 
@@ -230,14 +231,17 @@ class ScaleComparison:
 
 
 def _ordering(row: ComparisonRow) -> str:
-    """Ascending order of the three values, each pair compared once, exactly.
+    """Ascending order of the three values, each pair compared once, exactly:
+    N with P cross-multiplied, x = N or P with E = r * 2**(k/n) by ``_sign(x/r)``.
 
     A value's rank counts the values strictly below it, so equal values share
     a rank and the stable sort lists ties N first, then E, then P.
     """
     n, e, p = row.natural, row.equal, row.pythagorean
-    ne, np_, ep = compare_pitches(n, e), compare_pitches(n, p), compare_pitches(e, p)
-    rank = {"N": (ne > 0) + (np_ > 0), "E": (ne < 0) + (ep > 0), "P": (np_ < 0) + (ep < 0)}
+    u, v = e.r.denominator, e.r.numerator
+    ne, pe = (_sign(f.numerator * u, f.denominator * v, e.k, e.n) for f in (n, p))
+    x, y = n.numerator * p.denominator, p.numerator * n.denominator  # N <=> P is x <=> y
+    rank = {"N": (ne > 0) + (x > y), "E": (ne < 0) + (pe < 0), "P": (x < y) + (pe > 0)}
     order = sorted(rank, key=rank.get)
     parts = [order[0]]
     for a, b in zip(order, order[1:]):
@@ -246,13 +250,13 @@ def _ordering(row: ComparisonRow) -> str:
 
 
 def compare_three_scales() -> ScaleComparison:
-    """The diatonic degrees of the equal, fifth-built and just scales."""
-    chromatic = select_chromatic(generate_fifths(12, 12))
-    pyth = [p.ratio for p in chromatic if p.name in LETTERS]
-    natural = assemble_diatonic()
+    """The diatonic degrees of the equal, fifth-built and just scales; P is the sound
+    of each degree's pair in the 12-fifth pairing reached in fewer fifths, as kept
+    by ``select_chromatic`` (a tie is a PropositionViolationError)."""
+    pairs, natural = pairing_table(generate_fifths(12, 12), 12), assemble_diatonic()
     rows = tuple(
-        ComparisonRow(degree=name, equal=EtPitch(k, 12), pythagorean=p, natural=n)
-        for (name, n), p, k in zip(natural.degrees, pyth, DIATONIC_INDICES)
+        ComparisonRow(name, EtPitch(k, 12), _fewer_fifths(k, *pairs[k]).ratio, n)
+        for (name, n), k in zip(natural.degrees, DIATONIC_INDICES)
     )
     orderings = MappingProxyType({row.degree: _ordering(row) for row in rows})
     return ScaleComparison(rows=rows, orderings=orderings)

@@ -156,6 +156,13 @@ class NamedPitch:
         return self.step.ratio
 
 
+def _fewer_fifths(degree: int, low: FifthStep, high: FifthStep) -> FifthStep:
+    """Of a diatonic degree's pair, the sound reached in fewer fifths (a tie raises)."""
+    if low.k == high.k:
+        raise PropositionViolationError(f"degree {degree}: fifth counts tie, selection undefined")
+    return low if low.k < high.k else high
+
+
 def select_chromatic(t: PythTable) -> list[NamedPitch]:
     """The 18-sound chromatic selection, named from a DO base.
 
@@ -167,12 +174,7 @@ def select_chromatic(t: PythTable) -> list[NamedPitch]:
     named: list[NamedPitch] = []
     for degree, (low, high) in pairs.items():
         if degree in DIATONIC_INDICES:
-            if low.k == high.k:
-                raise PropositionViolationError(
-                    f"degree {degree}: iteration counts tie, selection undefined"
-                )
-            keep = low if low.k < high.k else high
-            named.append(NamedPitch(note_name(degree), keep))
+            named.append(NamedPitch(note_name(degree), _fewer_fifths(degree, low, high)))
         else:
             named.append(NamedPitch(note_name(degree, "flat"), low))
             named.append(NamedPitch(note_name(degree, "sharp"), high))

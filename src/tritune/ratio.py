@@ -283,7 +283,7 @@ def integer_nth_root(x: int, n: int) -> int:
         else:
             a += 1
     raise ArithmeticError(
-        f"root certificate failed: {n}-th root of a {x.bit_length()}-bit integer"
+        f"root certificate failed: root of degree {n} of a {x.bit_length()}-bit integer"
     )
 
 
@@ -366,7 +366,7 @@ def to_decimal(r: RationalLike, digits: int) -> str:
     >= 0, not a bool (TuningError otherwise, floats and strings included).
     """
     check_int("digits", digits, 1, MAX_DIGITS)
-    if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r.numerator >= 0):
+    if isinstance(r, bool) or not (isinstance(r, (Fraction, int)) and r.numerator >= 0):
         raise TuningError(f"a printed ratio must be an int or Fraction >= 0, got {_shown(r)}")
     exact_len = _terminating_digits(r.denominator)
     width = exact_len if exact_len is not None and exact_len <= digits else digits
@@ -406,10 +406,12 @@ def monzo_form(r: RationalLike) -> str:
     exps = _five_exponents(r)
     if exps is None:
         return _pq_text(r)
-    parts = [f"{p}^{abs(e)}" if abs(e) > 1 else str(p) for p, e in zip((2, 3, 5), exps)]
-    num = "*".join(part for part, e in zip(parts, exps) if e > 0)
-    den = "*".join(part for part, e in zip(parts, exps) if e < 0)
-    return f"{num or '1'}/{den}" if den else num or "1"
+    up, down = [], []
+    for p, e in zip("235", exps):
+        if e:
+            (up if e > 0 else down).append(p if e in (1, -1) else f"{p}^{abs(e)}")
+    num = "*".join(up) or "1"
+    return f"{num}/{'*'.join(down)}" if down else num
 
 
 def cents(r) -> float:

@@ -14,6 +14,7 @@ from tritune import equal, ratio
 from tritune.equal import (
     MAX_ET_DIGITS,
     MAX_DIVISIONS,
+    MAX_OCTAVES,
     EtPitch,
     EtScale,
     compare_fraction_to_et,
@@ -96,6 +97,34 @@ class TestEtPitch:
         assert not EtPitch(7, 12).is_rational()
         with pytest.raises(ValueError):
             EtPitch(7, 12).as_fraction()
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (12, 1), (53, Fraction(3, 5))])
+    def test_octaves_of_a_rational_pitch_are_capped(self, n, r):
+        # |k // n| up to MAX_OCTAVES gives r * 2**(k // n); one past it is refused
+        for octaves in (MAX_OCTAVES, -MAX_OCTAVES):
+            value = EtPitch(octaves * n, n, r).as_fraction()
+            assert value == r * Fraction(2) ** octaves
+        assert Interval(EtPitch(MAX_OCTAVES * n, n, r)).ratio == r * 2 ** MAX_OCTAVES
+        for octaves in (MAX_OCTAVES + 1, -MAX_OCTAVES - 1):
+            with pytest.raises(TuningError, match=f"k // n must be an integer .*, got {octaves}$"):
+                EtPitch(octaves * n, n, r).as_fraction()
+
+    def test_the_octave_cap_is_checked_before_any_power(self, monkeypatch):
+        # a trapped power of a Fraction: over the cap the TuningError comes first,
+        # at the cap the trap shows the power is the one as_fraction forms
+        def trap(*args):
+            raise AssertionError("a power was formed")
+
+        monkeypatch.setattr(Fraction, "__pow__", trap)
+        for k in (MAX_OCTAVES + 1, 10 ** 40, -(10 ** 40)):
+            with pytest.raises(TuningError):
+                EtPitch(k, 1).as_fraction()
+            with pytest.raises(TuningError):
+                str(EtPitch(k, 1))
+            with pytest.raises(TuningError):
+                interval_between(EtPitch(k, 1), 1)
+        with pytest.raises(AssertionError, match="a power was formed"):
+            EtPitch(MAX_OCTAVES, 1).as_fraction()
 
     def test_interior_pitches_are_irrational(self):
         for k in range(1, 12):

@@ -1,16 +1,20 @@
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritune import natural
-from tritune.equal import EtPitch
+from tritune.equal import EtPitch, compare_pitches
 from tritune.errors import PropositionViolationError, TuningError
+from tritune.intervals import LETTERS
 from tritune.natural import (
     Candidate,
+    ComparisonRow,
     CoreScale,
+    FaLaSolution,
     SiSearch,
     assemble_diatonic,
     build_core,
@@ -21,7 +25,8 @@ from tritune.natural import (
     means,
     solve_fa_la,
 )
-from tritune.ratio import is_five_smooth
+from tritune.pythagorean import FifthStep, generate_fifths, pairing_table, select_chromatic
+from tritune.ratio import _ascending, is_five_smooth
 
 positive_fractions = st.fractions(min_value=Fraction(1, 1000), max_value=1000)
 
@@ -291,6 +296,41 @@ class TestDiatonicAssembly:
         with pytest.raises(PropositionViolationError, match="escaped the 5-limit lattice"):
             assemble_diatonic()
 
+    def test_the_five_limit_checks_the_common_denominator(self, monkeypatch):
+        # degrees 8/7, 9/7, 10/7, 12/7 and 16/7 close the octave, and over d = 7
+        # every numerator is 5-smooth: only d itself fails the check (with DO = 1
+        # among the degrees its numerator is d, so the real chain cannot show this)
+        search = find_si()
+        core = CoreScale((Fraction(8, 7), Fraction(16, 7)), search.core.trace)
+        si = search.accepted
+        accepted = Candidate(si.f_n1, si.f_n2, Fraction(12, 7), si.reason)
+        fa_la = FaLaSolution(Fraction(9, 7), Fraction(10, 7))
+        wrong = SiSearch(core, fa_la, search.denominator, accepted, search.rejected)
+        monkeypatch.setattr(natural, "find_si", lambda: wrong)
+        with pytest.raises(PropositionViolationError, match="escaped the 5-limit lattice"):
+            assemble_diatonic()
+
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(-6, 6)] * 3, st.sampled_from([0, 0, 0, 1, -1])).map(
+                lambda e: math.prod(Fraction(p) ** x for p, x in zip((2, 3, 5, 7), e))
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_the_five_limit_of_the_numerators_is_that_of_the_values(self, values):
+        # the assembly's check: d and every numerator over d, against each value
+        def five_smooth(m: int) -> bool:
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        d, keyed = _ascending(values)
+        on_integers = five_smooth(d) and all(five_smooth(a) for a, _ in keyed)
+        assert on_integers == all(map(is_five_smooth, values))
+
     def test_names(self):
         names = [str(name) for name, _ in assemble_diatonic().degrees]
         assert names == ["DO", "RE", "MI", "FA", "SOL", "LA", "SI", "DO"]
@@ -347,3 +387,53 @@ class TestComparison:
             "SI",
             "DO",
         ]
+
+    def test_p_is_the_diatonic_selection(self, comp):
+        # the fewer-fifths sound of each pair is what the 18-name selection keeps
+        named = select_chromatic(generate_fifths(12, 12))
+        kept = [p.ratio for p in named if p.name in LETTERS]
+        assert [row.pythagorean for row in comp.rows] == kept
+
+    def test_a_tie_in_fifth_counts_is_refused(self, monkeypatch):
+        # MI's pair made 8 fifths down and 8 up: neither is reached in fewer
+        pairs = dict(pairing_table(generate_fifths(12, 12), 12))
+        pairs[4] = (FifthStep("down", 8), FifthStep("up", 8))
+        monkeypatch.setattr(natural, "pairing_table", lambda t, n: pairs)
+        with pytest.raises(PropositionViolationError, match="^degree 4: fifth counts tie"):
+            compare_three_scales()
+
+    def test_ties_with_a_coefficient(self):
+        row = ComparisonRow("X", EtPitch(12, 12, 3), Fraction(7), Fraction(6))
+        assert natural._ordering(row) == "N = E < P"
+        row = ComparisonRow("X", EtPitch(-24, 12, Fraction(5, 3)), Fraction(5, 12), Fraction(1, 3))
+        assert natural._ordering(row) == "N < E = P"
+
+
+def reference_ordering(row: ComparisonRow) -> str:
+    """The three values sorted by ``compare_pitches``, ties kept in N, E, P order."""
+    values = {"N": row.natural, "E": row.equal, "P": row.pythagorean}
+    order = sorted(values, key=cmp_to_key(lambda a, b: compare_pitches(values[a], values[b])))
+    parts = [order[0]]
+    for a, b in zip(order, order[1:]):
+        parts += ["<" if compare_pitches(values[a], values[b]) < 0 else "=", b]
+    return " ".join(parts)
+
+
+@st.composite
+def comparison_rows(draw):
+    """E = r * 2**(k/12), rational at every twelfth k; N and P random, or tied
+    with each other or with a rational E."""
+    k = draw(st.one_of(st.integers(-3, 3).map(lambda j: 12 * j), st.integers(-36, 36)))
+    r = draw(st.sampled_from([Fraction(1), Fraction(3), Fraction(1, 3), Fraction(5, 3)]))
+    e = EtPitch(k, 12, r)
+    values = st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=2 ** 20)
+    exact = [st.just(e.as_fraction())] if e.is_rational() else []
+    n = draw(st.one_of(values, *exact))
+    p = draw(st.one_of(values, st.just(n), *exact))
+    return ComparisonRow("X", e, p, n)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(comparison_rows())
+def test_orderings_on_integers_agree_with_compare_pitches(row):
+    assert natural._ordering(row) == reference_ordering(row)

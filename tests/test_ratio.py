@@ -292,8 +292,18 @@ class TestIntegerRoot:
 
     def test_failed_certificate_raises(self, monkeypatch):
         monkeypatch.setattr(ratio, "_root_candidate", lambda x, n: 1)
-        with pytest.raises(ArithmeticError):
+        message = "root certificate failed: root of degree 3 of a 30-bit integer"
+        with pytest.raises(ArithmeticError, match=f"^{message}$"):
             integer_nth_root(10 ** 9, 3)
+
+    @pytest.mark.parametrize("x, n", [(10 ** 100, 2), (10 ** 100, 21), (10 ** 100, 53)])
+    def test_failed_certificate_names_the_degree_of_any_root(self, monkeypatch, x, n):
+        # "degree n" reads for every n, where "n-th" gave "2-th", "21-th" and "53-th"
+        monkeypatch.setattr(ratio, "_root_candidate", lambda x, n: 1)
+        monkeypatch.setattr(ratio, "math", mock.Mock(isqrt=lambda x: 1))  # the n = 2 candidate
+        message = f"root certificate failed: root of degree {n} of a 333-bit integer"
+        with pytest.raises(ArithmeticError, match=f"^{message}$"):
+            integer_nth_root(x, n)
 
     #: roots next to an exact power (10**9 = 1000**3) and a bracketed one
     NEIGHBOURS = [
