@@ -11,16 +11,15 @@ SI.  The result is the eight-degree just diatonic scale.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import permutations
 from types import MappingProxyType
 
-from .equal import DIATONIC_INDICES, EtPitch
+from .equal import DIATONIC_INDICES, EtPitch, _neighbour_signs
 from .errors import PropositionViolationError, TuningError, _record, _shown, positive_fraction
 from .intervals import note_name
 from .pythagorean import _fewer_fifths, generate_fifths, pairing_table
-from .ratio import RationalLike, _ascending, _sign, _strip, is_five_smooth
+from .ratio import RationalLike, _ascending, is_five_smooth
 
 #: the just diatonic degrees DO..DO, ascending, that the assembly must reach
 JUST_DIATONIC = (
@@ -197,12 +196,12 @@ def assemble_diatonic() -> NaturalScale:
     fa_la, si = search.fa_la, search.accepted.value
     d, keyed = _ascending([*{*search.core.degrees, fa_la.f1, fa_la.f2, si}])
     nums, values = [a for a, _ in keyed], [v for _, v in keyed]
-    if math.prod(nums[1:]) != 2 * math.prod(nums[:-1]):  # step i is a_(i+1)/a_i
+    if nums[-1] != 2 * nums[0]:  # the steps a_(i+1)/a_i telescope to a_last/a_first
         raise PropositionViolationError("scale steps do not close the octave")
     # the a_i/d, d the lcm of their denominators, are 5-smooth iff d and all a_i are:
     # if d is, so are g = gcd(a_i, d) and d/g, and a_i/d = (a_i/g)/(d/g) is iff a_i/g
     # is, iff a_i is; if d is not, a prime p > 5 divides d, hence some denominator
-    if any(_strip(_strip(_strip(a, 2)[0], 3)[0], 5)[0] != 1 for a in (d, *nums)):
+    if not all(map(is_five_smooth, (d, *nums))):
         raise PropositionViolationError("a degree escaped the 5-limit lattice")
     if values != list(JUST_DIATONIC):
         raise PropositionViolationError(f"diatonic assembly produced {values}")
@@ -232,16 +231,13 @@ class ScaleComparison:
 
 def _ordering(row: ComparisonRow) -> str:
     """Ascending order of the three values, each pair compared once, exactly:
-    N with P cross-multiplied, x = N or P with E = r * 2**(k/n) by ``_sign(x/r)``.
+    ``equal._neighbour_signs`` of N, E, P, N gives sign(N-E), sign(E-P), sign(P-N).
 
     A value's rank counts the values strictly below it, so equal values share
     a rank and the stable sort lists ties N first, then E, then P.
     """
-    n, e, p = row.natural, row.equal, row.pythagorean
-    u, v = e.r.denominator, e.r.numerator
-    ne, pe = (_sign(f.numerator * u, f.denominator * v, e.k, e.n) for f in (n, p))
-    x, y = n.numerator * p.denominator, p.numerator * n.denominator  # N <=> P is x <=> y
-    rank = {"N": (ne > 0) + (x > y), "E": (ne < 0) + (pe < 0), "P": (x < y) + (pe > 0)}
+    ne, ep, pn = _neighbour_signs((row.natural, row.equal, row.pythagorean, row.natural))
+    rank = {"N": (ne > 0) + (pn < 0), "E": (ne < 0) + (ep > 0), "P": (ep < 0) + (pn > 0)}
     order = sorted(rank, key=rank.get)
     parts = [order[0]]
     for a, b in zip(order, order[1:]):

@@ -99,7 +99,8 @@ def _five_exponents(r: RationalLike) -> tuple[int, ...] | None:
     """(e2, e3, e5) with r = 2**e2 * 3**e3 * 5**e5, None off the 5-limit; TuningError
     unless ``r`` is a positive int or Fraction, ExponentBoundError for a 5-smooth r
     with an exponent past the bound (3 and 5 divide out singly to one past it)."""
-    r = positive_fraction(r, "a pitch ratio")
+    if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r.numerator > 0):
+        positive_fraction(r, "a pitch ratio")  # raises, naming the argument
     num, den = r.numerator, r.denominator
     a, b = num & -num, den & -den
     num, den, exps = num // a, den // b, [a.bit_length() - b.bit_length()]

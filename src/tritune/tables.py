@@ -11,7 +11,7 @@ from __future__ import annotations
 from .equal import DIATONIC_INDICES, EtPitch, et_value
 from .errors import check_instance
 from .natural import compare_three_scales
-from .pythagorean import PythTable, pairing_table, select_chromatic
+from .pythagorean import PythTable, _fewer_fifths, pairing_table, select_chromatic
 from .ratio import _ascending, _pq_text, monzo_form, to_decimal
 from .scalefile import COLUMNS, comparison_table
 
@@ -40,7 +40,7 @@ def pairing_text(table: PythTable) -> str:
     rows = []
     for degree, pair in pairing_table(table, 12).items():
         diatonic = degree in DIATONIC_INDICES
-        first, second = sorted(pair, key=lambda e: e.k) if diatonic else pair
+        first, second = pair[::-1] if diatonic and _fewer_fifths(degree, *pair) is pair[1] else pair
         et = EtPitch(degree, 12)
         rows.append(
             (

@@ -1,14 +1,16 @@
 """The four reference tables, the ``natural --trace`` derivation, the ``et``
 and ``weber`` lines and the five ``export`` files must render byte-identically
 to the checked-in golden files, whose numeric content is produced by the exact
-modules."""
+modules.  A pairing whose diatonic sounds took as many fifths each cannot be
+ordered, and the pairing table refuses it."""
 
 from pathlib import Path
 
 import pytest
 
-from tritune import cli
-from tritune.pythagorean import generate_fifths
+from tritune import cli, tables
+from tritune.errors import PropositionViolationError
+from tritune.pythagorean import FifthStep, generate_fifths, pairing_table
 from tritune.tables import (
     chromatic_text,
     comparison_text,
@@ -34,6 +36,15 @@ def test_fifth_generation_table(table):
 
 def test_pairing_table(table):
     assert pairing_text(table) == golden("pairing.txt")
+
+
+def test_pairing_table_refuses_a_tie_in_fifth_counts(table, monkeypatch):
+    # MI's pair made 8 fifths down and 8 up: neither is reached in fewer
+    pairs = dict(pairing_table(table, 12))
+    pairs[4] = (FifthStep("down", 8), FifthStep("up", 8))
+    monkeypatch.setattr(tables, "pairing_table", lambda t, n: pairs)
+    with pytest.raises(PropositionViolationError, match="^degree 4: fifth counts tie"):
+        pairing_text(table)
 
 
 def test_chromatic_table(table):

@@ -6,7 +6,8 @@ that only its own unit tests reach is dead weight, so it fails here.
 
 The exact-power policy is bound in one module: only ``ratio`` binds the names
 that choose between forming a power and bracketing it, and only ``ratio``
-defines the comparison kernel that applies that choice.
+defines the comparison kernel that applies that choice.  The 5-limit factoring
+is ``ratio``'s too: other modules test a ratio through ``is_five_smooth``.
 
 Every ``tritune`` process imports the whole package, so no module imports
 ``dataclasses``, ``inspect`` or ``typing``: together they cost tens of
@@ -114,6 +115,8 @@ POLICY = {
 }
 #: The comparison kernel: defined in ratio alone, imported where it is called.
 KERNEL = {"_floor_log2_power", "_sign"}
+#: The 5-limit factoring: bound and imported in ratio alone.
+FACTORING = {"_five_exponents", "_strip"}
 
 
 def _bindings(tree: ast.Module) -> tuple[set[str], set[str]]:
@@ -132,22 +135,22 @@ def _bindings(tree: ast.Module) -> tuple[set[str], set[str]]:
     return assigned, imported
 
 
-def misplaced_policy(source_paths=SOURCES) -> list[str]:
-    """"module.name" of each policy name bound or imported, and each kernel
-    name defined, outside ``ratio``."""
+def misplaced_policy(source_paths=SOURCES, confined=POLICY, kernel=KERNEL) -> list[str]:
+    """"module.name" of each ``confined`` name bound or imported, and each
+    ``kernel`` name defined, outside ``ratio``."""
     misplaced = []
     for path in source_paths:
         if path.stem == "ratio":
             continue
         assigned, imported = _bindings(_parse(path))
-        names = (assigned | imported) & POLICY | assigned & KERNEL
+        names = (assigned | imported) & confined | assigned & kernel
         misplaced += [f"{path.stem}.{name}" for name in sorted(names)]
     return misplaced
 
 
 def test_ratio_binds_the_policy_and_defines_the_kernel():
     assigned, _ = _bindings(_parse(ROOT / "src" / "tritune" / "ratio.py"))
-    assert POLICY | KERNEL <= assigned
+    assert POLICY | KERNEL | FACTORING <= assigned
 
 
 def test_the_power_policy_is_bound_in_ratio_alone():
@@ -167,6 +170,18 @@ def test_the_scan_sees_a_policy_name_outside_its_home(tmp_path):
     assert misplaced_policy([module]) == [
         "stray.MAX_POWER_BITS", "stray._GUARD_BITS", "stray._floor_log2_power"
     ]
+
+
+def test_the_five_limit_factoring_is_bound_in_ratio_alone():
+    misplaced = misplaced_policy(confined=FACTORING, kernel=set())
+    assert not misplaced, f"5-limit factoring outside ratio: {misplaced}"
+
+
+def test_the_scan_sees_a_stray_factoring_import(tmp_path):
+    # the public check may be imported; the factoring behind it may not
+    module = tmp_path / "stray.py"
+    module.write_text("from .ratio import _ascending, _strip, is_five_smooth\n")
+    assert misplaced_policy([module], confined=FACTORING, kernel=set()) == ["stray._strip"]
 
 
 #: Standard-library modules that no module under ``src/tritune`` imports.

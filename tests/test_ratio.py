@@ -77,6 +77,23 @@ class TestMonzo:
         with pytest.raises(ValueError):
             rational_to_monzo(Fraction(0))
 
+    def test_an_int_is_factored_without_a_fraction(self, monkeypatch):
+        def trap(x, what):
+            raise AssertionError(f"positive_fraction({x!r}) on a valid ratio")
+
+        monkeypatch.setattr(ratio, "positive_fraction", trap)
+        assert is_five_smooth(24) is True
+        assert rational_to_monzo(24) == Monzo(3, 1, 0)
+        assert monzo_form(24) == "2^3*3"
+
+    @pytest.mark.parametrize("bad", [0, -3, 1.5, True, Fraction(-1, 2), "3/2"])
+    def test_a_non_ratio_raises_the_contract_error(self, bad):
+        message = f"a pitch ratio must be a positive int or Fraction, got {bad!r}"
+        for call in (is_five_smooth, rational_to_monzo, monzo_form):
+            with pytest.raises(TuningError) as info:
+                call(bad)
+            assert str(info.value) == message
+
     @given(
         *[st.integers(min_value=-70, max_value=70)] * 3,
         st.sampled_from([1, 7, 11]),

@@ -211,6 +211,11 @@ class TestSclWriter:
                 ),
             )
 
+    def test_document_needs_an_entry(self):
+        # (1,) has no neighbour pair, so the order check alone would let it pass
+        with pytest.raises(TuningError, match="^a scale document needs at least one entry$"):
+            ScaleDocument("d", ())
+
     @pytest.mark.parametrize(
         "low, high",
         [
