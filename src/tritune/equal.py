@@ -17,7 +17,7 @@ from functools import wraps
 
 from .errors import _DERIVED, TuningError, _record, _shown, check_instance
 from .errors import check_int, positive_fraction
-from .ratio import MAX_DIGITS, Monzo, _fixed_point, _floor_log2_power, _fraction_text
+from .ratio import MAX_DIGITS, Monzo, _fixed_point, _floor_log2, _fraction_text
 from .ratio import _monzo_terms, _sign, cents, integer_nth_root, to_decimal
 
 #: Chromatic indices of the major diatonic subset of the 12-division scale.
@@ -241,13 +241,13 @@ def nearest_degree(r: Fraction, n: int) -> int:
     ``ratio.MAX_POWER_BITS`` bits (TuningError otherwise, checked first).
 
     The answer is the d with b**(2n) * 2**(2d-1) <= a**(2n) < b**(2n) * 2**(2d+1):
-    d = (m + 1) // 2 for m = ``ratio._floor_log2_power(a, b, 2n)``, which forms
+    d = (m + 1) // 2 for m = ``ratio._floor_log2(a, b, 2n)``, which forms
     powers only for r near a degree or half-way.  A tie needs r a power of
     2**(1/2n); the half-up rule makes the function total.
     """
     check_int("steps per octave n", n, 1, MAX_DIVISIONS)
     r = positive_fraction(r, "a pitch ratio")
-    return (_floor_log2_power(r.numerator, r.denominator, 2 * n) + 1) // 2
+    return (_floor_log2(r.numerator, r.denominator, 2 * n) + 1) // 2
 
 
 def compare_pitches(

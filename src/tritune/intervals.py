@@ -113,17 +113,17 @@ def transpose_indices(indices: Sequence[int], k: int) -> list[int]:
     return [check_int("an index", i, None) + k for i in indices]
 
 
-def classify_chord(indices, preference: str = "sharp") -> str:
+def classify_chord(indices) -> str:
     """Classify a stack of chromatic indices as one of the named triads.
 
     The pattern is read relative to the lowest sound, which also names the
-    chord: "DO major", "RE minor", "MI major seventh".  Anything but the three
-    named shapes comes back as "unknown".
+    chord, an altered one as a sharp: "DO major", "DO♯ minor", "MI major
+    seventh".  Anything but the three named shapes comes back as "unknown".
     """
     check_instance("chord indices", indices, Iterable)
     distinct = sorted({check_int("a chord index", i, None) for i in indices})
     if len(distinct) < 3:
         raise TuningError("a chord needs at least three distinct sounds")
-    root = note_name(distinct[0], preference)
+    root = note_name(distinct[0])
     quality = _CHORD_PATTERNS.get(tuple(i - distinct[0] for i in distinct))
     return f"{root} {quality}" if quality else "unknown"

@@ -17,7 +17,8 @@ power ``a**(n-1)`` a step that Newton's takes to double them, read past
 ``_EXACT_BITS`` bits from a bracket (:func:`_power_bracket`: the power rounded
 down and a proven bound above it).  So is the certificate ``a**n <= x <
 (a+1)**n``, and a full power is formed only on a near-tie, as in
-:func:`_floor_log2_power`, the one exact decision of ``equal``'s comparisons.
+:func:`_floor_log2`, floor(m * log2(a/b)): the one exact logarithm of the octave
+folds, the pairing and the comparisons, read from ``_LOG2_3`` for a power of 3.
 
 Everything here is immutable and pure.
 """
@@ -151,13 +152,6 @@ def _ascending(items: list, ratio: Callable | None = None) -> tuple[int, list[tu
     return d, sorted(keyed, key=itemgetter(0))
 
 
-def _floor_log2(a: int, b: int) -> int:
-    """floor(log2(a/b)) for positive integers: m or m - 1, for m the bit-length
-    difference of a and b, since 2**(m-1) < a/b < 2**(m+1)."""
-    m = a.bit_length() - b.bit_length()
-    return m - (a < b << m if m >= 0 else a << -m < b)
-
-
 def octave_shift(r: RationalLike) -> int:
     """The unique h with 1 <= r * 2**h < 2."""
     r = positive_fraction(r, "a pitch ratio")
@@ -201,27 +195,33 @@ if _lo.bit_length() != _hi.bit_length():
 _LOG2_3 = _lo.bit_length() - 1 + _e
 
 
-def _floor_log2_3(j: int) -> int:
-    """floor(j * log2 3), at least lo >> 64 and at most (lo + |j| - 1) >> 64 for
-    lo = min(j*c, j*(c+1)), c = ``_LOG2_3``; ArithmeticError where the two
-    differ, as for no |j| up to 2 * ``equal.MAX_DIVISIONS`` * ``EXPONENT_BOUND``."""
-    lo = j * _LOG2_3 + min(j, 0)
-    if j and lo >> 64 != (lo + abs(j) - 1) >> 64:
-        raise ArithmeticError(f"floor({j} * log2 3) is undecided at 64 bits")
-    return lo >> 64
-
-
 def _powers(a: int, b: int, m: int) -> tuple[int, int]:
     """a**m and b**m: the only full powers the comparisons form."""
     return a ** m, b ** m
 
 
-def _floor_log2_power(a: int, b: int, m: int) -> int:
-    """floor(log2((a/b)**m)) for positive integers a, b and m, the one exact
-    decision of every comparison; TuningError first if m * bits(max(a, b))
-    passes ``MAX_POWER_BITS``.  Past ``_EXACT_BITS``, ends of one bit length L
-    of a bracket lo * 2**e <= (a/b)**m <= hi * 2**e give L - 1 + e, so only a
-    near-tie with a power of two (within about 2**-60) forms the full powers."""
+def _floor_log2(a: int, b: int, m: int = 1) -> int:
+    """floor(m * log2(a/b)) for positive integers a, b and any integer m: the one
+    exact logarithm of every octave fold, pairing and comparison.  At m = 1 it
+    is k or k - 1 for k the bit-length difference, since 2**(k-1) < a/b <
+    2**(k+1): no power, no bound.  For 3**j, j = +/-m, it lies between lo >> 64
+    and (lo + |j| - 1) >> 64, lo = j*c + min(j, 0) for c = ``_LOG2_3``, ends that
+    agree for 0 < |j| <= 2 * ``equal.MAX_DIVISIONS`` * ``EXPONENT_BOUND``.
+    Otherwise a negative m swaps a and b, m = 0 gives 0, and TuningError comes
+    first if m * bits(max(a, b)) passes ``MAX_POWER_BITS``.  Past
+    ``_EXACT_BITS``, ends of one bit length L of a bracket lo * 2**e <= (a/b)**m
+    <= hi * 2**e give L - 1 + e, so only a near-tie with a power of two (within
+    about 2**-60) forms the full powers."""
+    if m == 1:
+        k = a.bit_length() - b.bit_length()
+        return k - (a < b << k if k >= 0 else a << -k < b)
+    if a == 3 and b == 1 or a == 1 and b == 3:
+        j = m if a == 3 else -m
+        lo = j * _LOG2_3 + min(j, 0)
+        if lo >> 64 == (lo + abs(j) - 1) >> 64:
+            return lo >> 64
+    if m < 1:
+        return _floor_log2(b, a, -m) if m else 0
     bits = max(a, b).bit_length()
     if m * bits > MAX_POWER_BITS:
         raise TuningError(f"a power of {_shown(m)} x {bits} bits is over MAX_POWER_BITS")
@@ -235,11 +235,11 @@ def _floor_log2_power(a: int, b: int, m: int) -> int:
 def _sign(a: int, b: int, s: int, m: int) -> int:
     """sign(a/b - 2**(s/m)) for positive integers a, b and m.
 
-    Octaves first: a/b lies in [2**f, 2**(f+1)) for f = floor(log2(a/b)), and
-    2**(s/m) in [2**e, 2**(e+1)) for e = s // m, so f != e decides with no
+    Octaves first: a/b lies in [2**f, 2**(f+1)) for f = ``_floor_log2(a, b)``,
+    and 2**(s/m) in [2**e, 2**(e+1)) for e = s // m, so f != e decides with no
     power.  Within one octave band, with s/m reduced, a/b >= 2**s at m = 1,
     equal or not by one shift; at m > 1 a tie is impossible and a/b > 2**(s/m)
-    iff ``_floor_log2_power(a, b, m)`` >= s (TuningError past MAX_POWER_BITS).
+    iff ``_floor_log2(a, b, m)`` >= s (TuningError past MAX_POWER_BITS).
     """
     if a == b:
         return (s < 0) - (s > 0)
@@ -250,7 +250,7 @@ def _sign(a: int, b: int, s: int, m: int) -> int:
     s, m = s // g, m // g
     if m == 1:
         return int(a << max(-s, 0) != b << max(s, 0))
-    return 1 if _floor_log2_power(a, b, m) >= s else -1
+    return 1 if _floor_log2(a, b, m) >= s else -1
 
 
 def integer_nth_root(x: int, n: int) -> int:
@@ -336,26 +336,17 @@ def _root_candidate(x: int, n: int) -> int:
     return b
 
 
-def is_perfect_nth_power(m: int, n: int) -> tuple[bool, int | None]:
-    """Whether a**n == m for some integer a; returns (flag, a or None)."""
-    check_int("m", m, 1)
-    a = integer_nth_root(m, check_int("n", n, 2))
-    return (True, a) if a ** n == m else (False, None)
-
-
 def is_nth_root_irrational(m: int, n: int) -> bool:
-    """True exactly when the nth root of m is irrational (m, n >= 2)."""
+    """True exactly when m (>= 2) is no perfect nth power (n >= 2), so its root is irrational."""
     check_int("m", m, 2)
-    return not is_perfect_nth_power(m, n)[0]
+    return integer_nth_root(m, check_int("n", n, 2)) ** n != m
 
 
 def _terminating_digits(den: int) -> int | None:
     """Length of the exact decimal expansion for 1/den, or None if infinite."""
-    twos, fives = (den & -den).bit_length() - 1, 0
-    den >>= twos
-    while den % 5 == 0:
-        den, fives = den // 5, fives + 1
-    return max(twos, fives) if den == 1 else None
+    twos = (den & -den).bit_length() - 1
+    rest, fives = _strip(den >> twos, 5)
+    return max(twos, fives) if rest == 1 else None
 
 
 def to_decimal(r: RationalLike, digits: int) -> str:

@@ -23,7 +23,7 @@ from tritune.natural import harmonic_divide, means
 from tritune.pythagorean import FifthStep, base_dependence_demo, classify_to_et
 from tritune.pythagorean import generate_fifths, pairing_table, select_chromatic
 from tritune.ratio import EXPONENT_BOUND, MAX_DIGITS, Monzo, integer_nth_root
-from tritune.ratio import is_five_smooth, is_nth_root_irrational, is_perfect_nth_power
+from tritune.ratio import is_five_smooth, is_nth_root_irrational
 from tritune.ratio import monzo_form, monzo_to_rational, octave_shift, rational_to_monzo
 from tritune.ratio import reduce_to_octave
 from tritune.ratio import cents, to_decimal
@@ -72,8 +72,6 @@ INT_PARAMETERS = {
     "ratio.Monzo:exp5": (lambda v: Monzo(0, 0, v), -EXPONENT_BOUND, EXPONENT_BOUND),
     "ratio.integer_nth_root:x": (lambda v: integer_nth_root(v, 3), 0, None),
     "ratio.integer_nth_root:n": (lambda v: integer_nth_root(8, v), 1, None),
-    "ratio.is_perfect_nth_power:m": (lambda v: is_perfect_nth_power(v, 3), 1, None),
-    "ratio.is_perfect_nth_power:n": (lambda v: is_perfect_nth_power(8, v), 2, None),
     "ratio.is_nth_root_irrational:m": (lambda v: is_nth_root_irrational(v, 3), 2, None),
     "ratio.is_nth_root_irrational:n": (lambda v: is_nth_root_irrational(8, v), 2, None),
     "ratio.to_decimal:digits": (lambda v: to_decimal(Fraction(1, 3), v), 1, MAX_DIGITS),
@@ -272,10 +270,6 @@ def test_record_parameter_takes_its_type_only(key):
 #: "module.name:parameter" -> (call taking one of a few names, the names)
 CHOICE_PARAMETERS = {
     "intervals.note_name:preference": (lambda v: note_name(1, v), ("sharp", "flat")),
-    "intervals.classify_chord:preference": (
-        lambda v: classify_chord([0, 4, 7], v),
-        ("sharp", "flat"),
-    ),
     "pythagorean.FifthStep:direction": (lambda v: FifthStep(v, 1), ("up", "down")),
     "scalefile.export_table:format": (
         lambda v: export_table(compare_three_scales(), v),

@@ -1,14 +1,15 @@
 """The certified power brackets behind the one exact decision.
 
 ``ratio._power_bracket(a, b, m, t)`` bounds (a/b)**m between lo * 2**e and
-hi * 2**e at a precision of t bits.  ``ratio._floor_log2_power``, which both
+hi * 2**e at a precision of t bits.  ``ratio._floor_log2(a, b, m)``, which
 ``ratio._sign`` and ``equal.nearest_degree`` read, takes it at
-``ratio._GUARD_BITS`` + bits(m) bits and gives floor(log2((a/b)**m)) from it
+``ratio._GUARD_BITS`` + bits(m) bits and gives floor(m * log2(a/b)) from it
 when lo and hi have one bit length, and forms the exact powers
 (``ratio._powers``) only on a near-tie with a power of two or at most
 ``ratio._EXACT_BITS`` bits, so every patch below is of ``ratio`` alone.  Every answer must
-equal the exact powers' one.  ``ratio._floor_log2_3(j)``, which pairs the
-fifth table, reads floor(j * log2 3) from one such bracket of 3**(2**64).
+equal the exact powers' one.  ``ratio._floor_log2(3, 1, j)``, which pairs the
+fifth table, reads floor(j * log2 3) from one such bracket of 3**(2**64), and
+takes the exact path where that reading straddles an integer.
 Only the lower end is a chain of products; the upper end is a bound on its
 roundings, checked here at its lowest precision and against the two-sided
 interval loop that computed both ends.
@@ -28,7 +29,7 @@ from tritune import ratio
 from tritune.equal import MAX_DIVISIONS, EtPitch, compare_pitches, nearest_degree
 from tritune.errors import CoverageError, TuningError
 from tritune.pythagorean import classify_to_et, generate_fifths, pairing_table
-from tritune.ratio import EXPONENT_BOUND, MAX_POWER_BITS, _floor_log2, _floor_log2_3
+from tritune.ratio import EXPONENT_BOUND, MAX_POWER_BITS, _floor_log2
 from tritune.ratio import _power_bracket, integer_nth_root
 
 THOUSAND = settings(max_examples=1000, deadline=None)
@@ -313,25 +314,80 @@ class TestFloorLog2Of3:
     def test_every_exponent_a_pairing_asks_for_is_decided(self):
         # j = +/-2nk for n up to MAX_DIVISIONS and k up to EXPONENT_BOUND, each
         # checked against the bit length b of 3**j, one multiplication a step:
-        # j * log2 3 lies strictly between b - 1 and b
-        assert _floor_log2_3(0) == 0
+        # j * log2 3 lies strictly between b - 1 and b.  Each is read from
+        # _LOG2_3 alone, with no power or bracket formed
+        assert _floor_log2(3, 1, 0) == 0
         power = 1
-        for j in range(1, 2 * MAX_DIVISIONS * EXPONENT_BOUND + 1):
-            power *= 3
-            b = power.bit_length()
-            assert (_floor_log2_3(j), _floor_log2_3(-j)) == (b - 1, -b), j
+        with counted_powers() as calls, mock.patch.object(
+            ratio, "_power_bracket", side_effect=AssertionError("bracket formed")
+        ):
+            for j in range(1, 2 * MAX_DIVISIONS * EXPONENT_BOUND + 1):
+                power *= 3
+                b = power.bit_length()
+                assert (_floor_log2(3, 1, j), _floor_log2(3, 1, -j)) == (b - 1, -b), j
+        assert calls == []
         # c = floor(2**64 * log2 3) against correctly rounded 60-digit logs
         with localcontext() as ctx:
             ctx.prec = 60
             scaled = Decimal(3).ln() / Decimal(2).ln() * 2 ** 64
         assert Decimal("1e-30") < scaled - ratio._LOG2_3 < 1 - Decimal("1e-30")
 
-    def test_an_undecided_exponent_raises(self, monkeypatch):
-        # 6c = 2**67 - 2 with this c, so 6c >> 64 = 7 and (6(c+1) - 1) >> 64 = 8
-        monkeypatch.setattr(ratio, "_LOG2_3", 2 ** 64 + (2 ** 64 - 1) // 3)
-        for j in (6, -6):
-            with pytest.raises(ArithmeticError, match="undecided"):
-                _floor_log2_3(j)
-        # j = 2n(+/-k) = +/-6 at n = 3 for one fifth each way
-        with pytest.raises(ArithmeticError, match="undecided"):
+    def test_an_undecided_exponent_takes_the_exact_powers(self, monkeypatch):
+        # j = +/-2nk = +/-6 at n = 3 for one fifth each way, and the pairing of
+        # that table, before the patch
+        with pytest.raises(CoverageError) as unpatched:
             pairing_table(generate_fifths(1, 1), 3)
+        # 6c = 2**67 - 2 with this c, so 6c >> 64 = 7 and (6(c+1) - 1) >> 64 = 8:
+        # the reading straddles, and 3**6 / 1 gives floor(6 * log2 3) = 9
+        monkeypatch.setattr(ratio, "_LOG2_3", 2 ** 64 + (2 ** 64 - 1) // 3)
+        with counted_powers() as calls:
+            assert (_floor_log2(3, 1, 6), _floor_log2(3, 1, -6)) == (9, -10)
+            assert len(calls) == 2
+            with pytest.raises(CoverageError) as patched:
+                pairing_table(generate_fifths(1, 1), 3)
+        assert str(patched.value) == str(unpatched.value)
+
+
+def exact_floor_log2(p, q):
+    """floor(log2(p/q)) by one Fraction comparison: d - 1 or d for d the
+    bit-length difference, as 2**(d-1) < p/q < 2**(d+1)."""
+    d = p.bit_length() - q.bit_length()
+    return d - 1 + (Fraction(p, q) >= Fraction(2) ** d)
+
+
+class TestFloorLog2AnyExponent:
+    @given(
+        st.sampled_from([(3, 1), (1, 3), (3, 2), (1, 1), (2, 1)])
+        | st.tuples(st.integers(1, 2 ** 64), st.integers(1, 2 ** 64)),
+        st.integers(-300, 300),
+        st.sampled_from([1, 2, 64]),
+    )
+    @settings(deadline=None)
+    def test_against_exact_powers(self, ab, m, guard_bits):
+        # a negative m swaps a and b, m = 0 gives 0; few guard bits put the
+        # bracket and the exact fallback both within reach
+        a, b = ab
+        p, q = (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
+        with bracketed(guard_bits):
+            assert _floor_log2(a, b, m) == exact_floor_log2(p, q)
+
+    def test_exponent_zero_forms_nothing(self):
+        with counted_powers() as calls, mock.patch.object(
+            ratio, "_power_bracket", side_effect=AssertionError("bracket formed")
+        ):
+            for a, b in ((3, 1), (1, 3), (3 ** 1000, 2), (1, 1 << MAX_POWER_BITS)):
+                assert _floor_log2(a, b, 0) == 0
+        assert calls == []
+
+    def test_a_rational_past_the_bound_forms_no_power_at_exponent_one(self):
+        # m = +/-1 reads bit lengths and one shift: no bound, bracket or power
+        a = (1 << MAX_POWER_BITS) + 1
+        with counted_powers() as calls, mock.patch.object(
+            ratio, "_power_bracket", side_effect=AssertionError("bracket formed")
+        ):
+            assert _floor_log2(a, 1) == MAX_POWER_BITS == _floor_log2(1, a, -1)
+            assert _floor_log2(1, a) == -MAX_POWER_BITS - 1 == _floor_log2(a, 1, -1)
+            assert _floor_log2(a, a - 2) == 0 and _floor_log2(3 * a, a) == 1
+        assert calls == []
+        with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
+            _floor_log2(a, 1, 2)

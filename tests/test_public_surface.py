@@ -114,7 +114,7 @@ POLICY = {
     "_EXACT_BITS", "_GUARD_BITS", "_power_bracket", "_power_bounds", "_powers", "MAX_POWER_BITS"
 }
 #: The comparison kernel: defined in ratio alone, imported where it is called.
-KERNEL = {"_floor_log2_power", "_sign"}
+KERNEL = {"_floor_log2", "_sign"}
 #: The 5-limit factoring: bound and imported in ratio alone.
 FACTORING = {"_five_exponents", "_strip"}
 
@@ -164,11 +164,11 @@ def test_the_scan_sees_a_policy_name_outside_its_home(tmp_path):
     module.write_text(
         "from .ratio import _sign, _GUARD_BITS as guard\n"
         "MAX_POWER_BITS = 2 ** 20\n\n"
-        "def _floor_log2_power(a, b, m):\n"
+        "def _floor_log2(a, b, m=1):\n"
         "    return guard\n"
     )
     assert misplaced_policy([module]) == [
-        "stray.MAX_POWER_BITS", "stray._GUARD_BITS", "stray._floor_log2_power"
+        "stray.MAX_POWER_BITS", "stray._GUARD_BITS", "stray._floor_log2"
     ]
 
 

@@ -20,7 +20,7 @@ from tritune.pythagorean import (
     pairing_table,
     select_chromatic,
 )
-from tritune.ratio import EXPONENT_BOUND, _floor_log2_power, cents, octave_shift, to_decimal
+from tritune.ratio import EXPONENT_BOUND, _floor_log2, cents, octave_shift, to_decimal
 
 # the classical 26-sound generation, twelve fifths each way:
 # (direction, k, h, ratio, five-digit truncation)
@@ -144,6 +144,14 @@ class TestGeneration:
             assert FifthStep("up", k).h == -m and FifthStep("down", k).h == m + 1
             folds.append(m + 1)
         assert max(folds) == 38
+
+    def test_the_fold_agrees_with_the_certified_log2_3(self):
+        # h reads floor(k * log2(3/2)) from bit lengths (m = 1); floor(k *
+        # log2 3) - k reads the same floor from ratio._LOG2_3, with no power
+        for k in range(EXPONENT_BOUND + 1):
+            f = _floor_log2(3, 1, k) - k
+            assert (FifthStep("up", k).h, FifthStep("down", k).h) == (-f, f + 1)
+            assert _floor_log2(3, 2, k) == f
 
     def test_fifth_count_cap(self):
         t = generate_fifths(EXPONENT_BOUND, EXPONENT_BOUND)
@@ -320,7 +328,7 @@ class TestPairingParity:
     )
     def test_the_parity_of_the_floor_is_the_side(self, r, n):
         p, q = r.numerator, r.denominator
-        m = _floor_log2_power(p, q, 2 * n)
+        m = _floor_log2(p, q, 2 * n)
         d = (m + 1) // 2
         side = compare_fraction_to_et(r, EtPitch(d, n))
         assert 0 <= d <= n
@@ -335,9 +343,8 @@ class TestPairingParity:
         # log2 3, taken at import: no power, bracket or comparison per sound,
         # whether through a kernel in ratio or a binding of it in equal
         t = generate_fifths(n, n)
-        for module, name in ((ratio, "_floor_log2_power"), (equal, "_floor_log2_power"),
-                             (ratio, "_power_bracket"), (equal, "compare_pitches"),
-                             (ratio, "_sign"), (equal, "_sign")):
+        for module, name in ((ratio, "_powers"), (ratio, "_power_bracket"),
+                             (equal, "compare_pitches"), (ratio, "_sign"), (equal, "_sign")):
             monkeypatch.setattr(module, name, mock.Mock(side_effect=AssertionError(name)))
         assert sorted(pairing_table(t, n)) == list(range(n + 1))
 

@@ -19,7 +19,6 @@ from tritune.ratio import (
     integer_nth_root,
     is_five_smooth,
     is_nth_root_irrational,
-    is_perfect_nth_power,
     monzo_form,
     monzo_to_rational,
     octave_shift,
@@ -240,18 +239,16 @@ class TestOctaveReduction:
 
 class TestPerfectPowers:
     def test_examples(self):
-        assert is_perfect_nth_power(8, 3) == (True, 2)
-        assert is_perfect_nth_power(32, 12) == (False, None)
+        assert not is_nth_root_irrational(8, 3)
+        assert is_nth_root_irrational(32, 12)
         # integer exponentiation oracle: 3**6 == 729
         assert 3 ** 6 == 729
-        assert is_perfect_nth_power(729, 6) == (True, 3)
+        assert not is_nth_root_irrational(729, 6)
 
-    @given(st.integers(min_value=1, max_value=500), st.integers(min_value=2, max_value=8))
+    @given(st.integers(min_value=2, max_value=500), st.integers(min_value=2, max_value=8))
     def test_against_brute_force(self, m, n):
         brute = next((a for a in range(1, m + 1) if a ** n == m), None)
-        flag, root = is_perfect_nth_power(m, n)
-        assert flag == (brute is not None)
-        assert root == brute
+        assert is_nth_root_irrational(m, n) == (brute is None)
 
     def test_irrationality_examples(self):
         assert is_nth_root_irrational(2, 12)
@@ -261,10 +258,9 @@ class TestPerfectPowers:
         assert is_nth_root_irrational(2 ** 7, 12)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            is_perfect_nth_power(0, 2)
-        with pytest.raises(ValueError):
-            is_nth_root_irrational(1, 2)
+        for m, n in ((0, 2), (1, 2), (8, 1)):
+            with pytest.raises(ValueError):
+                is_nth_root_irrational(m, n)
 
 
 def certified(a: int, x: int, n: int) -> bool:
@@ -377,7 +373,6 @@ class TestIntegerRoot:
         # 2**n at small n; these n are past _EXACT_BITS
         assert integer_nth_root(3, 1 << 40) == 1
         assert is_nth_root_irrational(3, 1 << 40)
-        assert is_perfect_nth_power(3, 1 << 40) == (False, None)
         for n in (4096, 10 ** 5):
             assert integer_nth_root((1 << n) - 1, n) == 1
             assert integer_nth_root(1 << n, n) == 2
@@ -491,6 +486,15 @@ class TestDecimalRendering:
         assert to_decimal(Fraction(1, 3), MAX_DIGITS) == "0." + "3" * MAX_DIGITS
         with pytest.raises(TuningError):
             to_decimal(Fraction(1, 3), MAX_DIGITS + 1)
+
+    def test_the_power_of_five_is_split_in_logarithmic_steps(self):
+        # _strip divides by 5, 25, 625, ...: each call makes at most two
+        # divisions, so 5**e splits in about 2 * log2(e) of them, not e
+        e = 100_000
+        with mock.patch.object(ratio, "_strip", wraps=ratio._strip) as strip:
+            assert ratio._terminating_digits(2 ** 7 * 5 ** e) == e
+        assert 0 < strip.call_count <= e.bit_length() + 1
+        assert to_decimal(Fraction(1, 5 ** e), 5) == "0.00000"
 
     def test_too_many_digits_for_a_string_is_a_tuning_error(self):
         # 301 integer digits plus 4000 fraction digits pass the interpreter's
