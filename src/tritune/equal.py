@@ -17,8 +17,8 @@ from functools import wraps
 
 from .errors import _DERIVED, TuningError, _record, _shown, check_instance
 from .errors import check_int, positive_fraction
-from .ratio import MAX_DIGITS, Monzo, _fixed_point, _floor_log2, _fraction_text
-from .ratio import _monzo_terms, _sign, cents, integer_nth_root, to_decimal
+from .ratio import MAX_DIGITS, _fixed_point, _floor_log2, _fraction_text, _sign, cents
+from .ratio import integer_nth_root, to_decimal
 
 #: Chromatic indices of the major diatonic subset of the 12-division scale.
 DIATONIC_INDICES = (0, 2, 4, 5, 7, 9, 11, 12)
@@ -83,9 +83,9 @@ class EtPitch:
             raise TuningError(f"r must be a positive ratio of odd integers, got {_shown(r)}")
 
     @classmethod
-    def of(cls, x: int | Fraction | Monzo | EtPitch) -> EtPitch:
-        """x as r * 2**(k/n), the powers of two of an int, Fraction or Monzo
-        moved into k; TuningError for anything but a positive exact pitch."""
+    def of(cls, x: int | Fraction | EtPitch) -> EtPitch:
+        """x as r * 2**(k/n), the powers of two of a positive int or Fraction
+        moved into k, an EtPitch as it is; TuningError for anything else."""
         if isinstance(x, EtPitch):
             return x
         p, q, k, _ = _power_form(x)
@@ -150,12 +150,10 @@ class EtPitch:
 def _power_form(x) -> tuple[int, int, int, int]:
     """(p, q, k, n) with x = (p/q) * 2**(k/n), read off an exact pitch without
     building one; TuningError for anything but a positive exact pitch."""
-    if isinstance(x, EtPitch):
-        return x.r.numerator, x.r.denominator, x.k, x.n
-    if isinstance(x, Monzo):
-        return (*_monzo_terms(x), 0, 1)
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x.numerator > 0:
         return x.numerator, x.denominator, 0, 1
+    if isinstance(x, EtPitch):
+        return x.r.numerator, x.r.denominator, x.k, x.n
     raise TuningError(f"a pitch must be a positive exact ratio, got {_shown(x)}")
 
 
@@ -250,12 +248,11 @@ def nearest_degree(r: Fraction, n: int) -> int:
     return (_floor_log2(r.numerator, r.denominator, 2 * n) + 1) // 2
 
 
-def compare_pitches(
-    x: int | Fraction | Monzo | EtPitch, y: int | Fraction | Monzo | EtPitch
-) -> int:
+def compare_pitches(x: int | Fraction | EtPitch, y: int | Fraction | EtPitch) -> int:
     """Exact three-way comparison of two pitches: -1, 0 or +1.
 
-    Each pitch is read as (p/q) * 2**(k/n), and x <=> y iff
+    Each pitch, a positive int or Fraction or an ``EtPitch`` (TuningError for
+    anything else), is read as (p/q) * 2**(k/n), and x <=> y iff
     (p1*q2) / (q1*p2) <=> 2**((k2*n1 - k1*n2) / (n1*n2)), which ``ratio._sign``
     decides, with a TuningError for a power past ``ratio.MAX_POWER_BITS``.
     """

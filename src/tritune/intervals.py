@@ -3,9 +3,9 @@
 The distance between two pitches is the ratio of their frequencies, so equal
 musical distances are equal ratios, adjacent intervals compose by
 multiplication, and two ordered sound sets are congruent when their
-consecutive ratios agree.  Every pitch is exact and read as one ``EtPitch``
-r * 2**(k/n), so intervals and congruence between any of them are exact; a
-float is a TuningError.
+consecutive ratios agree.  Every pitch, a positive int or Fraction or an
+``EtPitch``, is read as one ``EtPitch`` r * 2**(k/n), so intervals and congruence
+between any of them are exact; anything else, a float or a Monzo, is a TuningError.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from functools import cmp_to_key
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import TuningError, _record, check_instance, check_int
-from .ratio import Monzo, cents
+from .ratio import cents
 
-Pitch = int | Fraction | Monzo | EtPitch
+Pitch = int | Fraction | EtPitch
 
 LETTERS = ("DO", "RE", "MI", "FA", "SOL", "LA", "SI")
 
@@ -67,14 +67,14 @@ class Interval:
         object.__setattr__(self, "ratio", pitch.as_fraction() if pitch.is_rational() else pitch)
 
     def cents(self) -> float:
-        return cents(self.ratio)
+        return self.ratio.cents() if isinstance(self.ratio, EtPitch) else cents(self.ratio)
 
     def __str__(self) -> str:
         return EtPitch.of(self.ratio).exact_form()
 
 
 def interval_between(f1: Pitch, f2: Pitch) -> Interval:
-    """The distance between two sounds: the larger divided by the smaller.
+    """The distance between two sounds, each a ``Pitch``: the larger divided by the smaller.
 
     Arguments are reordered if needed so the result is always >= 1: 3/2
     against 2^(7/12) is (3/4) * 2^(5/12) = 3 * 2^(-19/12).  A rational result

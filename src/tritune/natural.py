@@ -16,7 +16,8 @@ from itertools import permutations
 from types import MappingProxyType
 
 from .equal import DIATONIC_INDICES, EtPitch, _neighbour_signs
-from .errors import PropositionViolationError, TuningError, _record, _shown, positive_fraction
+from .errors import _DERIVED, PropositionViolationError, TuningError, _record, _shown
+from .errors import positive_fraction
 from .intervals import note_name
 from .pythagorean import _fewer_fifths, generate_fifths, pairing_table
 from .ratio import RationalLike, _ascending, is_five_smooth
@@ -212,21 +213,28 @@ def assemble_diatonic() -> NaturalScale:
 
 @_record
 class ComparisonRow:
-    """One diatonic degree across the three systems."""
+    """One diatonic degree across the three systems, and their ascending order ("N < E < P")."""
 
     degree: str
     equal: EtPitch
     pythagorean: Fraction
     natural: Fraction
+    ordering: str = _DERIVED
+
+    def __post_init__(self):
+        object.__setattr__(self, "ordering", _ordering(self))
 
 
 @_record
 class ScaleComparison:
-    """The diatonic degrees across the three systems, one row each, and each
-    degree's name mapped to its three values in ascending order ("N < E < P")."""
+    """The diatonic degrees across the three systems, one row each."""
 
     rows: tuple[ComparisonRow, ...]
-    orderings: MappingProxyType[str, str]
+
+    @property
+    def orderings(self) -> MappingProxyType[str, str]:
+        """Each degree's name mapped to its row's ordering, read-only."""
+        return MappingProxyType({row.degree: row.ordering for row in self.rows})
 
 
 def _ordering(row: ComparisonRow) -> str:
@@ -254,5 +262,4 @@ def compare_three_scales() -> ScaleComparison:
         ComparisonRow(name, EtPitch(k, 12), _fewer_fifths(k, *pairs[k]).ratio, n)
         for (name, n), k in zip(natural.degrees, DIATONIC_INDICES)
     )
-    orderings = MappingProxyType({row.degree: _ordering(row) for row in rows})
-    return ScaleComparison(rows=rows, orderings=orderings)
+    return ScaleComparison(rows=rows)

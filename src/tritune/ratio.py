@@ -1,11 +1,11 @@
 """Exact arithmetic for pitch ratios.
 
-Pitch ratios live in three exact representations:
+A rational pitch is a positive int or ``Fraction`` (``equal.EtPitch`` holds
+the rest); two other exact forms are not pitches:
 
-* ``Fraction`` -- any positive rational, arbitrary precision;
-* ``Monzo`` -- a rational factored over the primes {2, 3, 5}, stored as its
-  exponent vector, which makes membership in the 3-limit/5-limit lattices a
-  structural fact instead of a numeric test;
+* ``Monzo`` -- a point of the {2, 3, 5} lattice, its exponent vector, which makes
+  membership in the 3-limit/5-limit lattices a structural fact instead of a
+  numeric test; :func:`monzo_to_rational` makes it a pitch;
 * decimal strings produced by :func:`to_decimal`, which truncate (never
   round) so that printed digits are always exact.
 
@@ -84,16 +84,12 @@ class Monzo:
         return Monzo(self.exp2 + other.exp2, self.exp3 + other.exp3, self.exp5 + other.exp5)
 
 
-def _monzo_terms(m: Monzo) -> tuple[int, int]:
-    """Coprime (num, den) with num / den = 2**exp2 * 3**exp3 * 5**exp5."""
-    terms = ((2, m.exp2), (3, m.exp3), (5, m.exp5))
-    num = math.prod(prime ** e for prime, e in terms if e > 0)
-    return num, math.prod(prime ** -e for prime, e in terms if e < 0)
-
-
 def monzo_to_rational(m: Monzo) -> Fraction:
     """Return the reduced fraction 2**exp2 * 3**exp3 * 5**exp5."""
-    return Fraction(*_monzo_terms(check_instance("a monzo", m, Monzo)))
+    m = check_instance("a monzo", m, Monzo)
+    terms = ((2, m.exp2), (3, m.exp3), (5, m.exp5))
+    num = math.prod(prime ** e for prime, e in terms if e > 0)
+    return Fraction(num, math.prod(prime ** -e for prime, e in terms if e < 0))
 
 
 def _five_exponents(r: RationalLike) -> tuple[int, ...] | None:
@@ -406,18 +402,9 @@ def monzo_form(r: RationalLike) -> str:
     return f"{num}/{'*'.join(down)}" if down else num
 
 
-def cents(r) -> float:
-    """Interval size of a ratio in cents: 1200 * log2(r).
-
-    Accepts a positive int or Fraction (not a bool), a Monzo, or an object
-    exposing ``cents()`` itself (symbolic equal-division pitches); anything
-    else, a float included, is a TuningError.
-    """
-    if not isinstance(r, (int, Fraction)) and hasattr(r, "cents"):
-        return r.cents()
-    if isinstance(r, Monzo):
-        r = monzo_to_rational(r)
-    if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r.numerator > 0):
-        raise TuningError(f"cents takes a positive exact ratio, got {_shown(r)}")
+def cents(r: RationalLike) -> float:
+    """Interval size of a ratio in cents: 1200 * log2(r), for a positive int or
+    Fraction; TuningError for anything else, a float, a Monzo or an ``EtPitch``."""
+    r = positive_fraction(r, "the ratio given to cents")
     # split the log to stay accurate for very large numerator/denominator
     return 1200.0 * (math.log2(r.numerator) - math.log2(r.denominator))

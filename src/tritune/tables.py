@@ -69,7 +69,6 @@ def comparison_text() -> str:
     for degree, cells in comparison_table(comp):
         rows.append((degree, *(f"{exact} = {decimal}" for exact, decimal in cells)))
     text = _aligned(rows)
-    notes = [
-        f"{degree}: {comp.orderings[degree]}" for degree in ("MI", "FA", "LA", "SI")
-    ]
+    orderings = comp.orderings  # built at each read
+    notes = [f"{degree}: {orderings[degree]}" for degree in ("MI", "FA", "LA", "SI")]
     return text + "\n".join(notes) + "\n"

@@ -258,6 +258,28 @@ def test_ratio_parameter_takes_positive_exact_ratios_only(key):
             call(value)
 
 
+#: "module.name" -> call reading one pitch: a lattice point, a Monzo, is read as a
+#: pitch only through monzo_to_rational
+PITCH_READERS = {
+    "equal.compare_pitches": lambda v: compare_pitches(v, 1),
+    "equal.EtPitch.of": EtPitch.of,
+    "equal.EtPitch.__mul__": lambda v: EtPitch(7, 12) * v,
+    "equal.EtPitch.__truediv__": lambda v: EtPitch(7, 12) / v,
+    "intervals.Interval": Interval,
+    "intervals.interval_between": lambda v: interval_between(1, v),
+    "intervals.are_congruent": lambda v: are_congruent([1, v], [1, 2]),
+    "ratio.cents": cents,
+}
+
+
+@pytest.mark.parametrize("key", sorted(PITCH_READERS))
+def test_a_pitch_reader_refuses_a_monzo(key):
+    call, fifth = PITCH_READERS[key], Monzo(-1, 1)
+    call(monzo_to_rational(fifth))
+    with pytest.raises(TuningError):
+        call(fifth)
+
+
 @pytest.mark.parametrize("key", sorted(RECORD_PARAMETERS))
 def test_record_parameter_takes_its_type_only(key):
     call, valid = RECORD_PARAMETERS[key]

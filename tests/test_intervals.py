@@ -16,15 +16,18 @@ from tritune.intervals import (
     note_name,
     transpose_indices,
 )
-from tritune.ratio import Monzo
+from tritune.ratio import Monzo, cents, monzo_to_rational
 
 fractions_01 = st.fractions(min_value=Fraction(1, 1000), max_value=1000)
 
-#: every exact form: rationals, monzos, 2**(k/n), and r * 2**(k/n) with r odd/odd
+#: every exact form: rationals (5-smooth ones among them), 2**(k/n), and r * 2**(k/n)
+#: with r odd/odd
 exact_pitches = st.one_of(
     fractions_01,
     st.integers(min_value=1, max_value=64),
-    st.builds(Monzo, st.integers(-6, 6), st.integers(-4, 4), st.integers(-2, 2)),
+    st.builds(Monzo, st.integers(-6, 6), st.integers(-4, 4), st.integers(-2, 2)).map(
+        monzo_to_rational
+    ),
     st.builds(EtPitch, st.integers(-36, 36), st.integers(1, 31)),
     st.builds(
         EtPitch,
@@ -51,8 +54,12 @@ class TestIntervalBetween:
     def test_auto_orders(self):
         assert interval_between(Fraction(3, 2), Fraction(1)).ratio == Fraction(3, 2)
 
-    def test_accepts_monzos(self):
-        assert interval_between(Monzo(0, 0, 0), Monzo(-1, 1, 0)).ratio == Fraction(3, 2)
+    def test_refuses_monzos(self):
+        # a lattice point is a pitch only through monzo_to_rational
+        with pytest.raises(TuningError):
+            interval_between(Monzo(0, 0, 0), Monzo(-1, 1, 0))
+        fifth = interval_between(*map(monzo_to_rational, (Monzo(0, 0, 0), Monzo(-1, 1, 0))))
+        assert fifth.ratio == Fraction(3, 2)
 
     def test_accepts_plain_integers(self):
         assert interval_between(1, 2).ratio == 2
@@ -67,7 +74,7 @@ class TestIntervalBetween:
         octave = interval_between(EtPitch(1, 12), EtPitch(13, 12))
         assert isinstance(octave.ratio, Fraction) and octave.ratio == 2
         assert isinstance(Interval(2).ratio, Fraction) and Interval(2).ratio == 2
-        assert isinstance(Interval(Monzo(1, 1)).ratio, Fraction)
+        assert isinstance(Interval(monzo_to_rational(Monzo(1, 1))).ratio, Fraction)
         third = interval_between(EtPitch(4, 12), EtPitch(7, 12))
         assert isinstance(third.ratio, EtPitch) and third.ratio == EtPitch(3, 12)
 
@@ -85,6 +92,12 @@ class TestIntervalBetween:
     def test_scale_invariance(self, a, b, k):
         scaled = interval_between(a * Fraction(2) ** k, b * Fraction(2) ** k)
         assert scaled.ratio == interval_between(a, b).ratio
+
+    def test_cents_read_each_form_as_its_own(self):
+        assert Interval(EtPitch(7, 12)).cents() == EtPitch(7, 12).cents()
+        assert Interval(EtPitch(-19, 12, 3)).cents() == EtPitch(-19, 12, 3).cents()
+        assert Interval(Fraction(3, 2)).cents() == cents(Fraction(3, 2))
+        assert Interval(EtPitch(24, 12, 3)).cents() == cents(Fraction(12))
 
     def test_interval_requires_at_least_unison(self):
         with pytest.raises(ValueError):
@@ -157,12 +170,13 @@ class TestCongruence:
             [1, Fraction(53545, 35737)], [EtPitch(0, 12), EtPitch(7, 12)]
         )
         assert are_congruent(
-            [Monzo(0, 0), Monzo(1, 0)], [EtPitch(5, 12), EtPitch(17, 12)]
+            [monzo_to_rational(Monzo(0, 0)), monzo_to_rational(Monzo(1, 0))],
+            [EtPitch(5, 12), EtPitch(17, 12)],
         )
         assert not are_congruent([1, 2], [EtPitch(5, 12), EtPitch(16, 12)])
 
     def test_monzo_sequences_compare_exactly(self):
-        walk = [Monzo(0, 0, 0), Monzo(-1, 1, 0), Monzo(-2, 2, 0)]
+        walk = [monzo_to_rational(Monzo(-k, k, 0)) for k in range(3)]
         scaled = [Fraction(5) * Fraction(3, 2) ** k for k in range(3)]
         assert are_congruent(walk, scaled)
 

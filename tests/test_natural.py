@@ -376,6 +376,12 @@ class TestComparison:
             del comp.orderings["MI"]
         assert comp.orderings["MI"] == "N < E < P"
 
+    def test_comparisons_hash_by_their_rows(self, comp):
+        again = compare_three_scales()
+        assert again is not comp and again == comp and hash(again) == hash(comp)
+        assert {comp: "three systems"}[again] == "three systems"
+        assert all(comp.orderings[row.degree] == row.ordering for row in comp.rows)
+
     def test_shape(self, comp):
         assert [row.degree for row in comp.rows] == [
             "DO",

@@ -8,6 +8,8 @@ The exact-power policy is bound in one module: only ``ratio`` binds the names
 that choose between forming a power and bracketing it, and only ``ratio``
 defines the comparison kernel that applies that choice.  The 5-limit factoring
 is ``ratio``'s too: other modules test a ratio through ``is_five_smooth``.
+A ``Monzo`` is a lattice point, not a pitch: only ``ratio``, which defines it,
+and ``pythagorean``, which walks the lattice, import it.
 
 Every ``tritune`` process imports the whole package, so no module imports
 ``dataclasses``, ``inspect`` or ``typing``: together they cost tens of
@@ -135,12 +137,14 @@ def _bindings(tree: ast.Module) -> tuple[set[str], set[str]]:
     return assigned, imported
 
 
-def misplaced_policy(source_paths=SOURCES, confined=POLICY, kernel=KERNEL) -> list[str]:
+def misplaced_policy(
+    source_paths=SOURCES, confined=POLICY, kernel=KERNEL, homes=("ratio",)
+) -> list[str]:
     """"module.name" of each ``confined`` name bound or imported, and each
-    ``kernel`` name defined, outside ``ratio``."""
+    ``kernel`` name defined, outside the modules named in ``homes``."""
     misplaced = []
     for path in source_paths:
-        if path.stem == "ratio":
+        if path.stem in homes:
             continue
         assigned, imported = _bindings(_parse(path))
         names = (assigned | imported) & confined | assigned & kernel
@@ -182,6 +186,24 @@ def test_the_scan_sees_a_stray_factoring_import(tmp_path):
     module = tmp_path / "stray.py"
     module.write_text("from .ratio import _ascending, _strip, is_five_smooth\n")
     assert misplaced_policy([module], confined=FACTORING, kernel=set()) == ["stray._strip"]
+
+
+#: The lattice point, and the modules that may import it.
+LATTICE, LATTICE_HOMES = {"Monzo"}, ("ratio", "pythagorean")
+
+
+def test_only_ratio_and_pythagorean_import_the_lattice_point():
+    misplaced = misplaced_policy(confined=LATTICE, kernel=set(), homes=LATTICE_HOMES)
+    assert not misplaced, f"Monzo imported where pitches are read: {misplaced}"
+
+
+def test_the_scan_sees_a_stray_monzo_import(tmp_path):
+    # the conversion may be imported anywhere; an alias does not hide the point
+    stray, home = tmp_path / "equal.py", tmp_path / "pythagorean.py"
+    stray.write_text("from .ratio import Monzo as M, monzo_to_rational\n")
+    home.write_text("from .ratio import Monzo, monzo_to_rational\n")
+    found = misplaced_policy([stray, home], confined=LATTICE, kernel=set(), homes=LATTICE_HOMES)
+    assert found == ["equal.Monzo"]
 
 
 #: Standard-library modules that no module under ``src/tritune`` imports.

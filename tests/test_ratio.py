@@ -519,10 +519,18 @@ class TestCents:
     def test_additive_under_multiplication(self, a, b):
         assert cents(a * b) == pytest.approx(cents(a) + cents(b), abs=1e-6)
 
-    def test_accepts_monzo_and_rejects_nonpositive(self):
-        assert cents(Monzo(1, 0, 0)) == pytest.approx(1200.0, abs=1e-9)
+    def test_refuses_monzos_and_nonpositive(self):
+        # a lattice point has cents only through monzo_to_rational
+        assert cents(monzo_to_rational(Monzo(1, 0, 0))) == pytest.approx(1200.0, abs=1e-9)
+        with pytest.raises(TuningError):
+            cents(Monzo(1, 0, 0))
         with pytest.raises(ValueError):
             cents(0.0)
+
+    def test_refuses_an_equal_division_pitch(self):
+        # an EtPitch has its own cents(); cents reads rationals only
+        with pytest.raises(TuningError, match="positive int or Fraction"):
+            cents(EtPitch(7, 12))
 
 
 class TestMonzoForm:

@@ -330,7 +330,7 @@ class TestComparisonExport:
         assert si["E"]["exact"] == "2^(11/12)"
 
     def test_empty_table_is_header_only(self):
-        empty = ScaleComparison(rows=(), orderings={})
+        empty = ScaleComparison(rows=())
         assert export_table(empty, "csv") == "degree,E,P,N\n"
 
     def test_unknown_format(self):
