@@ -150,10 +150,10 @@ class EtPitch:
 def _power_form(x) -> tuple[int, int, int, int]:
     """(p, q, k, n) with x = (p/q) * 2**(k/n), read off an exact pitch without
     building one; TuningError for anything but a positive exact pitch."""
+    if isinstance(x, EtPitch):  # first: a miss on the ABC test of Fraction is slow
+        return x.r.numerator, x.r.denominator, x.k, x.n
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x.numerator > 0:
         return x.numerator, x.denominator, 0, 1
-    if isinstance(x, EtPitch):
-        return x.r.numerator, x.r.denominator, x.k, x.n
     raise TuningError(f"a pitch must be a positive exact ratio, got {_shown(x)}")
 
 

@@ -29,26 +29,34 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
+def _reduce(self):
+    return self.__class__, tuple([getattr(self, f) for f in self.__match_args__])
+
+
 def _record(cls):
-    """``cls`` made a frozen record of its annotated fields, as by ``dataclass(frozen=True)``:
-    ``__init__`` takes the fields not ``_DERIVED`` and runs ``__post_init__``; ``==``, ``hash``
-    and ``repr`` read every field unless the class defines its own (an implicit None does not)."""
-    own, cls._fields = vars(cls), tuple(cls.__annotations__)
-    init = [f for f in cls._fields if own.get(f) is not _DERIVED]
-    body = "".join(f"\n object.__setattr__(self, {f!r}, {f})" for f in init)
-    body += "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    """``cls`` made a frozen record of its annotated fields, as by ``dataclass(frozen=True,
+    slots=True)``: ``__init__`` takes the fields not ``_DERIVED``, sets each in its slot and runs
+    ``__post_init__``; ``==``, ``hash`` and ``repr`` read every field unless the class defines
+    its own (an implicit None does not).  A record has no ``__dict__`` and no weak references;
+    copy and pickle rebuild it through ``__init__``, so its checks run again."""
+    own, fields = vars(cls), tuple(cls.__annotations__)
+    init = [f for f in fields if own.get(f) is not _DERIVED]
+    kept = {k: v for k, v in own.items() if k not in (*fields, "__dict__", "__weakref__")}
+    cls = type(cls)(cls.__name__, cls.__bases__, {**kept, "__slots__": fields, "_fields": fields})
+    body = "".join(f"\n  _set_{f}(self, {f})" for f in init)
+    body += "\n  self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    args, sets = ", ".join(init), ", ".join(f"_set_{f}" for f in init)
     module, scope = vars(sys.modules[cls.__module__]), {}  # the globals of __init__
-    exec(f"def __init__(self, {', '.join(init)}):{body}", module, scope)
-    init_fn = cls.__init__ = scope["__init__"]
+    exec(f"def make({sets}):\n def __init__(self, {args}):{body}\n return __init__", module, scope)
+    init_fn = cls.__init__ = scope["make"](*[vars(cls)[f].__set__ for f in init])
     init_fn.__qualname__ = f"{cls.__qualname__}.__init__"
     init_fn.__defaults__ = tuple(own[f] for f in init if f in own)
     init_fn.__annotations__ = {**{f: cls.__annotations__[f] for f in init}, "return": None}
-    for f in set(cls._fields) - set(init):
-        delattr(cls, f)
     for name, method in ("__hash__", _hash), ("__eq__", _eq), ("__repr__", _repr):
         if name not in own or name == "__hash__" and own[name] is None and "__eq__" in own:
             setattr(cls, name, method)
-    cls.__setattr__, cls.__delattr__, cls.__match_args__ = _frozen, _frozen, tuple(init)
+    cls.__setattr__, cls.__delattr__, cls.__reduce__ = _frozen, _frozen, _reduce
+    cls.__match_args__ = tuple(init)
     return cls
 
 

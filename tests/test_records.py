@@ -2,9 +2,13 @@
 annotated fields is a frozen record: its ``repr`` is ``Name(field=...)`` over
 its fields, ``==`` and ``hash`` follow the field tuple (``EtPitch`` reduces
 instead), no field can be assigned or deleted, and its signature lists the
-fields ``__init__`` takes, in order, with their annotations and defaults."""
+fields ``__init__`` takes, in order, with their annotations and defaults.  A
+record is slotted, with no ``__dict__``, and copy and pickle rebuild it field
+for field."""
 
+import copy
 import inspect
+import pickle
 import pkgutil
 from fractions import Fraction
 from importlib import import_module
@@ -86,6 +90,21 @@ def test_repr_names_every_field(name):
     record = EXAMPLES[name]()
     shown = ", ".join(f"{f}={v!r}" for f, v in zip(_fields(type(record)), _values(record)))
     assert repr(record) == f"{name}({shown})"
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_fields_live_in_slots(name):
+    cls = RECORDS[name]
+    assert cls.__slots__ == cls._fields == _fields(cls)
+    assert not hasattr(EXAMPLES[name](), "__dict__")
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_copy_and_pickle_give_an_equal_record(name):
+    record = EXAMPLES[name]()
+    for twin in copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)):
+        assert type(twin) is type(record) and twin == record
+        assert _values(twin) == _values(record)
 
 
 @pytest.mark.parametrize("name", sorted(set(EXAMPLES) - {"EtPitch"}))
