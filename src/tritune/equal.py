@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import wraps
 
 from .errors import _DERIVED, TuningError, _record, _shown, check_instance
 from .errors import check_int, positive_fraction
-from .ratio import MAX_DIGITS, _fixed_point, _floor_log2, _fraction_text, _sign, cents
+from .ratio import MAX_DIGITS, _fixed_point, _floor_log2, _fraction_text, _sign
 from .ratio import integer_nth_root, to_decimal
 
 #: Chromatic indices of the major diatonic subset of the 12-division scale.
@@ -40,23 +39,6 @@ MAX_OCTAVES = 2 ** 20
 _ET_GUARD_BITS = 16
 
 _ONE = Fraction(1)
-
-
-def _in_float_range(method):
-    """A pitch's float-valued ``method``, whose value past the float range is
-    a TuningError naming the pitch, not an OverflowError or an inf."""
-
-    @wraps(method)
-    def checked(self) -> float:
-        try:
-            value = method(self)
-            if math.isfinite(value):
-                return value
-        except OverflowError:
-            pass
-        raise TuningError(f"{_shown(self)} is past the float range")
-
-    return checked
 
 
 @_record
@@ -114,21 +96,19 @@ class EtPitch:
     def __hash__(self):
         return hash(("EtPitch", self.exponent, self.r))
 
-    @_in_float_range
     def __float__(self) -> float:
         # r = m * 2**e with 1/2 < m < 2, as math.frexp splits: r may pass the float range
         p, q = self.r.numerator, self.r.denominator
         e = p.bit_length() - q.bit_length()
         m = p / (q << e) if e >= 0 else (p << -e) / q
         h, k = divmod(self.k, self.n)
-        return math.ldexp(m * 2.0 ** (k / self.n), e + h)
+        try:
+            return math.ldexp(m * 2.0 ** (k / self.n), e + h)
+        except OverflowError:
+            raise TuningError(f"{_shown(self)} is past the float range") from None
 
     def __str__(self) -> str:
         return self.exact_form()
-
-    @_in_float_range
-    def cents(self) -> float:
-        return 1200 * self.k / self.n + cents(self.r)
 
     def is_rational(self) -> bool:
         """r * 2**(k/n) is rational iff the reduced exponent is an integer."""

@@ -16,7 +16,6 @@ from functools import cmp_to_key
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import TuningError, _record, check_instance, check_int
-from .ratio import cents
 
 Pitch = int | Fraction | EtPitch
 
@@ -65,9 +64,6 @@ class Interval:
         if compare_pitches(pitch, 1) < 0:
             raise TuningError("interval ratios are >= 1")
         object.__setattr__(self, "ratio", pitch.as_fraction() if pitch.is_rational() else pitch)
-
-    def cents(self) -> float:
-        return self.ratio.cents() if isinstance(self.ratio, EtPitch) else cents(self.ratio)
 
     def __str__(self) -> str:
         return EtPitch.of(self.ratio).exact_form()

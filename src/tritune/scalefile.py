@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-from .equal import _ONE, EtPitch, EtScale, _neighbour_signs, et_value
+from .equal import _ONE, EtPitch, _neighbour_signs, et_value, generate_et
 from .errors import TuningError, _record, _shown, check_instance, positive_fraction
 from .natural import ScaleComparison, assemble_diatonic
 from .pythagorean import PythTable, select_chromatic
@@ -78,7 +78,7 @@ def natural_scale_document() -> ScaleDocument:
 
 
 def et_scale_document(n: int) -> ScaleDocument:
-    entries = tuple(ScaleEntry(p) for p in EtScale(n=n).pitches[1:])
+    entries = tuple(ScaleEntry(p) for p in generate_et(n).pitches[1:])
     return ScaleDocument(f"Equal division of the octave in {n} steps", entries)
 
 

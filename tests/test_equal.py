@@ -165,7 +165,6 @@ class TestEtPitch:
         assert p != EtPitch(-19, 12) and p != EtPitch(-19, 12, 5)
         assert EtPitch(24, 12, Fraction(3, 5)).as_fraction() == Fraction(12, 5)
         assert EtPitch(0, 1, 3).exact_form() == "3"
-        assert p.cents() == pytest.approx(1200 * (math.log2(3) - 19 / 12))
 
     @pytest.mark.parametrize(
         "call, pitch",
@@ -173,23 +172,18 @@ class TestEtPitch:
             (lambda: float(EtPitch(2000, 1)), "k=2000"),
             (lambda: float(EtPitch(0, 1, Fraction(3**1000))), "r=Fraction(1322"),
             (lambda: float(EtPitch(1000, 1, Fraction(3**100))), "k=1000"),
-            (lambda: EtPitch(10**400, 1).cents(), "k=1000"),
-            (lambda: EtPitch(10**400, 3).cents(), "k=1000"),
-            (lambda: EtPitch(10**306, 1).cents(), "k=1000"),
-            (lambda: Interval(EtPitch(10**400, 3)).cents(), "k=1000"),
         ],
-        ids=["float-k", "float-r", "float-inf", "cents", "method", "method-inf", "interval"],
+        ids=["float-k", "float-r", "float-inf"],
     )
     def test_past_the_float_range_is_a_tuning_error(self, call, pitch):
-        # an OverflowError, or an inf where only the product overflows
+        # an OverflowError, also where only the product of r and 2**(k/n) overflows
         with pytest.raises(TuningError, match="past the float range") as caught:
             call()
         assert str(caught.value).startswith("EtPitch(k=") and pitch in str(caught.value)
 
     def test_values_at_the_edges_of_the_float_range(self):
         assert float(EtPitch(-2000, 1)) == 0.0 and float(EtPitch(1020, 1)) == 2.0**1020
-        assert EtPitch(-(10**300), 1).cents() == pytest.approx(-1.2e303)
-        assert EtPitch(1, 10**400).cents() == 0.0 and float(EtPitch(1, 10**400)) == 1.0
+        assert float(EtPitch(1, 10**400)) == 1.0
 
     @pytest.mark.parametrize(
         "pitch, exact, root",
@@ -205,7 +199,6 @@ class TestEtPitch:
         assert float(pitch) == pytest.approx(float(exact) * root, rel=1e-15)
         if root == 1:
             assert float(pitch) == float(exact)
-        assert pitch.cents() == pytest.approx(1200 * math.log2(float(exact) * root))
 
     @pytest.mark.parametrize(
         "r", [2, Fraction(3, 4), Fraction(4, 3), 0, -3, Fraction(-1, 3), 1.5, "3"]
@@ -397,7 +390,7 @@ class TestGeneration:
     def test_homogeneity(self, n):
         scale = generate_et(n)
         for a, b in zip(scale.pitches, scale.pitches[1:]):
-            assert b.cents() - a.cents() == pytest.approx(1200.0 / n, abs=1e-9)
+            assert b / a == EtPitch(1, n)
 
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=-24, max_value=24))
     def test_transposition_keeps_steps(self, n, shift):

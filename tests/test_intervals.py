@@ -16,7 +16,7 @@ from tritune.intervals import (
     note_name,
     transpose_indices,
 )
-from tritune.ratio import Monzo, cents, monzo_to_rational
+from tritune.ratio import Monzo, monzo_to_rational
 
 fractions_01 = st.fractions(min_value=Fraction(1, 1000), max_value=1000)
 
@@ -92,12 +92,6 @@ class TestIntervalBetween:
     def test_scale_invariance(self, a, b, k):
         scaled = interval_between(a * Fraction(2) ** k, b * Fraction(2) ** k)
         assert scaled.ratio == interval_between(a, b).ratio
-
-    def test_cents_read_each_form_as_its_own(self):
-        assert Interval(EtPitch(7, 12)).cents() == EtPitch(7, 12).cents()
-        assert Interval(EtPitch(-19, 12, 3)).cents() == EtPitch(-19, 12, 3).cents()
-        assert Interval(Fraction(3, 2)).cents() == cents(Fraction(3, 2))
-        assert Interval(EtPitch(24, 12, 3)).cents() == cents(Fraction(12))
 
     def test_interval_requires_at_least_unison(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 constant of ``src/tritune`` is named somewhere that the package, the
 benchmark or the acceptance suite reads: in ``src/tritune`` outside its own
 definition, in ``bench/*.py`` or in ``tests/test_acceptance.py``.  A name
-that only its own unit tests reach is dead weight, so it fails here.
+that only its own unit tests reach is dead weight, so it fails here.  A
+method is reached only through an attribute, as in ``x.cents()``: a bare name
+is a module-level one, so a function does not hide a method of its name.
 
 The exact-power policy is bound in one module: only ``ratio`` binds the names
 that choose between forming a power and bracketing it, and only ``ratio``
@@ -31,16 +33,17 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _uses(tree: ast.AST) -> list[tuple[str, int]]:
-    """(name, line) of every name read, attribute read or name imported."""
+def _uses(tree: ast.AST) -> list[tuple[str, int, bool]]:
+    """(name, line, whether read as an attribute) of every name read,
+    attribute read or name imported."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found.append((node.id, node.lineno))
+            found.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            found.append((node.attr, node.lineno))
+            found.append((node.attr, node.lineno, True))
         elif isinstance(node, ast.alias):
-            found.append((node.name.rsplit(".", 1)[-1], getattr(node, "lineno", 0)))
+            found.append((node.name.rsplit(".", 1)[-1], getattr(node, "lineno", 0), False))
     return found
 
 
@@ -67,18 +70,21 @@ def unreached_names(source_paths=SOURCES, reader_paths=READERS) -> list[str]:
     """"module.name" of each public definition named nowhere it should be."""
     sources = {path.stem: _parse(path) for path in source_paths}
     uses = {stem: _uses(tree) for stem, tree in sources.items()}
-    outside = {name for path in reader_paths for name, _ in _uses(_parse(path))}
+    outside = {
+        (name, attribute) for path in reader_paths for name, _, attribute in _uses(_parse(path))
+    }
     unreached = []
     for stem, tree in sources.items():
         for qualname, node in _definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            if name in outside:
+            ways = (True,) if "." in qualname else (False, True)  # a method only as an attribute
+            if any((name, attribute) in outside for attribute in ways):
                 continue
             span = range(node.lineno, node.end_lineno + 1)
             if any(
-                used == name and not (module == stem and line in span)
+                used == name and attribute in ways and not (module == stem and line in span)
                 for module, found in uses.items()
-                for used, line in found
+                for used, line, attribute in found
             ):
                 continue
             unreached.append(f"{stem}.{qualname}")
@@ -109,6 +115,21 @@ def test_the_scan_sees_an_unreached_name(tmp_path):
     reader = tmp_path / "reader.py"
     reader.write_text("from lonely import used\n")
     assert unreached_names([module], [reader]) == ["lonely.LONELY", "lonely.Kept.alone"]
+
+
+def test_the_scan_sees_a_method_hidden_by_a_function_of_its_name(tmp_path):
+    # the reader names the function cents, never the method as x.cents
+    module = tmp_path / "shadow.py"
+    module.write_text(
+        "def cents(r):\n"
+        "    return r\n\n"
+        "class Pitch:\n"
+        "    def cents(self):\n"
+        "        return cents(self)\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("from shadow import Pitch, cents\n\ncents(Pitch())\n")
+    assert unreached_names([module], [reader]) == ["shadow.Pitch.cents"]
 
 
 #: Which powers are formed, which bracketed and how wide: bound in ratio alone.

@@ -528,7 +528,7 @@ class TestCents:
             cents(0.0)
 
     def test_refuses_an_equal_division_pitch(self):
-        # an EtPitch has its own cents(); cents reads rationals only
+        # cents reads rationals only: an EtPitch has no float cents
         with pytest.raises(TuningError, match="positive int or Fraction"):
             cents(EtPitch(7, 12))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tritune.equal import EtPitch, compare_pitches
+from tritune.equal import EtPitch, compare_pitches, generate_et
 from tritune.errors import TuningError
 from tritune.natural import ScaleComparison, compare_three_scales
 from tritune.pythagorean import generate_fifths
@@ -110,6 +110,18 @@ class TestSclWriter:
         assert lines[0] == "100.00000"
         assert lines[-1] == "1200.00000"
         assert len(lines) == 12
+
+    def test_equal_scale_is_built_by_generate_et(self, monkeypatch):
+        # the benchmark books an equal scale's construction to generate_et
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return generate_et(n)
+
+        monkeypatch.setattr("tritune.scalefile.generate_et", counting)
+        assert len(et_scale_document(31).entries) == 31
+        assert calls == [31]
 
     def test_cents_lines_truncate_non_terminating_values(self):
         doc = et_scale_document(7)
