@@ -172,18 +172,24 @@ class TestEtPitch:
             (lambda: float(EtPitch(2000, 1)), "k=2000"),
             (lambda: float(EtPitch(0, 1, Fraction(3**1000))), "r=Fraction(1322"),
             (lambda: float(EtPitch(1000, 1, Fraction(3**100))), "k=1000"),
+            (lambda: float(EtPitch(3073, 3)), "k=3073"),
+            (lambda: float(EtPitch(10**400, 1)), "k=1000"),
+            (lambda: float(EtPitch(10**400, 3)), "k=1000"),
+            (lambda: float(Interval(EtPitch(10**400, 3)).ratio), "k=1000"),
         ],
-        ids=["float-k", "float-r", "float-inf"],
+        ids=["float-k", "float-r", "float-inf", "float-k-n", "huge-k", "huge-k-n", "interval"],
     )
     def test_past_the_float_range_is_a_tuning_error(self, call, pitch):
-        # an OverflowError, also where only the product of r and 2**(k/n) overflows
+        # an OverflowError, also where only the product of r and 2**(k/n) overflows,
+        # or where k has more digits than a float holds
         with pytest.raises(TuningError, match="past the float range") as caught:
             call()
         assert str(caught.value).startswith("EtPitch(k=") and pitch in str(caught.value)
 
     def test_values_at_the_edges_of_the_float_range(self):
         assert float(EtPitch(-2000, 1)) == 0.0 and float(EtPitch(1020, 1)) == 2.0**1020
-        assert float(EtPitch(1, 10**400)) == 1.0
+        assert float(EtPitch(3071, 3)) == pytest.approx(2.0**1023 * 2 ** (2 / 3), rel=1e-15)
+        assert float(EtPitch(1, 10**400)) == 1.0 and float(EtPitch(-(10**400), 3)) == 0.0
 
     @pytest.mark.parametrize(
         "pitch, exact, root",
