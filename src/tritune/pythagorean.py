@@ -16,7 +16,7 @@ from .equal import DIATONIC_INDICES, MAX_DIVISIONS, nearest_degree
 from .errors import _DERIVED, CoverageError, ExponentBoundError, PropositionViolationError
 from .errors import TuningError, _record, _shown, check_instance, check_int, positive_fraction
 from .intervals import note_name
-from .ratio import EXPONENT_BOUND, Monzo, _floor_log2, cents
+from .ratio import EXPONENT_BOUND, Monzo, _floor_log2, _log2_reading, cents
 from .ratio import monzo_to_rational, reduce_to_octave
 
 PYTHAGOREAN_COMMA = Fraction(531441, 524288)  # (3/2)**12 / 2**7
@@ -117,17 +117,19 @@ def pairing_table(t: PythTable, n: int = 12) -> dict[int, tuple[FifthStep, Fifth
     Each degree must receive exactly one approximant from below and one from
     above (the endpoints sit exactly on degrees 0 and n); anything else is a
     coverage error naming the offending degree, and n runs from 1 to
-    ``equal.MAX_DIVISIONS``.  A sound 2**h * (3/2)**e, e = +/-k, has m = 2n(h
-    - e) + ``ratio._floor_log2(3, 1, 2ne)`` = floor(log2 r**(2n)), read from one
-    bracket of log2 3: its degree d = (m + 1) // 2, below 2**(d/n) at m = 2d - 1,
-    at or above at m = 2d.  Only the k = 0 sounds, 1 and 2, lie on a degree.
+    ``equal.MAX_DIVISIONS``.  A sound r = 2**h * (3/2)**e, e = +/-k, has m =
+    floor(log2 r**(2n)) = ``ratio._log2_reading(2n(h - e), 2ne, 0)`` (on a
+    straddle ``ratio._floor_log2`` of r at 2n): its degree d = (m + 1) // 2, below
+    2**(d/n) at m = 2d - 1, at or above at m = 2d.  Only 1 and 2 lie on a degree.
     """
     entries = check_instance("a fifth table", t, PythTable).entries()
     check_int("steps per octave n", n, 1, MAX_DIVISIONS)
     buckets: dict[int, list[tuple[int, FifthStep]]] = {}
     for step in entries:
         e = step.k if step.direction == "up" else -step.k
-        m = 2 * n * (step.h - e) + _floor_log2(3, 1, 2 * n * e)
+        m = _log2_reading(2 * n * (step.h - e), 2 * n * e, 0)
+        if m is None:
+            m = _floor_log2(step.ratio.numerator, step.ratio.denominator, 2 * n)
         buckets.setdefault((m + 1) // 2, []).append((m, step))
     pairs = {}
     for degree in range(n + 1):

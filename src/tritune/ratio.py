@@ -17,8 +17,8 @@ power ``a**(n-1)`` a step that Newton's takes to double them, read past
 ``_EXACT_BITS`` bits from a bracket (:func:`_power_bracket`: the power rounded
 down and a proven bound above it).  So is the certificate ``a**n <= x <
 (a+1)**n``, and a full power is formed only on a near-tie, as in
-:func:`_floor_log2`, floor(m * log2(a/b)): the one exact logarithm of the octave
-folds, the pairing and the comparisons, read from ``_LOG2_3`` for a power of 3.
+:func:`_floor_log2`, floor(m * log2(a/b)), the one exact logarithm of the octave
+folds, the pairing and the comparisons, read from log2 3 and log2 5 if 5-smooth.
 
 Everything here is immutable and pure.
 """
@@ -184,11 +184,15 @@ def _power_bracket(a: int, b: int, m: int, t: int) -> tuple[int, int, int]:
     return lo, lo + (3 * lo * m >> t - 1) + 1 if rounded else lo, shift - k * m
 
 
-#: floor(2**64 * log2 3) = L - 1 + e, L the bit length of both bracket ends
-_lo, _hi, _e = _power_bracket(3, 1, 1 << 64, 128)
-if _lo.bit_length() != _hi.bit_length():
-    raise ArithmeticError("the bracket of 3**(2**64) straddles a power of two")
-_LOG2_3 = _lo.bit_length() - 1 + _e
+#: floor(2**64 * log2 p) for p = 3, 5: L - 1 + e, L the bit length of both
+#: ends of the bracket of p**(2**64)
+_brackets = [_power_bracket(p, 1, 1 << 64, 128) for p in (3, 5)]
+if any(lo.bit_length() != hi.bit_length() for lo, hi, _ in _brackets):
+    raise ArithmeticError("a bracket of 3**(2**64) or 5**(2**64) straddles a power of two")
+_LOG2_3, _LOG2_5 = (lo.bit_length() - 1 + e for lo, _, e in _brackets)
+#: i of 3**i and j of 5**j up to EXPONENT_BOUND; gcd(x, _FIVE_TOP) is the 5-part of such an x
+_THREES, _FIVES = ({p ** i: i for i in range(EXPONENT_BOUND + 1)} for p in (3, 5))
+_FIVE_TOP = 5 ** EXPONENT_BOUND
 
 
 def _powers(a: int, b: int, m: int) -> tuple[int, int]:
@@ -196,31 +200,52 @@ def _powers(a: int, b: int, m: int) -> tuple[int, int]:
     return a ** m, b ** m
 
 
+def _smooth_exponents(x: int) -> tuple[int, int, int] | None:
+    """(e2, e3, e5) with x = 2**e2 * 3**e3 * 5**e5, None unless e3, e5 <= EXPONENT_BOUND."""
+    e2 = (x & -x).bit_length() - 1
+    odd = x >> e2
+    five = 1 if odd % 5 else math.gcd(odd, _FIVE_TOP)
+    three = _THREES.get(odd // five)
+    return None if three is None else (e2, three, _FIVES[five])
+
+
+def _log2_reading(j2: int, j3: int, j5: int) -> int | None:
+    """floor(j2 + j3 * log2 3 + j5 * log2 5), None where the reading straddles an
+    integer.  As log2 p is irrational, j * 2**64 * log2 p lies strictly between
+    j*c + min(j, 0) and that plus |j|, for c = ``_LOG2_3`` or ``_LOG2_5``.  So X =
+    2**64 * (j3 log2 3 + j5 log2 5) lies strictly between lo, the sum of both lower
+    ends, and lo + w, w = |j3| + |j5|, with min(j3, 0) + min(j5, 0) = (j3 + j5 - w)
+    / 2: ends lo >> 64 and (lo + w - 1) >> 64 that agree give floor(X / 2**64).
+    No tie: 3**(q*j3) * 5**(q*j5) = 2**p only at j3 = j5 = 0, where X = lo = 0."""
+    w = abs(j3) + abs(j5)
+    lo = j3 * _LOG2_3 + j5 * _LOG2_5 + (j3 + j5 - w >> 1)
+    f = lo >> 64
+    return j2 + f if f == lo + w - 1 >> 64 or not w else None
+
+
 def _floor_log2(a: int, b: int, m: int = 1) -> int:
     """floor(m * log2(a/b)) for positive integers a, b and any integer m: the one
     exact logarithm of every octave fold, pairing and comparison.  At m = 1 it
     is k or k - 1 for k the bit-length difference, since 2**(k-1) < a/b <
-    2**(k+1): no power, no bound.  For 3**j, j = +/-m, it lies between lo >> 64
-    and (lo + |j| - 1) >> 64, lo = j*c + min(j, 0) for c = ``_LOG2_3``, ends that
-    agree for 0 < |j| <= 2 * ``equal.MAX_DIVISIONS`` * ``EXPONENT_BOUND``.
-    Otherwise a negative m swaps a and b, m = 0 gives 0, and TuningError comes
-    first if m * bits(max(a, b)) passes ``MAX_POWER_BITS``.  Past
+    2**(k+1): no power, no bound.  Otherwise a negative m swaps a and b, m = 0
+    gives 0, and TuningError comes first if m * bits(max(a, b)) passes
+    ``MAX_POWER_BITS``.  Then :func:`_log2_reading` decides a 5-smooth a/b
+    (:func:`_smooth_exponents`); on a straddle or off the 5-limit, past
     ``_EXACT_BITS``, ends of one bit length L of a bracket lo * 2**e <= (a/b)**m
     <= hi * 2**e give L - 1 + e, so only a near-tie with a power of two (within
     about 2**-60) forms the full powers."""
     if m == 1:
         k = a.bit_length() - b.bit_length()
         return k - (a < b << k if k >= 0 else a << -k < b)
-    if a == 3 and b == 1 or a == 1 and b == 3:
-        j = m if a == 3 else -m
-        lo = j * _LOG2_3 + min(j, 0)
-        if lo >> 64 == (lo + abs(j) - 1) >> 64:
-            return lo >> 64
     if m < 1:
         return _floor_log2(b, a, -m) if m else 0
     bits = max(a, b).bit_length()
     if m * bits > MAX_POWER_BITS:
         raise TuningError(f"a power of {_shown(m)} x {bits} bits is over MAX_POWER_BITS")
+    if (x := _smooth_exponents(a)) and (y := _smooth_exponents(b)):
+        f = _log2_reading(m * (x[0] - y[0]), m * (x[1] - y[1]), m * (x[2] - y[2]))
+        if f is not None:
+            return f
     if m * bits > _EXACT_BITS:
         lo, hi, e = _power_bracket(a, b, m, _GUARD_BITS + m.bit_length())
         if lo.bit_length() == hi.bit_length():

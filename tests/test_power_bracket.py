@@ -7,9 +7,10 @@ hi * 2**e at a precision of t bits.  ``ratio._floor_log2(a, b, m)``, which
 when lo and hi have one bit length, and forms the exact powers
 (``ratio._powers``) only on a near-tie with a power of two or at most
 ``ratio._EXACT_BITS`` bits, so every patch below is of ``ratio`` alone.  Every answer must
-equal the exact powers' one.  ``ratio._floor_log2(3, 1, j)``, which pairs the
-fifth table, reads floor(j * log2 3) from one such bracket of 3**(2**64), and
-takes the exact path where that reading straddles an integer.
+equal the exact powers' one.  A 5-smooth a/b is read instead from log2 3 and
+log2 5, each certified by one such bracket of 3**(2**64) or 5**(2**64)
+(``ratio._log2_reading``, which also pairs the fifth table), and takes the
+bracket and exact path where that reading straddles an integer.
 Only the lower end is a chain of products; the upper end is a bound on its
 roundings, checked here at its lowest precision and against the two-sided
 interval loop that computed both ends.
@@ -273,18 +274,32 @@ def five_limit_ratios():
     return sorted(ratios)
 
 
+#: not 5-smooth, or past the tables of 3**i: 3**65 / 2**103 lies in [1, 2)
+ROUGH_RATIOS = [Fraction(7, 4), Fraction(11, 8), Fraction(3 ** 65, 2 ** 103)]
+
+
 class TestLargeDivisions:
     def test_classify_and_pair_form_no_power_past_the_threshold(self):
+        # every ratio of the pool is 5-smooth: read from log2 3 and log2 5,
+        # with no bracket and no power
         pool = generate_fifths(60, 60).ratios() + five_limit_ratios()
+        with counted_powers() as calls, mock.patch.object(
+            ratio, "_power_bracket", side_effect=AssertionError("bracket formed")
+        ):
+            for n in (12, 31, 53, 311):
+                for r in pool:
+                    assert classify_to_et(r, n)[0] == exact_degree(r, n)
+            assert len(pairing_table(generate_fifths(53, 53), 53)) == 54
+            with pytest.raises(CoverageError):
+                pairing_table(generate_fifths(31, 31), 31)
+        assert calls == []
+        # the rest are bracketed, with no power past the threshold
         with counted_powers(ratio._EXACT_BITS), mock.patch.object(
             ratio, "_power_bracket", wraps=ratio._power_bracket
         ) as brackets:
             for n in (12, 31, 53, 311):
-                for r in pool:
-                    classify_to_et(r, n)
-            assert len(pairing_table(generate_fifths(53, 53), 53)) == 54
-            with pytest.raises(CoverageError):
-                pairing_table(generate_fifths(31, 31), 31)
+                for r in ROUGH_RATIOS:
+                    assert classify_to_et(r, n)[0] == exact_degree(r, n)
         assert brackets.call_count > 0
 
     def test_the_guard_sees_a_near_tie_past_the_threshold(self):
@@ -346,6 +361,84 @@ class TestFloorLog2Of3:
             with pytest.raises(CoverageError) as patched:
                 pairing_table(generate_fifths(1, 1), 3)
         assert str(patched.value) == str(unpatched.value)
+
+
+def floor_log2_by_shifts(p, q):
+    """floor(log2(p/q)) for positive integers, by one shifted comparison: no
+    gcd, so powers of a million bits compare in milliseconds."""
+    d = p.bit_length() - q.bit_length()
+    return d - (p < q << d if d >= 0 else p << -d < q)
+
+
+def smooth(e2, e3, e5):
+    return 2 ** e2 * 3 ** e3 * 5 ** e5
+
+
+#: exponents of 3 and 5 up to one past the tables of 3**i and 5**j
+past_the_table = st.integers(0, EXPONENT_BOUND + 1)
+
+
+class TestFiveSmoothReading:
+    def test_log2_5_is_the_floor_of_a_high_precision_logarithm(self):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            scaled = Decimal(5).ln() / Decimal(2).ln() * 2 ** 64
+        assert Decimal("1e-30") < scaled - ratio._LOG2_5 < 1 - Decimal("1e-30")
+
+    @THOUSAND
+    @given(st.integers(-10 ** 4, 10 ** 4), st.integers(-3000, 3000), st.integers(-3000, 3000))
+    def test_the_reading_is_the_exact_floor(self, j2, j3, j5):
+        # 2**k <= 2**j2 * 3**j3 * 5**j5 < 2**(k+1), in integers
+        num = smooth(max(j2, 0), max(j3, 0), max(j5, 0))
+        den = smooth(max(-j2, 0), max(-j3, 0), max(-j5, 0))
+        assert ratio._log2_reading(j2, j3, j5) == floor_log2_by_shifts(num, den)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.integers(0, 300), past_the_table, past_the_table),
+        st.tuples(st.integers(0, 300), past_the_table, past_the_table),
+        st.integers(-3000, 3000),
+    )
+    def test_floor_log2_against_exact_powers(self, top, bottom, m):
+        # a negative m swaps a and b; a power past MAX_POWER_BITS raises first
+        a, b = smooth(*top), smooth(*bottom)
+        if abs(m) * max(a, b).bit_length() > MAX_POWER_BITS:
+            with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
+                _floor_log2(a, b, m)
+            return
+        p, q = (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
+        assert _floor_log2(a, b, m) == floor_log2_by_shifts(p, q)
+
+    def test_a_straddling_reading_takes_the_exact_powers(self, monkeypatch):
+        before = [_floor_log2(5, 1, 3), _floor_log2(5, 1, -3), _floor_log2(5, 4, 3)]
+        degree = nearest_degree(Fraction(5, 4), 3)
+        # 3c = 7 * 2**64 - 1 with this c, so the readings of 5**3, 5**-3, (5/4)**3
+        # and (5/4)**6 each straddle an integer.  A constant off by a few units
+        # straddles no reading whose exact powers are short enough to form
+        monkeypatch.setattr(ratio, "_LOG2_5", (7 * 2 ** 64 - 1) // 3)
+        with counted_powers() as calls:
+            assert [_floor_log2(5, 1, 3), _floor_log2(5, 1, -3), _floor_log2(5, 4, 3)] == before
+            assert before == [6, -7, 0]
+            assert nearest_degree(Fraction(5, 4), 3) == degree == 1
+        assert len(calls) == 4
+
+    def test_a_smooth_ratio_past_the_power_bound_raises_before_any_reading(self):
+        # 3**64 / 2**101 in [1, 2): 102 bits, so m = 10 281 passes MAX_POWER_BITS
+        a, b = 3 ** 64, 2 ** 101
+        m = MAX_POWER_BITS // 102 + 1
+        with mock.patch.object(ratio, "_log2_reading", side_effect=AssertionError("read")):
+            with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
+                _floor_log2(a, b, m)
+            with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
+                _floor_log2(b, a, -m)
+            with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
+                compare_pitches(Fraction(a, b), EtPitch(1, m))
+        # one step inside the bound, the reading decides with no bracket or power
+        with counted_powers() as calls, mock.patch.object(
+            ratio, "_power_bracket", side_effect=AssertionError("bracket formed")
+        ):
+            got = _floor_log2(a, b, m - 1)
+        assert calls == [] and got == floor_log2_by_shifts(a ** (m - 1), b ** (m - 1))
 
 
 def exact_floor_log2(p, q):

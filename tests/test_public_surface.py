@@ -9,7 +9,8 @@ is a module-level one, so a function does not hide a method of its name.
 The exact-power policy is bound in one module: only ``ratio`` binds the names
 that choose between forming a power and bracketing it, and only ``ratio``
 defines the comparison kernel that applies that choice.  The 5-limit factoring
-is ``ratio``'s too: other modules test a ratio through ``is_five_smooth``.
+is ``ratio``'s too, with its tables and the certified logarithms it is read
+with: other modules test a ratio through ``is_five_smooth``.
 A ``Monzo`` is a lattice point, not a pitch: only ``ratio``, which defines it,
 and ``pythagorean``, which walks the lattice, import it.
 
@@ -137,9 +138,13 @@ POLICY = {
     "_EXACT_BITS", "_GUARD_BITS", "_power_bracket", "_power_bounds", "_powers", "MAX_POWER_BITS"
 }
 #: The comparison kernel: defined in ratio alone, imported where it is called.
-KERNEL = {"_floor_log2", "_sign"}
-#: The 5-limit factoring: bound and imported in ratio alone.
-FACTORING = {"_five_exponents", "_strip"}
+KERNEL = {"_floor_log2", "_log2_reading", "_sign"}
+#: The 5-limit factoring, its tables and the certified logarithms it is read
+#: with: bound and imported in ratio alone.
+FACTORING = {
+    "_five_exponents", "_strip", "_smooth_exponents", "_THREES", "_FIVES", "_FIVE_TOP",
+    "_LOG2_3", "_LOG2_5",
+}
 
 
 def _bindings(tree: ast.Module) -> tuple[set[str], set[str]]:
@@ -187,13 +192,15 @@ def test_the_scan_sees_a_policy_name_outside_its_home(tmp_path):
     # importing the kernel is allowed; an alias does not hide a policy name
     module = tmp_path / "stray.py"
     module.write_text(
-        "from .ratio import _sign, _GUARD_BITS as guard\n"
+        "from .ratio import _sign, _log2_reading as read, _GUARD_BITS as guard\n"
         "MAX_POWER_BITS = 2 ** 20\n\n"
         "def _floor_log2(a, b, m=1):\n"
-        "    return guard\n"
+        "    return guard\n\n"
+        "def _log2_reading(j2, j3, j5):\n"
+        "    return read(j2, j3, j5)\n"
     )
     assert misplaced_policy([module]) == [
-        "stray.MAX_POWER_BITS", "stray._GUARD_BITS", "stray._floor_log2"
+        "stray.MAX_POWER_BITS", "stray._GUARD_BITS", "stray._floor_log2", "stray._log2_reading"
     ]
 
 
@@ -203,10 +210,17 @@ def test_the_five_limit_factoring_is_bound_in_ratio_alone():
 
 
 def test_the_scan_sees_a_stray_factoring_import(tmp_path):
-    # the public check may be imported; the factoring behind it may not
+    # the public check may be imported; the factoring behind it may not, nor
+    # may its tables or constants be imported or bound again
     module = tmp_path / "stray.py"
-    module.write_text("from .ratio import _ascending, _strip, is_five_smooth\n")
-    assert misplaced_policy([module], confined=FACTORING, kernel=set()) == ["stray._strip"]
+    module.write_text(
+        "from .ratio import _ascending, _strip, is_five_smooth\n"
+        "from .ratio import _LOG2_5 as c5, _THREES\n"
+        "_FIVES = {5 ** j: j for j in range(65)}\n"
+    )
+    assert misplaced_policy([module], confined=FACTORING, kernel=set()) == [
+        "stray._FIVES", "stray._LOG2_5", "stray._THREES", "stray._strip"
+    ]
 
 
 #: The lattice point, and the modules that may import it.
