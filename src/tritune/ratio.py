@@ -94,24 +94,21 @@ def monzo_to_rational(m: Monzo) -> Fraction:
 
 def _five_exponents(r: RationalLike) -> tuple[int, ...] | None:
     """(e2, e3, e5) with r = 2**e2 * 3**e3 * 5**e5, None off the 5-limit; TuningError
-    unless ``r`` is a positive int or Fraction, ExponentBoundError for a 5-smooth r
-    with an exponent past the bound (3 and 5 divide out singly to one past it)."""
+    unless ``r`` is a positive int or Fraction.  Both sides factor whole, 3 and 5 by
+    :func:`_strip`, so ExponentBoundError names an exponent of a 5-smooth r past the bound."""
     if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r.numerator > 0):
         positive_fraction(r, "a pitch ratio")  # raises, naming the argument
-    num, den = r.numerator, r.denominator
-    a, b = num & -num, den & -den
-    num, den, exps = num // a, den // b, [a.bit_length() - b.bit_length()]
-    bound = EXPONENT_BOUND
-    for p in (3, 5):
-        e = 0
-        while num % p == 0 and e <= bound:
-            num, e = num // p, e + 1
-        while den % p == 0 and e >= -bound:
-            den, e = den // p, e - 1
-        exps.append(e)
-    if (num != 1 or den != 1) and _strip(_strip(num * den, 3)[0], 5)[0] != 1:
-        return None
-    return tuple(check_int("exponent", e, -bound, bound, ExponentBoundError) for e in exps)
+    sides = []
+    for v in (r.numerator, r.denominator):
+        w, e3 = _strip(v >> (e2 := (v & -v).bit_length() - 1), 3)
+        w, e5 = _strip(w, 5)
+        if w != 1:
+            return None
+        sides.append((e2, e3, e5))
+    return tuple(
+        check_int("exponent", x - y, -EXPONENT_BOUND, EXPONENT_BOUND, ExponentBoundError)
+        for x, y in zip(*sides)
+    )
 
 
 def _strip(v: int, p: int) -> tuple[int, int]:
@@ -127,8 +124,8 @@ def _strip(v: int, p: int) -> tuple[int, int]:
 def rational_to_monzo(r: RationalLike) -> Monzo | None:
     """Factor ``r`` over {2, 3, 5} with :func:`_five_exponents`; None if not 5-smooth.
 
-    None is a membership signal, not an error: callers use it to test whether
-    a sound belongs to the prime lattice at all.
+    None is a membership signal, not an error (callers test whether a sound belongs to the
+    lattice); an exponent past ``EXPONENT_BOUND`` raises ExponentBoundError naming it.
     """
     exps = _five_exponents(r)
     return None if exps is None else Monzo(*exps)

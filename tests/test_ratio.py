@@ -30,6 +30,12 @@ from tritune.ratio import (
 exponents = st.integers(min_value=-EXPONENT_BOUND, max_value=EXPONENT_BOUND)
 monzos = st.builds(Monzo, exponents, exponents, exponents)
 positive_fractions = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)
+#: (a, b, c, w) for x = 2**a * 3**b * 5**c * w, with b and c up to 6 past the bound
+smooth_parts = st.tuples(
+    st.integers(min_value=0, max_value=200),
+    *[st.integers(min_value=0, max_value=EXPONENT_BOUND + 6)] * 2,
+    st.sampled_from([1, 7, 11]),
+)
 
 
 def trial_division_exponents(r: Fraction):
@@ -103,8 +109,10 @@ class TestMonzo:
         r = r * other if above else r / other
         expected = trial_division_exponents(r)
         if expected is not None and max(map(abs, expected)) > EXPONENT_BOUND:
+            # the message names the first exponent past the bound, in e2, e3, e5 order
+            e = next(e for e in expected if abs(e) > EXPONENT_BOUND)
             bound = f"exponent must be an integer from -{EXPONENT_BOUND} to {EXPONENT_BOUND}"
-            with pytest.raises(ExponentBoundError, match=bound):
+            with pytest.raises(ExponentBoundError, match=f"^{bound}, got {e}$"):
                 ratio._five_exponents(r)
         else:
             assert ratio._five_exponents(r) == expected
@@ -115,17 +123,22 @@ class TestMonzo:
             is_five_smooth(2 ** 100)
         assert is_five_smooth(7 * 2 ** 100) is False
 
-    def test_threes_and_fives_are_divided_out_one_past_the_bound_and_no_further(self):
-        # the error names the count where the division stopped, not the
-        # exponent of a 158 497-bit (232 193-bit) argument
-        past = EXPONENT_BOUND + 1
-        with pytest.raises(ExponentBoundError, match=f"got {past}$"):
-            is_five_smooth(3 ** 100_000)
-        with pytest.raises(ExponentBoundError, match=f"got -{past}$"):
-            rational_to_monzo(Fraction(1, 5 ** 100_000))
-        with pytest.raises(ExponentBoundError, match=f"got {past}$"):
-            monzo_form(Fraction(3 ** 100_000, 5 ** 100_000))
-        # a rough rest past the stop is still not 5-smooth
+    def test_a_smooth_ratio_past_the_bound_names_its_exponent(self):
+        # a 158 497-bit (232 193-bit) argument is factored whole by _strip, which
+        # divides by p, p**2, p**4, ...: about 2 * log2(e) divisions, not e
+        e, past = 100_000, EXPONENT_BOUND + 1
+        calls = [
+            (is_five_smooth, 3 ** e, f"got {e}$"),
+            (rational_to_monzo, Fraction(1, 5 ** e), f"got -{e}$"),
+            (monzo_form, Fraction(3 ** e, 5 ** e), f"got {e}$"),
+        ]
+        for call, r, message in calls:
+            with mock.patch.object(ratio, "_strip", wraps=ratio._strip) as strip:
+                with pytest.raises(ExponentBoundError, match=message):
+                    call(r)
+            # at most two of the four strips divide, each in bits(e) + 1 calls
+            assert 0 < strip.call_count <= 2 * (e.bit_length() + 1) + 2
+        # a rough rest is still not 5-smooth, however large its smooth part
         assert is_five_smooth(7 * 3 ** 100_000) is False
         assert rational_to_monzo(Fraction(3 ** past, 7 * 5 ** 100_000)) is None
 
@@ -138,6 +151,23 @@ class TestMonzo:
         while rest % p == 0:
             rest //= p
         assert ratio._strip(rest * p ** e, p) == (rest, e)
+
+    @given(smooth_parts, smooth_parts)
+    def test_smooth_exponents_answer_within_the_tables_and_agree(self, top, bottom):
+        sides = []
+        for a, b, c, w in (top, bottom):
+            x = 2 ** a * 3 ** b * 5 ** c * w
+            smooth = w == 1 and max(b, c) <= EXPONENT_BOUND
+            assert ratio._smooth_exponents(x) == ((a, b, c) if smooth else None)
+            sides.append((x, smooth))
+        (x, x_smooth), (y, y_smooth) = sides
+        if x_smooth and y_smooth:
+            diff = tuple(i - j for i, j in zip(top[:3], bottom[:3]))
+            if max(map(abs, diff)) > EXPONENT_BOUND:  # only e2 can pass it
+                with pytest.raises(ExponentBoundError, match=f"got {diff[0]}$"):
+                    ratio._five_exponents(Fraction(x, y))
+            else:
+                assert ratio._five_exponents(Fraction(x, y)) == diff
 
     @given(monzos)
     def test_round_trip(self, m):
