@@ -2,7 +2,8 @@
 
 Commands: et, pyth, natural, compare, weber, chord, export.  Exit status 0
 on success, 1 on a domain error (one-line diagnostic on stderr), 2 on a
-usage error.
+usage error.  A command's own parser alone parses a line that opens with its
+name; the top parser takes any other line, prints help or usage, and exits.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .tables import chromatic_text, comparison_text, fifth_generation_text, pair
 from .weber import uniform_stimuli
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="tritune",
         description="Build and compare the equal, Pythagorean and just scales.",
@@ -74,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which scale an scl file carries (csv/json always carry the comparison)",
     )
     p_exp.add_argument("--n", type=int, default=12, help="divisions for --scale et")
-    return parser
+    return parser, sub.choices
 
 
 def _run_et(args) -> None:
@@ -143,7 +144,7 @@ def _run_export(args) -> None:
     print(f"wrote {path}")
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 _RUNNERS = {
     "et": _run_et,
@@ -157,12 +158,16 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _PARSER.parse_args(argv)
+        if not argv or argv[0] not in _COMMANDS:
+            _PARSER.parse_args(argv)  # exits: help, or a usage error
+            _PARSER.error("the command must come first")
+        args = _COMMANDS[argv[0]].parse_args(argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _RUNNERS[args.command](args)
+        _RUNNERS[argv[0]](args)
     except (TuningError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,8 +16,7 @@ from itertools import permutations
 from types import MappingProxyType
 
 from .equal import DIATONIC_INDICES, EtPitch, _neighbour_signs
-from .errors import _DERIVED, PropositionViolationError, TuningError, _record, _shown
-from .errors import positive_fraction
+from .errors import PropositionViolationError, TuningError, _record, _shown, positive_fraction
 from .intervals import note_name
 from .pythagorean import _fewer_fifths, generate_fifths, pairing_table
 from .ratio import RationalLike, _ascending, is_five_smooth
@@ -213,16 +212,17 @@ def assemble_diatonic() -> NaturalScale:
 
 @_record
 class ComparisonRow:
-    """One diatonic degree across the three systems, and their ascending order ("N < E < P")."""
+    """One diatonic degree across the three systems; ``ordering``, computed at each
+    read from them, is their ascending order ("N < E < P")."""
 
     degree: str
     equal: EtPitch
     pythagorean: Fraction
     natural: Fraction
-    ordering: str = _DERIVED
 
-    def __post_init__(self):
-        object.__setattr__(self, "ordering", _ordering(self))
+    @property
+    def ordering(self) -> str:
+        return _ordering(self)
 
 
 @_record

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -191,6 +192,42 @@ class TestUsageErrors:
     def test_missing_required(self, capsys):
         assert run(capsys, "et")[0] == 2
 
+    def test_a_command_is_parsed_by_its_own_parser_alone(self, tmp_path, capsys, monkeypatch):
+        def trap(*args, **kwargs):
+            raise AssertionError("the top parser parsed a known command")
+
+        monkeypatch.setattr(cli._PARSER, "parse_args", trap)
+        assert run(capsys, "et", "--n", "12")[0] == 0
+        assert run(capsys, "compare")[0] == 0
+        assert run(capsys, "export", "--format", "csv", "--out", str(tmp_path / "c.csv"))[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["frobnicate"], ["x", "et", "--n", "2"], ["--", "et", "--n", "12"]], ids=repr
+    )
+    def test_no_command_first_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("usage: tritune [-h]")
+
+    def test_top_level_help(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: tritune [-h]")
+
+    def test_a_line_the_top_parser_accepts_is_still_refused(self, capsys, monkeypatch):
+        # should an argparse release read a command after a leading token,
+        # no runner is reached: the command must be the first argument
+        monkeypatch.setattr(cli._PARSER, "parse_args", lambda argv: None)
+        code, out, err = run(capsys, "--", "et", "--n", "12")
+        assert (code, out) == (2, "") and err.endswith("error: the command must come first\n")
+
+    def test_an_unrecognized_argument_prints_the_command_usage(self, capsys):
+        code, out, err = run(capsys, "et", "--n", "12", "x")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: tritune et ")
+        assert err.endswith("tritune et: error: unrecognized arguments: x\n")
+
+    def test_every_command_has_a_runner(self):
+        assert set(cli._RUNNERS) == set(cli._COMMANDS)
+
 
 class TestExport:
     def test_scl_default_natural(self, tmp_path, capsys):
@@ -360,3 +397,7 @@ def test_main_only_returns_a_status(argv):
     if code == 1:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    if code == 2:  # the top parser's usage error, or a command's: its usage, then the error
+        assert out.getvalue() == ""
+        # an argument may hold a line break, so the error line is found from the usage on
+        assert re.fullmatch(r"usage: tritune.*\ntritune( \w+)?: error: .*\n", err.getvalue(), re.S)

@@ -27,6 +27,8 @@ from tritune.natural import (
 )
 from tritune.pythagorean import FifthStep, generate_fifths, pairing_table, select_chromatic
 from tritune.ratio import _ascending, is_five_smooth
+from tritune.scalefile import export_table
+from tritune.tables import comparison_text
 
 positive_fractions = st.fractions(min_value=Fraction(1, 1000), max_value=1000)
 
@@ -375,6 +377,22 @@ class TestComparison:
         with pytest.raises(TypeError):
             del comp.orderings["MI"]
         assert comp.orderings["MI"] == "N < E < P"
+
+    def test_orderings_are_computed_only_when_read(self, monkeypatch):
+        ordering = natural._ordering
+
+        def trap(row):
+            raise AssertionError(f"ordering of {row.degree} computed")
+
+        monkeypatch.setattr(natural, "_ordering", trap)
+        comparison = compare_three_scales()
+        assert export_table(comparison, "csv") and export_table(comparison, "json")
+        computed = []
+        monkeypatch.setattr(natural, "_ordering", lambda row: computed.append(row) or ordering(row))
+        assert comparison_text().splitlines()[-4:] == [
+            "MI: N < E < P", "FA: N = P < E", "LA: N < E < P", "SI: N < E < P"
+        ]
+        assert computed == list(comparison.rows)  # each once, as ``orderings`` is read
 
     def test_comparisons_hash_by_their_rows(self, comp):
         again = compare_three_scales()

@@ -58,7 +58,7 @@ EXAMPLES = {
 }
 
 #: the fields ``__post_init__`` sets from the others, which ``__init__`` does not take
-DERIVED = {"EtScale": ("pitches",), "FifthStep": ("h", "ratio"), "ComparisonRow": ("ordering",)}
+DERIVED = {"EtScale": ("pitches",), "FifthStep": ("h", "ratio")}
 
 #: every default an ``__init__`` field has
 DEFAULTS = {("EtPitch", "r"): Fraction(1), ("Monzo", "exp5"): 0}
