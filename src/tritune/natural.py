@@ -11,6 +11,7 @@ SI.  The result is the eight-degree just diatonic scale.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from types import MappingProxyType
@@ -200,8 +201,9 @@ def assemble_diatonic() -> NaturalScale:
         raise PropositionViolationError("scale steps do not close the octave")
     # the a_i/d, d the lcm of their denominators, are 5-smooth iff d and all a_i are:
     # if d is, so are g = gcd(a_i, d) and d/g, and a_i/d = (a_i/g)/(d/g) is iff a_i/g
-    # is, iff a_i is; if d is not, a prime p > 5 divides d, hence some denominator
-    if not all(map(is_five_smooth, (d, *nums))):
+    # is, iff a_i is; if d is not, a prime p > 5 divides d, hence some denominator;
+    # and a prime divides lcm(d, a_1, ...) iff it divides d or an a_i: one factoring
+    if not is_five_smooth(math.lcm(d, *nums)):
         raise PropositionViolationError("a degree escaped the 5-limit lattice")
     if values != list(JUST_DIATONIC):
         raise PropositionViolationError(f"diatonic assembly produced {values}")

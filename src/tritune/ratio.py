@@ -98,17 +98,20 @@ def _five_exponents(r: RationalLike) -> tuple[int, ...] | None:
     :func:`_strip`, so ExponentBoundError names an exponent of a 5-smooth r past the bound."""
     if isinstance(r, bool) or not (isinstance(r, (int, Fraction)) and r.numerator > 0):
         positive_fraction(r, "a pitch ratio")  # raises, naming the argument
-    sides = []
-    for v in (r.numerator, r.denominator):
-        w, e3 = _strip(v >> (e2 := (v & -v).bit_length() - 1), 3)
-        w, e5 = _strip(w, 5)
-        if w != 1:
-            return None
-        sides.append((e2, e3, e5))
-    return tuple(
-        check_int("exponent", x - y, -EXPONENT_BOUND, EXPONENT_BOUND, ExponentBoundError)
-        for x, y in zip(*sides)
-    )
+    n, d, b = r.numerator, r.denominator, EXPONENT_BOUND
+    n, n3 = _strip(n >> (n2 := (n & -n).bit_length() - 1), 3)
+    n, n5 = _strip(n, 5)
+    if n != 1:
+        return None
+    d, d3 = _strip(d >> (d2 := (d & -d).bit_length() - 1), 3)
+    d, d5 = _strip(d, 5)
+    if d != 1:
+        return None
+    e2, e3, e5 = n2 - d2, n3 - d3, n5 - d5
+    if not (-b <= e2 <= b and -b <= e3 <= b and -b <= e5 <= b):
+        for e in (e2, e3, e5):  # the first past the bound raises, naming it
+            check_int("exponent", e, -b, b, ExponentBoundError)
+    return e2, e3, e5
 
 
 def _strip(v: int, p: int) -> tuple[int, int]:

@@ -144,13 +144,15 @@ def parse_scl(text: str) -> tuple[str, list[Fraction | float]]:
 
 #: the comparison's systems in column order: equal, Pythagorean, natural
 COLUMNS = ("E", "P", "N")
+#: the one encoder of every json leaf (``json.dumps(v, ensure_ascii=False)`` builds one a call)
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def comparison_table(comp: ScaleComparison) -> list[tuple[str, list[tuple[str, str]]]]:
     """Per degree, the (exact form, 5-digit decimal) pair of E, P and N."""
     return [
         (
-            row.degree,
+            check_instance("a degree name", row.degree, str),
             [
                 (row.equal.exact_form(), et_value(row.equal, 5)),
                 (monzo_form(row.pythagorean), to_decimal(row.pythagorean, 5)),
@@ -162,16 +164,21 @@ def comparison_table(comp: ScaleComparison) -> list[tuple[str, list[tuple[str, s
 
 
 def export_table(comp: ScaleComparison, format: str) -> str:
-    """CSV (decimals only) or JSON (exact forms and decimals), UTF-8."""
+    """CSV (decimals only) or JSON (exact forms and decimals), UTF-8.  The JSON text is
+    ``json.dumps(..., ensure_ascii=False, indent=2)``'s, laid out here, since with an indent
+    ``json`` encodes in pure Python; the C encoder escapes each leaf, a str."""
     rows = comparison_table(comp)
     if format == "csv":
         lines = [",".join(("degree", *COLUMNS))]
         lines += [",".join((degree, *(d for _, d in cells))) for degree, cells in rows]
         return "\n".join(lines) + "\n"
     if format == "json":
-        payload = {"columns": list(COLUMNS), "rows": []}
-        for degree, cells in rows:
-            pairs = {c: {"exact": e, "decimal": d} for c, (e, d) in zip(COLUMNS, cells)}
-            payload["rows"].append({"degree": degree, **pairs})
-        return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        q, items = _json_string, []
+        for name, cells in rows:
+            pairs = [f'{q(c)}: {{\n        "exact": {q(e)},\n        "decimal": {q(d)}\n      }}'
+                     for c, (e, d) in zip(COLUMNS, cells)]
+            items.append(",\n      ".join([f'{{\n      "degree": {q(name)}', *pairs]) + "\n    }")
+        listed = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+        columns = ",\n    ".join(map(q, COLUMNS))
+        return f'{{\n  "columns": [\n    {columns}\n  ],\n  "rows": {listed}\n}}\n'
     raise TuningError(f"unknown table format {_shown(format)}")

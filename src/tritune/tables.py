@@ -69,6 +69,6 @@ def comparison_text() -> str:
     for degree, cells in comparison_table(comp):
         rows.append((degree, *(f"{exact} = {decimal}" for exact, decimal in cells)))
     text = _aligned(rows)
-    orderings = comp.orderings  # built at each read
-    notes = [f"{degree}: {orderings[degree]}" for degree in ("MI", "FA", "LA", "SI")]
+    by_degree = {row.degree: row for row in comp.rows}  # the last row of a name, as in orderings
+    notes = [f"{d}: {by_degree[d].ordering}" for d in ("MI", "FA", "LA", "SI")]
     return text + "\n".join(notes) + "\n"

@@ -18,7 +18,8 @@ from tritune.equal import compare_pitches, nearest_degree
 from tritune.errors import ExponentBoundError, TuningError, positive_fraction
 from tritune.intervals import Interval, are_congruent, classify_chord, compose, interval_between
 from tritune.intervals import note_name, transpose_indices
-from tritune.natural import compare_three_scales, frequency_of_division
+from tritune.natural import ComparisonRow, ScaleComparison, compare_three_scales
+from tritune.natural import frequency_of_division
 from tritune.natural import harmonic_divide, means
 from tritune.pythagorean import FifthStep, base_dependence_demo, classify_to_et
 from tritune.pythagorean import generate_fifths, pairing_table, select_chromatic
@@ -157,6 +158,14 @@ RECORD_PARAMETERS = {
     "scalefile.ScaleDocument:entries[0]": (lambda v: ScaleDocument("d", (v,)), ScaleEntry(2)),
     "scalefile.comparison_table:comp": (comparison_table, compare_three_scales()),
     "scalefile.export_table:comp": (lambda v: export_table(v, "csv"), compare_three_scales()),
+    "scalefile.comparison_table:comp.rows[0].degree": (
+        lambda v: comparison_table(ScaleComparison((ComparisonRow(v, EtPitch(0, 12), 1, 1),))),
+        "DO",
+    ),
+    "scalefile.export_table:comp.rows[0].degree": (
+        lambda v: export_table(ScaleComparison((ComparisonRow(v, EtPitch(0, 12), 1, 1),)), "json"),
+        "DO",
+    ),
     "scalefile.parse_scl:text": (parse_scl, "x\n1\n3/2\n"),
     "intervals.compose:i1": (lambda v: compose(v, Interval(2)), Interval(Fraction(3, 2))),
     "intervals.compose:i2": (lambda v: compose(Interval(2), v), Interval(Fraction(3, 2))),

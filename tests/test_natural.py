@@ -332,6 +332,21 @@ class TestDiatonicAssembly:
         d, keyed = _ascending(values)
         on_integers = five_smooth(d) and all(five_smooth(a) for a, _ in keyed)
         assert on_integers == all(map(is_five_smooth, values))
+        # a prime divides the lcm iff it divides one of them: one factoring decides
+        assert is_five_smooth(math.lcm(d, *(a for a, _ in keyed))) == on_integers
+
+    def test_one_factoring_checks_the_assembled_lattice(self, monkeypatch):
+        # the 3 in-range SI candidates, then the lcm of d = 24 and the numerators
+        # 24, 27, 30, 32, 36, 40, 45, 48 over it: 2^5 * 3^3 * 5, not 9 factorings
+        seen = []
+
+        def counted(r):
+            seen.append(r)
+            return is_five_smooth(r)
+
+        monkeypatch.setattr(natural, "is_five_smooth", counted)
+        assemble_diatonic()
+        assert len(seen) == 4 and seen[-1] == 4320
 
     def test_names(self):
         names = [str(name) for name, _ in assemble_diatonic().degrees]
@@ -392,7 +407,9 @@ class TestComparison:
         assert comparison_text().splitlines()[-4:] == [
             "MI: N < E < P", "FA: N = P < E", "LA: N < E < P", "SI: N < E < P"
         ]
-        assert computed == list(comparison.rows)  # each once, as ``orderings`` is read
+        # only the printed rows, each once, in print order
+        assert computed == [comparison.rows[i] for i in (2, 3, 5, 6)]
+        assert [row.degree for row in computed] == ["MI", "FA", "LA", "SI"]
 
     def test_comparisons_hash_by_their_rows(self, comp):
         again = compare_three_scales()

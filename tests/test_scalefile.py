@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from tritune.equal import EtPitch, compare_pitches, generate_et
 from tritune.errors import TuningError
-from tritune.natural import ScaleComparison, compare_three_scales
+from tritune.natural import ComparisonRow, ScaleComparison, compare_three_scales
 from tritune.pythagorean import generate_fifths
 from tritune.scalefile import (
     ScaleDocument,
     ScaleEntry,
+    comparison_table,
     et_scale_document,
     export_table,
     natural_scale_document,
@@ -344,6 +345,30 @@ class TestComparisonExport:
     def test_empty_table_is_header_only(self):
         empty = ScaleComparison(rows=())
         assert export_table(empty, "csv") == "degree,E,P,N\n"
+        columns = '{\n  "columns": [\n    "E",\n    "P",\n    "N"\n  ],\n'
+        assert export_table(empty, "json") == columns + '  "rows": []\n}\n'
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(['"', "\\", "\x00\n\x1f\x7f", "DO♯", ""]), st.text()),
+                st.sampled_from(compare_three_scales().rows),
+            ),
+            max_size=4,
+        )
+    )
+    def test_json_is_the_indent_2_encoders_text(self, named):
+        # the reference: the payload through json.dumps, which encodes in pure Python
+        comp = ScaleComparison(
+            tuple(ComparisonRow(name, r.equal, r.pythagorean, r.natural) for name, r in named)
+        )
+        payload = {"columns": ["E", "P", "N"], "rows": []}
+        for degree, cells in comparison_table(comp):
+            pairs = {c: {"exact": e, "decimal": d} for c, (e, d) in zip("EPN", cells)}
+            payload["rows"].append({"degree": degree, **pairs})
+        expected = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        assert export_table(comp, "json") == expected
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

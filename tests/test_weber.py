@@ -51,6 +51,11 @@ class TestUniformStimuli:
         with pytest.raises(ValueError):
             uniform_stimuli(0, c=1, k=1, n=3)
 
+    @pytest.mark.parametrize("k", [0, -0.5])
+    def test_the_context_constant_must_be_positive(self, k):
+        with pytest.raises(TuningError, match="^the context constant k must be positive$"):
+            uniform_stimuli(1, 1, k, 3)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_parameters_rejected(self, bad):
         for s1, c, k in [(bad, 1, 1), (1, bad, 1), (1, 1, bad)]:
