@@ -109,7 +109,7 @@ def _run_natural(args) -> None:
         print(
             f"search SI -> {si.accepted.value} from "
             f"({si.accepted.f_n1}, {si.accepted.f_n2}); "
-            f"{len(si.rejected)} candidates rejected"
+            f"{si.searched - 1} candidates rejected"
         )
     for name, ratio in scale.degrees:
         print(f"{name} {_pq_text(ratio)} {to_decimal(ratio, 5)}")

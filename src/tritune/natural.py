@@ -141,13 +141,33 @@ def solve_fa_la() -> FaLaSolution:
 
 @_record
 class SiSearch:
-    """The core and FA/LA searched, their common denominator, every verdict."""
+    """The core and FA/LA searched, their common denominator, the accepted SI and the
+    number of ordered pairs searched; ``rejected``, built at each read, is the rest."""
 
     core: CoreScale
     fa_la: FaLaSolution
     denominator: int
     accepted: Candidate
-    rejected: tuple[Candidate, ...]
+    searched: int
+
+    @property
+    def rejected(self) -> tuple[Candidate, ...]:
+        d, verdicts = _si_verdicts(self.core, self.fa_la)
+        kept = [(p, q, Fraction(f3, d), why) for p, q, f3, why in verdicts if why != "accepted"]
+        return tuple([Candidate(*c) for c in kept])
+
+
+def _si_verdicts(core: CoreScale, fa_la: FaLaSolution) -> tuple[int, list[tuple]]:
+    """d, the common denominator of the known degrees, and (f_n1, f_n2, f3, reason) for each
+    ordered pair of them, ascending, f3/d = 2*f_n1 - f_n2: the verdicts of :func:`find_si`."""
+    d, known = _ascending([*{*core.degrees, fa_la.f1, fa_la.f2}])
+    lo, hi = fa_la.f2.numerator * (d // fa_la.f2.denominator), known[-1][0]
+    verdicts = []
+    for (a, f_n1), (b, f_n2) in permutations(known, 2):
+        why = "out-of-range" if not lo < (f3 := 2 * a - b) < hi else (
+            "accepted" if is_five_smooth(Fraction(f3, d)) else "not-5-limit")
+        verdicts.append((f_n1, f_n2, f3, why))
+    return d, verdicts
 
 
 def find_si() -> SiSearch:
@@ -157,28 +177,21 @@ def find_si() -> SiSearch:
     For every ordered pair (f_n1, f_n2) of distinct known degrees the
     candidate is f3 = 2*f_n1 - f_n2 (so that f_n1 is the mean of f_n2 and
     f3), over the degrees derived so far, those of :func:`build_core` and
-    :func:`solve_fa_la`, in integers: over their common denominator d, f3 is
-    2a - b for numerators a, b, and LA < f3 < octave compares numerators; only
-    an in-range f3 is tested for the 5-limit.  Exactly one candidate survives;
-    any other outcome raises, because uniqueness is the whole point.
+    :func:`solve_fa_la`.  Every verdict is given in integers: over their common
+    denominator d, f3 is 2a - b for numerators a, b, and LA < f3 < octave compares
+    numerators; only an in-range f3 is tested for the 5-limit.  Only the accepted SI
+    becomes a Fraction and a Candidate; the rejected ones are built when read.
+    Exactly one candidate survives; any other outcome raises, because uniqueness
+    is the whole point.
     """
     core, fa_la = build_core(), solve_fa_la()
-    d, known = _ascending([*{*core.degrees, fa_la.f1, fa_la.f2}])
-    lo, hi = fa_la.f2.numerator * (d // fa_la.f2.denominator), known[-1][0]
-    accepted, rejected = [], []
-    for (a, f_n1), (b, f_n2) in permutations(known, 2):
-        value = Fraction(f3 := 2 * a - b, d)
-        if not lo < f3 < hi:
-            rejected.append(Candidate(f_n1, f_n2, value, "out-of-range"))
-        elif not is_five_smooth(value):
-            rejected.append(Candidate(f_n1, f_n2, value, "not-5-limit"))
-        else:
-            accepted.append(Candidate(f_n1, f_n2, value, "accepted"))
+    d, verdicts = _si_verdicts(core, fa_la)
+    accepted = [(p, q, Fraction(f3, d), why) for p, q, f3, why in verdicts if why == "accepted"]
     if len(accepted) != 1:
         raise PropositionViolationError(
             f"expected exactly one admissible SI, found {len(accepted)}"
         )
-    return SiSearch(core, fa_la, d, accepted[0], tuple(rejected))
+    return SiSearch(core, fa_la, d, Candidate(*accepted[0]), len(verdicts))
 
 
 @_record

@@ -6,6 +6,7 @@ import re
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,47 @@ def test_one_derivation_per_command(argv, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert calls == Counter(dict.fromkeys(DERIVATION, 1))
     assert not {"build_core", "solve_fa_la", "find_si"} & set(vars(cli))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["natural", "--trace"],
+        ["compare"],
+        ["export", "--format", "csv"],
+        ["export", "--format", "json"],
+        ["export", "--format", "scl", "--scale", "natural"],
+    ],
+    ids=" ".join,
+)
+def test_one_candidate_record_per_command(argv, tmp_path, capsys, monkeypatch):
+    # the SI search decides its 42 candidates in integers: only the accepted one
+    # becomes a Candidate, and no command reads the 41 rejected ones
+    made = []
+    candidate = natural.Candidate
+
+    def counted(*args):
+        made.append(args)
+        return candidate(*args)
+
+    monkeypatch.setattr(natural, "Candidate", counted)
+    if argv[0] == "export":
+        argv = [*argv, "--out", str(tmp_path / "out.scl")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert [args[2] for args in made] == [Fraction(15, 8)]
+    if argv[0] == "natural":
+        assert "; 41 candidates rejected" in out
+
+
+def test_the_console_script_is_main():
+    # the "tritune" command an install puts on PATH runs the same main as
+    # "python -m tritune.cli", which every other test and CI step calls
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["tritune"]
+    module, _, attr = target.partition(":")
+    assert module == "tritune.cli" and getattr(cli, attr) is main
 
 
 class TestPyth:

@@ -63,6 +63,22 @@ def test_the_check_sees_plain_raises():
     assert _raised_names(tree) == [(2, "ValueError"), (5, "TypeError")]
 
 
+def _asserts(tree: ast.AST) -> list[int]:
+    """The line of every ``assert`` statement."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    # python -O strips asserts: every check under src/tritune is a typed raise
+    assert _asserts(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_check_sees_asserts():
+    tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\n")
+    assert _asserts(tree) == [3]
+
+
 MODULES = [import_module(f"tritune.{p.stem}") for p in SOURCES if p.stem != "__init__"]
 
 #: "module.name:parameter" -> (call taking the parameter's value, lo, hi);
@@ -99,6 +115,7 @@ EXEMPT = {
     "errors.CoverageError:degree": "an error record, raised by pairing_table",
     "errors.CoverageError:count": "an error record, raised by pairing_table",
     "natural.SiSearch:denominator": "a derivation record, built only by find_si",
+    "natural.SiSearch:searched": "a derivation record, built only by find_si",
 }
 
 #: index lists: each element is an int index, checked like an int parameter

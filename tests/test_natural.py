@@ -15,6 +15,7 @@ from tritune.natural import (
     ComparisonRow,
     CoreScale,
     FaLaSolution,
+    MeanTriple,
     SiSearch,
     assemble_diatonic,
     build_core,
@@ -85,6 +86,16 @@ class TestHarmonicDivision:
             harmonic_divide(1, Fraction(1, 2))
         with pytest.raises(TuningError):
             harmonic_divide(1, 1)
+
+    def test_the_proportion_check_refuses_a_wrong_mean(self, monkeypatch):
+        # with the arithmetic mean in place of the harmonic one, B = 3/2 on
+        # AC = 1, AD = 2: CB = BD = 1/2, and AC/CB = 2 is not AD/BD = 4
+        def arithmetic_only(a, b):
+            return MeanTriple(arithmetic=(a + b) / 2, harmonic=(a + b) / 2)
+
+        monkeypatch.setattr(natural, "means", arithmetic_only)
+        with pytest.raises(PropositionViolationError, match="^harmonic division proportion failed$"):
+            harmonic_divide(1, 2)
 
     @given(positive_fractions, positive_fractions, positive_fractions)
     def test_frequency_bridge(self, x, y, kappa):
@@ -228,6 +239,29 @@ class TestFindSi:
         assert {(c.f_n1, c.f_n2): (c.value, c.reason) for c in candidates} == expected
         assert search.accepted.reason == "accepted"
 
+    def test_rejected_are_built_when_read_in_the_order_searched(self):
+        # every ordered pair of the ascending known degrees, as permutations
+        # yields them, the accepted SI left out; values by Fraction arithmetic
+        search = find_si()
+        fa_la = search.fa_la
+        known = sorted({*search.core.degrees, fa_la.f1, fa_la.f2})
+        expected = []
+        for a in known:
+            for b in known:
+                v = 2 * a - b
+                if a == b or fa_la.f2 < v < known[-1] and is_five_smooth(v):
+                    continue
+                reason = "not-5-limit" if fa_la.f2 < v < known[-1] else "out-of-range"
+                expected.append((a, b, v, reason))
+        assert search.searched == len(known) * (len(known) - 1) == 42
+        rejected = search.rejected
+        assert [(c.f_n1, c.f_n2, c.value, c.reason) for c in rejected] == expected
+        assert len(rejected) == search.searched - 1 == 41
+        assert all(type(c) is Candidate and type(c.value) is Fraction for c in rejected)
+        # a property, not a field: equality, hash and repr read the fields alone
+        assert "rejected" not in SiSearch._fields and search.rejected == rejected
+        assert search == find_si() and hash(search) == hash(find_si())
+
     def test_every_rejection_has_a_reason(self):
         for c in find_si().rejected:
             assert c.reason in ("out-of-range", "not-5-limit")
@@ -273,7 +307,7 @@ class TestDiatonicAssembly:
         search = find_si()
         si = search.accepted
         accepted = Candidate(si.f_n1, si.f_n2, Fraction(16, 9), si.reason)
-        wrong = SiSearch(search.core, search.fa_la, search.denominator, accepted, search.rejected)
+        wrong = SiSearch(search.core, search.fa_la, search.denominator, accepted, search.searched)
         monkeypatch.setattr(natural, "find_si", lambda: wrong)
         with pytest.raises(PropositionViolationError, match="diatonic assembly produced"):
             assemble_diatonic()
@@ -283,7 +317,7 @@ class TestDiatonicAssembly:
         # is 15/8: the closure check refuses it before the just ratios do
         search = find_si()
         core = CoreScale(search.core.degrees[:-1], search.core.trace)
-        wrong = SiSearch(core, search.fa_la, search.denominator, search.accepted, search.rejected)
+        wrong = SiSearch(core, search.fa_la, search.denominator, search.accepted, search.searched)
         monkeypatch.setattr(natural, "find_si", lambda: wrong)
         with pytest.raises(PropositionViolationError, match="do not close the octave"):
             assemble_diatonic()
@@ -293,7 +327,7 @@ class TestDiatonicAssembly:
         search = find_si()
         si = search.accepted
         accepted = Candidate(si.f_n1, si.f_n2, Fraction(7, 4), si.reason)
-        wrong = SiSearch(search.core, search.fa_la, search.denominator, accepted, search.rejected)
+        wrong = SiSearch(search.core, search.fa_la, search.denominator, accepted, search.searched)
         monkeypatch.setattr(natural, "find_si", lambda: wrong)
         with pytest.raises(PropositionViolationError, match="escaped the 5-limit lattice"):
             assemble_diatonic()
@@ -307,7 +341,7 @@ class TestDiatonicAssembly:
         si = search.accepted
         accepted = Candidate(si.f_n1, si.f_n2, Fraction(12, 7), si.reason)
         fa_la = FaLaSolution(Fraction(9, 7), Fraction(10, 7))
-        wrong = SiSearch(core, fa_la, search.denominator, accepted, search.rejected)
+        wrong = SiSearch(core, fa_la, search.denominator, accepted, search.searched)
         monkeypatch.setattr(natural, "find_si", lambda: wrong)
         with pytest.raises(PropositionViolationError, match="escaped the 5-limit lattice"):
             assemble_diatonic()

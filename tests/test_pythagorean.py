@@ -414,6 +414,11 @@ class TestBaseDependence:
         assert not demo.product_in_table
         assert demo.product_ratio == Fraction(3**13, 2**20)
 
+    def test_a_table_reaching_the_rebased_sound_is_refused(self):
+        # thirteen fifths up reach 3^13/2^20, the rebased product itself
+        with pytest.raises(PropositionViolationError, match="rebased sound was found in the table"):
+            base_dependence_demo(generate_fifths(12, 13))
+
     def test_same_shift_from_do_is_already_there(self, table):
         demo = base_dependence_demo(table)
         assert demo.control_ratio == Fraction(19683, 16384)
