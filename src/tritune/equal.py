@@ -219,9 +219,9 @@ def nearest_degree(r: Fraction, n: int) -> int:
     ``ratio.MAX_POWER_BITS`` bits (TuningError otherwise, checked first).
 
     The answer is the d with b**(2n) * 2**(2d-1) <= a**(2n) < b**(2n) * 2**(2d+1):
-    d = (m + 1) // 2 for m = ``ratio._floor_log2(a, b, 2n)``, which reads a
-    5-smooth r from log2 3 and log2 5 and forms powers only for another r near a
-    degree or half-way.  A tie needs r a power of 2**(1/2n); half up makes it total.
+    d = (m + 1) // 2 for m = ``ratio._floor_log2(a, b, 2n)``, which past short powers
+    reads a 5-smooth r from log2 3 and log2 5 and forms powers only for another r near
+    a degree or half-way.  A tie needs r a power of 2**(1/2n); half up makes it total.
     """
     check_int("steps per octave n", n, 1, MAX_DIVISIONS)
     r = positive_fraction(r, "a pitch ratio")

@@ -16,7 +16,7 @@ from .equal import DIATONIC_INDICES, MAX_DIVISIONS, nearest_degree
 from .errors import _DERIVED, CoverageError, ExponentBoundError, PropositionViolationError
 from .errors import TuningError, _record, _shown, check_instance, check_int, positive_fraction
 from .intervals import note_name
-from .ratio import EXPONENT_BOUND, Monzo, _floor_log2, _log2_reading, cents
+from .ratio import EXPONENT_BOUND, Monzo, _cents, _floor_log2, _log2_reading
 from .ratio import monzo_to_rational, reduce_to_octave
 
 PYTHAGOREAN_COMMA = Fraction(531441, 524288)  # (3/2)**12 / 2**7
@@ -102,13 +102,14 @@ def classify_to_et(r: Fraction, n: int = 12) -> tuple[int, float]:
 
     Returns (degree, deviation in cents); positive deviation means the sound
     sits above its equal neighbour.  n is an integer from 1 to
-    ``equal.MAX_DIVISIONS``, as for ``equal.nearest_degree``.
+    ``equal.MAX_DIVISIONS``, as for ``equal.nearest_degree``, checked after r.
     """
     r = positive_fraction(r, "a pitch ratio")
-    if not r.denominator <= r.numerator <= 2 * r.denominator:
+    a, b = r.numerator, r.denominator
+    if not b <= a <= 2 * b:
         raise TuningError(f"ratio {_shown(r)} is outside the reference octave [1, 2]")
     degree = nearest_degree(r, n)
-    return degree, cents(r) - degree * 1200.0 / n
+    return degree, _cents(a, b) - degree * 1200.0 / n
 
 
 def pairing_table(t: PythTable, n: int = 12) -> dict[int, tuple[FifthStep, FifthStep]]:
@@ -133,12 +134,11 @@ def pairing_table(t: PythTable, n: int = 12) -> dict[int, tuple[FifthStep, Fifth
         buckets.setdefault((m + 1) // 2, []).append((m, step))
     pairs = {}
     for degree in range(n + 1):
-        # m never decreases as the ratio grows, and a valid pair ties in m only at
-        # degree 0, where DO comes first in entries(): a stable sort by m suffices
-        found = sorted(buckets.get(degree, []), key=lambda e: e[0])
+        found = buckets.get(degree, ())
         if len(found) != 2:
             raise CoverageError(degree, len(found))
-        (m_low, low), (m_high, high) = found
+        # m never falls as the ratio grows; a tie (at degree 0 only) keeps DO first
+        (m_low, low), (m_high, high) = found if found[0][0] <= found[1][0] else found[::-1]
         if m_high % 2 or not (m_low % 2 or low.k == 0):
             raise PropositionViolationError(
                 f"degree {degree} approximants do not bracket the equal value"

@@ -16,7 +16,7 @@ Arithmetic*, section 4.2), which triples a root's correct bits with the one
 power ``a**(n-1)`` a step that Newton's takes to double them, read past
 ``_EXACT_BITS`` bits from a bracket (:func:`_power_bracket`: the power rounded
 down and a proven bound above it).  So is the certificate ``a**n <= x <
-(a+1)**n``, and a full power is formed only on a near-tie, as in
+(a+1)**n``, and a long full power is formed only on a near-tie, as in
 :func:`_floor_log2`, floor(m * log2(a/b)), the one exact logarithm of the octave
 folds, the pairing and the comparisons, read from log2 3 and log2 5 if 5-smooth.
 
@@ -46,10 +46,10 @@ EXPONENT_BOUND = 64
 #: ``equal.et_value``).
 MAX_DIGITS = 4000
 
-#: Powers of at most _EXACT_BITS bits are formed exactly, longer ones bracketed
-#: with _GUARD_BITS bits past the precision a decision needs: on a 2-vCPU Xeon
-#: VM a bracket is slower below about 2000 to 4000 bits.
-_EXACT_BITS, _GUARD_BITS = 2048, 64
+#: Powers of at most _EXACT_BITS bits are formed exactly, longer ones bracketed with
+#: _GUARD_BITS more bits than a decision needs: on a 2-vCPU Xeon VM a bracket is slower
+#: below 2000-4000 bits, and a 5-smooth reading (0.8-1 us) below about _READING_BITS.
+_EXACT_BITS, _GUARD_BITS, _READING_BITS = 2048, 64, 512
 
 #: Most bits of a power b**e, counted as e * bits(b), that an exact comparison
 #: may form, checked first (TuningError beyond); only ``equal.nearest_degree``
@@ -229,11 +229,11 @@ def _floor_log2(a: int, b: int, m: int = 1) -> int:
     is k or k - 1 for k the bit-length difference, since 2**(k-1) < a/b <
     2**(k+1): no power, no bound.  Otherwise a negative m swaps a and b, m = 0
     gives 0, and TuningError comes first if m * bits(max(a, b)) passes
-    ``MAX_POWER_BITS``.  Then :func:`_log2_reading` decides a 5-smooth a/b
-    (:func:`_smooth_exponents`); on a straddle or off the 5-limit, past
-    ``_EXACT_BITS``, ends of one bit length L of a bracket lo * 2**e <= (a/b)**m
-    <= hi * 2**e give L - 1 + e, so only a near-tie with a power of two (within
-    about 2**-60) forms the full powers."""
+    ``MAX_POWER_BITS``.  Past ``_READING_BITS`` :func:`_log2_reading` decides a
+    5-smooth a/b (:func:`_smooth_exponents`); on a straddle or off the 5-limit,
+    past ``_EXACT_BITS``, ends of one bit length L of a bracket lo * 2**e <=
+    (a/b)**m <= hi * 2**e give L - 1 + e, so only a near-tie with a power of two
+    (within about 2**-60) or at most ``_READING_BITS`` forms the full powers."""
     if m == 1:
         k = a.bit_length() - b.bit_length()
         return k - (a < b << k if k >= 0 else a << -k < b)
@@ -242,7 +242,8 @@ def _floor_log2(a: int, b: int, m: int = 1) -> int:
     bits = max(a, b).bit_length()
     if m * bits > MAX_POWER_BITS:
         raise TuningError(f"a power of {_shown(m)} x {bits} bits is over MAX_POWER_BITS")
-    if (x := _smooth_exponents(a)) and (y := _smooth_exponents(b)):
+    x = m * bits > _READING_BITS and _smooth_exponents(a)
+    if x and (y := _smooth_exponents(b)):
         f = _log2_reading(m * (x[0] - y[0]), m * (x[1] - y[1]), m * (x[2] - y[2]))
         if f is not None:
             return f
@@ -431,5 +432,9 @@ def cents(r: RationalLike) -> float:
     """Interval size of a ratio in cents: 1200 * log2(r), for a positive int or
     Fraction; TuningError for anything else, a float, a Monzo or an ``EtPitch``."""
     r = positive_fraction(r, "the ratio given to cents")
-    # split the log to stay accurate for very large numerator/denominator
-    return 1200.0 * (math.log2(r.numerator) - math.log2(r.denominator))
+    return _cents(r.numerator, r.denominator)
+
+
+def _cents(a: int, b: int) -> float:
+    """1200 * log2(a/b) for positive integers, unchecked; split to stay accurate for huge ones."""
+    return 1200.0 * (math.log2(a) - math.log2(b))

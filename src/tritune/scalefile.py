@@ -1,7 +1,7 @@
 """Scale documents and their interchange renderings.
 
 A scale document is the base-normalized pitch list of one octave, without
-the implicit unison: its entries rise strictly from above 1.  It can be
+the implicit unison: its pitches rise strictly from above 1.  It can be
 written as a Scala tuning file (rationals as p/q, equal-division pitches as
 cents with five fraction digits), and the three-system comparison can be
 written as CSV or JSON.
@@ -20,72 +20,70 @@ from .natural import ScaleComparison, assemble_diatonic
 from .pythagorean import PythTable, select_chromatic
 from .ratio import _fixed_point, _pq_text, monzo_form, to_decimal
 
-PitchValue = Fraction | EtPitch
-
 
 @_record
 class ScaleEntry:
-    """One pitch of a scale document: a ratio or an equal-division pitch.
+    """One pitch of a scale document as a record, a ratio as a Fraction or an
+    equal-division pitch: what ``ScaleDocument.entries`` builds on each read."""
 
-    Only the pitch is kept, a ratio as a Fraction; a tuning file carries no
-    note names or factored forms.
-    """
-
-    value: PitchValue
+    value: Fraction | EtPitch
 
     def __post_init__(self):
         if not isinstance(self.value, EtPitch):
             object.__setattr__(self, "value", positive_fraction(self.value, "a pitch"))
 
-    def pitch_line(self) -> str:
-        """Tuning-file rendering: p/q for rationals, 5-digit cents otherwise."""
-        v = self.value
-        if not isinstance(v, EtPitch):
-            return _pq_text(v)
-        if v.r is not _ONE and v.r != 1:
-            raise TuningError(f"no exact cents for {_shown(v)}")
-        units = 1200 * v.k * 10 ** 5 // v.n
-        # a line of 0.00000 or below reads back as the unison or under it
-        if units <= 0:
-            raise TuningError(f"{_shown(v)} has no cents line above the unison")
-        return _fixed_point(units, 5)
-
 
 @_record
 class ScaleDocument:
-    """A one-line description and entries rising strictly from above 1, checked with
-    one exact-form read per entry and one ``ratio._sign`` per neighbour pair."""
+    """A one-line description and pitches rising strictly from above 1, checked with
+    one exact-form read per pitch and one ``ratio._sign`` per neighbour pair."""
 
     description: str
-    entries: tuple[ScaleEntry, ...]
+    pitches: tuple[int | Fraction | EtPitch, ...]
 
     def __post_init__(self):
         d = check_instance("a scale description", self.description, str)
         # a tuning file's description is one line, and "!" opens a comment
         if d.splitlines() not in ([], [d]) or d.startswith("!"):
             raise TuningError("a scale description must be one line not opening with '!'")
-        if not check_instance("scale entries", self.entries, tuple):
+        if not check_instance("scale entries", self.pitches, tuple):
             raise TuningError("a scale document needs at least one entry")
-        # the implicit unison 1 comes first, so no entry is 1 or below it
-        values = (check_instance("a scale entry", e, ScaleEntry).value for e in self.entries)
-        if any(sign >= 0 for sign in _neighbour_signs((1, *values))):
+        # the implicit unison 1 comes first, so no pitch is 1 or below it
+        if any(sign >= 0 for sign in _neighbour_signs((1, *self.pitches))):
             raise TuningError("scale entries must ascend strictly from above the unison 1")
+
+    @property
+    def entries(self) -> tuple[ScaleEntry, ...]:
+        """The pitches as records, built on each read."""
+        return tuple(map(ScaleEntry, self.pitches))
 
 
 def natural_scale_document() -> ScaleDocument:
-    entries = tuple(ScaleEntry(r) for _, r in assemble_diatonic().degrees if r != 1)
-    return ScaleDocument("Just diatonic scale on DO (5-limit, harmonic divisions)", entries)
+    pitches = tuple(r for _, r in assemble_diatonic().degrees if r != 1)
+    return ScaleDocument("Just diatonic scale on DO (5-limit, harmonic divisions)", pitches)
 
 
 def et_scale_document(n: int) -> ScaleDocument:
-    entries = tuple(ScaleEntry(p) for p in generate_et(n).pitches[1:])
-    return ScaleDocument(f"Equal division of the octave in {n} steps", entries)
+    return ScaleDocument(f"Equal division of the octave in {n} steps", generate_et(n).pitches[1:])
 
 
 def pythagorean_chromatic_document(table: PythTable) -> ScaleDocument:
-    entries = tuple(ScaleEntry(p.ratio) for p in select_chromatic(table) if p.ratio != 1)
+    pitches = tuple(p.ratio for p in select_chromatic(table) if p.ratio != 1)
     description = "Pythagorean chromatic scale on DO (18 sounds, 12 fifths each way)"
-    return ScaleDocument(description, entries)
+    return ScaleDocument(description, pitches)
+
+
+def _pitch_line(v: int | Fraction | EtPitch) -> str:
+    """Tuning-file rendering: p/q for rationals, 5-digit cents otherwise."""
+    if not isinstance(v, EtPitch):
+        return _pq_text(v)
+    if v.r is not _ONE and v.r != 1:
+        raise TuningError(f"no exact cents for {_shown(v)}")
+    units = 1200 * v.k * 10 ** 5 // v.n
+    # a line of 0.00000 or below reads back as the unison or under it
+    if units <= 0:
+        raise TuningError(f"{_shown(v)} has no cents line above the unison")
+    return _fixed_point(units, 5)
 
 
 def render_scl(doc: ScaleDocument, filename: str) -> str:
@@ -94,8 +92,8 @@ def render_scl(doc: ScaleDocument, filename: str) -> str:
     # the comment line carries the file name, so it is one line too
     if check_instance("a file name", filename, str).splitlines() not in ([], [filename]):
         raise TuningError(f"a file name must be one line, got {_shown(filename)}")
-    lines = [f"! {filename}", doc.description, str(len(doc.entries))]
-    lines += [e.pitch_line() for e in doc.entries]
+    lines = [f"! {filename}", doc.description, str(len(doc.pitches))]
+    lines += [_pitch_line(p) for p in doc.pitches]
     return "\n".join(lines) + "\n"
 
 

@@ -142,6 +142,7 @@ RATIO_PARAMETERS = {
     "natural.frequency_of_division:f_ac": lambda v: frequency_of_division(v, 1),
     "natural.frequency_of_division:f_ad": lambda v: frequency_of_division(1, v),
     "scalefile.ScaleEntry:value": ScaleEntry,
+    "scalefile.ScaleDocument:pitches[0]": lambda v: ScaleDocument("d", (v,)),
     "intervals.are_congruent:a[0]": lambda v: are_congruent([v, 2], [1, 2]),
     "intervals.are_congruent:b[0]": lambda v: are_congruent([1, 2], [v, 2]),
     "intervals.Interval:ratio": Interval,
@@ -170,9 +171,8 @@ RECORD_PARAMETERS = {
     ),
     "scalefile.render_scl:doc": (lambda v: render_scl(v, "x.scl"), et_scale_document(12)),
     "scalefile.render_scl:filename": (lambda v: render_scl(et_scale_document(12), v), "x.scl"),
-    "scalefile.ScaleDocument:description": (lambda v: ScaleDocument(v, (ScaleEntry(2),)), "d"),
-    "scalefile.ScaleDocument:entries": (lambda v: ScaleDocument("d", v), (ScaleEntry(2),)),
-    "scalefile.ScaleDocument:entries[0]": (lambda v: ScaleDocument("d", (v,)), ScaleEntry(2)),
+    "scalefile.ScaleDocument:description": (lambda v: ScaleDocument(v, (2,)), "d"),
+    "scalefile.ScaleDocument:pitches": (lambda v: ScaleDocument("d", v), (2,)),
     "scalefile.comparison_table:comp": (comparison_table, compare_three_scales()),
     "scalefile.export_table:comp": (lambda v: export_table(v, "csv"), compare_three_scales()),
     "scalefile.comparison_table:comp.rows[0].degree": (
@@ -446,9 +446,7 @@ HUGE_VALUE_CALLS = {
     "pairing_table": lambda: pairing_table([HUGE]),
     "note_name": lambda: note_name(Fraction(HUGE)),
     "Monzo": lambda: Monzo(HUGE, 0),
-    "ScaleEntry.pitch_line": lambda: render_scl(
-        ScaleDocument("x", (ScaleEntry(Fraction(HUGE)),)), "x"
-    ),
+    "render_scl": lambda: render_scl(ScaleDocument("x", (Fraction(HUGE),)), "x"),
     "monzo_form": lambda: monzo_form(Fraction(HUGE + 1, 3)),
     "EtPitch.exact_form": lambda: EtPitch(1, 12, Fraction(3**10000)).exact_form(),
     "EtPitch.exact_form:k": lambda: EtPitch(HUGE, 3).exact_form(),

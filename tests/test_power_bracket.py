@@ -280,10 +280,10 @@ ROUGH_RATIOS = [Fraction(7, 4), Fraction(11, 8), Fraction(3 ** 65, 2 ** 103)]
 
 class TestLargeDivisions:
     def test_classify_and_pair_form_no_power_past_the_threshold(self):
-        # every ratio of the pool is 5-smooth: read from log2 3 and log2 5,
-        # with no bracket and no power
+        # every ratio of the pool is 5-smooth: read from log2 3 and log2 5 past
+        # _READING_BITS, with no bracket, and no power past _READING_BITS
         pool = generate_fifths(60, 60).ratios() + five_limit_ratios()
-        with counted_powers() as calls, mock.patch.object(
+        with counted_powers(ratio._READING_BITS), mock.patch.object(
             ratio, "_power_bracket", side_effect=AssertionError("bracket formed")
         ):
             for n in (12, 31, 53, 311):
@@ -292,7 +292,6 @@ class TestLargeDivisions:
             assert len(pairing_table(generate_fifths(53, 53), 53)) == 54
             with pytest.raises(CoverageError):
                 pairing_table(generate_fifths(31, 31), 31)
-        assert calls == []
         # the rest are bracketed, with no power past the threshold
         with counted_powers(ratio._EXACT_BITS), mock.patch.object(
             ratio, "_power_bracket", wraps=ratio._power_bracket
@@ -330,17 +329,17 @@ class TestFloorLog2Of3:
         # j = +/-2nk for n up to MAX_DIVISIONS and k up to EXPONENT_BOUND, each
         # checked against the bit length b of 3**j, one multiplication a step:
         # j * log2 3 lies strictly between b - 1 and b.  Each is read from
-        # _LOG2_3 alone, with no power or bracket formed
+        # _LOG2_3 alone past _READING_BITS, with no bracket formed and no power
+        # past _READING_BITS
         assert _floor_log2(3, 1, 0) == 0
         power = 1
-        with counted_powers() as calls, mock.patch.object(
+        with counted_powers(ratio._READING_BITS), mock.patch.object(
             ratio, "_power_bracket", side_effect=AssertionError("bracket formed")
         ):
             for j in range(1, 2 * MAX_DIVISIONS * EXPONENT_BOUND + 1):
                 power *= 3
                 b = power.bit_length()
                 assert (_floor_log2(3, 1, j), _floor_log2(3, 1, -j)) == (b - 1, -b), j
-        assert calls == []
         # c = floor(2**64 * log2 3) against correctly rounded 60-digit logs
         with localcontext() as ctx:
             ctx.prec = 60
@@ -353,8 +352,10 @@ class TestFloorLog2Of3:
         with pytest.raises(CoverageError) as unpatched:
             pairing_table(generate_fifths(1, 1), 3)
         # 6c = 2**67 - 2 with this c, so 6c >> 64 = 7 and (6(c+1) - 1) >> 64 = 8:
-        # the reading straddles, and 3**6 / 1 gives floor(6 * log2 3) = 9
+        # the reading, taken at any size here, straddles, and 3**6 / 1 gives
+        # floor(6 * log2 3) = 9
         monkeypatch.setattr(ratio, "_LOG2_3", 2 ** 64 + (2 ** 64 - 1) // 3)
+        monkeypatch.setattr(ratio, "_READING_BITS", 0)
         with counted_powers() as calls:
             assert (_floor_log2(3, 1, 6), _floor_log2(3, 1, -6)) == (9, -10)
             assert len(calls) == 2
@@ -413,9 +414,11 @@ class TestFiveSmoothReading:
         before = [_floor_log2(5, 1, 3), _floor_log2(5, 1, -3), _floor_log2(5, 4, 3)]
         degree = nearest_degree(Fraction(5, 4), 3)
         # 3c = 7 * 2**64 - 1 with this c, so the readings of 5**3, 5**-3, (5/4)**3
-        # and (5/4)**6 each straddle an integer.  A constant off by a few units
-        # straddles no reading whose exact powers are short enough to form
+        # and (5/4)**6 each straddle an integer, taken at any size here.  A constant
+        # off by a few units straddles no reading whose exact powers are short
+        # enough to form
         monkeypatch.setattr(ratio, "_LOG2_5", (7 * 2 ** 64 - 1) // 3)
+        monkeypatch.setattr(ratio, "_READING_BITS", 0)
         with counted_powers() as calls:
             assert [_floor_log2(5, 1, 3), _floor_log2(5, 1, -3), _floor_log2(5, 4, 3)] == before
             assert before == [6, -7, 0]

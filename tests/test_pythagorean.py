@@ -2,7 +2,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritune.equal import MAX_DIVISIONS, EtPitch, compare_fraction_to_et, nearest_degree
@@ -185,6 +185,22 @@ class TestGeneration:
             generate_fifths(10 ** 12, 0)
 
 
+def five_limit_ratios():
+    """2**a * 3**b * 5**c folded into [1, 2), for |b|, |c| <= 2."""
+    ratios = {Fraction(3) ** b * Fraction(5) ** c for b in range(-2, 3) for c in range(-2, 3)}
+    return sorted(r * Fraction(2) ** octave_shift(r) for r in ratios)
+
+
+#: the ratios the benchmark classifies: 60 fifths each way and the 5-limit ones
+LARGE_N_POOL = generate_fifths(60, 60).ratios() + five_limit_ratios()
+
+
+def public_classification(r, n):
+    """(degree, deviation) read through the public ``nearest_degree`` and ``cents``."""
+    d = nearest_degree(r, n)
+    return d, cents(r) - d * 1200.0 / n
+
+
 class TestClassification:
     def test_fifth(self):
         degree, deviation = classify_to_et(Fraction(3, 2))
@@ -210,6 +226,41 @@ class TestClassification:
                 classify_to_et(Fraction(3, 2), n)
             with pytest.raises(TuningError):
                 pairing_table(table, n)
+
+    @pytest.mark.parametrize("n", [12, 31, 53, 311])
+    def test_is_nearest_degree_and_cents_on_the_large_n_pool(self, n):
+        for r in LARGE_N_POOL:
+            assert repr(classify_to_et(r, n)) == repr(public_classification(r, n))
+
+    @given(
+        st.one_of(
+            st.sampled_from(LARGE_N_POOL),
+            st.fractions(min_value=1, max_value=2, max_denominator=10 ** 9),
+        ),
+        st.integers(min_value=1, max_value=MAX_DIVISIONS),
+    )
+    @settings(deadline=None)
+    def test_is_nearest_degree_and_cents(self, r, n):
+        # repr tells every float apart, -0.0 from 0.0 too: bit-identical
+        assert repr(classify_to_et(r, n)) == repr(public_classification(r, n))
+
+    @pytest.mark.parametrize(
+        "r, n, message",
+        [
+            # the ratio first, then its octave, then n
+            (True, 0, "a pitch ratio must be a positive int or Fraction, got True"),
+            (Fraction(5, 2), 0, "ratio Fraction(5, 2) is outside the reference octave [1, 2]"),
+            (
+                Fraction(3, 2),
+                MAX_DIVISIONS + 1,
+                "steps per octave n must be an integer from 1 to 1200, got 1201",
+            ),
+        ],
+    )
+    def test_checks_the_ratio_its_octave_and_n_in_that_order(self, r, n, message):
+        with pytest.raises(TuningError) as exc:
+            classify_to_et(r, n)
+        assert type(exc.value) is TuningError and str(exc.value) == message
 
 
 class TestPairing:
@@ -238,6 +289,17 @@ class TestPairing:
             pairing_table(generate_fifths(11, 12))
         with pytest.raises(CoverageError):
             pairing_table(generate_fifths(12, 11))
+
+    @pytest.mark.parametrize("n", [12, 53])
+    def test_each_degree_pairs_its_sounds_fed_in_either_order(self, n, monkeypatch):
+        # DO first, as a tie in m (at degree 0) keeps the order given; the rest
+        # falling, so each degree's higher sound comes before its lower one
+        t = generate_fifths(n, n)
+        pairs = pairing_table(t, n)
+        do, *rest = t.entries()
+        falling = [do, *sorted(rest, key=lambda s: s.ratio, reverse=True)]
+        monkeypatch.setattr(PythTable, "entries", lambda self: falling)
+        assert pairing_table(t, n) == pairs
 
     @pytest.mark.parametrize(
         "m1, m2, message",

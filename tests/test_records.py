@@ -54,7 +54,7 @@ EXAMPLES = {
     "NamedPitch": lambda: select_chromatic(generate_fifths(12, 12))[1],
     "BaseDependenceDemo": lambda: base_dependence_demo(generate_fifths(12, 12)),
     "ScaleEntry": lambda: ScaleEntry(Fraction(3, 2)),
-    "ScaleDocument": lambda: ScaleDocument("x", (ScaleEntry(Fraction(3, 2)), ScaleEntry(2))),
+    "ScaleDocument": lambda: ScaleDocument("x", (Fraction(3, 2), 2)),
 }
 
 #: the fields ``__post_init__`` sets from the others, which ``__init__`` does not take

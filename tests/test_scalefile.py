@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,6 +62,11 @@ _ENTRY_PITCH = st.one_of(
 ASCENDING_MESSAGE = "scale entries must ascend strictly from above the unison 1"
 
 
+def pitch_lines(doc):
+    """The pitch lines ``render_scl`` writes for ``doc``."""
+    return render_scl(doc, "x.scl").splitlines()[3:]
+
+
 @st.composite
 def _order_cases(draw):
     """Scale entry values, often ascending, often with a value followed by
@@ -102,12 +108,12 @@ class TestSclWriter:
 
     def test_natural_shape(self):
         doc = natural_scale_document()
-        assert len(doc.entries) == 7
-        assert doc.entries[-1].pitch_line() == "2/1"
+        assert len(doc.pitches) == 7
+        assert pitch_lines(doc)[-1] == "2/1"
 
     def test_equal_scale_uses_five_digit_cents(self):
         doc = et_scale_document(12)
-        lines = [e.pitch_line() for e in doc.entries]
+        lines = pitch_lines(doc)
         assert lines[0] == "100.00000"
         assert lines[-1] == "1200.00000"
         assert len(lines) == 12
@@ -121,21 +127,22 @@ class TestSclWriter:
             return generate_et(n)
 
         monkeypatch.setattr("tritune.scalefile.generate_et", counting)
-        assert len(et_scale_document(31).entries) == 31
+        assert len(et_scale_document(31).pitches) == 31
         assert calls == [31]
 
     def test_cents_lines_truncate_non_terminating_values(self):
         doc = et_scale_document(7)
-        assert doc.entries[0].pitch_line() == "171.42857"  # 1200/7
+        assert pitch_lines(doc)[0] == "171.42857"  # 1200/7
 
     def test_pitch_with_a_coefficient_has_no_cents_line(self):
         # 3 * 2**(-19/12) has irrational cents: no five exact digits to write
+        doc = ScaleDocument("d", (EtPitch(-19, 12, 3),))
         with pytest.raises(TuningError):
-            ScaleEntry(EtPitch(-19, 12, 3)).pitch_line()
+            render_scl(doc, "d.scl")
 
     def test_pythagorean_chromatic(self):
         doc = pythagorean_chromatic_document(generate_fifths(12, 12))
-        lines = [e.pitch_line() for e in doc.entries]
+        lines = pitch_lines(doc)
         assert len(lines) == 17
         assert "2187/2048" in lines
         assert lines[-1] == "2/1"
@@ -148,12 +155,12 @@ class TestSclWriter:
         ):
             description, values = parse_scl(render_scl(doc, "scale.scl"))
             assert description == doc.description
-            assert len(values) == len(doc.entries)
-            for parsed, entry in zip(values, doc.entries):
-                if isinstance(entry.value, Fraction):
-                    assert parsed == entry.value
+            assert len(values) == len(doc.pitches)
+            for parsed, pitch in zip(values, doc.pitches):
+                if isinstance(pitch, Fraction):
+                    assert parsed == pitch
                 else:
-                    assert parsed == 1200.0 * entry.value.k / entry.value.n
+                    assert parsed == 1200.0 * pitch.k / pitch.n
 
     @pytest.mark.parametrize(
         "doc",
@@ -168,13 +175,13 @@ class TestSclWriter:
         lines = render_scl(doc, "scale.scl").splitlines()
         description, values = parse_scl("\n".join(lines) + "\n")
         assert description == doc.description
-        assert len(values) == int(lines[2]) == len(doc.entries)
-        for parsed, line, entry in zip(values, lines[3:], doc.entries):
-            if isinstance(entry.value, Fraction):
-                assert parsed == entry.value
+        assert len(values) == int(lines[2]) == len(doc.pitches)
+        for parsed, line, pitch in zip(values, lines[3:], doc.pitches):
+            if isinstance(pitch, Fraction):
+                assert parsed == pitch
             else:
                 assert isinstance(parsed, float) and parsed == float(line)
-                cents = Fraction(1200 * entry.value.k, entry.value.n)
+                cents = Fraction(1200 * pitch.k, pitch.n)
                 assert 0 <= cents - Fraction(line) < Fraction(1, 10**5)
 
     def test_parse_rejects_wrong_count(self):
@@ -216,13 +223,7 @@ class TestSclWriter:
 
     def test_document_requires_ascending_entries(self):
         with pytest.raises(ValueError):
-            ScaleDocument(
-                description="broken",
-                entries=(
-                    ScaleEntry(Fraction(2)),
-                    ScaleEntry(Fraction(3, 2)),
-                ),
-            )
+            ScaleDocument(description="broken", pitches=(Fraction(2), Fraction(3, 2)))
 
     def test_document_needs_an_entry(self):
         # (1,) has no neighbour pair, so the order check alone would let it pass
@@ -239,10 +240,7 @@ class TestSclWriter:
     )
     def test_document_rejects_equal_or_descending_exact_neighbours(self, low, high):
         with pytest.raises(ValueError):
-            ScaleDocument(
-                description="broken",
-                entries=(ScaleEntry(low), ScaleEntry(high)),
-            )
+            ScaleDocument(description="broken", pitches=(low, high))
 
     @pytest.mark.parametrize(
         "first",
@@ -258,7 +256,7 @@ class TestSclWriter:
         # the unison is implicit, so a first entry at or below 1 is refused
         # before it can be written as a line that parse_scl rejects or misreads
         with pytest.raises(TuningError, match="above the unison 1"):
-            ScaleDocument("d", (ScaleEntry(first), ScaleEntry(Fraction(2))))
+            ScaleDocument("d", (first, Fraction(2)))
 
     @pytest.mark.parametrize(
         "first",
@@ -271,7 +269,7 @@ class TestSclWriter:
         ],
     )
     def test_document_opening_just_above_the_unison_reads_back_above_it(self, first):
-        (value,) = parse_scl(render_scl(ScaleDocument("d", (ScaleEntry(first),)), "d.scl"))[1]
+        (value,) = parse_scl(render_scl(ScaleDocument("d", (first,)), "d.scl"))[1]
         if isinstance(first, Fraction):
             assert value == first
         else:
@@ -279,7 +277,7 @@ class TestSclWriter:
 
     def test_a_pitch_whose_cents_truncate_to_the_unison_has_no_line(self):
         # 2**(1/10**9) is 0.0000012 cents: "0.00000" would read back as 1
-        doc = ScaleDocument("d", (ScaleEntry(EtPitch(1, 10**9)),))
+        doc = ScaleDocument("d", (EtPitch(1, 10**9),))
         with pytest.raises(TuningError, match="no cents line above the unison"):
             render_scl(doc, "d.scl")
 
@@ -300,7 +298,7 @@ class TestSclWriter:
         except TuningError as e:
             expected = str(e)
         try:
-            ScaleDocument("d", tuple(ScaleEntry(v) for v in values))
+            ScaleDocument("d", tuple(values))
             got = None
         except TuningError as e:
             got = str(e)
@@ -310,7 +308,7 @@ class TestSclWriter:
     def test_document_rejects_a_description_the_file_cannot_carry(self, description):
         # a line break moves the count; a leading "!" makes the line a comment
         with pytest.raises(TuningError, match="one line"):
-            ScaleDocument(description, natural_scale_document().entries)
+            ScaleDocument(description, natural_scale_document().pitches)
 
     @pytest.mark.parametrize("filename", ["a\nb.scl", "a\rb.scl", "a\u2028b.scl"])
     def test_file_name_must_be_one_line(self, filename):
@@ -321,7 +319,7 @@ class TestSclWriter:
 
     @pytest.mark.parametrize("description", ["", "a b"])
     def test_description_round_trips(self, description):
-        doc = ScaleDocument(description, natural_scale_document().entries)
+        doc = ScaleDocument(description, natural_scale_document().pitches)
         assert parse_scl(render_scl(doc, "x.scl"))[0] == description
 
 
@@ -377,9 +375,21 @@ class TestComparisonExport:
 
 def test_int_entry_renders_as_a_ratio():
     assert ScaleEntry(2) == ScaleEntry(Fraction(2))
-    assert ScaleEntry(2).pitch_line() == "2/1"
+    assert pitch_lines(ScaleDocument("d", (2,))) == ["2/1"]
 
 
 def test_et_pitch_lines_are_exact_for_any_division():
-    entry = ScaleEntry(EtPitch(1, 12))
-    assert entry.pitch_line() == "100.00000"
+    assert pitch_lines(ScaleDocument("d", (EtPitch(1, 12),))) == ["100.00000"]
+
+
+def test_documents_and_their_files_build_no_entry(monkeypatch):
+    # a document keeps its pitches: records are built only when entries is read
+    built = mock.Mock(side_effect=AssertionError("a ScaleEntry was built"))
+    monkeypatch.setattr(ScaleEntry, "__post_init__", built)
+    doc = et_scale_document(311)
+    assert len(render_scl(doc, "et311.scl").splitlines()) == 3 + 311
+    for other in natural_scale_document(), pythagorean_chromatic_document(generate_fifths(12, 12)):
+        render_scl(other, "x.scl")
+    monkeypatch.undo()
+    assert doc.entries == tuple(map(ScaleEntry, doc.pitches))
+    assert doc.entries[0] == ScaleEntry(EtPitch(1, 311))
