@@ -83,18 +83,13 @@ class EtPitch:
         o = EtPitch.of(other)
         return self * EtPitch(-o.k, o.n, 1 / Fraction(o.r))
 
-    @property
-    def exponent(self) -> Fraction:
-        """The exact octave fraction k/n."""
-        return Fraction(self.k, self.n)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, EtPitch):
             return self.k * other.n == other.k * self.n and self.r == other.r
         return NotImplemented
 
     def __hash__(self):
-        return hash(("EtPitch", self.exponent, self.r))
+        return hash(("EtPitch", Fraction(self.k, self.n), self.r))
 
     def __float__(self) -> float:
         # r = m * 2**e with 1/2 < m < 2, as math.frexp splits: r may pass the float range

@@ -37,8 +37,8 @@ def _record(cls):
     """``cls`` made a frozen record of its annotated fields, as by ``dataclass(frozen=True,
     slots=True)``: ``__init__`` takes the fields not ``_DERIVED``, sets each in its slot and runs
     ``__post_init__``; ``==``, ``hash`` and ``repr`` read every field unless the class defines
-    its own (an implicit None does not).  A record has no ``__dict__`` and no weak references;
-    copy and pickle rebuild it through ``__init__``, so its checks run again."""
+    its own (``__eq__`` alone leaves it unhashable).  A record has no ``__dict__`` and no weak
+    references; copy and pickle rebuild it through ``__init__``, so its checks run again."""
     own, fields = vars(cls), tuple(cls.__annotations__)
     init = [f for f in fields if own.get(f) is not _DERIVED]
     kept = {k: v for k, v in own.items() if k not in (*fields, "__dict__", "__weakref__")}
@@ -53,7 +53,7 @@ def _record(cls):
     init_fn.__defaults__ = tuple(own[f] for f in init if f in own)
     init_fn.__annotations__ = {**{f: cls.__annotations__[f] for f in init}, "return": None}
     for name, method in ("__hash__", _hash), ("__eq__", _eq), ("__repr__", _repr):
-        if name not in own or name == "__hash__" and own[name] is None and "__eq__" in own:
+        if name not in own:
             setattr(cls, name, method)
     cls.__setattr__, cls.__delattr__, cls.__reduce__ = _frozen, _frozen, _reduce
     cls.__match_args__ = tuple(init)

@@ -26,13 +26,12 @@ PYTHAGOREAN_COMMA = Fraction(531441, 524288)  # (3/2)**12 / 2**7
 class FifthStep:
     """One sound of the table, set by a direction and a count k of fifths.
 
-    ``h`` and ``ratio`` follow from those two as ratio = 2**h * (3/2)**(+/-k):
-    going up the fold lands in [1, 2), h = -floor(k*log2(3/2)); going down in
-    (1, 2], h = 1 + floor(k*log2(3/2)).  So k = 0 gives the endpoints, DO = 1
-    up and DO' = 2 down, and every k >= 1 lands strictly inside (1, 2), never
-    on a power of two.  The fold is bounded by |h| <= ceil(k*log2(3/2)), at
-    most 38 for k up to ``EXPONENT_BOUND`` = 64; a k outside 0 to 64 is an
-    ExponentBoundError.
+    ``h`` and ``ratio`` follow from those two as ratio = 2**h * (3/2)**(+/-k),
+    folded into [1, 2) as by ``ratio.reduce_to_octave``, h = -floor(log2 of
+    (3/2)**(+/-k)), but for DO' = 2 (k = 0 down), lifted one octave above DO = 1.
+    Every k >= 1 lands strictly inside (1, 2), never on a power of two.  The
+    fold is bounded by |h| <= ceil(k*log2(3/2)), at most 38 for k up to
+    ``EXPONENT_BOUND`` = 64; a k outside 0 to 64 is an ExponentBoundError.
     """
 
     direction: str  # "up" or "down"
@@ -46,7 +45,7 @@ class FifthStep:
         k = check_int("a fifth count k", self.k, 0, EXPONENT_BOUND, ExponentBoundError)
         up = self.direction == "up"
         p, q = (3 ** k, 2 ** k) if up else (2 ** k, 3 ** k)
-        h = -_floor_log2(p, q) if up else 1 + _floor_log2(q, p)
+        h = (not up and k == 0) - _floor_log2(p, q)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "ratio", Fraction(p << max(h, 0), q << max(-h, 0)))
 

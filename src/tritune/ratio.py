@@ -148,16 +148,10 @@ def _ascending(items: list, ratio: Callable | None = None) -> tuple[int, list[tu
     return d, sorted(keyed, key=itemgetter(0))
 
 
-def octave_shift(r: RationalLike) -> int:
-    """The unique h with 1 <= r * 2**h < 2."""
-    r = positive_fraction(r, "a pitch ratio")
-    return -_floor_log2(r.numerator, r.denominator)
-
-
 def reduce_to_octave(r: RationalLike) -> Fraction:
     """Multiply by the unique power of two that lands ``r`` in [1, 2)."""
     r = positive_fraction(r, "a pitch ratio")
-    return r * Fraction(2) ** octave_shift(r)
+    return r * Fraction(2) ** -_floor_log2(r.numerator, r.denominator)
 
 
 def _power_bracket(a: int, b: int, m: int, t: int) -> tuple[int, int, int]:

@@ -401,13 +401,13 @@ class TestGeneration:
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=-24, max_value=24))
     def test_transposition_keeps_steps(self, n, shift):
         scale = generate_et(n)
-        original = [
-            scale.pitch(k + 1).exponent - scale.pitch(k).exponent for k in range(n)
-        ]
-        shifted = [
-            scale.pitch(k + 1 + shift).exponent - scale.pitch(k + shift).exponent
-            for k in range(n)
-        ]
+
+        def exponent(k):
+            p = scale.pitch(k)
+            return Fraction(p.k, p.n)
+
+        original = [exponent(k + 1) - exponent(k) for k in range(n)]
+        shifted = [exponent(k + 1 + shift) - exponent(k + shift) for k in range(n)]
         assert original == shifted
 
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 31])

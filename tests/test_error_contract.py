@@ -25,7 +25,7 @@ from tritune.pythagorean import FifthStep, base_dependence_demo, classify_to_et
 from tritune.pythagorean import generate_fifths, pairing_table, select_chromatic
 from tritune.ratio import EXPONENT_BOUND, MAX_DIGITS, Monzo, integer_nth_root
 from tritune.ratio import is_five_smooth, is_nth_root_irrational
-from tritune.ratio import monzo_form, monzo_to_rational, octave_shift, rational_to_monzo
+from tritune.ratio import monzo_form, monzo_to_rational, rational_to_monzo
 from tritune.ratio import reduce_to_octave
 from tritune.ratio import cents, to_decimal
 from tritune.scalefile import ScaleDocument, ScaleEntry, comparison_table, et_scale_document
@@ -128,7 +128,6 @@ INDEX_LISTS = {
 RATIO_PARAMETERS = {
     "ratio.rational_to_monzo:r": rational_to_monzo,
     "ratio.is_five_smooth:r": is_five_smooth,
-    "ratio.octave_shift:r": octave_shift,
     "ratio.reduce_to_octave:r": reduce_to_octave,
     "ratio.monzo_form:r": monzo_form,
     "equal.nearest_degree:r": lambda v: nearest_degree(v, 12),
@@ -433,7 +432,7 @@ HUGE = 10**5000
 
 #: calls whose error message or printed output would hold such a value
 HUGE_VALUE_CALLS = {
-    "octave_shift": lambda: octave_shift(-HUGE),
+    "reduce_to_octave": lambda: reduce_to_octave(-HUGE),
     "to_decimal:digits": lambda: to_decimal(Fraction(1, 3), HUGE),
     "to_decimal:r": lambda: to_decimal(-HUGE, 5),
     "cents": lambda: cents(-HUGE),

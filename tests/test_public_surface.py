@@ -1,10 +1,19 @@
 """The public surface.  Every public module-level function, class, method and
-constant of ``src/tritune`` is named somewhere that the package, the
-benchmark or the acceptance suite reads: in ``src/tritune`` outside its own
-definition, in ``bench/*.py`` or in ``tests/test_acceptance.py``.  A name
-that only its own unit tests reach is dead weight, so it fails here.  A
-method is reached only through an attribute, as in ``x.cents()``: a bare name
-is a module-level one, so a function does not hide a method of its name.
+constant of ``src/tritune`` is read somewhere that the package, the benchmark
+or the acceptance suite runs: in ``bench/*.py``, in ``tests/test_acceptance.py``
+or in ``src/tritune`` beyond what it alone serves.  A name that only its own
+unit tests reach is dead weight, so it fails here.  Four rules say what a read is:
+
+* a name bound inside a function (a parameter, or an assignment, walrus,
+  ``for``, ``with``, ``except`` or comprehension target) is that function's
+  local, not a read of the module-level name it shares a spelling with;
+* each string key of an inner dict of a reader's module-level ``LAYERS`` reads
+  the function it names, which the benchmark's recorder looks up with ``getattr``;
+* a method or property is read only through an attribute, as in ``x.cents()``,
+  and only outside its own class; a bare name is a module-level one, so a
+  function does not hide a method of its name;
+* a function is read only outside its own module; a class or constant, only
+  outside its own definition.
 
 The exact-power policy is bound in one module: only ``ratio`` binds the names
 that choose between forming a power and bracketing it, and only ``ratio``
@@ -34,56 +43,101 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _uses(tree: ast.AST) -> list[tuple[str, int, bool]]:
-    """(name, line, whether read as an attribute) of every name read,
-    attribute read or name imported."""
+#: the nodes that open a function's scope
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _locals(function: ast.AST) -> set[str]:
+    """The names ``function`` binds: its parameters and every name its own body
+    stores (assignment, walrus, ``for``, ``with``, ``except`` and comprehension
+    targets, nested definitions).  No module here declares a name global."""
+    args = function.args
+    every = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+    bound = {a.arg for a in every if a}
+    todo = list(function.body) if isinstance(function.body, list) else [function.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):  # each body is a scope of its own
+            todo += ast.iter_child_nodes(node)
+    return bound
+
+
+def _uses(tree: ast.AST, local: frozenset = frozenset()) -> list[tuple[str, int, bool]]:
+    """(name, line, whether read as an attribute) of every name read, attribute
+    read or name imported under ``tree``, less the reads of names ``local``
+    holds or a function around the read binds."""
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
             found.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
             found.append((node.attr, node.lineno, True))
         elif isinstance(node, ast.alias):
             found.append((node.name.rsplit(".", 1)[-1], getattr(node, "lineno", 0), False))
+        found += _uses(node, local | _locals(node) if isinstance(node, _FUNCTIONS) else local)
     return found
 
 
-def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
-    """(qualified name, node) of each public module-level function, class and
-    constant, and each public method of a module-level class."""
+def _layer_keys(tree: ast.Module) -> set[str]:
+    """The string keys of each inner dict of a module-level ``LAYERS`` dict, which
+    the benchmark's recorder reads as ``getattr(tritune.<layer>, key)``."""
+    return {
+        key.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+        for inner in node.value.values
+        if isinstance(inner, ast.Dict)
+        for key in inner.keys
+        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    }
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, range]]:
+    """(qualified name, lines whose reads do not reach it) of each public
+    module-level function, class and constant, and each public method of a
+    module-level class: a function's whole module, a method's class, a class's
+    or constant's own definition."""
     found = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found.append((node.name, node))
-            if isinstance(node, ast.ClassDef):
-                found += [
-                    (f"{node.name}.{item.name}", item)
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef)
-                ]
+        lines = range(node.lineno, node.end_lineno + 1)
+        if isinstance(node, ast.FunctionDef):
+            found.append((node.name, range(1, tree.body[-1].end_lineno + 1)))
+        elif isinstance(node, ast.ClassDef):
+            found.append((node.name, lines))
+            found += [
+                (f"{node.name}.{item.name}", lines)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            ]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
-    return [(q, n) for q, n in found if not q.rsplit(".", 1)[-1].startswith("_")]
+            found += [(t.id, lines) for t in targets if isinstance(t, ast.Name)]
+    return [(q, lines) for q, lines in found if not q.rsplit(".", 1)[-1].startswith("_")]
 
 
 def unreached_names(source_paths=SOURCES, reader_paths=READERS) -> list[str]:
     """"module.name" of each public definition named nowhere it should be."""
     sources = {path.stem: _parse(path) for path in source_paths}
     uses = {stem: _uses(tree) for stem, tree in sources.items()}
-    outside = {
-        (name, attribute) for path in reader_paths for name, _, attribute in _uses(_parse(path))
-    }
+    readers = [_parse(path) for path in reader_paths]
+    outside = {(name, attribute) for tree in readers for name, _, attribute in _uses(tree)}
+    outside |= {(key, False) for tree in readers for key in _layer_keys(tree)}
     unreached = []
     for stem, tree in sources.items():
-        for qualname, node in _definitions(tree):
+        for qualname, hidden in _definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
             ways = (True,) if "." in qualname else (False, True)  # a method only as an attribute
             if any((name, attribute) in outside for attribute in ways):
                 continue
-            span = range(node.lineno, node.end_lineno + 1)
             if any(
-                used == name and attribute in ways and not (module == stem and line in span)
+                used == name and attribute in ways and not (module == stem and line in hidden)
                 for module, found in uses.items()
                 for used, line, attribute in found
             ):
@@ -116,6 +170,72 @@ def test_the_scan_sees_an_unreached_name(tmp_path):
     reader = tmp_path / "reader.py"
     reader.write_text("from lonely import used\n")
     assert unreached_names([module], [reader]) == ["lonely.LONELY", "lonely.Kept.alone"]
+
+
+def test_a_local_named_like_a_public_function_does_not_reach_it(tmp_path):
+    # each way a function binds a name: a parameter, a walrus, for, with,
+    # except and a comprehension target
+    module = tmp_path / "lonely.py"
+    module.write_text("def cents(r):\n    return r\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text(
+        "def by_parameter(cents):\n    return cents\n\n"
+        "def by_walrus(x):\n    return (cents := x) and cents\n\n"
+        "def by_for(xs):\n    for cents in xs:\n        return cents\n\n"
+        "def by_with(f):\n    with f as cents:\n        return cents\n\n"
+        "def by_except():\n    try:\n        pass\n    except ValueError as cents:\n"
+        "        return cents\n\n"
+        "def by_comprehension(xs):\n    return [cents for cents in xs]\n\n"
+        "def by_closure(cents):\n    return lambda: cents\n"
+    )
+    assert unreached_names([module], [reader]) == ["lonely.cents"]
+
+
+def test_a_layers_key_reaches_a_function_not_a_method(tmp_path):
+    # the recorder looks a key up with getattr, never naming it; a dict of
+    # another name does not count
+    module = tmp_path / "layer.py"
+    module.write_text(
+        "def timed(x):\n    return x\n\n"
+        "def plain(x):\n    return x\n\n"
+        "class Clock:\n    def timed(self):\n        return 0\n"
+    )
+    reader = tmp_path / "spans.py"
+    reader.write_text(
+        "from layer import Clock\n\n"
+        'LAYERS = {"layer": {"timed": "layer.timed"}}\n'
+        'OTHER = {"layer": {"plain": "layer.plain"}}\n'
+    )
+    assert unreached_names([module], [reader]) == ["layer.plain", "layer.Clock.timed"]
+
+
+def test_a_property_read_only_in_its_own_class_is_unreached(tmp_path):
+    # size is read by its own class alone, kept by a function outside it
+    module = tmp_path / "lonely.py"
+    module.write_text(
+        "class Pitch:\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    @property\n    def kept(self):\n        return self.size\n\n"
+        "    def __hash__(self):\n        return hash(self.size)\n\n"
+        "def used(p):\n    return p.kept\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("from lonely import Pitch, used\n")
+    assert unreached_names([module], [reader]) == ["lonely.Pitch.size"]
+
+
+def test_a_function_called_only_in_its_own_module_is_unreached(tmp_path):
+    # the rule covers functions: a class or constant its module reads is reached
+    module = tmp_path / "lonely.py"
+    module.write_text(
+        "LIMIT = 3\n\n"
+        "class Kept:\n    pass\n\n"
+        "def helper(x):\n    return x\n\n"
+        "def used(x):\n    return helper(Kept()) if x < LIMIT else x\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("from lonely import used\n")
+    assert unreached_names([module], [reader]) == ["lonely.helper"]
 
 
 def test_the_scan_sees_a_method_hidden_by_a_function_of_its_name(tmp_path):

@@ -20,7 +20,7 @@ from tritune.pythagorean import (
     pairing_table,
     select_chromatic,
 )
-from tritune.ratio import EXPONENT_BOUND, _floor_log2, cents, octave_shift, to_decimal
+from tritune.ratio import EXPONENT_BOUND, _floor_log2, cents, reduce_to_octave, to_decimal
 
 # the classical 26-sound generation, twelve fifths each way:
 # (direction, k, h, ratio, five-digit truncation)
@@ -132,7 +132,7 @@ class TestGeneration:
         for k in range(1, EXPONENT_BOUND + 1):
             raw = Fraction(3, 2) ** (sign * k)
             s = FifthStep(direction, k)
-            assert s.h == octave_shift(raw)
+            assert s.ratio == reduce_to_octave(raw)
             assert s.ratio == raw * Fraction(2) ** s.h
             assert 1 < s.ratio < 2 and sign * s.h <= 0
 
@@ -188,7 +188,7 @@ class TestGeneration:
 def five_limit_ratios():
     """2**a * 3**b * 5**c folded into [1, 2), for |b|, |c| <= 2."""
     ratios = {Fraction(3) ** b * Fraction(5) ** c for b in range(-2, 3) for c in range(-2, 3)}
-    return sorted(r * Fraction(2) ** octave_shift(r) for r in ratios)
+    return sorted(map(reduce_to_octave, ratios))
 
 
 #: the ratios the benchmark classifies: 60 fifths each way and the 5-limit ones

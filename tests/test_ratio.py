@@ -21,7 +21,6 @@ from tritune.ratio import (
     is_nth_root_irrational,
     monzo_form,
     monzo_to_rational,
-    octave_shift,
     rational_to_monzo,
     reduce_to_octave,
     to_decimal,
@@ -239,8 +238,8 @@ class TestOctaveReduction:
             st.integers(min_value=-200, max_value=200).map(lambda e: Fraction(2) ** e),
         )
     )
-    def test_octave_shift_matches_the_loop(self, r):
-        assert octave_shift(r) == self.shift_by_loop(r)
+    def test_fold_matches_the_loop(self, r):
+        assert reduce_to_octave(r) == r * Fraction(2) ** self.shift_by_loop(r)
 
     @pytest.mark.parametrize(
         "r",
@@ -256,15 +255,14 @@ class TestOctaveReduction:
             Fraction(2**63 + 1, 2**64),
         ],
     )
-    def test_octave_shift_at_powers_of_two_and_far_fifths(self, r):
-        h = octave_shift(r)
-        assert h == self.shift_by_loop(r)
-        assert 1 <= r * Fraction(2) ** h < 2
+    def test_fold_at_powers_of_two_and_far_fifths(self, r):
+        assert reduce_to_octave(r) == r * Fraction(2) ** self.shift_by_loop(r)
+        assert 1 <= reduce_to_octave(r) < 2
 
-    def test_octave_shift_rejects_nonpositive(self):
+    def test_fold_rejects_nonpositive(self):
         for r in (0, Fraction(-3, 2)):
             with pytest.raises(ValueError):
-                octave_shift(r)
+                reduce_to_octave(r)
 
 
 class TestPerfectPowers:

@@ -17,6 +17,7 @@ import pytest
 
 import tritune
 from tritune.equal import EtPitch, EtScale
+from tritune.errors import _record
 from tritune.intervals import Interval
 from tritune.natural import assemble_diatonic, compare_three_scales, find_si
 from tritune.natural import harmonic_divide, means
@@ -124,6 +125,20 @@ def test_et_pitches_compare_reduced():
     assert EtPitch(2, 24) == EtPitch(1, 12) and hash(EtPitch(2, 24)) == hash(EtPitch(1, 12))
     assert _values(EtPitch(2, 24)) != _values(EtPitch(1, 12))
     assert EtPitch(1, 12) != EtPitch(1, 12, Fraction(3)) and EtPitch(1, 12) != EtPitch(1, 6)
+
+
+def test_a_record_that_defines_eq_alone_is_unhashable():
+    # as for any class, an __eq__ without a __hash__ leaves the hash None
+    @_record
+    class Loose:
+        x: int
+
+        def __eq__(self, other):
+            return isinstance(other, Loose)
+
+    assert Loose(1) == Loose(2) and Loose.__hash__ is None
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(Loose(1))
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
