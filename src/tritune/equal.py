@@ -217,10 +217,16 @@ def nearest_degree(r: Fraction, n: int) -> int:
     d = (m + 1) // 2 for m = ``ratio._floor_log2(a, b, 2n)``, which past short powers
     reads a 5-smooth r from log2 3 and log2 5 and forms powers only for another r near
     a degree or half-way.  A tie needs r a power of 2**(1/2n); half up makes it total.
+    :func:`_degree`, after these checks, is the one home of (m + 1) // 2.
     """
     check_int("steps per octave n", n, 1, MAX_DIVISIONS)
     r = positive_fraction(r, "a pitch ratio")
-    return (_floor_log2(r.numerator, r.denominator, 2 * n) + 1) // 2
+    return _degree(r.numerator, r.denominator, n)
+
+
+def _degree(a: int, b: int, n: int) -> int:
+    """``nearest_degree`` of a/b for positive ints a, b and a checked n, unchecked."""
+    return (_floor_log2(a, b, 2 * n) + 1) // 2
 
 
 def compare_pitches(x: int | Fraction | EtPitch, y: int | Fraction | EtPitch) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .equal import DIATONIC_INDICES, MAX_DIVISIONS, nearest_degree
+from .equal import DIATONIC_INDICES, MAX_DIVISIONS, _degree
 from .errors import _DERIVED, CoverageError, ExponentBoundError, PropositionViolationError
 from .errors import TuningError, _record, _shown, check_instance, check_int, positive_fraction
 from .intervals import note_name
@@ -107,7 +107,7 @@ def classify_to_et(r: Fraction, n: int = 12) -> tuple[int, float]:
     a, b = r.numerator, r.denominator
     if not b <= a <= 2 * b:
         raise TuningError(f"ratio {_shown(r)} is outside the reference octave [1, 2]")
-    degree = nearest_degree(r, n)
+    degree = _degree(a, b, check_int("steps per octave n", n, 1, MAX_DIVISIONS))
     return degree, _cents(a, b) - degree * 1200.0 / n
 
 

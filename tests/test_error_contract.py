@@ -1,7 +1,8 @@
 """The error contract.  Every error the package raises on purpose is typed:
 no plain ValueError or TypeError is raised anywhere under ``src/tritune``.
 Every public count, index and ratio argument is checked: a value of the
-wrong type or out of range is a TuningError, never a silent conversion."""
+wrong type or out of range is a TuningError, never a silent conversion.  A
+float appears only in the functions that ``FLOAT_SITES`` names."""
 
 import ast
 import inspect
@@ -77,6 +78,81 @@ def test_no_assert_statement(path):
 def test_the_check_sees_asserts():
     tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\n")
     assert _asserts(tree) == [3]
+
+
+#: math's integer functions; every other name of math reads or gives a float
+EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def _float_sites(tree: ast.AST, module: str) -> set[str]:
+    """"module.qualname" of every function (the module or class itself, outside
+    one) that holds a float literal, a ``float(...)`` call, a ``math.<name>`` not
+    in ``EXACT_MATH``, or an f-string format spec ending in e, f, g or %.  The
+    scan does not see a true division of two ints (``p / q``), nor a float spec
+    given to ``str.format``, ``format`` or ``%``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        spec = node.format_spec if isinstance(node, ast.FormattedValue) else None
+        spec = spec and "".join(v.value for v in spec.values if isinstance(v, ast.Constant))
+        if (
+            isinstance(node, ast.Constant) and type(node.value) is float
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+            or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "math" and node.attr not in EXACT_MATH
+            or spec and re.search(r"[eEfFgG%]$", spec)
+        ):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+#: every function under src/tritune that holds a float, with the reason; an entry
+#: leaves when its function becomes exact, so the list only shrinks
+FLOAT_SITES = {
+    "ratio._cents": "1200 * log2 (ratio.cents reads it); certified cents would retire it",
+    "pythagorean.classify_to_et": "its deviation in cents; an exact EtPitch would retire it",
+    "scalefile._parse_pitch": "a cents line of an scl file; an exact reading would retire it",
+    "cli._run_weber": "prints Weber's series with :g; an exact reading would retire it",
+    "weber.perception_increments": "the public API returns floats",
+    "weber.uniform_stimuli": "the public API returns floats",
+    "errors.finite_real": "the input contract of weber",
+    "equal.EtPitch.__float__": "its result is a float",
+    "ratio._root_candidate": "the float start of a root, certified afterwards",
+}
+
+
+def test_every_float_site_is_allowed_and_every_allowed_one_is_there():
+    found = set()
+    for path in SOURCES:
+        found |= _float_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(found - set(FLOAT_SITES)) == [], "a new float site: make it exact or list it"
+    assert sorted(set(FLOAT_SITES) - found) == [], "a retired float site: drop its entry"
+
+
+def test_the_float_scan_sees_each_kind_of_site():
+    source = """
+def literal(): return 1.5
+def call(x): return float(x)
+def log(x): return math.log2(x)
+def constant(x): return x < math.inf
+def spec(x, w): return f"{x:.3g} {x:>{w}.2f} {x:%}"
+class C:
+    def method(self): return 2e3
+    half = 0.5
+def division(p, q): return p / q
+def exact(x, w): return math.gcd(x, 6), math.isqrt(x), f"{x:05d} {x!r} {x:>{w}}", 2j
+x = 1.0
+"""
+    assert _float_sites(ast.parse(source), "m") == {
+        "m", "m.literal", "m.call", "m.log", "m.constant", "m.spec", "m.C", "m.C.method"
+    }
 
 
 MODULES = [import_module(f"tritune.{p.stem}") for p in SOURCES if p.stem != "__init__"]
@@ -274,11 +350,16 @@ def test_index_lists_take_integers_only(key):
             call(value)
 
 
+class Ratio(Fraction):
+    """A Fraction subclass: taken as a Fraction, and refused with its own repr."""
+
+
 @pytest.mark.parametrize("key", sorted(RATIO_PARAMETERS))
 def test_ratio_parameter_takes_positive_exact_ratios_only(key):
     call = RATIO_PARAMETERS[key]
     call(Fraction(3, 2))
-    for value in (0, -1, 0.5, "3/2", True, Fraction(-3, 2)):
+    call(Ratio(3, 2))
+    for value in (0, -1, 0.5, "3/2", True, Fraction(-3, 2), Ratio(0), Ratio(-3, 2)):
         with pytest.raises(TuningError):
             call(value)
 
@@ -372,6 +453,9 @@ def test_float_parameter_takes_finite_reals_only(key):
         (float("nan"), None),
         (-1, None),
         (Fraction(-3, 2), None),
+        (Ratio(3, 2), "1.5"),
+        (Ratio(0), "0"),
+        (Ratio(-3, 2), None),
     ],
 )
 def test_to_decimal_takes_exact_ratios_from_zero_only(value, printed):
@@ -404,18 +488,31 @@ REJECTION_MESSAGES = {
 
 
 @pytest.mark.parametrize(
-    "value", [0, Fraction(0), -1, Fraction(-3, 2), True, False, 1.5, 0.0, "3/2"], ids=repr
+    "value",
+    [0, Fraction(0), -1, Fraction(-3, 2), True, False, 1.5, 0.0, "3/2", Ratio(0), Ratio(-3, 2)],
+    ids=repr,
 )
 @pytest.mark.parametrize("key", sorted(REJECTION_MESSAGES))
 def test_a_rejected_ratio_keeps_its_error_type_and_message(key, value):
     call, message = REJECTION_MESSAGES[key]
-    if key == "ratio.to_decimal:r" and type(value) in (int, Fraction) and value == 0:
+    zero = isinstance(value, (int, Fraction)) and not isinstance(value, bool) and value == 0
+    if key == "ratio.to_decimal:r" and zero:
         assert call(value) == "0"  # zero prints; a negative ratio is refused
         return
     with pytest.raises(TuningError) as caught:
         call(value)
     assert type(caught.value) is TuningError
     assert str(caught.value) == f"{message}, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 2), Ratio(3, 2), Fraction(10**5000 + 1, 3)])
+def test_positive_fraction_returns_a_positive_fraction_as_is(value):
+    assert positive_fraction(value, "a pitch ratio") is value
+
+
+def test_positive_fraction_makes_a_positive_int_a_fraction():
+    assert type(positive_fraction(3, "a pitch ratio")) is Fraction
+    assert positive_fraction(3, "a pitch ratio") == 3
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritune.equal import MAX_DIVISIONS, EtPitch, compare_fraction_to_et, nearest_degree
-from tritune import equal, pythagorean, ratio
+from tritune import equal, errors, pythagorean, ratio
 from tritune.errors import CoverageError, ExponentBoundError, PropositionViolationError
 from tritune.errors import TuningError
 from tritune.intervals import are_congruent
@@ -194,6 +196,9 @@ def five_limit_ratios():
 #: the ratios the benchmark classifies: 60 fifths each way and the 5-limit ones
 LARGE_N_POOL = generate_fifths(60, 60).ratios() + five_limit_ratios()
 
+#: the input checks classify_to_et runs once each: its ratio and its n
+CHECKS = ("positive_fraction", "check_int")
+
 
 def public_classification(r, n):
     """(degree, deviation) read through the public ``nearest_degree`` and ``cents``."""
@@ -231,6 +236,28 @@ class TestClassification:
     def test_is_nearest_degree_and_cents_on_the_large_n_pool(self, n):
         for r in LARGE_N_POOL:
             assert repr(classify_to_et(r, n)) == repr(public_classification(r, n))
+
+    @pytest.mark.parametrize("n", [12, 31, 53, 311])
+    def test_checks_its_ratio_and_n_once_on_the_large_n_pool(self, n):
+        # every package binding of each check counts, so a check run again elsewhere shows
+        spies = {name: mock.Mock(wraps=getattr(errors, name)) for name in CHECKS}
+        with contextlib.ExitStack() as patches:
+            for module, name in itertools.product((ratio, equal, pythagorean), CHECKS):
+                if hasattr(module, name):
+                    patches.enter_context(mock.patch.object(module, name, spies[name]))
+            for r in LARGE_N_POOL:
+                classify_to_et(r, n)
+        assert {k: v.call_count for k, v in spies.items()} == dict.fromkeys(
+            CHECKS, len(LARGE_N_POOL)
+        )
+
+    def test_does_not_go_through_nearest_degree(self):
+        calls = [(r, n) for r in LARGE_N_POOL for n in (12, 31, 53, 311)]
+        expected = [repr(public_classification(r, n)) for r, n in calls]
+        refuse = mock.Mock(side_effect=RuntimeError("nearest_degree was called"))
+        with mock.patch.object(equal, "nearest_degree", refuse):
+            with mock.patch.object(pythagorean, "nearest_degree", refuse, create=True):
+                assert [repr(classify_to_et(r, n)) for r, n in calls] == expected
 
     @given(
         st.one_of(
