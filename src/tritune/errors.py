@@ -115,10 +115,10 @@ def check_instance(what: str, value, kind: type):
 def positive_fraction(x, what: str) -> Fraction:
     """``x`` as a Fraction if it is an int or Fraction, not a bool, with a
     positive numerator; a TuningError otherwise, floats and strings included."""
-    if type(x) is Fraction and x.numerator > 0:  # the common case, one test
+    if isinstance(x, Fraction) and x.numerator > 0:
         return x
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x.numerator > 0:
-        return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, int) and not isinstance(x, bool) and x > 0:
+        return Fraction(x)
     raise TuningError(f"{what} must be a positive int or Fraction, got {_shown(x)}")
 
 

@@ -52,8 +52,8 @@ MAX_DIGITS = 4000
 _EXACT_BITS, _GUARD_BITS, _READING_BITS = 2048, 64, 512
 
 #: Most bits of a power b**e, counted as e * bits(b), that an exact comparison
-#: may form, checked first (TuningError beyond); only ``equal.nearest_degree``
-#: and ``equal.compare_pitches`` of an irrational ratio in one octave band form
+#: may form, checked first (TuningError beyond); only ``equal._degree`` and
+#: ``equal.compare_pitches`` of an irrational ratio in one octave band form
 #: one, so two rationals always compare.  A full power, formed only on a
 #: near-tie, takes about 65 ms at the bound on a 2-vCPU Xeon VM.
 MAX_POWER_BITS = 2 ** 20

@@ -86,10 +86,11 @@ EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
 
 def _float_sites(tree: ast.AST, module: str) -> set[str]:
     """"module.qualname" of every function (the module or class itself, outside
-    one) that holds a float literal, a ``float(...)`` call, a ``math.<name>`` not
-    in ``EXACT_MATH``, or an f-string format spec ending in e, f, g or %.  The
-    scan does not see a true division of two ints (``p / q``), nor a float spec
-    given to ``str.format``, ``format`` or ``%``."""
+    one) that holds a float literal, the name ``float`` outside an annotation (a
+    call, ``isinstance`` or argparse's ``type=float``), a ``math.<name>`` not in
+    ``EXACT_MATH``, or an f-string format spec ending in e, f, g or %.  The scan
+    does not see a true division of two ints (``p / q``), nor a float spec given
+    to ``str.format``, ``format`` or ``%``."""
     found = set()
 
     def visit(node, scope):
@@ -99,15 +100,16 @@ def _float_sites(tree: ast.AST, module: str) -> set[str]:
         spec = spec and "".join(v.value for v in spec.values if isinstance(v, ast.Constant))
         if (
             isinstance(node, ast.Constant) and type(node.value) is float
-            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "float"
+            or isinstance(node, ast.Name) and node.id == "float"
             or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "math" and node.attr not in EXACT_MATH
             or spec and re.search(r"[eEfFgG%]$", spec)
         ):
             found.add(scope)
+        typed = (getattr(node, "returns", None), getattr(node, "annotation", None))
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            if all(child is not t for t in typed):
+                visit(child, scope)
 
     visit(tree, module)
     return found
@@ -123,6 +125,7 @@ FLOAT_SITES = {
     "weber.perception_increments": "the public API returns floats",
     "weber.uniform_stimuli": "the public API returns floats",
     "errors.finite_real": "the input contract of weber",
+    "cli._build_parser": "reads weber's --s1, --c and --k as floats; an exact reading would retire it",
     "equal.EtPitch.__float__": "its result is a float",
     "ratio._root_candidate": "the float start of a root, certified afterwards",
 }
@@ -140,6 +143,8 @@ def test_the_float_scan_sees_each_kind_of_site():
     source = """
 def literal(): return 1.5
 def call(x): return float(x)
+def parser(p): p.add_argument("--s1", type=float)
+def typed(x: float, y: "float") -> float: z: float = x; return z
 def log(x): return math.log2(x)
 def constant(x): return x < math.inf
 def spec(x, w): return f"{x:.3g} {x:>{w}.2f} {x:%}"
@@ -151,7 +156,7 @@ def exact(x, w): return math.gcd(x, 6), math.isqrt(x), f"{x:05d} {x!r} {x:>{w}}"
 x = 1.0
 """
     assert _float_sites(ast.parse(source), "m") == {
-        "m", "m.literal", "m.call", "m.log", "m.constant", "m.spec", "m.C", "m.C.method"
+        "m", "m.literal", "m.call", "m.parser", "m.log", "m.constant", "m.spec", "m.C", "m.C.method"
     }
 
 
