@@ -71,12 +71,6 @@ class ExponentBoundError(TuningError):
 class CoverageError(TuningError):
     """A degree of the reference equal scale did not receive exactly two approximants."""
 
-    def __init__(self, degree: int, count: int):
-        self.degree = degree
-        self.count = count
-        noun = "approximant" if count == 1 else "approximants"
-        super().__init__(f"degree {degree} has {count} {noun}, expected 2")
-
 
 class PropositionViolationError(TuningError):
     """An exhaustive search did not confirm a uniqueness claim it was asked to verify."""

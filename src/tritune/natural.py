@@ -141,12 +141,11 @@ def solve_fa_la() -> FaLaSolution:
 
 @_record
 class SiSearch:
-    """The core and FA/LA searched, their common denominator, the accepted SI and the
-    number of ordered pairs searched; ``rejected``, built at each read, is the rest."""
+    """The core and FA/LA searched, the accepted SI and the number of ordered pairs
+    searched; ``rejected``, built at each read, is the rest."""
 
     core: CoreScale
     fa_la: FaLaSolution
-    denominator: int
     accepted: Candidate
     searched: int
 
@@ -191,7 +190,7 @@ def find_si() -> SiSearch:
         raise PropositionViolationError(
             f"expected exactly one admissible SI, found {len(accepted)}"
         )
-    return SiSearch(core, fa_la, d, Candidate(*accepted[0]), len(verdicts))
+    return SiSearch(core, fa_la, Candidate(*accepted[0]), len(verdicts))
 
 
 @_record

@@ -18,7 +18,7 @@ power ``a**(n-1)`` a step that Newton's takes to double them, read past
 down and a proven bound above it).  So is the certificate ``a**n <= x <
 (a+1)**n``, and a long full power is formed only on a near-tie, as in
 :func:`_floor_log2`, floor(m * log2(a/b)), the one exact logarithm of the octave
-folds, the pairing and the comparisons, read from log2 3 and log2 5 if 5-smooth.
+folds and the comparisons, read from log2 3 and log2 5 if 5-smooth.
 
 Everything here is immutable and pure.
 """
@@ -218,11 +218,10 @@ def _log2_reading(j2: int, j3: int, j5: int) -> int | None:
 
 
 def _floor_log2(a: int, b: int, m: int = 1) -> int:
-    """floor(m * log2(a/b)) for positive integers a, b and any integer m: the one
-    exact logarithm of every octave fold, pairing and comparison.  At m = 1 it
-    is k or k - 1 for k the bit-length difference, since 2**(k-1) < a/b <
-    2**(k+1): no power, no bound.  Otherwise a negative m swaps a and b, m = 0
-    gives 0, and TuningError comes first if m * bits(max(a, b)) passes
+    """floor(m * log2(a/b)) for positive integers a, b and m: the one exact
+    logarithm of every octave fold and comparison.  At m = 1 it is k or k - 1
+    for k the bit-length difference, since 2**(k-1) < a/b < 2**(k+1): no power,
+    no bound.  At m >= 2 TuningError comes first if m * bits(max(a, b)) passes
     ``MAX_POWER_BITS``.  Past ``_READING_BITS`` :func:`_log2_reading` decides a
     5-smooth a/b (:func:`_smooth_exponents`); on a straddle or off the 5-limit,
     past ``_EXACT_BITS``, ends of one bit length L of a bracket lo * 2**e <=
@@ -231,8 +230,6 @@ def _floor_log2(a: int, b: int, m: int = 1) -> int:
     if m == 1:
         k = a.bit_length() - b.bit_length()
         return k - (a < b << k if k >= 0 else a << -k < b)
-    if m < 1:
-        return _floor_log2(b, a, -m) if m else 0
     bits = max(a, b).bit_length()
     if m * bits > MAX_POWER_BITS:
         raise TuningError(f"a power of {_shown(m)} x {bits} bits is over MAX_POWER_BITS")

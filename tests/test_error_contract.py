@@ -193,9 +193,6 @@ INT_PARAMETERS = {
 
 #: int parameters outside the contract, with the reason
 EXEMPT = {
-    "errors.CoverageError:degree": "an error record, raised by pairing_table",
-    "errors.CoverageError:count": "an error record, raised by pairing_table",
-    "natural.SiSearch:denominator": "a derivation record, built only by find_si",
     "natural.SiSearch:searched": "a derivation record, built only by find_si",
 }
 

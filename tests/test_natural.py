@@ -232,7 +232,8 @@ class TestFindSi:
             return
         search = find_si()
         assert (search.core, search.fa_la) == (core, fa_la)
-        assert search.denominator == math.lcm(*(f.denominator for f in known))
+        d = math.lcm(*(f.denominator for f in known))
+        assert natural._si_verdicts(core, fa_la)[0] == d
         candidates = (search.accepted, *search.rejected)
         assert len(candidates) == len(known) * (len(known) - 1)
         assert all(type(c.value) is Fraction for c in candidates)
@@ -298,7 +299,8 @@ class TestDiatonicAssembly:
         scale = assemble_diatonic()
         search = scale.search
         assert (search.core, search.fa_la) == (build_core(), solve_fa_la())
-        assert search.denominator == 24 and len(search.rejected) == 41
+        assert natural._si_verdicts(search.core, search.fa_la)[0] == 24
+        assert len(search.rejected) == 41
         assert scale.degrees[6] == ("SI", search.accepted.value)
 
     def test_the_just_ratios_check_the_chain(self, monkeypatch):
@@ -307,7 +309,7 @@ class TestDiatonicAssembly:
         search = find_si()
         si = search.accepted
         accepted = Candidate(si.f_n1, si.f_n2, Fraction(16, 9), si.reason)
-        wrong = SiSearch(search.core, search.fa_la, search.denominator, accepted, search.searched)
+        wrong = SiSearch(search.core, search.fa_la, accepted, search.searched)
         monkeypatch.setattr(natural, "find_si", lambda: wrong)
         with pytest.raises(PropositionViolationError, match="diatonic assembly produced"):
             assemble_diatonic()
@@ -317,7 +319,7 @@ class TestDiatonicAssembly:
         # is 15/8: the closure check refuses it before the just ratios do
         search = find_si()
         core = CoreScale(search.core.degrees[:-1], search.core.trace)
-        wrong = SiSearch(core, search.fa_la, search.denominator, search.accepted, search.searched)
+        wrong = SiSearch(core, search.fa_la, search.accepted, search.searched)
         monkeypatch.setattr(natural, "find_si", lambda: wrong)
         with pytest.raises(PropositionViolationError, match="do not close the octave"):
             assemble_diatonic()
@@ -327,7 +329,7 @@ class TestDiatonicAssembly:
         search = find_si()
         si = search.accepted
         accepted = Candidate(si.f_n1, si.f_n2, Fraction(7, 4), si.reason)
-        wrong = SiSearch(search.core, search.fa_la, search.denominator, accepted, search.searched)
+        wrong = SiSearch(search.core, search.fa_la, accepted, search.searched)
         monkeypatch.setattr(natural, "find_si", lambda: wrong)
         with pytest.raises(PropositionViolationError, match="escaped the 5-limit lattice"):
             assemble_diatonic()
@@ -341,7 +343,7 @@ class TestDiatonicAssembly:
         si = search.accepted
         accepted = Candidate(si.f_n1, si.f_n2, Fraction(12, 7), si.reason)
         fa_la = FaLaSolution(Fraction(9, 7), Fraction(10, 7))
-        wrong = SiSearch(core, fa_la, search.denominator, accepted, search.searched)
+        wrong = SiSearch(core, fa_la, accepted, search.searched)
         monkeypatch.setattr(natural, "find_si", lambda: wrong)
         with pytest.raises(PropositionViolationError, match="escaped the 5-limit lattice"):
             assemble_diatonic()

@@ -326,12 +326,11 @@ class TestLargeDivisions:
 
 class TestFloorLog2Of3:
     def test_every_exponent_a_pairing_asks_for_is_decided(self):
-        # j = +/-2nk for n up to MAX_DIVISIONS and k up to EXPONENT_BOUND, each
+        # j = 2nk for n up to MAX_DIVISIONS and k up to EXPONENT_BOUND, each
         # checked against the bit length b of 3**j, one multiplication a step:
         # j * log2 3 lies strictly between b - 1 and b.  Each is read from
         # _LOG2_3 alone past _READING_BITS, with no bracket formed and no power
         # past _READING_BITS
-        assert _floor_log2(3, 1, 0) == 0
         power = 1
         with counted_powers(ratio._READING_BITS), mock.patch.object(
             ratio, "_power_bracket", side_effect=AssertionError("bracket formed")
@@ -339,7 +338,17 @@ class TestFloorLog2Of3:
             for j in range(1, 2 * MAX_DIVISIONS * EXPONENT_BOUND + 1):
                 power *= 3
                 b = power.bit_length()
-                assert (_floor_log2(3, 1, j), _floor_log2(3, 1, -j)) == (b - 1, -b), j
+                assert (_floor_log2(3, 1, j), _floor_log2(1, 3, j)) == (b - 1, -b), j
+        # the pairing's own reading, 2n(h - e) + 2ne * log2 3 for r = 2**h * (3/2)**e,
+        # never straddles: at every n, for all 130 steps of the walk, DO and DO'
+        # included, so pairing_table needs no fallback
+        steps = generate_fifths(EXPONENT_BOUND, EXPONENT_BOUND).entries()
+        assert len(steps) == 130
+        for n in range(1, MAX_DIVISIONS + 1):
+            for step in steps:
+                e = step.k if step.direction == "up" else -step.k
+                m = ratio._log2_reading(2 * n * (step.h - e), 2 * n * e, 0)
+                assert m is not None, (n, step)
         # c = floor(2**64 * log2 3) against correctly rounded 60-digit logs
         with localcontext() as ctx:
             ctx.prec = 60
@@ -347,21 +356,14 @@ class TestFloorLog2Of3:
         assert Decimal("1e-30") < scaled - ratio._LOG2_3 < 1 - Decimal("1e-30")
 
     def test_an_undecided_exponent_takes_the_exact_powers(self, monkeypatch):
-        # j = +/-2nk = +/-6 at n = 3 for one fifth each way, and the pairing of
-        # that table, before the patch
-        with pytest.raises(CoverageError) as unpatched:
-            pairing_table(generate_fifths(1, 1), 3)
         # 6c = 2**67 - 2 with this c, so 6c >> 64 = 7 and (6(c+1) - 1) >> 64 = 8:
         # the reading, taken at any size here, straddles, and 3**6 / 1 gives
         # floor(6 * log2 3) = 9
         monkeypatch.setattr(ratio, "_LOG2_3", 2 ** 64 + (2 ** 64 - 1) // 3)
         monkeypatch.setattr(ratio, "_READING_BITS", 0)
         with counted_powers() as calls:
-            assert (_floor_log2(3, 1, 6), _floor_log2(3, 1, -6)) == (9, -10)
+            assert (_floor_log2(3, 1, 6), _floor_log2(1, 3, 6)) == (9, -10)
             assert len(calls) == 2
-            with pytest.raises(CoverageError) as patched:
-                pairing_table(generate_fifths(1, 1), 3)
-        assert str(patched.value) == str(unpatched.value)
 
 
 def floor_log2_by_shifts(p, q):
@@ -398,20 +400,19 @@ class TestFiveSmoothReading:
     @given(
         st.tuples(st.integers(0, 300), past_the_table, past_the_table),
         st.tuples(st.integers(0, 300), past_the_table, past_the_table),
-        st.integers(-3000, 3000),
+        st.integers(1, 3000),
     )
     def test_floor_log2_against_exact_powers(self, top, bottom, m):
-        # a negative m swaps a and b; a power past MAX_POWER_BITS raises first
+        # a power past MAX_POWER_BITS raises first
         a, b = smooth(*top), smooth(*bottom)
-        if abs(m) * max(a, b).bit_length() > MAX_POWER_BITS:
+        if m * max(a, b).bit_length() > MAX_POWER_BITS:
             with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
                 _floor_log2(a, b, m)
             return
-        p, q = (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
-        assert _floor_log2(a, b, m) == floor_log2_by_shifts(p, q)
+        assert _floor_log2(a, b, m) == floor_log2_by_shifts(a ** m, b ** m)
 
     def test_a_straddling_reading_takes_the_exact_powers(self, monkeypatch):
-        before = [_floor_log2(5, 1, 3), _floor_log2(5, 1, -3), _floor_log2(5, 4, 3)]
+        before = [_floor_log2(5, 1, 3), _floor_log2(1, 5, 3), _floor_log2(5, 4, 3)]
         degree = nearest_degree(Fraction(5, 4), 3)
         # 3c = 7 * 2**64 - 1 with this c, so the readings of 5**3, 5**-3, (5/4)**3
         # and (5/4)**6 each straddle an integer, taken at any size here.  A constant
@@ -420,7 +421,7 @@ class TestFiveSmoothReading:
         monkeypatch.setattr(ratio, "_LOG2_5", (7 * 2 ** 64 - 1) // 3)
         monkeypatch.setattr(ratio, "_READING_BITS", 0)
         with counted_powers() as calls:
-            assert [_floor_log2(5, 1, 3), _floor_log2(5, 1, -3), _floor_log2(5, 4, 3)] == before
+            assert [_floor_log2(5, 1, 3), _floor_log2(1, 5, 3), _floor_log2(5, 4, 3)] == before
             assert before == [6, -7, 0]
             assert nearest_degree(Fraction(5, 4), 3) == degree == 1
         assert len(calls) == 4
@@ -433,7 +434,7 @@ class TestFiveSmoothReading:
             with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
                 _floor_log2(a, b, m)
             with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
-                _floor_log2(b, a, -m)
+                _floor_log2(b, a, m)
             with pytest.raises(TuningError, match="over MAX_POWER_BITS"):
                 compare_pitches(Fraction(a, b), EtPitch(1, m))
         # one step inside the bound, the reading decides with no bracket or power
@@ -455,34 +456,24 @@ class TestFloorLog2AnyExponent:
     @given(
         st.sampled_from([(3, 1), (1, 3), (3, 2), (1, 1), (2, 1)])
         | st.tuples(st.integers(1, 2 ** 64), st.integers(1, 2 ** 64)),
-        st.integers(-300, 300),
+        st.integers(1, 300),
         st.sampled_from([1, 2, 64]),
     )
     @settings(deadline=None)
     def test_against_exact_powers(self, ab, m, guard_bits):
-        # a negative m swaps a and b, m = 0 gives 0; few guard bits put the
-        # bracket and the exact fallback both within reach
+        # few guard bits put the bracket and the exact fallback both within reach
         a, b = ab
-        p, q = (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
         with bracketed(guard_bits):
-            assert _floor_log2(a, b, m) == exact_floor_log2(p, q)
-
-    def test_exponent_zero_forms_nothing(self):
-        with counted_powers() as calls, mock.patch.object(
-            ratio, "_power_bracket", side_effect=AssertionError("bracket formed")
-        ):
-            for a, b in ((3, 1), (1, 3), (3 ** 1000, 2), (1, 1 << MAX_POWER_BITS)):
-                assert _floor_log2(a, b, 0) == 0
-        assert calls == []
+            assert _floor_log2(a, b, m) == exact_floor_log2(a ** m, b ** m)
 
     def test_a_rational_past_the_bound_forms_no_power_at_exponent_one(self):
-        # m = +/-1 reads bit lengths and one shift: no bound, bracket or power
+        # m = 1 reads bit lengths and one shift: no bound, bracket or power
         a = (1 << MAX_POWER_BITS) + 1
         with counted_powers() as calls, mock.patch.object(
             ratio, "_power_bracket", side_effect=AssertionError("bracket formed")
         ):
-            assert _floor_log2(a, 1) == MAX_POWER_BITS == _floor_log2(1, a, -1)
-            assert _floor_log2(1, a) == -MAX_POWER_BITS - 1 == _floor_log2(a, 1, -1)
+            assert _floor_log2(a, 1) == MAX_POWER_BITS
+            assert _floor_log2(1, a) == -MAX_POWER_BITS - 1
             assert _floor_log2(a, a - 2) == 0 and _floor_log2(3 * a, a) == 1
         assert calls == []
         with pytest.raises(TuningError, match="over MAX_POWER_BITS"):

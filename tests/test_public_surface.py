@@ -15,6 +15,12 @@ unit tests reach is dead weight, so it fails here.  Four rules say what a read i
 * a function is read only outside its own module; a class or constant, only
   outside its own definition.
 
+Every annotated field of a record (a class decorated with ``errors._record``)
+is read the same way, as an attribute: ``x.field``, loaded, in ``src/tritune``
+outside the class's own ``__post_init__``, in ``bench/*.py`` or in
+``tests/test_acceptance.py``.  A field nothing reads only fills the record's
+``repr`` and ``==``.
+
 The exact-power policy is bound in one module: only ``ratio`` binds the names
 that choose between forming a power and bracketing it, and only ``ratio``
 defines the comparison kernel that applies that choice.  The 5-limit factoring
@@ -251,6 +257,91 @@ def test_the_scan_sees_a_method_hidden_by_a_function_of_its_name(tmp_path):
     reader = tmp_path / "reader.py"
     reader.write_text("from shadow import Pitch, cents\n\ncents(Pitch())\n")
     assert unreached_names([module], [reader]) == ["shadow.Pitch.cents"]
+
+
+def _attribute_reads(tree: ast.AST) -> list[tuple[str, int]]:
+    """(attribute, line) of each attribute loaded under ``tree``, as ``x.attribute``."""
+    return [
+        (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def _record_fields(tree: ast.Module) -> list[tuple[str, list[str], range]]:
+    """(class name, annotated fields, lines of its own ``__post_init__``) of each
+    module-level class decorated with ``_record`` or ``errors._record``."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or not any(
+            ast.unparse(d).rsplit(".", 1)[-1] == "_record" for d in node.decorator_list
+        ):
+            continue
+        fields = [
+            item.target.id
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+        hidden = next(
+            (range(item.lineno, item.end_lineno + 1) for item in node.body
+             if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"),
+            range(0),
+        )
+        found.append((node.name, fields, hidden))
+    return found
+
+
+def unread_fields(source_paths=SOURCES, reader_paths=READERS) -> list[str]:
+    """"module.Class.field" of each record field that no attribute read names.
+
+    Its blind spot: a read is matched by the attribute's name alone, so a field
+    named like an attribute read anywhere else counts as read (a field
+    ``denominator`` passes through every ``Fraction.denominator`` read), and
+    such a field must be checked by hand."""
+    sources = {path.stem: _parse(path) for path in source_paths}
+    reads = {stem: _attribute_reads(tree) for stem, tree in sources.items()}
+    outside = {attr for path in reader_paths for attr, _ in _attribute_reads(_parse(path))}
+    unread = []
+    for stem, tree in sources.items():
+        for cls, fields, hidden in _record_fields(tree):
+            for field in fields:
+                if field in outside or any(
+                    attr == field and not (module == stem and line in hidden)
+                    for module, found in reads.items()
+                    for attr, line in found
+                ):
+                    continue
+                unread.append(f"{stem}.{cls}.{field}")
+    return unread
+
+
+def test_every_record_field_is_read():
+    unread = unread_fields()
+    assert not unread, f"record fields read by no command, benchmark or acceptance test: {unread}"
+
+
+def test_the_scan_sees_an_unread_record_field(tmp_path):
+    # kept is read in its module, shown by a reader, checked only in its own
+    # __post_init__, and stored assigned but never loaded; a plain class is no record
+    module = tmp_path / "lonely.py"
+    module.write_text(
+        "from .errors import _record\n\n"
+        "@_record\n"
+        "class Pair:\n"
+        "    kept: int\n"
+        "    shown: int\n"
+        "    checked: int\n"
+        "    stored: int\n\n"
+        "    def __post_init__(self):\n"
+        "        assert self.checked > 0\n\n"
+        "class Plain:\n"
+        "    loose: int\n\n"
+        "def used(p):\n"
+        "    return p.kept\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("def show(p):\n    p.stored = p.shown\n")
+    assert unread_fields([module], [reader]) == ["lonely.Pair.checked", "lonely.Pair.stored"]
 
 
 #: Which powers are formed, which bracketed and how wide: bound in ratio alone.

@@ -23,6 +23,7 @@ from tritune.pythagorean import (
     select_chromatic,
 )
 from tritune.ratio import EXPONENT_BOUND, _floor_log2, cents, reduce_to_octave, to_decimal
+from tritune.ratio import monzo_to_rational
 
 # the classical 26-sound generation, twelve fifths each way:
 # (direction, k, h, ratio, five-digit truncation)
@@ -150,7 +151,7 @@ class TestGeneration:
     def test_the_fold_agrees_with_the_certified_log2_3(self):
         # h reads floor(k * log2(3/2)) from bit lengths (m = 1); floor(k *
         # log2 3) - k reads the same floor from ratio._LOG2_3, with no power
-        for k in range(EXPONENT_BOUND + 1):
+        for k in range(1, EXPONENT_BOUND + 1):
             f = _floor_log2(3, 1, k) - k
             assert (FifthStep("up", k).h, FifthStep("down", k).h) == (-f, f + 1)
             assert _floor_log2(3, 2, k) == f
@@ -352,7 +353,8 @@ def bracket_pairing(t, n):
     for degree in range(n + 1):
         found = sorted(buckets.get(degree, []), key=lambda s: s.ratio)
         if len(found) != 2:
-            raise CoverageError(degree, len(found))
+            noun = "approximant" if len(found) == 1 else "approximants"
+            raise CoverageError(f"degree {degree} has {len(found)} {noun}, expected 2")
         low, high = found
         et = EtPitch(degree, n)
         if compare_fraction_to_et(low.ratio, et) > 0 or compare_fraction_to_et(
@@ -501,14 +503,16 @@ class TestBaseDependence:
         assert (demo.product_monzo.exp2, demo.product_monzo.exp3) == (-20, 13)
         assert demo.product_monzo.exp5 == 0
         assert not demo.product_in_table
-        assert demo.product_ratio == Fraction(3**13, 2**20)
+        assert reduce_to_octave(monzo_to_rational(demo.product_monzo)) == Fraction(3**13, 2**20)
 
     def test_a_table_reaching_the_rebased_sound_is_refused(self):
         # thirteen fifths up reach 3^13/2^20, the rebased product itself
         with pytest.raises(PropositionViolationError, match="rebased sound was found in the table"):
             base_dependence_demo(generate_fifths(12, 13))
 
-    def test_same_shift_from_do_is_already_there(self, table):
-        demo = base_dependence_demo(table)
-        assert demo.control_ratio == Fraction(19683, 16384)
-        assert demo.control_in_table
+    def test_same_shift_from_do_is_already_there(self):
+        # the control (3/2)^9 folded, 19683/16384, needs nine fifths up: a table
+        # of eight witnesses nothing and is refused, one of nine is accepted
+        with pytest.raises(PropositionViolationError, match="same shift from DO is missing"):
+            base_dependence_demo(generate_fifths(12, 8))
+        assert not base_dependence_demo(generate_fifths(0, 9)).product_in_table
