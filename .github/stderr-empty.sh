@@ -4,10 +4,12 @@
 # with the script's stderr sent to a file. The file goes to the log when the
 # script ends, and the step fails if the script failed or the file is not empty.
 #
-# A warning raised while an object is garbage-collected, such as an unclosed
-# file's ResourceWarning, goes to sys.unraisablehook: under PYTHONDEVMODE=1
-# PYTHONWARNINGS=error it is printed and the process still exits 0. An empty
-# stderr is what shows that none was raised.
+# Every Python process of the step runs in dev mode, as the tier-1 step does,
+# and any warning, a DeprecationWarning too, is an error. A warning raised while
+# an object is garbage-collected, such as an unclosed file's ResourceWarning,
+# goes to sys.unraisablehook: it is printed and the process still exits 0. An
+# empty stderr is what shows that none was raised.
+export PYTHONDEVMODE=1 PYTHONWARNINGS=error
 err=$(mktemp)
 status=0
 bash --noprofile --norc -eo pipefail "$1" 2>"$err" || status=$?

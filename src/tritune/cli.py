@@ -39,31 +39,36 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_et = sub.add_parser("et", help="equal division of the octave")
     p_et.add_argument("--n", type=int, required=True, help="steps per octave")
     p_et.add_argument("--digits", type=int, default=5)
+    p_et.set_defaults(run=_run_et)
 
     p_pyth = sub.add_parser("pyth", help="scale generated by fifths")
     p_pyth.add_argument("--fifths-up", type=int, default=12)
     p_pyth.add_argument("--fifths-down", type=int, default=12)
+    p_pyth.set_defaults(run=_run_pyth, view=fifth_generation_text)
     view = p_pyth.add_mutually_exclusive_group()
-    view.add_argument(
-        "--pairing", action="store_true", help="pair sounds around the equal degrees"
-    )
-    view.add_argument(
-        "--chromatic", action="store_true", help="the 18-name chromatic selection"
-    )
+    for flag, text, what in (
+        ("--pairing", pairing_text, "pair sounds around the equal degrees"),
+        ("--chromatic", chromatic_text, "the 18-name chromatic selection"),
+    ):
+        view.add_argument(flag, action="store_const", dest="view", const=text, help=what)
 
     p_nat = sub.add_parser("natural", help="just scale from harmonic divisions")
     p_nat.add_argument("--trace", action="store_true", help="show the derivation")
+    p_nat.set_defaults(run=_run_natural)
 
-    sub.add_parser("compare", help="diatonic degrees across the three systems")
+    p_cmp = sub.add_parser("compare", help="diatonic degrees across the three systems")
+    p_cmp.set_defaults(run=lambda args: sys.stdout.write(comparison_text()))
 
     p_weber = sub.add_parser("weber", help="stimulus series with uniform perception")
     p_weber.add_argument("--s1", type=float, required=True)
     p_weber.add_argument("--c", type=float, required=True)
     p_weber.add_argument("--k", type=float, required=True)
     p_weber.add_argument("--n", type=int, required=True)
+    p_weber.set_defaults(run=_run_weber)
 
     p_chord = sub.add_parser("chord", help="classify a stack of chromatic indices")
     p_chord.add_argument("indices", help="comma-separated indices, e.g. 0,4,7")
+    p_chord.set_defaults(run=_run_chord)
 
     p_exp = sub.add_parser("export", help="write a scale or table to a file")
     p_exp.add_argument("--format", required=True, choices=("scl", "csv", "json"))
@@ -75,6 +80,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         help="which scale an scl file carries (csv/json always carry the comparison)",
     )
     p_exp.add_argument("--n", type=int, default=12, help="divisions for --scale et")
+    p_exp.set_defaults(run=_run_export)
     return parser, sub.choices
 
 
@@ -91,13 +97,7 @@ def _run_et(args) -> None:
 
 
 def _run_pyth(args) -> None:
-    table = generate_fifths(args.fifths_down, args.fifths_up)
-    if args.pairing:
-        sys.stdout.write(pairing_text(table))
-    elif args.chromatic:
-        sys.stdout.write(chromatic_text(table))
-    else:
-        sys.stdout.write(fifth_generation_text(table))
+    sys.stdout.write(args.view(generate_fifths(args.fifths_down, args.fifths_up)))
 
 
 def _run_natural(args) -> None:
@@ -146,16 +146,6 @@ def _run_export(args) -> None:
 
 _PARSER, _COMMANDS = _build_parser()
 
-_RUNNERS = {
-    "et": _run_et,
-    "pyth": _run_pyth,
-    "natural": _run_natural,
-    "compare": lambda a: sys.stdout.write(comparison_text()),
-    "weber": _run_weber,
-    "chord": _run_chord,
-    "export": _run_export,
-}
-
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
@@ -167,7 +157,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _RUNNERS[argv[0]](args)
+        args.run(args)
     except (TuningError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

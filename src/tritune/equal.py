@@ -102,9 +102,6 @@ class EtPitch:
         except OverflowError:
             raise TuningError(f"{_shown(self)} is past the float range") from None
 
-    def __str__(self) -> str:
-        return self.exact_form()
-
     def is_rational(self) -> bool:
         """r * 2**(k/n) is rational iff the reduced exponent is an integer."""
         return self.k % self.n == 0
@@ -120,6 +117,8 @@ class EtPitch:
             return _fraction_text(self.as_fraction())
         form = f"2^({_fixed_point(self.k, 0)}/{_fixed_point(self.n, 0)})"
         return form if self.r == 1 else f"{_fraction_text(self.r)}*{form}"
+
+    __str__ = exact_form
 
 
 def _power_form(x) -> tuple[int, int, int, int]:
@@ -217,7 +216,7 @@ def nearest_degree(r: Fraction, n: int) -> int:
     d = (m + 1) // 2 for m = ``ratio._floor_log2(a, b, 2n)``, which past short powers
     reads a 5-smooth r from log2 3 and log2 5 and forms powers only for another r near
     a degree or half-way.  A tie needs r a power of 2**(1/2n); half up makes it total.
-    :func:`_degree`, after these checks, is the one home of (m + 1) // 2.
+    :func:`_degree` computes (m + 1) // 2; ``pairing_table`` applies it to each step's own m.
     """
     check_int("steps per octave n", n, 1, MAX_DIVISIONS)
     r = positive_fraction(r, "a pitch ratio")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
 from .errors import TuningError, _record, check_instance, check_int
@@ -76,8 +75,8 @@ def interval_between(f1: Pitch, f2: Pitch) -> Interval:
     against 2^(7/12) is (3/4) * 2^(5/12) = 3 * 2^(-19/12).  A rational result
     of more than ``equal.MAX_OCTAVES`` octaves is a TuningError, as for ``Interval``.
     """
-    lo, hi = sorted(map(EtPitch.of, (f1, f2)), key=cmp_to_key(compare_pitches))
-    return Interval(hi / lo)
+    a, b = EtPitch.of(f1), EtPitch.of(f2)
+    return Interval(a / b if compare_pitches(a, b) > 0 else b / a)
 
 
 def compose(i1: Interval, i2: Interval) -> Interval:

@@ -17,7 +17,8 @@ from itertools import permutations
 from types import MappingProxyType
 
 from .equal import DIATONIC_INDICES, EtPitch, _neighbour_signs
-from .errors import PropositionViolationError, TuningError, _record, _shown, positive_fraction
+from .errors import PropositionViolationError, TuningError, _record, _shown, check_instance
+from .errors import positive_fraction
 from .intervals import note_name
 from .pythagorean import _fewer_fifths, generate_fifths, pairing_table
 from .ratio import RationalLike, _ascending, is_five_smooth
@@ -244,6 +245,10 @@ class ScaleComparison:
     """The diatonic degrees across the three systems, one row each."""
 
     rows: tuple[ComparisonRow, ...]
+
+    def __post_init__(self):
+        for row in check_instance("comparison rows", self.rows, tuple):
+            check_instance("a row's E", check_instance("a row", row, ComparisonRow).equal, EtPitch)
 
     @property
     def orderings(self) -> MappingProxyType[str, str]:

@@ -76,6 +76,11 @@ class PythTable:
     down: tuple[FifthStep, ...]
     up: tuple[FifthStep, ...]
 
+    def __post_init__(self):
+        for steps in self.down, self.up:
+            if not all(isinstance(s, FifthStep) for s in check_instance("steps", steps, tuple)):
+                raise TuningError(f"steps must be of type FifthStep, got {_shown(steps)}")
+
     def entries(self) -> list[FifthStep]:
         """DO, the steps down, the steps up and DO'."""
         return [_DO, *self.down, *self.up, _DO_OCTAVE]
@@ -201,10 +206,9 @@ def base_dependence_demo(t: PythTable) -> BaseDependenceDemo:
     ratios = set(check_instance("a fifth table", t, PythTable).ratios())
     if reduce_to_octave(monzo_to_rational(shift)) not in ratios:
         raise PropositionViolationError("the same shift from DO is missing from the table")
-    demo = BaseDependenceDemo(product, reduce_to_octave(monzo_to_rational(product)) in ratios)
-    if demo.product_in_table:
+    if reduce_to_octave(monzo_to_rational(product)) in ratios:
         raise PropositionViolationError(
             "the rebased sound was found in the table; it should require "
             "further iterations"
         )
-    return demo
+    return BaseDependenceDemo(product, False)

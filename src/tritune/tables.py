@@ -69,6 +69,5 @@ def comparison_text() -> str:
     for degree, cells in comparison_table(comp):
         rows.append((degree, *(f"{exact} = {decimal}" for exact, decimal in cells)))
     text = _aligned(rows)
-    by_degree = {row.degree: row for row in comp.rows}  # the last row of a name, as in orderings
-    notes = [f"{d}: {by_degree[d].ordering}" for d in ("MI", "FA", "LA", "SI")]
+    notes = [f"{r.degree}: {r.ordering}" for r in comp.rows if r.degree in ("MI", "FA", "LA", "SI")]
     return text + "\n".join(notes) + "\n"

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import re
+import shlex
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -124,6 +126,21 @@ def test_the_console_script_is_main():
         target = tomllib.load(f)["project"]["scripts"]["tritune"]
     module, _, attr = target.partition(":")
     assert module == "tritune.cli" and getattr(cli, attr) is main
+
+
+def test_the_stderr_empty_shell_sets_the_warning_policy(tmp_path):
+    # the CI steps run under .github/stderr-empty.sh state no warning policy of
+    # their own: the shell's dev mode must turn a dropped open file into stderr
+    shell = Path(__file__).parent.parent / ".github" / "stderr-empty.sh"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONDEVMODE", "PYTHONWARNINGS")}
+    python = shlex.quote(sys.executable)
+    script = tmp_path / "step.sh"
+    for child, status, err in (("print(1)", 0, ""), ("open(sys.executable)", 1, "ResourceWarning")):
+        script.write_text(f"{python} -c {shlex.quote(f'import sys; {child}')}\n", encoding="utf-8")
+        done = subprocess.run(
+            ["bash", str(shell), str(script)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == status and err in done.stderr, done.stderr
 
 
 class TestPyth:
@@ -268,7 +285,7 @@ class TestUsageErrors:
         assert err.endswith("tritune et: error: unrecognized arguments: x\n")
 
     def test_every_command_has_a_runner(self):
-        assert set(cli._RUNNERS) == set(cli._COMMANDS)
+        assert all(callable(parser.get_default("run")) for parser in cli._COMMANDS.values())
 
 
 class TestExport:

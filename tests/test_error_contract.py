@@ -22,7 +22,7 @@ from tritune.intervals import note_name, transpose_indices
 from tritune.natural import ComparisonRow, ScaleComparison, compare_three_scales
 from tritune.natural import frequency_of_division
 from tritune.natural import harmonic_divide, means
-from tritune.pythagorean import FifthStep, base_dependence_demo, classify_to_et
+from tritune.pythagorean import FifthStep, PythTable, base_dependence_demo, classify_to_et
 from tritune.pythagorean import generate_fifths, pairing_table, select_chromatic
 from tritune.ratio import EXPONENT_BOUND, MAX_DIGITS, Monzo, integer_nth_root
 from tritune.ratio import is_five_smooth, is_nth_root_irrational
@@ -242,6 +242,19 @@ RECORD_PARAMETERS = {
     "tables.pairing_text:table": (pairing_text, generate_fifths(12, 12)),
     "tables.chromatic_text:table": (chromatic_text, generate_fifths(12, 12)),
     "pythagorean.select_chromatic:t": (select_chromatic, generate_fifths(12, 12)),
+    "pythagorean.PythTable:down": (lambda v: PythTable(v, ()), generate_fifths(12, 12).down),
+    "pythagorean.PythTable:up": (lambda v: PythTable((), v), generate_fifths(12, 12).up),
+    "pythagorean.PythTable:down[0]": (lambda v: PythTable((v,), ()), FifthStep("down", 1)),
+    "pythagorean.PythTable:up[0]": (lambda v: PythTable((), (v,)), FifthStep("up", 1)),
+    "natural.ScaleComparison:rows": (ScaleComparison, compare_three_scales().rows),
+    "natural.ScaleComparison:rows[0]": (
+        lambda v: ScaleComparison((v,)),
+        compare_three_scales().rows[0],
+    ),
+    "natural.ScaleComparison:rows[0].equal": (
+        lambda v: ScaleComparison((ComparisonRow("DO", v, 1, 1),)),
+        EtPitch(0, 12),
+    ),
     "scalefile.pythagorean_chromatic_document:table": (
         pythagorean_chromatic_document,
         generate_fifths(12, 12),
