@@ -158,7 +158,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.run(args)
-    except (TuningError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

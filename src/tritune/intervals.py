@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .equal import DIATONIC_INDICES, EtPitch, compare_pitches
-from .errors import TuningError, _record, check_instance, check_int
+from .errors import TuningError, _record, _shown, check_instance, check_int
 
 Pitch = int | Fraction | EtPitch
 
@@ -38,7 +38,7 @@ def note_name(chromatic_index: int, preference: str = "sharp") -> str:
     letter above ("RE♭"), per ``preference``.
     """
     if preference not in ("sharp", "flat"):
-        raise TuningError("preference must be 'sharp' or 'flat'")
+        raise TuningError(f"preference must be 'sharp' or 'flat', got {_shown(preference)}")
     i = check_int("a chromatic index", chromatic_index, None) % 12
     if i in _DIATONIC_LETTER:
         return _DIATONIC_LETTER[i]

@@ -237,7 +237,19 @@ class ComparisonRow:
 
     @property
     def ordering(self) -> str:
-        return _ordering(self)
+        """Ascending order of the three values, each pair compared once, exactly:
+        ``equal._neighbour_signs`` of N, E, P, N gives sign(N-E), sign(E-P), sign(P-N).
+
+        A value's rank counts the values strictly below it, so equal values share
+        a rank and the stable sort lists ties N first, then E, then P.
+        """
+        ne, ep, pn = _neighbour_signs((self.natural, self.equal, self.pythagorean, self.natural))
+        rank = {"N": (ne > 0) + (pn < 0), "E": (ne < 0) + (ep > 0), "P": (ep < 0) + (pn > 0)}
+        order = sorted(rank, key=rank.get)
+        parts = [order[0]]
+        for a, b in zip(order, order[1:]):
+            parts += ["<" if rank[a] < rank[b] else "=", b]
+        return " ".join(parts)
 
 
 @_record
@@ -254,22 +266,6 @@ class ScaleComparison:
     def orderings(self) -> MappingProxyType[str, str]:
         """Each degree's name mapped to its row's ordering, read-only."""
         return MappingProxyType({row.degree: row.ordering for row in self.rows})
-
-
-def _ordering(row: ComparisonRow) -> str:
-    """Ascending order of the three values, each pair compared once, exactly:
-    ``equal._neighbour_signs`` of N, E, P, N gives sign(N-E), sign(E-P), sign(P-N).
-
-    A value's rank counts the values strictly below it, so equal values share
-    a rank and the stable sort lists ties N first, then E, then P.
-    """
-    ne, ep, pn = _neighbour_signs((row.natural, row.equal, row.pythagorean, row.natural))
-    rank = {"N": (ne > 0) + (pn < 0), "E": (ne < 0) + (ep > 0), "P": (ep < 0) + (pn > 0)}
-    order = sorted(rank, key=rank.get)
-    parts = [order[0]]
-    for a, b in zip(order, order[1:]):
-        parts += ["<" if rank[a] < rank[b] else "=", b]
-    return " ".join(parts)
 
 
 def compare_three_scales() -> ScaleComparison:

@@ -41,7 +41,7 @@ class FifthStep:
 
     def __post_init__(self):
         if self.direction not in ("up", "down"):
-            raise TuningError("direction must be 'up' or 'down'")
+            raise TuningError(f"direction must be 'up' or 'down', got {_shown(self.direction)}")
         k = check_int("a fifth count k", self.k, 0, EXPONENT_BOUND, ExponentBoundError)
         up = self.direction == "up"
         p, q = (3 ** k, 2 ** k) if up else (2 ** k, 3 ** k)

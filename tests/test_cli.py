@@ -271,6 +271,13 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "--help")
         assert code == 0 and out.startswith("usage: tritune [-h]")
 
+    @pytest.mark.parametrize(
+        "command", ["et", "pyth", "natural", "compare", "weber", "chord", "export"]
+    )
+    def test_every_command_prints_its_help(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "") and out.startswith(f"usage: tritune {command} [-h]")
+
     def test_a_line_the_top_parser_accepts_is_still_refused(self, capsys, monkeypatch):
         # should an argparse release read a command after a leading token,
         # no runner is reached: the command must be the first argument

@@ -427,7 +427,7 @@ def test_choice_parameter_takes_its_names_only(key):
     for name in names:
         call(name)
     for value in ("", "x", names[0].upper(), f" {names[0]}", None, 1, True):
-        with pytest.raises(TuningError):
+        with pytest.raises(TuningError, match=re.escape(repr(value))):
             call(value)
 
 

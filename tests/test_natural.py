@@ -430,16 +430,23 @@ class TestComparison:
         assert comp.orderings["MI"] == "N < E < P"
 
     def test_orderings_are_computed_only_when_read(self, monkeypatch):
-        ordering = natural._ordering
+        signs = natural._neighbour_signs
 
-        def trap(row):
-            raise AssertionError(f"ordering of {row.degree} computed")
+        def trap(pitches):
+            raise AssertionError(f"ordering of {pitches} computed")
 
-        monkeypatch.setattr(natural, "_ordering", trap)
+        monkeypatch.setattr(natural, "_neighbour_signs", trap)
         comparison = compare_three_scales()
         assert export_table(comparison, "csv") and export_table(comparison, "json")
+        # an ordering compares its row's N, E, P, N: each call maps back to its row
+        rows = {(row.natural, row.equal, row.pythagorean): row for row in comparison.rows}
         computed = []
-        monkeypatch.setattr(natural, "_ordering", lambda row: computed.append(row) or ordering(row))
+
+        def record(pitches):
+            computed.append(rows[pitches[:3]])
+            return signs(pitches)
+
+        monkeypatch.setattr(natural, "_neighbour_signs", record)
         assert comparison_text().splitlines()[-4:] == [
             "MI: N < E < P", "FA: N = P < E", "LA: N < E < P", "SI: N < E < P"
         ]
@@ -481,9 +488,9 @@ class TestComparison:
 
     def test_ties_with_a_coefficient(self):
         row = ComparisonRow("X", EtPitch(12, 12, 3), Fraction(7), Fraction(6))
-        assert natural._ordering(row) == "N = E < P"
+        assert row.ordering == "N = E < P"
         row = ComparisonRow("X", EtPitch(-24, 12, Fraction(5, 3)), Fraction(5, 12), Fraction(1, 3))
-        assert natural._ordering(row) == "N < E = P"
+        assert row.ordering == "N < E = P"
 
 
 def reference_ordering(row: ComparisonRow) -> str:
@@ -513,4 +520,4 @@ def comparison_rows(draw):
 @settings(max_examples=1000, deadline=None)
 @given(comparison_rows())
 def test_orderings_on_integers_agree_with_compare_pitches(row):
-    assert natural._ordering(row) == reference_ordering(row)
+    assert row.ordering == reference_ordering(row)
