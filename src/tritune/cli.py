@@ -44,13 +44,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_pyth = sub.add_parser("pyth", help="scale generated by fifths")
     p_pyth.add_argument("--fifths-up", type=int, default=12)
     p_pyth.add_argument("--fifths-down", type=int, default=12)
-    p_pyth.set_defaults(run=_run_pyth, view=fifth_generation_text)
+    p_pyth.set_defaults(run=_run_pyth)
     view = p_pyth.add_mutually_exclusive_group()
-    for flag, text, what in (
-        ("--pairing", pairing_text, "pair sounds around the equal degrees"),
-        ("--chromatic", chromatic_text, "the 18-name chromatic selection"),
-    ):
-        view.add_argument(flag, action="store_const", dest="view", const=text, help=what)
+    view.add_argument("--pairing", action="store_true", help="pair sounds around the equal degrees")
+    view.add_argument("--chromatic", action="store_true", help="the 18-name chromatic selection")
 
     p_nat = sub.add_parser("natural", help="just scale from harmonic divisions")
     p_nat.add_argument("--trace", action="store_true", help="show the derivation")
@@ -97,7 +94,9 @@ def _run_et(args) -> None:
 
 
 def _run_pyth(args) -> None:
-    sys.stdout.write(args.view(generate_fifths(args.fifths_down, args.fifths_up)))
+    view = chromatic_text if args.chromatic else fifth_generation_text
+    view = pairing_text if args.pairing else view
+    sys.stdout.write(view(generate_fifths(args.fifths_down, args.fifths_up)))
 
 
 def _run_natural(args) -> None:

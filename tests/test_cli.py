@@ -157,6 +157,18 @@ class TestPyth:
         code, out, _ = run(capsys, "pyth", "--chromatic")
         assert code == 0 and out.count("\n") == 18
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["pyth"], "fifth_generation_text"),
+            (["pyth", "--pairing"], "pairing_text"),
+            (["pyth", "--chromatic"], "chromatic_text"),
+        ],
+    )
+    def test_a_view_is_read_from_the_module_when_it_runs(self, capsys, monkeypatch, argv, name):
+        monkeypatch.setattr(cli, name, lambda table: f"fake {name}\n")
+        assert run(capsys, *argv) == (0, f"fake {name}\n", "")
+
     def test_short_walk(self, capsys):
         code, out, _ = run(capsys, "pyth", "--fifths-up", "1", "--fifths-down", "1")
         assert code == 0
